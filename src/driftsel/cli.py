@@ -20,13 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import build_weight_family, estimate_coefficients, select_model
+from .estimator import estimate_coefficients, select_model
 from .noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations
 from .renewal import InterarrivalLaw, solve_renewal_density
 from .risk import (
     ExperimentConfig,
-    resolve_delta,
     resolve_frequency,
+    resolve_selection,
     run_risk_experiment,
     satisfies_h5,
 )
@@ -283,12 +283,9 @@ def validate_config(config: RunConfig):
 class RunManifest:
     subcommand: str
     config_text: str
+    digest: str
     outputs: tuple
     version: str = __version__
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.config_text.encode("utf-8")).hexdigest()
 
     def render(self) -> str:
         lines = [
@@ -315,20 +312,11 @@ def _write_csv(path: Path, digest: str, header, rows):
 
 def _fit_one_path(config: RunConfig, n: int, stream: int):
     experiment = experiment_config(config)
-    p = resolve_frequency(experiment, n)
+    p, family, delta = resolve_selection(experiment, n)
     signal = experiment.signal
     obs = sample_observations(signal, experiment.noise, n=n, p=p, rng=RngStream(config.seed, stream))
-    est = estimate_coefficients(obs)
-    family = build_weight_family(
-        n,
-        p,
-        eps=experiment.eps,
-        k_star=experiment.k_star,
-        k_star0=experiment.k_star0,
-        varsigma_star=experiment.varsigma_star,
-    )
-    result = select_model(est, family, resolve_delta(experiment, n))
-    return p, signal, obs, family, result
+    result = select_model(estimate_coefficients(obs), family, delta)
+    return p, signal, family, result
 
 
 def _run_simulate(config: RunConfig, out: Path, digest: str):
@@ -345,7 +333,7 @@ def _run_simulate(config: RunConfig, out: Path, digest: str):
 
 def _run_estimate(config: RunConfig, out: Path, digest: str):
     n = config.estimate_n
-    p, signal, _, family, result = _fit_one_path(config, n, stream=0)
+    p, signal, family, result = _fit_one_path(config, n, stream=0)
     truth = grid_values(signal, p)
     fitted = result.grid_values()
     t = np.arange(1, p + 1) / p
@@ -360,8 +348,8 @@ def _run_estimate(config: RunConfig, out: Path, digest: str):
         digest,
         ("index", "beta", "scale", "cost", "selected"),
         (
-            (str(k), str(w.beta), _fmt(w.scale), _fmt(result.costs[k]), str(int(k == result.index)))
-            for k, w in enumerate(family.members)
+            (str(k), str(beta), _fmt(scale), _fmt(result.costs[k]), str(int(k == result.index)))
+            for k, (beta, scale) in enumerate(family.members)
         ),
     )
     return ["estimate.csv", "selection.csv"]
@@ -395,6 +383,12 @@ def _run_renewal_density(config: RunConfig, out: Path, digest: str):
     law = _parse_interarrival(config.interarrival)
     horizon = config.renewal_horizon if config.renewal_horizon > 0.0 else None
     solution = solve_renewal_density(law, h=config.renewal_h, horizon=horizon)
+    if not solution.converged:
+        print(
+            f"driftsel: warning: renewal solve did not converge by horizon {solution.horizon!r}; "
+            "raise renewal.horizon or refine renewal.h",
+            file=sys.stderr,
+        )
     rows = (
         (_fmt(x), _fmt(r), _fmt(u))
         for x, r, u in zip(solution.x, solution.rho, solution.upsilon)
@@ -406,7 +400,7 @@ def _run_renewal_density(config: RunConfig, out: Path, digest: str):
 def _run_figures(config: RunConfig, out: Path, digest: str):
     written = []
     for stream, n in enumerate(config.n_values):
-        p, signal, _, _, result = _fit_one_path(config, n, stream=stream)
+        p, signal, _, result = _fit_one_path(config, n, stream=stream)
         truth = grid_values(signal, p)
         fitted = result.grid_values()
         t = np.arange(1, p + 1) / p
@@ -472,12 +466,16 @@ def main(argv=None) -> int:
         print(f"driftsel: config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
-    canonical = emit_config(config)
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = config_digest(config)
     try:
         out.mkdir(parents=True, exist_ok=True)
         outputs = _HANDLERS[args.subcommand](config, out, digest)
-        manifest = RunManifest(subcommand=args.subcommand, config_text=canonical, outputs=tuple(outputs))
+        manifest = RunManifest(
+            subcommand=args.subcommand,
+            config_text=emit_config(config),
+            digest=digest,
+            outputs=tuple(outputs),
+        )
         (out / "manifest.txt").write_text(manifest.render(), encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"driftsel: {exc}", file=sys.stderr)

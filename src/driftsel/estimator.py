@@ -34,45 +34,52 @@ class CoefficientEstimates:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """One shrinkage profile, stored as its nonzero prefix."""
-
-    beta: int
-    scale: float
-    values: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.dot(self.values, self.values))
-
-
-@dataclass(frozen=True)
 class WeightFamily:
+    """Candidate grid of shrinkage profiles.
+
+    `members` holds the (beta, scale) label of every candidate in grid
+    order; many labels share one weight vector, so `profiles` keeps each
+    distinct nonzero prefix once, in order of first appearance, and
+    `profile_of[k]` is the index of member k's profile.
+    """
+
     k_star: int
     eps: float
     m: int
     upsilon: float
     members: tuple
+    profiles: tuple
+    profile_of: np.ndarray
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
+    @classmethod
+    def from_members(cls, k_star, eps, m, upsilon, members, weights) -> "WeightFamily":
+        """Family whose member k has label members[k] and profile weights[k];
+        equal profiles are stored once."""
+        if len(members) != len(weights):
+            raise ValueError("need one weight vector per member")
+        first = {}
+        profiles = []
+        profile_of = np.empty(len(weights), dtype=np.intp)
+        for k, lam in enumerate(weights):
+            lam = np.asarray(lam, dtype=float)
+            key = lam.tobytes()
+            if key not in first:
+                first[key] = len(profiles)
+                profiles.append(lam)
+            profile_of[k] = first[key]
+        return cls(k_star, eps, m, upsilon, tuple(members), tuple(profiles), profile_of)
 
     @property
     def max_total(self) -> float:
         """Largest weight sum over the family, the quantity the residual
         term of the oracle inequality scales with."""
-        return max(w.total for w in self.members)
+        return max(float(lam.sum()) for lam in self.profiles)
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     index: int
-    weights: WeightVector
+    weights: np.ndarray
     sigma: float
     delta: float
     costs: np.ndarray
@@ -117,11 +124,12 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     return float(est.n / p_check * np.dot(block, block))
 
 
-def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> WeightVector:
+def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.ndarray:
     """Shrinkage profile: flat at 1 below the cutoff 1 + floor(ln upsilon),
     polynomial taper 1 - (j/omega)^beta out to the bandwidth omega, zero
     beyond.  `scale` multiplies the bandwidth; `cap` truncates the support
-    so no profile reaches past the estimable frequencies.
+    so no profile reaches past the estimable frequencies.  Returns the
+    nonzero prefix of the profile.
     """
     if beta < 1:
         raise ValueError("taper order must be a positive integer")
@@ -133,7 +141,7 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> Weight
     support = min(cap, max(j_star - 1, math.floor(omega)))
     j = np.arange(1, support + 1, dtype=float)
     lam = np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
-    return WeightVector(beta=beta, scale=scale, values=np.trim_zeros(lam, "b"))
+    return np.trim_zeros(lam, "b")
 
 
 def build_weight_family(
@@ -164,43 +172,39 @@ def build_weight_family(
         raise ValueError("k_star must be at least 1")
     m = int(1.0 / eps**2)
     cap = min(n, p - 1)
-    members = tuple(
-        pinsker_weights(beta, i * eps, upsilon, cap)
-        for beta in range(1, k_star + 1)
-        for i in range(1, m + 1)
-    )
-    family = WeightFamily(k_star=k_star, eps=eps, m=m, upsilon=upsilon, members=members)
-    if family.size != k_star * m:
-        raise AssertionError("family cardinality must equal k_star * m")
-    if family.max_total < 1.0:
+    members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
+    weights = [pinsker_weights(beta, scale, upsilon, cap) for beta, scale in members]
+    family = WeightFamily.from_members(k_star, eps, m, upsilon, members, weights)
+    total = family.max_total
+    if total < 1.0:
         raise ValueError("all candidates shrink below total weight 1; grid too small")
-    assert family.max_total <= 1.0 + (upsilon / eps) ** (1.0 / 3.0)
+    if total > 1.0 + (upsilon / eps) ** (1.0 / 3.0):
+        raise ValueError("a candidate's total weight exceeds 1 + (upsilon/eps)^(1/3)")
     return family
 
 
-def penalty(weights: WeightVector, sigma: float, n: int) -> float:
+def penalty(lam: np.ndarray, sigma: float, n: int) -> float:
     """Price of replacing the unknown cross term in the empirical error:
     the noise level times the squared norm of the profile, per unit time."""
-    return sigma * weights.norm_sq / n
+    return sigma * float(np.dot(lam, lam)) / n
 
 
 def selection_cost(
-    weights: WeightVector, est: CoefficientEstimates, sigma: float, delta: float
+    lam: np.ndarray, est: CoefficientEstimates, sigma: float, delta: float
 ) -> float:
-    """Penalized empirical squared error of one candidate profile."""
+    """Penalized empirical squared error of one profile prefix `lam`."""
     if not 0.0 < delta <= 1.0 / 6.0:
         warnings.warn(
             "threshold delta outside (0, 1/6]: the oracle inequality is not guaranteed",
             stacklevel=2,
         )
-    lam = weights.values
     if lam.size > est.theta.size:
         raise ValueError("weight support exceeds the estimable frequencies")
     th = est.theta[: lam.size]
     tilde = th * th - sigma / est.n
     quad = float(np.dot(lam * lam, th * th))
     linear = float(np.dot(lam, tilde))
-    return quad - 2.0 * linear + delta * penalty(weights, sigma, est.n)
+    return quad - 2.0 * linear + delta * penalty(lam, sigma, est.n)
 
 
 def default_delta(n: int) -> float:
@@ -218,19 +222,22 @@ def select_model(
 ) -> SelectionResult:
     """Scan the candidate grid and keep the cost minimizer.
 
-    The scan records every cost so the choice can be audited; argmin
-    takes the first occurrence, which makes ties deterministic.
+    Each distinct profile is scored once and its cost copied to every
+    member that shares it, so the result records every member's cost for
+    auditing; argmin takes the first occurrence, which makes ties
+    deterministic.
     """
     if not family.members:
         raise ValueError("weight family is empty")
     if delta is None:
         delta = default_delta(est.n)
     sigma = estimate_proxy_variance(est)
-    costs = np.array([selection_cost(w, est, sigma, delta) for w in family.members])
+    profile_costs = np.array([selection_cost(lam, est, sigma, delta) for lam in family.profiles])
+    costs = profile_costs[family.profile_of]
     index = int(np.argmin(costs))
-    best = family.members[index]
+    best = family.profiles[family.profile_of[index]]
     shrunk = np.zeros(est.p - 1)
-    shrunk[: best.values.size] = best.values * est.theta[: best.values.size]
+    shrunk[: best.size] = best * est.theta[: best.size]
     return SelectionResult(
         index=index,
         weights=best,

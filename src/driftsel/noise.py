@@ -204,9 +204,10 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream,
     """One observation path over n periods at p samples per period.
 
     Each increment is the exact-quadrature drift integral over its cell
-    plus rho1 dL + rho2 dz. drift_cells is a performance hook: the Monte
-    Carlo harness precomputes the tiled cell integrals once per signal and
-    passes them in; they must equal tile(cell_integrals(S, p), n).
+    plus rho1 dL + rho2 dz. drift_cells lets a caller that samples many
+    paths of one signal tile the cell integrals once; they must equal
+    tile(cell_integrals(S, p), n). The Monte Carlo risk engine does not
+    pass them, so it recomputes them for every path.
     """
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")

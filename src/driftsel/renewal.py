@@ -151,6 +151,9 @@ def _march_deviation(law: InterarrivalLaw, h: float, m: int) -> np.ndarray:
     for i in range(1, m + 1):
         conv = np.dot(ups[1:i], U_rev[m - i:m - 1]) if i > 1 else 0.0
         ups[i] = (forcing[i] + conv + 0.5 * dG[i - 1] * ups[0]) / pivot
+    if not np.all(np.isfinite(ups)):
+        raise ValueError(f"renewal march at step {h} diverged; "
+                         "the inter-arrival density may be unbounded at 0")
     return ups
 
 
@@ -189,8 +192,9 @@ def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None 
     h is the grid step (must resolve the mean spacing: h <= tau_bar / 50);
     horizon defaults to 40 mean spacings, which is far into the mixed
     regime for all shipped laws. Raises ValueError for laws without an
-    integrable density. The result is flagged non-converged when the
-    deviation at the horizon still exceeds tail_tol.
+    integrable density, and when the march diverges (a density unbounded
+    at 0). The result is flagged non-converged when the deviation at the
+    horizon still exceeds tail_tol.
     """
     if not law.has_density:
         raise ValueError("renewal density needs an integrable inter-arrival density")
@@ -232,26 +236,3 @@ def proxy_variance(rho1: float, rho2: float, tau_bar: float) -> float:
     if tau_bar <= 0:
         raise ValueError("mean spacing must be positive")
     return rho1**2 + rho2**2 / tau_bar
-
-
-def variance_envelope(rho1: float, rho2: float, rho_sup: float) -> float:
-    """Upper envelope rho1^2 + rho2^2 * sup(rho) for coefficient second moments."""
-    if rho_sup < 0:
-        raise ValueError("sup of the renewal density cannot be negative")
-    return rho1**2 + rho2**2 * rho_sup
-
-
-@dataclass(frozen=True)
-class NoiseScalars:
-    """Bundle of the noise-level scalars for a configured noise law."""
-
-    sigma_q: float
-    kappa_q: float
-    varsigma_star: float
-
-    def __post_init__(self):
-        if self.sigma_q > self.varsigma_star + 1e-12:
-            raise ValueError(
-                f"proxy variance {self.sigma_q} exceeds the configured bound "
-                f"{self.varsigma_star}"
-            )

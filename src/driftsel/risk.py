@@ -15,7 +15,7 @@ time only, never a reported digit.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -120,6 +120,20 @@ def resolve_delta(config: ExperimentConfig, n: int) -> float:
     return default_delta(n)
 
 
+def resolve_selection(config: ExperimentConfig, n: int):
+    """Sampling frequency, weight family and penalty threshold for one n."""
+    p = resolve_frequency(config, n)
+    family = build_weight_family(
+        n,
+        p,
+        eps=config.eps,
+        k_star=config.k_star,
+        k_star0=config.k_star0,
+        varsigma_star=config.varsigma_star,
+    )
+    return p, family, resolve_delta(config, n)
+
+
 def pinsker_constant(k: int, r: float) -> float:
     """Sharp asymptotic risk constant for k-smooth signals of size r."""
     if k < 1 or int(k) != k:
@@ -154,49 +168,33 @@ def _candidate_tail_sums(theta_grid: np.ndarray, p: int) -> np.ndarray:
 
 
 def _run_chunk(payload):
-    (signal, noise, n, p, family, delta, base_seed, start, stop, oracle, estimator) = payload
+    """Selected-estimate errors of replications start..stop-1 and, with the
+    oracle on, each distinct profile's error summed over them."""
+    (signal, noise, n, p, family, delta, base_seed, start, stop, oracle) = payload
     s_grid = grid_values(signal, p)
     theta_grid = grid_coefficients(s_grid)
     suffix = _candidate_tail_sums(theta_grid, p)
     selected = np.empty(stop - start)
-    cand_sum = np.zeros(family.size) if oracle else None
+    cand_sum = np.zeros(len(family.profiles)) if oracle else None
     for r in range(start, stop):
         obs = sample_observations(signal, noise, n=n, p=p, rng=RngStream(base_seed, r))
         est = estimate_coefficients(obs)
-        if estimator is None:
-            fitted = select_model(est, family, delta).grid_values()
-        else:
-            fitted = estimator(obs, est)
-        diff = fitted - s_grid
+        diff = select_model(est, family, delta).grid_values() - s_grid
         selected[r - start] = np.dot(diff, diff) / p
         if oracle:
-            for k, w in enumerate(family.members):
-                m = w.values.size
-                d = w.values * est.theta[:m] - theta_grid[:m]
+            for k, lam in enumerate(family.profiles):
+                m = lam.size
+                d = lam * est.theta[:m] - theta_grid[:m]
                 cand_sum[k] += np.dot(d, d) + suffix[m]
     return selected, cand_sum
 
 
-def run_risk_experiment(config: ExperimentConfig, estimator=None) -> RiskReport:
-    """Evaluate the selection procedure for every requested n.
-
-    `estimator` is a test hook: a callable (obs, est) -> grid values
-    replacing the selection step.  Injected estimators run inline, so
-    they do not need to be picklable.
-    """
+def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
+    """Evaluate the selection procedure for every requested n."""
     rows = []
     for n in config.n_values:
         t0 = perf_counter()
-        p = resolve_frequency(config, n)
-        family = build_weight_family(
-            n,
-            p,
-            eps=config.eps,
-            k_star=config.k_star,
-            k_star0=config.k_star0,
-            varsigma_star=config.varsigma_star,
-        )
-        delta = resolve_delta(config, n)
+        p, family, delta = resolve_selection(config, n)
         total = config.replications
         payloads = [
             (
@@ -210,11 +208,10 @@ def run_risk_experiment(config: ExperimentConfig, estimator=None) -> RiskReport:
                 start,
                 min(start + _CHUNK, total),
                 config.oracle,
-                estimator,
             )
             for start in range(0, total, _CHUNK)
         ]
-        if config.threads > 1 and estimator is None:
+        if config.threads > 1:
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(_run_chunk, payloads))
         else:
@@ -223,7 +220,7 @@ def run_risk_experiment(config: ExperimentConfig, estimator=None) -> RiskReport:
         risk = float(selected.mean())
         risk_se = float(selected.std(ddof=1) / math.sqrt(total))
         if config.oracle:
-            cand_total = np.zeros(family.size)
+            cand_total = np.zeros(len(family.profiles))
             for _, cand in results:
                 cand_total += cand
             oracle_val = float(cand_total.min() / total)
@@ -242,16 +239,3 @@ def run_risk_experiment(config: ExperimentConfig, estimator=None) -> RiskReport:
             )
         )
     return RiskReport(rows=tuple(rows))
-
-
-def empirical_risk(config: ExperimentConfig) -> dict:
-    """Adaptive-estimator risk per n (one full engine run)."""
-    report = run_risk_experiment(replace(config, oracle=False))
-    return {row.n: row.risk for row in report.rows}
-
-
-def oracle_risk(config: ExperimentConfig) -> dict:
-    """Best fixed-candidate risk per n, on the same replication streams
-    the adaptive risk consumes."""
-    report = run_risk_experiment(config)
-    return {row.n: row.oracle for row in report.rows}

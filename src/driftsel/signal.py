@@ -1,4 +1,4 @@
-"""1-periodic signals, trigonometric and cellwise-constant bases, discrete Fourier machinery.
+"""1-periodic signals, the trigonometric basis, discrete Fourier machinery.
 
 Everything here lives on the uniform grid t_i = i/p of one period: the discrete
 inner product is (x, y)_p = (1/p) sum_i x(t_i) y(t_i), the trigonometric system
@@ -6,8 +6,7 @@ inner product is (x, y)_p = (1/p) sum_i x(t_i) y(t_i), the trigonometric system
     phi_1 = 1,  phi_j(x) = sqrt(2) cos(2 pi [j/2] x)  (j even),
                 phi_j(x) = sqrt(2) sin(2 pi [j/2] x)  (j odd, j >= 3),
 
-is orthonormal in (., .)_p for indices j <= p - 1, and the step basis
-Psi_{j,p} freezes phi_j at the right endpoint of each grid cell (t_{l-1}, t_l].
+is orthonormal in (., .)_p for indices j <= p - 1.
 
 Coefficient transforms are routed through numpy's real FFT, with the index
 convention spelled out in `grid_coefficients`; a 4-point Gauss rule per cell
@@ -116,23 +115,6 @@ def trig_basis_eval(j: int, x):
     else:
         out = SQRT2 * np.sin(2.0 * np.pi * (j // 2) * x)
     return out if out.shape else float(out)
-
-
-def psi_basis_eval(j: int, p: int, t):
-    """Evaluate the cellwise-constant basis Psi_{j,p} at time t > 0.
-
-    Psi_{j,p} is phi_j frozen at the right endpoint of the grid cell
-    (t_{l-1}, t_l] containing t, with t_l = l/p; usable indices are
-    1 <= j <= p - 1.
-    """
-    if not 1 <= j <= p - 1:
-        raise ValueError(f"index {j} outside the usable range 1..{p - 1}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise ValueError("Psi is defined for t > 0")
-    l = np.ceil(t * p)
-    out = trig_basis_eval(j, l / p)
-    return out if np.shape(out) else float(out)
 
 
 def discrete_inner(x, y) -> float:

@@ -226,6 +226,25 @@ def test_renewal_density_output(tmp_path):
     assert np.abs(rho - 1.0).max() < 1e-6
 
 
+def test_renewal_density_rejects_divergent_solve(tmp_path, capsys):
+    # gamma shape 0.3 has a density unbounded at 0, so the march blows up
+    cfg = write_cfg(tmp_path, "noise.interarrival=gamma(0.3,10)\nrenewal.h=0.05\n")
+    out = tmp_path / "ren"
+    assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "diverged" in capsys.readouterr().err
+    assert not (out / "renewal.csv").exists()
+
+
+def test_renewal_density_warns_when_not_converged(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path, "noise.interarrival=chi_squared(3)\nrenewal.h=0.06\nrenewal.horizon=60\n"
+    )
+    out = tmp_path / "ren"
+    assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "did not converge" in capsys.readouterr().err
+    assert len(read_csv(out / "renewal.csv")[2]) == 1001
+
+
 def test_figures_output(tmp_path):
     cfg = write_cfg(
         tmp_path,

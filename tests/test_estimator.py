@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from driftsel.estimator import (
     CoefficientEstimates,
     WeightFamily,
-    WeightVector,
     build_weight_family,
     default_delta,
     efficient_delta,
@@ -127,21 +126,21 @@ def test_pinsker_weight_hand_values():
     w = pinsker_weights(beta=1, scale=1.0, upsilon=1000.0, cap=100)
     omega = (6.0 / math.pi**2 * 1000.0) ** (1.0 / 3.0)
     assert omega == pytest.approx(8.471308576374193)
-    assert w.values.size == 8
-    assert np.array_equal(w.values[:6], np.ones(6))      # flat below the cutoff 7
-    assert w.values[6] == pytest.approx(0.17368138146656065)
-    assert w.values[7] == pytest.approx(0.05563586453321223)
+    assert w.size == 8
+    assert np.array_equal(w[:6], np.ones(6))      # flat below the cutoff 7
+    assert w[6] == pytest.approx(0.17368138146656065)
+    assert w[7] == pytest.approx(0.05563586453321223)
 
 
 def test_pinsker_weight_flat_when_bandwidth_is_small():
     # bandwidth below 1 leaves only the flat indicator part
     w = pinsker_weights(beta=3, scale=0.1, upsilon=8.0, cap=50)
-    assert np.array_equal(w.values, np.ones(2))
+    assert np.array_equal(w, np.ones(2))
 
 
 def test_pinsker_weight_cap():
     w = pinsker_weights(beta=1, scale=1.0, upsilon=1000.0, cap=3)
-    assert w.values.size == 3
+    assert w.size == 3
 
 
 def test_pinsker_weight_validation():
@@ -161,19 +160,22 @@ def test_pinsker_weight_validation():
 )
 def test_pinsker_weight_shape_properties(beta, scale, upsilon):
     w = pinsker_weights(beta, scale, upsilon, cap=500)
-    assert np.all(w.values >= 0.0)
-    assert np.all(w.values <= 1.0)
-    assert np.all(np.diff(w.values) <= 1e-15)
-    assert w.values.size <= 500
+    assert np.all(w >= 0.0)
+    assert np.all(w <= 1.0)
+    assert np.all(np.diff(w) <= 1e-15)
+    assert w.size <= 500
 
 
 def test_family_cardinality():
     fam = build_weight_family(n=50, p=101, eps=0.5, k_star=2, upsilon=50.0)
     assert fam.m == 4
-    assert fam.size == 8
-    assert [w.beta for w in fam.members] == [1, 1, 1, 1, 2, 2, 2, 2]
-    assert fam.members[0].scale == pytest.approx(0.5)
-    assert fam.members[3].scale == pytest.approx(2.0)
+    assert len(fam.members) == 8
+    assert [beta for beta, _ in fam.members] == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert fam.members[0][1] == pytest.approx(0.5)
+    assert fam.members[3][1] == pytest.approx(2.0)
+    assert len(fam.profile_of) == 8
+    for k, (beta, scale) in enumerate(fam.members):
+        assert np.array_equal(fam.profiles[fam.profile_of[k]], pinsker_weights(beta, scale, 50.0, 50))
 
 
 def test_family_defaults_track_sample_size():
@@ -181,7 +183,7 @@ def test_family_defaults_track_sample_size():
     assert fam.eps == pytest.approx(1.0 / math.log(100.0))
     assert fam.m == 21
     assert fam.k_star == 102
-    assert fam.size == 102 * 21
+    assert len(fam.members) == 102 * 21
     assert fam.upsilon == 100.0
 
 
@@ -197,17 +199,16 @@ def test_family_rejects_tiny_samples():
 
 
 def test_penalty_values():
-    two = WeightVector(beta=1, scale=1.0, values=np.array([1.0, 1.0]))
+    two = np.array([1.0, 1.0])
     assert penalty(two, sigma=1.0, n=100) == pytest.approx(0.02)
-    empty = WeightVector(beta=1, scale=1.0, values=np.zeros(0))
-    assert penalty(empty, sigma=5.0, n=10) == 0.0
+    assert penalty(np.zeros(0), sigma=5.0, n=10) == 0.0
     assert penalty(two, sigma=0.0, n=10) == 0.0
 
 
 def test_cost_vanishes_without_coefficients():
     est = CoefficientEstimates(n=10, p=8, theta=np.zeros(7))
     for size in (1, 3, 5):
-        w = WeightVector(beta=1, scale=1.0, values=np.linspace(1.0, 0.2, size))
+        w = np.linspace(1.0, 0.2, size)
         assert selection_cost(w, est, sigma=0.0, delta=0.1) == 0.0
 
 
@@ -217,7 +218,7 @@ def test_cost_single_coefficient_calculus():
     est = CoefficientEstimates(n=10, p=8, theta=np.array([1.0, 0, 0, 0, 0, 0, 0]))
     grid = np.linspace(0.0, 1.0, 21)
     costs = [
-        selection_cost(WeightVector(1, 1.0, np.array([w])), est, sigma=0.0, delta=0.1)
+        selection_cost(np.array([w]), est, sigma=0.0, delta=0.1)
         for w in grid
     ]
     assert costs == pytest.approx([w * w - 2.0 * w for w in grid])
@@ -226,7 +227,7 @@ def test_cost_single_coefficient_calculus():
 
 def test_cost_warns_outside_theory_range():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7))
-    w = WeightVector(beta=1, scale=1.0, values=np.array([1.0]))
+    w = np.array([1.0])
     with pytest.warns(UserWarning):
         selection_cost(w, est, sigma=0.1, delta=0.5)
     with warnings.catch_warnings():
@@ -236,7 +237,7 @@ def test_cost_warns_outside_theory_range():
 
 def test_cost_rejects_oversized_support():
     est = CoefficientEstimates(n=10, p=4, theta=np.ones(3))
-    w = WeightVector(beta=1, scale=1.0, values=np.ones(5))
+    w = np.ones(5)
     with pytest.raises(ValueError):
         selection_cost(w, est, sigma=0.0, delta=0.1)
 
@@ -249,8 +250,8 @@ def test_default_thresholds():
 
 def test_select_singleton_family():
     est = CoefficientEstimates(n=10, p=8, theta=np.arange(1.0, 8.0))
-    only = WeightVector(beta=1, scale=1.0, values=np.array([1.0, 0.5]))
-    fam = WeightFamily(k_star=1, eps=1.0, m=1, upsilon=10.0, members=(only,))
+    only = np.array([1.0, 0.5])
+    fam = WeightFamily.from_members(1, 1.0, 1, 10.0, [(1, 1.0)], [only])
     res = select_model(est, fam, delta=0.1)
     assert res.index == 0
     assert res.weights is only
@@ -258,9 +259,26 @@ def test_select_singleton_family():
 
 def test_select_empty_family():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7))
-    fam = WeightFamily(k_star=1, eps=1.0, m=0, upsilon=10.0, members=())
+    fam = WeightFamily.from_members(1, 1.0, 0, 10.0, [], [])
     with pytest.raises(ValueError):
         select_model(est, fam)
+
+
+def test_select_scores_each_distinct_profile_once(monkeypatch):
+    fam = build_weight_family(n=1000, p=10001)
+    assert (len(fam.members), len(fam.profiles)) == (4794, 45)
+    calls = []
+
+    def counted(lam, *args):
+        calls.append(lam)
+        return selection_cost(lam, *args)
+
+    monkeypatch.setattr("driftsel.estimator.selection_cost", counted)
+    rng = np.random.default_rng(80)
+    est = CoefficientEstimates(n=1000, p=10001, theta=rng.normal(0.0, 0.05, 10000))
+    res = select_model(est, fam)
+    assert len(calls) == len(fam.profiles)
+    assert res.costs.shape == (len(fam.members),)
 
 
 def test_select_attains_exhaustive_minimum():
@@ -269,16 +287,21 @@ def test_select_attains_exhaustive_minimum():
     fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
     res = select_model(est, fam, delta=0.05)
     sigma = estimate_proxy_variance(est)
-    brute = np.array([selection_cost(w, est, sigma, 0.05) for w in fam.members])
-    assert res.costs == pytest.approx(brute)
+    # one cost per member, from a profile rebuilt from the member's label
+    brute = np.array([
+        selection_cost(pinsker_weights(beta, scale, 40.0, 40), est, sigma, 0.05)
+        for beta, scale in fam.members
+    ])
+    assert np.array_equal(res.costs, brute)
     assert res.costs[res.index] == res.costs.min()
     assert res.index == int(np.argmin(brute))
 
 
 def test_select_breaks_ties_at_lowest_index():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7) * 0.3)
-    w = WeightVector(beta=1, scale=1.0, values=np.array([1.0, 1.0]))
-    fam = WeightFamily(k_star=1, eps=1.0, m=2, upsilon=10.0, members=(w, w))
+    w = np.array([1.0, 1.0])
+    fam = WeightFamily.from_members(1, 1.0, 2, 10.0, [(1, 1.0), (1, 2.0)], [w, w.copy()])
+    assert len(fam.profiles) == 1
     assert select_model(est, fam, delta=0.1).index == 0
 
 
@@ -286,9 +309,9 @@ def test_select_invariant_under_candidate_permutation():
     rng = np.random.default_rng(78)
     est = CoefficientEstimates(n=40, p=101, theta=rng.normal(0.0, 0.3, 100))
     fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
-    flipped = WeightFamily(
-        k_star=fam.k_star, eps=fam.eps, m=fam.m, upsilon=fam.upsilon,
-        members=tuple(reversed(fam.members)),
+    flipped = WeightFamily.from_members(
+        fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members[::-1],
+        [fam.profiles[i] for i in fam.profile_of[::-1]],
     )
     a = select_model(est, fam, delta=0.05)
     b = select_model(est, flipped, delta=0.05)
@@ -307,9 +330,10 @@ def test_select_noiseless_pure_basis():
     assert res.coefficients[1] == est.theta[1]
     target = grid_values(S, p)
     errors = []
-    for w in fam.members:
+    for i in fam.profile_of:
+        w = fam.profiles[i]
         padded = np.zeros(p)
-        padded[: w.values.size] = w.values * est.theta[: w.values.size]
+        padded[: w.size] = w * est.theta[: w.size]
         errors.append(np.mean((coefficients_to_grid(padded) - target) ** 2))
     assert errors[res.index] <= min(errors) + 1e-12
 

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from driftsel.noise import RngStream, sample_renewal_times
-from driftsel.renewal import (
-    InterarrivalLaw,
-    NoiseScalars,
-    proxy_variance,
-    solve_renewal_density,
-    variance_envelope,
-)
+from driftsel.renewal import InterarrivalLaw, proxy_variance, solve_renewal_density
 
 
 def test_interarrival_means():
@@ -104,24 +98,3 @@ def test_proxy_variance_values():
     assert proxy_variance(0.0, 1.0, 2.0) == 0.5
     with pytest.raises(ValueError):
         proxy_variance(0.5, 0.5, 0.0)
-
-
-def test_variance_envelope_values():
-    assert variance_envelope(0.5, 0.5, 1.0 / 3.0) == pytest.approx(1.0 / 3.0)
-    assert variance_envelope(1.0, 0.0, 5.0) == 1.0
-    assert variance_envelope(0.0, 1.0, 0.5) == 0.5
-    with pytest.raises(ValueError):
-        variance_envelope(0.5, 0.5, -1.0)
-
-
-def test_envelope_dominates_proxy_variance():
-    # kappa >= sigma whenever sup(rho) >= 1/tau_bar
-    for tau_bar, rho_sup in ((3.0, 1.0 / 3.0), (2.0, 0.7), (1.0, 1.0)):
-        assert variance_envelope(0.5, 0.5, rho_sup) >= proxy_variance(0.5, 0.5, tau_bar) - 1e-12
-
-
-def test_noise_scalars_enforce_the_bound():
-    scal = NoiseScalars(sigma_q=1.0 / 3.0, kappa_q=0.4, varsigma_star=1.0)
-    assert scal.sigma_q < scal.varsigma_star
-    with pytest.raises(ValueError):
-        NoiseScalars(sigma_q=1.2, kappa_q=1.3, varsigma_star=1.0)

@@ -75,18 +75,6 @@ def test_trig_basis_values():
         sg.trig_basis_eval(0, 0.1)
 
 
-def test_psi_basis_cells():
-    assert sg.psi_basis_eval(1, 4, 0.1) == 1.0
-    assert sg.psi_basis_eval(2, 4, 0.20) == pytest.approx(0.0, abs=1e-12)
-    assert sg.psi_basis_eval(2, 4, 0.26) == pytest.approx(-SQRT2, abs=1e-12)
-    # exactly at a grid point the cell ending there is used
-    assert sg.psi_basis_eval(2, 4, 0.25) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        sg.psi_basis_eval(4, 4, 0.1)
-    with pytest.raises(ValueError):
-        sg.psi_basis_eval(1, 4, 0.0)
-
-
 @pytest.mark.parametrize("p", [4, 8, 16, 101])
 def test_discrete_orthonormality(p):
     t = np.arange(1, p + 1) / p
