@@ -94,17 +94,24 @@ class SelectionResult:
         return coefficients_to_grid(padded)
 
 
-def estimate_coefficients(obs: ObservationPath) -> CoefficientEstimates:
-    """Average each basis function against the observation increments.
+def coefficients_from_period_sums(sums: np.ndarray, n: int) -> CoefficientEstimates:
+    """Average each basis function against the increments of n periods,
+    given their per-cell sums over the periods (`sums`, length p).
 
-    Periodicity folds the n*p increments onto one period before the
-    transform, so the cost is one length-p FFT regardless of n.
+    Periodicity makes these sums all the estimates read of a path, so
+    the cost is one length-p FFT regardless of n.
     """
-    if obs.p < 3:
+    p = sums.size
+    if p < 3:
         raise ValueError("need at least 3 observations per period")
-    folded = obs.increments.reshape(obs.n, obs.p).sum(axis=0)
-    theta = grid_coefficients(folded)[: obs.p - 1] * (obs.p / obs.n)
-    return CoefficientEstimates(n=obs.n, p=obs.p, theta=theta)
+    theta = grid_coefficients(sums)[: p - 1] * (p / n)
+    return CoefficientEstimates(n=n, p=p, theta=theta)
+
+
+def estimate_coefficients(obs: ObservationPath) -> CoefficientEstimates:
+    """Coefficient estimates of one path: its n*p increments folded onto
+    one period, then `coefficients_from_period_sums`."""
+    return coefficients_from_period_sums(obs.increments.reshape(obs.n, obs.p).sum(axis=0), obs.n)
 
 
 def estimate_proxy_variance(est: CoefficientEstimates) -> float:
@@ -124,6 +131,18 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     return float(est.n / p_check * np.dot(block, block))
 
 
+def _cutoff_and_bandwidth(beta: int, scale: float, upsilon: float):
+    """Flat cutoff 1 + floor(ln upsilon) and taper bandwidth omega of one
+    Pinsker profile."""
+    if beta < 1:
+        raise ValueError("taper order must be a positive integer")
+    if scale <= 0.0 or upsilon <= 1.0:
+        raise ValueError("bandwidth scale must be positive and upsilon > 1")
+    j_star = 1 + math.floor(math.log(upsilon))
+    d_beta = (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta)
+    return j_star, (d_beta * scale * upsilon) ** (1.0 / (2 * beta + 1))
+
+
 def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.ndarray:
     """Shrinkage profile: flat at 1 below the cutoff 1 + floor(ln upsilon),
     polynomial taper 1 - (j/omega)^beta out to the bandwidth omega, zero
@@ -131,13 +150,7 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.nda
     so no profile reaches past the estimable frequencies.  Returns the
     nonzero prefix of the profile.
     """
-    if beta < 1:
-        raise ValueError("taper order must be a positive integer")
-    if scale <= 0.0 or upsilon <= 1.0:
-        raise ValueError("bandwidth scale must be positive and upsilon > 1")
-    j_star = 1 + math.floor(math.log(upsilon))
-    d_beta = (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta)
-    omega = (d_beta * scale * upsilon) ** (1.0 / (2 * beta + 1))
+    j_star, omega = _cutoff_and_bandwidth(beta, scale, upsilon)
     support = min(cap, max(j_star - 1, math.floor(omega)))
     j = np.arange(1, support + 1, dtype=float)
     lam = np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
@@ -173,7 +186,15 @@ def build_weight_family(
     m = int(1.0 / eps**2)
     cap = min(n, p - 1)
     members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
-    weights = [pinsker_weights(beta, scale, upsilon, cap) for beta, scale in members]
+    weights = []
+    for beta, scale in members:
+        j_star, omega = _cutoff_and_bandwidth(beta, scale, upsilon)
+        # most labels put the bandwidth below the cutoff, which leaves the
+        # flat all-ones prefix; only the others need the taper evaluated
+        if math.floor(omega) < j_star:
+            weights.append(np.ones(min(cap, j_star - 1)))
+        else:
+            weights.append(pinsker_weights(beta, scale, upsilon, cap))
     family = WeightFamily.from_members(k_star, eps, m, upsilon, members, weights)
     total = family.max_total
     if total < 1.0:

@@ -154,6 +154,12 @@ def sample_renewal_times(law: InterarrivalLaw, horizon: float, rng: RngStream) -
     return times[times <= horizon]
 
 
+def _renewal_marks(spec: NoiseSpec, horizon: float, rng: RngStream):
+    """Renewal epochs over [0, horizon] and the mark carried by each."""
+    epochs = sample_renewal_times(spec.interarrival, horizon, rng)
+    return epochs, _sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs.size)
+
+
 def sample_semimarkov_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
     """Increments of z over the grid cells (s_{m-1}, s_m], m = 1..M.
 
@@ -164,8 +170,7 @@ def sample_semimarkov_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStre
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing with at least two points")
     m_cells = grid.size - 1
-    epochs = sample_renewal_times(spec.interarrival, float(grid[-1]), rng)
-    marks = _sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs.size)
+    epochs, marks = _renewal_marks(spec, float(grid[-1]), rng)
     if epochs.size == 0:
         return np.zeros(m_cells)
     slots = np.searchsorted(grid, epochs, side="left") - 1
@@ -206,8 +211,7 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream,
     Each increment is the exact-quadrature drift integral over its cell
     plus rho1 dL + rho2 dz. drift_cells lets a caller that samples many
     paths of one signal tile the cell integrals once; they must equal
-    tile(cell_integrals(S, p), n). The Monte Carlo risk engine does not
-    pass them, so it recomputes them for every path.
+    tile(cell_integrals(S, p), n).
     """
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
@@ -219,3 +223,36 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream,
     dy = drift_cells + spec.rho1 * dL + spec.rho2 * dz
     y = np.concatenate(([0.0], np.cumsum(dy)))
     return ObservationPath(n=n, p=p, y=y)
+
+
+def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int,
+                       rng: RngStream) -> np.ndarray:
+    """The n*p increments of one observation path folded onto one period.
+
+    Entry l is the sum over the n periods of the increment over the l-th
+    in-period cell, which is all the coefficient estimates read of a path.
+    drift_sums is the drift part, n * cell_integrals(S, p), which a caller
+    sampling many replications of one signal computes once; its length
+    is p. The result has the law of
+    sample_observations(S, spec, n, p, rng).increments.reshape(n, p).sum(0),
+    in O(p) memory instead of O(n p):
+
+    - the semi-Markov part uses the same epochs and marks as the full path
+      (same substreams), each epoch t folded into its cell (s_{m-1}, s_m]
+      modulo p, so this part matches the full path draw for draw;
+    - the Levy part is drawn directly on p cells of width n/p: Brownian
+      sums N(0, n/p), jump counts Poisson(intensity * n/p).
+    """
+    p = drift_sums.size
+    if n < 1 or p < 3:
+        raise ValueError("need n >= 1 periods and p >= 3 samples per period")
+    epochs, marks = _renewal_marks(spec, float(n), rng)
+    # cell m holds the epochs t with m/p < t <= (m+1)/p, the grid values
+    # compared exactly as sample_semimarkov_increments compares them
+    # (ceil(t * p) alone misplaces epochs within an ulp of a cell edge)
+    right = np.ceil(epochs * p).astype(np.intp)
+    right += right / p < epochs
+    right -= (right - 1) / p >= epochs
+    dz = np.bincount((right - 1) % p, weights=marks, minlength=p)
+    dL = sample_levy_increments(np.arange(p + 1) * (n / p), spec, rng)
+    return drift_sums + spec.rho1 * dL + spec.rho2 * dz

@@ -1,11 +1,13 @@
 """Monte Carlo risk evaluation for the model-selection estimator.
 
-One engine run drives everything: each replication draws a fresh path,
-runs the full selection pipeline, and scores the chosen estimate on the
-in-period grid, while the same path also scores every fixed candidate
-through the coefficient-space identity for the discrete norm.  Sharing
-paths this way gives common random numbers, so the adaptive risk and
-the oracle benchmark are directly comparable.
+One engine run drives everything: each replication draws the period
+sums of a fresh path (its n*p increments folded onto one period, drawn
+directly by `sample_period_sums` without building the path), runs the
+full selection pipeline, and scores the chosen estimate on the in-period
+grid, while the same sums also score every fixed candidate through the
+coefficient-space identity for the discrete norm.  Sharing replications
+this way gives common random numbers, so the adaptive risk and the
+oracle benchmark are directly comparable.
 
 Determinism contract: replication r always draws from stream r of the
 base seed, replications are processed in fixed chunks of 50, and chunk
@@ -22,14 +24,14 @@ import numpy as np
 
 from .estimator import (
     build_weight_family,
+    coefficients_from_period_sums,
     default_delta,
     efficient_delta,
-    estimate_coefficients,
     select_model,
 )
-from .noise import NoiseSpec, RngStream, sample_observations
+from .noise import NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
-from .signal import SignalSpec, discrete_norm_sq, grid_coefficients, grid_values
+from .signal import SignalSpec, cell_integrals, discrete_norm_sq, grid_coefficients, grid_values
 
 _CHUNK = 50
 
@@ -174,11 +176,12 @@ def _run_chunk(payload):
     s_grid = grid_values(signal, p)
     theta_grid = grid_coefficients(s_grid)
     suffix = _candidate_tail_sums(theta_grid, p)
+    drift_sums = n * cell_integrals(signal, p)
     selected = np.empty(stop - start)
     cand_sum = np.zeros(len(family.profiles)) if oracle else None
     for r in range(start, stop):
-        obs = sample_observations(signal, noise, n=n, p=p, rng=RngStream(base_seed, r))
-        est = estimate_coefficients(obs)
+        sums = sample_period_sums(drift_sums, noise, n, RngStream(base_seed, r))
+        est = coefficients_from_period_sums(sums, n)
         diff = select_model(est, family, delta).grid_values() - s_grid
         selected[r - start] = np.dot(diff, diff) / p
         if oracle:

@@ -178,6 +178,30 @@ def test_family_cardinality():
         assert np.array_equal(fam.profiles[fam.profile_of[k]], pinsker_weights(beta, scale, 50.0, 50))
 
 
+@pytest.mark.parametrize(
+    "n, p, kwargs",
+    [
+        (20, 101, {}),
+        (100, 1001, {}),
+        (1000, 10001, {}),
+        (50, 101, {"eps": 0.5, "k_star": 2, "upsilon": 50.0}),
+        # upsilon < e: the cutoff is 1, so the flat prefix is empty
+        (100, 101, {"eps": 0.05, "k_star": 3, "upsilon": 2.7}),
+    ],
+)
+def test_family_matches_the_per_label_build(n, p, kwargs):
+    fam = build_weight_family(n, p, **kwargs)
+    cap = min(n, p - 1)
+    weights = [pinsker_weights(beta, scale, fam.upsilon, cap) for beta, scale in fam.members]
+    brute = WeightFamily.from_members(fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members, weights)
+    assert fam.members == brute.members
+    assert np.array_equal(fam.profile_of, brute.profile_of)
+    assert [w.tobytes() for w in fam.profiles] == [w.tobytes() for w in brute.profiles]
+    assert all(w.dtype == np.float64 for w in fam.profiles)
+    if kwargs.get("upsilon") == 2.7:
+        assert fam.profiles[0].size == 0 and len(fam.profiles) > 1
+
+
 def test_family_defaults_track_sample_size():
     fam = build_weight_family(n=100, p=1001)
     assert fam.eps == pytest.approx(1.0 / math.log(100.0))

@@ -13,11 +13,12 @@ from driftsel.noise import (
     RngStream,
     sample_levy_increments,
     sample_observations,
+    sample_period_sums,
     sample_renewal_times,
     sample_semimarkov_increments,
 )
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
-from driftsel.signal import SignalSpec, trig_basis_eval
+from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
 
 CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -230,6 +231,42 @@ def test_mark_count_variance_tracks_the_renewal_function():
     var = ends.var(ddof=1)
     se = np.sqrt(2.0 / reps) * expected
     assert abs(var - expected) <= 3.0 * se
+
+
+LAWS = (
+    InterarrivalLaw.exponential(1.0 / 3.0),
+    InterarrivalLaw.gamma(2.0, 1.5),
+    InterarrivalLaw.chi_squared(3.0),
+    InterarrivalLaw.fixed_unit(testing=True),
+)
+
+
+@pytest.mark.parametrize("p", [11, 12])
+@pytest.mark.parametrize("marks", ["normal", "rademacher", "uniform"])
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+def test_period_sums_match_the_folded_path(law, marks, p):
+    # without the Levy part the folded sampler reuses the path's epochs
+    # and marks, so it equals the full path folded onto one period
+    spec = NoiseSpec(rho1=0.0, rho2=0.8, interarrival=law, marks=marks)
+    n = 7
+    for r in range(4):
+        sums = sample_period_sums(n * cell_integrals(SignalSpec.benchmark(), p), spec, n, RngStream(61, r))
+        path = sample_observations(SignalSpec.benchmark(), spec, n=n, p=p, rng=RngStream(61, r))
+        assert np.abs(sums - path.increments.reshape(n, p).sum(axis=0)).max() <= 1e-12
+
+
+def test_noiseless_period_sums_are_the_drift():
+    quiet = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
+    S = SignalSpec.benchmark()
+    drift = 13 * cell_integrals(S, 101)
+    assert np.array_equal(sample_period_sums(drift, quiet, 13, RngStream(4, 0)), drift)
+
+
+def test_period_sums_validation():
+    with pytest.raises(ValueError):
+        sample_period_sums(np.zeros(11), CHI2_SPEC, 0, RngStream(1, 0))
+    with pytest.raises(ValueError):
+        sample_period_sums(np.zeros(2), CHI2_SPEC, 3, RngStream(1, 0))
 
 
 def test_spec_validation():

@@ -1,12 +1,20 @@
 """Tests for the Monte Carlo risk engine and benchmark constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from driftsel.estimator import build_weight_family, default_delta, efficient_delta, estimate_coefficients
-from driftsel.noise import NoiseSpec, RngStream, sample_observations
+from driftsel.estimator import (
+    build_weight_family,
+    coefficients_from_period_sums,
+    default_delta,
+    efficient_delta,
+    estimate_coefficients,
+    estimate_proxy_variance,
+)
+from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     ExperimentConfig,
@@ -17,9 +25,10 @@ from driftsel.risk import (
     run_risk_experiment,
     satisfies_h5,
 )
-from driftsel.signal import SignalSpec, discrete_norm_sq, grid_coefficients, grid_values
+from driftsel.signal import SignalSpec, cell_integrals, discrete_norm_sq, grid_coefficients, grid_values
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
+ZERO = SignalSpec.trig_polynomial([0.0])
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +168,71 @@ def test_efficiency_trend_on_smooth_signals():
     scaled = [(r.n ** (2.0 / 3.0) * r.risk, r.n ** (2.0 / 3.0) * r.risk_se) for r in rows]
     for (s1, e1), (s2, e2) in zip(scaled, scaled[1:]):
         assert s2 - s1 <= 3.0 * math.hypot(e1, e2)
+
+
+def _within(a, b, k=5.0):
+    """Two samples whose means differ by at most k combined standard errors."""
+    se = math.hypot(a.std(ddof=1) / math.sqrt(a.size), b.std(ddof=1) / math.sqrt(b.size))
+    return abs(a.mean() - b.mean()) <= k * se
+
+
+def _engine_and_path_sums(S, spec, n, p, reps):
+    """Period sums from the engine's sampler and from full paths (other seeds)."""
+    drift = n * cell_integrals(S, p)
+    folded = np.array([sample_period_sums(drift, spec, n, RngStream(81, r)) for r in range(reps)])
+    full = np.array([
+        sample_observations(S, spec, n=n, p=p, rng=RngStream(82, r)).increments.reshape(n, p).sum(0)
+        for r in range(reps)
+    ])
+    return folded, full
+
+
+@pytest.mark.parametrize(
+    "levy",
+    [
+        NoiseSpec(rho1=1.0, rho2=0.0),
+        NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.6, jumps=LevyJumpSpec(intensity=2.0)),
+        NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.0, jumps=LevyJumpSpec(intensity=3.0, law="two_point")),
+    ],
+    ids=["brownian", "gaussian_jumps", "two_point_jumps"],
+)
+def test_period_sums_levy_part_matches_full_paths_in_law(levy):
+    n, p, reps = 20, 101, 400
+    folded, full = _engine_and_path_sums(ZERO, levy, n, p, reps)
+    # each folded cell sums n cells of width 1/p: variance n/p
+    cell_var = {k: (v * v).ravel() / (n / p) for k, v in (("folded", folded), ("full", full))}
+    for sq in cell_var.values():
+        assert abs(sq.mean() - 1.0) <= 5.0 * sq.std(ddof=1) / math.sqrt(sq.size)
+    assert _within(cell_var["folded"], cell_var["full"])
+    # first coefficients: mean 0 and n * E theta_j^2 = rho1^2 = 1
+    thetas = {k: np.array([coefficients_from_period_sums(row, n).theta[:5] for row in v])
+              for k, v in (("folded", folded), ("full", full))}
+    for j in range(5):
+        a, b = thetas["folded"][:, j], thetas["full"][:, j]
+        assert _within(a, b) and _within(n * a * a, n * b * b)
+        assert abs((n * a * a).mean() - 1.0) <= 5.0 * (n * a * a).std(ddof=1) / math.sqrt(reps)
+
+
+def test_period_sums_proxy_variance_matches_full_paths():
+    # the quantity the penalty reads, at the desk-scale n = 100, p = 1001
+    n, p, reps = 100, 1001, 300
+    spec = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
+    folded, full = _engine_and_path_sums(SignalSpec.benchmark(), spec, n, p, reps)
+    a, b = (np.array([estimate_proxy_variance(coefficients_from_period_sums(row, n)) for row in v])
+            for v in (folded, full))
+    assert _within(a, b)
+    # sd of a sample sd is about sd / sqrt(2 (reps - 1)) for near-normal draws
+    sd_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(2.0 * (reps - 1))
+    assert abs(a.std(ddof=1) - b.std(ddof=1)) <= 5.0 * sd_se
+
+
+def test_risk_engine_memory_does_not_grow_with_the_path():
+    # one n*p path at n = 1000, p = 10001 alone would take 80 MB
+    cfg = ExperimentConfig(n_values=(1000,), p=10001, replications=2, base_seed=9, k_star=5)
+    tracemalloc.start()
+    try:
+        run_risk_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
