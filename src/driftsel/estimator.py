@@ -131,18 +131,6 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     return float(est.n / p_check * np.dot(block, block))
 
 
-def _cutoff_and_bandwidth(beta: int, scale: float, upsilon: float):
-    """Flat cutoff 1 + floor(ln upsilon) and taper bandwidth omega of one
-    Pinsker profile."""
-    if beta < 1:
-        raise ValueError("taper order must be a positive integer")
-    if scale <= 0.0 or upsilon <= 1.0:
-        raise ValueError("bandwidth scale must be positive and upsilon > 1")
-    j_star = 1 + math.floor(math.log(upsilon))
-    d_beta = (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta)
-    return j_star, (d_beta * scale * upsilon) ** (1.0 / (2 * beta + 1))
-
-
 def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.ndarray:
     """Shrinkage profile: flat at 1 below the cutoff 1 + floor(ln upsilon),
     polynomial taper 1 - (j/omega)^beta out to the bandwidth omega, zero
@@ -150,7 +138,16 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.nda
     so no profile reaches past the estimable frequencies.  Returns the
     nonzero prefix of the profile.
     """
-    j_star, omega = _cutoff_and_bandwidth(beta, scale, upsilon)
+    if beta < 1:
+        raise ValueError("taper order must be a positive integer")
+    if scale <= 0.0 or upsilon <= 1.0:
+        raise ValueError("bandwidth scale must be positive and upsilon > 1")
+    j_star = 1 + math.floor(math.log(upsilon))
+    d_beta = (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta)
+    omega = (d_beta * scale * upsilon) ** (1.0 / (2 * beta + 1))
+    if math.floor(omega) < j_star:
+        # the bandwidth stops below the cutoff: the flat all-ones prefix
+        return np.ones(min(cap, j_star - 1))
     support = min(cap, max(j_star - 1, math.floor(omega)))
     j = np.arange(1, support + 1, dtype=float)
     lam = np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
@@ -186,15 +183,7 @@ def build_weight_family(
     m = int(1.0 / eps**2)
     cap = min(n, p - 1)
     members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
-    weights = []
-    for beta, scale in members:
-        j_star, omega = _cutoff_and_bandwidth(beta, scale, upsilon)
-        # most labels put the bandwidth below the cutoff, which leaves the
-        # flat all-ones prefix; only the others need the taper evaluated
-        if math.floor(omega) < j_star:
-            weights.append(np.ones(min(cap, j_star - 1)))
-        else:
-            weights.append(pinsker_weights(beta, scale, upsilon, cap))
+    weights = [pinsker_weights(beta, scale, upsilon, cap) for beta, scale in members]
     family = WeightFamily.from_members(k_star, eps, m, upsilon, members, weights)
     total = family.max_total
     if total < 1.0:

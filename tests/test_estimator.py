@@ -189,10 +189,20 @@ def test_family_cardinality():
         (100, 101, {"eps": 0.05, "k_star": 3, "upsilon": 2.7}),
     ],
 )
-def test_family_matches_the_per_label_build(n, p, kwargs):
+def test_family_matches_the_taper_formula(n, p, kwargs):
+    # the profiles pinsker_weights returns early as flat must be exactly
+    # what the full taper formula gives
+    def taper(beta, scale, upsilon, cap):
+        j_star = 1 + math.floor(math.log(upsilon))
+        d_beta = (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta)
+        omega = (d_beta * scale * upsilon) ** (1.0 / (2 * beta + 1))
+        j = np.arange(1, min(cap, max(j_star - 1, math.floor(omega))) + 1, dtype=float)
+        lam = np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
+        return np.trim_zeros(lam, "b")
+
     fam = build_weight_family(n, p, **kwargs)
     cap = min(n, p - 1)
-    weights = [pinsker_weights(beta, scale, fam.upsilon, cap) for beta, scale in fam.members]
+    weights = [taper(beta, scale, fam.upsilon, cap) for beta, scale in fam.members]
     brute = WeightFamily.from_members(fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members, weights)
     assert fam.members == brute.members
     assert np.array_equal(fam.profile_of, brute.profile_of)
