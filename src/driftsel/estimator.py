@@ -170,6 +170,8 @@ def build_weight_family(
     k_star = floor(k_star0 + sqrt(ln n)); upsilon defaults to n divided
     by the variance threshold.
     """
+    if n < 2:
+        raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
     if eps is None:
         eps = 1.0 / math.log(n)
     if k_star is None:

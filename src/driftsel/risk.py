@@ -2,12 +2,12 @@
 
 One engine run drives everything: each replication draws the period
 sums of a fresh path (its n*p increments folded onto one period, drawn
-directly by `sample_period_sums` without building the path), runs the
-full selection pipeline, and scores the chosen estimate on the in-period
-grid, while the same sums also score every fixed candidate through the
-coefficient-space identity for the discrete norm.  Sharing replications
-this way gives common random numbers, so the adaptive risk and the
-oracle benchmark are directly comparable.
+directly by `sample_period_sums` without building the path), scores
+every distinct shrinkage profile through the coefficient-space identity
+for the discrete norm, and runs the full selection pipeline, whose
+chosen estimate is one of those profiles and takes its error.  The
+adaptive risk and the oracle benchmark thus share replications and one
+scoring identity, so they are directly comparable.
 
 Determinism contract: replication r always draws from stream r of the
 base seed, replications are processed in fixed chunks of 50, and chunk
@@ -31,7 +31,7 @@ from .estimator import (
 )
 from .noise import NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
-from .signal import SignalSpec, cell_integrals, discrete_norm_sq, grid_coefficients, grid_values
+from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
 _CHUNK = 50
 
@@ -70,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 2:
             raise ValueError("need at least 2 replications for a standard error")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.delta_variant not in ("auto", "efficient"):
             raise ValueError("delta_variant must be 'auto' or 'efficient'")
         if not self.n_values:
@@ -170,26 +172,26 @@ def _candidate_tail_sums(theta_grid: np.ndarray, p: int) -> np.ndarray:
 
 
 def _run_chunk(payload):
-    """Selected-estimate errors of replications start..stop-1 and, with the
-    oracle on, each distinct profile's error summed over them."""
-    (signal, noise, n, p, family, delta, base_seed, start, stop, oracle) = payload
-    s_grid = grid_values(signal, p)
-    theta_grid = grid_coefficients(s_grid)
-    suffix = _candidate_tail_sums(theta_grid, p)
+    """Selected-estimate errors of replications start..stop-1 and each
+    distinct profile's error summed over them; the selected estimate is
+    its member's profile applied to theta_hat, so it takes that error."""
+    (signal, noise, n, p, family, delta, base_seed, start, stop) = payload
+    theta = discrete_fourier_coeffs(signal, p)
+    suffix = _candidate_tail_sums(theta, p)
     drift_sums = n * cell_integrals(signal, p)
     selected = np.empty(stop - start)
-    cand_sum = np.zeros(len(family.profiles)) if oracle else None
+    errors = np.empty(len(family.profiles))
+    profile_sum = np.zeros(len(family.profiles))
     for r in range(start, stop):
         sums = sample_period_sums(drift_sums, noise, n, RngStream(base_seed, r))
         est = coefficients_from_period_sums(sums, n)
-        diff = select_model(est, family, delta).grid_values() - s_grid
-        selected[r - start] = np.dot(diff, diff) / p
-        if oracle:
-            for k, lam in enumerate(family.profiles):
-                m = lam.size
-                d = lam * est.theta[:m] - theta_grid[:m]
-                cand_sum[k] += np.dot(d, d) + suffix[m]
-    return selected, cand_sum
+        for k, lam in enumerate(family.profiles):
+            m = lam.size
+            d = lam * est.theta[:m] - theta[:m]
+            errors[k] = np.dot(d, d) + suffix[m]
+        selected[r - start] = errors[family.profile_of[select_model(est, family, delta).index]]
+        profile_sum += errors
+    return selected, profile_sum
 
 
 def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
@@ -210,7 +212,6 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
                 config.base_seed,
                 start,
                 min(start + _CHUNK, total),
-                config.oracle,
             )
             for start in range(0, total, _CHUNK)
         ]
@@ -222,13 +223,8 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
         selected = np.concatenate([sel for sel, _ in results])
         risk = float(selected.mean())
         risk_se = float(selected.std(ddof=1) / math.sqrt(total))
-        if config.oracle:
-            cand_total = np.zeros(len(family.profiles))
-            for _, cand in results:
-                cand_total += cand
-            oracle_val = float(cand_total.min() / total)
-        else:
-            oracle_val = math.nan
+        profile_total = sum(profile_sum for _, profile_sum in results)
+        oracle_val = float(profile_total.min() / total) if config.oracle else math.nan
         rows.append(
             RiskRow(
                 n=n,

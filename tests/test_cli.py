@@ -139,6 +139,17 @@ def test_main_rejects_bad_config(tmp_path):
               "--config", str(write_cfg(tmp_path, "risk.p=10\n")), "--out", str(tmp_path)])
         == 2
     )
+    tiny = write_cfg(tmp_path, "risk.n_values=20\nrisk.p=101\nrisk.replications=2\n", "tiny.cfg")
+    assert main(["risk-table", "--config", str(tiny), "--threads", "0", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("subcommand, key", [("risk-table", "risk.n_values"), ("estimate", "estimate.n")])
+def test_main_rejects_too_few_periods(tmp_path, capsys, subcommand, key, n):
+    cfg = write_cfg(tmp_path, f"{key}={n}\nrisk.p=101\nrisk.replications=2\n")
+    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"n={n}" in err and "Traceback" not in err
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):

@@ -230,6 +230,9 @@ def test_family_weight_sum_bound():
 def test_family_rejects_tiny_samples():
     with pytest.raises(ValueError):
         build_weight_family(n=2, p=101)    # default eps = 1/ln 2 > 1
+    for n in (0, 1):                       # upsilon = n would not exceed 1
+        with pytest.raises(ValueError, match=f"n={n}"):
+            build_weight_family(n=n, p=101, eps=0.5)
 
 
 def test_penalty_values():

@@ -26,7 +26,7 @@ CONFIG = (
 
 GOLDEN = {
     "risk-table": {
-        "risk.csv": "d43c04c731f0695c2c2a722c130ebc4d4a05d1e8a905c5ca9293856b2e6761ae",
+        "risk.csv": "c24a1c41cdaee9b6fd680429ab14996aad0ef008449244b7fca7eec06a159baf",
         "manifest.txt": "7c29d8a0e14d3dff4e25a3e359bbbaee008f5af91c9a7ff5ca3f5a8d0537f155",
     },
     "estimate": {

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from driftsel.estimator import (
     efficient_delta,
     estimate_coefficients,
     estimate_proxy_variance,
+    select_model,
 )
 from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
@@ -22,6 +24,7 @@ from driftsel.risk import (
     relative_risk,
     resolve_delta,
     resolve_frequency,
+    resolve_selection,
     run_risk_experiment,
     satisfies_h5,
 )
@@ -73,6 +76,9 @@ def test_config_validation():
         ExperimentConfig(delta_variant="fast")
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=())
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            ExperimentConfig(threads=threads)
 
 
 def test_frequency_resolution():
@@ -95,13 +101,29 @@ def test_delta_resolution():
 
 
 def test_grid_and_coefficient_routes_agree():
-    # a singleton family makes the adaptive estimator a fixed candidate,
-    # so the grid-evaluated risk must match the coefficient-space oracle
-    # on both grid parities
+    # the engine scores the selected estimate in coefficient space; replay
+    # its streams and score the same selections on the grid instead, on
+    # both grid parities, with a family whose selections vary
+    n, reps, seed = 20, 40, 11
     for p in (501, 500):
-        cfg = ExperimentConfig(n_values=(20,), p=p, replications=40, base_seed=11, k_star=1, eps=0.8)
+        cfg = ExperimentConfig(n_values=(n,), p=p, replications=reps, base_seed=seed, k_star=3, eps=0.3)
         row = run_risk_experiment(cfg).rows[0]
-        assert row.risk == pytest.approx(row.oracle, rel=1e-12)
+        _, family, delta = resolve_selection(cfg, n)
+        drift = n * cell_integrals(cfg.signal, p)
+        truth = grid_values(cfg.signal, p)
+        errors, chosen = [], set()
+        for r in range(reps):
+            sums = sample_period_sums(drift, cfg.noise, n, RngStream(seed, r))
+            result = select_model(coefficients_from_period_sums(sums, n), family, delta)
+            diff = result.grid_values() - truth
+            errors.append(np.dot(diff, diff) / p)
+            chosen.add(int(family.profile_of[result.index]))
+        assert len(chosen) > 1
+        assert row.risk == pytest.approx(np.mean(errors), rel=1e-12)
+        # the oracle switch only decides whether the column is reported
+        off = run_risk_experiment(replace(cfg, oracle=False)).rows[0]
+        assert (off.risk, off.risk_se) == (row.risk, row.risk_se)
+        assert math.isnan(off.oracle)
 
 
 def test_report_is_deterministic():
