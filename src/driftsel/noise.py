@@ -59,18 +59,14 @@ class LevyJumpSpec:
     law: str = "gaussian"
 
     def __post_init__(self):
-        if self.intensity <= 0:
-            raise ValueError("jump intensity must be positive")
+        if not 0.0 < self.intensity < math.inf:
+            raise ValueError("jump intensity must be finite and positive")
         if self.law not in JUMP_LAWS:
             raise ValueError(f"jump law must be one of {JUMP_LAWS}")
 
     @property
     def scale(self) -> float:
         return 1.0 / math.sqrt(self.intensity)
-
-    @property
-    def mean_jump(self) -> float:
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,8 @@ class NoiseSpec:
     jumps: LevyJumpSpec | None = None
 
     def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError("noise amplitudes must be nonnegative")
+        if not (0.0 <= self.rho1 < math.inf and 0.0 <= self.rho2 < math.inf):
+            raise ValueError("noise amplitudes must be finite and nonnegative")
         if not 0.0 <= self.rho_check <= 1.0:
             raise ValueError("the Brownian weight must lie in [0, 1]")
         if self.rho_check < 1.0 and self.jumps is None:
@@ -178,7 +174,7 @@ def sample_semimarkov_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStre
 
 
 def sample_levy_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
-    """Increments of L = rho_check * W + sqrt(1 - rho_check^2) * (compensated jumps)."""
+    """Increments of L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric, uncompensated jumps)."""
     grid = np.asarray(grid, dtype=float)
     widths = np.diff(grid)
     if grid.size < 2 or np.any(widths < 0):
@@ -197,10 +193,7 @@ def sample_levy_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) ->
         jumps = gen.standard_normal(total) * jump_spec.scale
     else:
         jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * jump_spec.scale
-    cell_sums = np.bincount(np.repeat(np.arange(m_cells), counts), weights=jumps,
-                            minlength=m_cells)
-    compensator = jump_spec.intensity * jump_spec.mean_jump * widths
-    dJ = cell_sums - compensator
+    dJ = np.bincount(np.repeat(np.arange(m_cells), counts), weights=jumps, minlength=m_cells)
     return spec.rho_check * dW + math.sqrt(1.0 - spec.rho_check**2) * dJ
 
 

@@ -12,96 +12,68 @@ solved tail measures the real deviation instead of accumulated quadrature
 drift. The convolution uses product-trapezoid weights built from exact cdf
 cell masses, which keeps the scheme second order even when the density has a
 square-root derivative singularity at the origin (chi-squared with odd df).
+Every inter-arrival law is a gamma law, so g and G are closed forms from
+scipy.special.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import trapezoid
+from scipy.special import gammainc, gammaln, xlogy
 
 
 @dataclass(frozen=True)
 class InterarrivalLaw:
-    """Inter-arrival law of the renewal epochs driving the jump noise.
+    """Gamma(shape, scale) inter-arrival law of the renewal epochs.
 
-    Supported families all have exponential moments: exponential(rate),
-    gamma(shape, scale), chi_squared(df). The degenerate unit-spacing law
-    ("fixed") is a testing hook only: it has no density, so the renewal
-    solver rejects it, and configuration parsing never constructs it.
+    Every shipped law is a gamma law: exponential(rate) is gamma(1, 1/rate)
+    and chi_squared(df) is gamma(df/2, 2); all have exponential moments.
+    Both parameters must be finite and positive.
     """
 
-    kind: str
-    params: tuple
+    shape: float
+    scale: float
+
+    def __post_init__(self):
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError(f"gamma shape {self.shape!r} and scale {self.scale!r} "
+                             "must be finite and positive")
 
     @classmethod
     def exponential(cls, rate: float) -> "InterarrivalLaw":
         if rate <= 0:
             raise ValueError("rate must be positive")
-        return cls("exponential", (float(rate),))
+        return cls(1.0, 1.0 / float(rate))
 
     @classmethod
     def gamma(cls, shape: float, scale: float) -> "InterarrivalLaw":
         if shape <= 0 or scale <= 0:
             raise ValueError("shape and scale must be positive")
-        return cls("gamma", (float(shape), float(scale)))
+        return cls(float(shape), float(scale))
 
     @classmethod
     def chi_squared(cls, df: float) -> "InterarrivalLaw":
         if df <= 0:
             raise ValueError("df must be positive")
-        return cls("chi_squared", (float(df),))
-
-    @classmethod
-    def fixed_unit(cls, testing: bool = False) -> "InterarrivalLaw":
-        if not testing:
-            raise ValueError("the degenerate unit-spacing law is a testing hook; "
-                             "pass testing=True to construct it")
-        return cls("fixed", (1.0,))
-
-    @cached_property
-    def _frozen(self):
-        if self.kind == "exponential":
-            return stats.expon(scale=1.0 / self.params[0])
-        if self.kind == "gamma":
-            return stats.gamma(self.params[0], scale=self.params[1])
-        if self.kind == "chi_squared":
-            return stats.chi2(self.params[0])
-        raise ValueError(f"law {self.kind!r} has no continuous distribution")
-
-    @property
-    def has_density(self) -> bool:
-        return self.kind != "fixed"
+        return cls(float(df) / 2.0, 2.0)
 
     def mean(self) -> float:
-        # closed forms; the samplers call this per path, so keep it cheap
-        if self.kind == "exponential":
-            return 1.0 / self.params[0]
-        if self.kind == "gamma":
-            return self.params[0] * self.params[1]
-        if self.kind == "chi_squared":
-            return self.params[0]
-        return self.params[0]
+        return self.shape * self.scale
 
     def pdf(self, x):
-        return self._frozen.pdf(x)
+        """Density at x >= 0."""
+        z = x / self.scale
+        return np.exp(xlogy(self.shape - 1.0, z) - z - gammaln(self.shape)) / self.scale
 
     def cdf(self, x):
-        return self._frozen.cdf(x)
+        """Distribution function at x >= 0 (the regularized incomplete gamma)."""
+        return gammainc(self.shape, x / self.scale)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "exponential":
-            return rng.exponential(1.0 / self.params[0], size)
-        if self.kind == "gamma":
-            return rng.gamma(self.params[0], self.params[1], size)
-        if self.kind == "chi_squared":
-            return rng.chisquare(self.params[0], size)
-        if self.kind == "fixed":
-            return np.full(size, self.params[0])
-        raise ValueError(f"unknown law {self.kind!r}")
+        return rng.gamma(self.shape, self.scale, size)
 
 
 @dataclass(frozen=True)
@@ -137,8 +109,8 @@ def _march_deviation(law: InterarrivalLaw, h: float, m: int) -> np.ndarray:
     """March the recentred Volterra equation on the grid 0, h, ..., m*h."""
     tau_bar = law.mean()
     x = np.arange(m + 1) * h
-    g = np.asarray(law.pdf(x), dtype=float)
-    G = np.asarray(law.cdf(x), dtype=float)
+    g = law.pdf(x)
+    G = law.cdf(x)
     forcing = g - (1.0 - G) / tau_bar
 
     dG = np.diff(G)                      # exact cell masses, length m
@@ -169,11 +141,11 @@ def _l1_with_tail(ups: np.ndarray, h: float):
     """
     m = ups.size - 1
     absu = np.abs(ups)
-    body = float(trapezoid(absu, dx=h))
+    body = float(np.trapezoid(absu, dx=h))
     excess = np.maximum(absu - absu[-1], 0.0)
     i1, i2 = int(0.8 * m), int(0.9 * m)
-    a1 = float(trapezoid(excess[i1:i2 + 1], dx=h))
-    a2 = float(trapezoid(excess[i2:], dx=h))
+    a1 = float(np.trapezoid(excess[i1:i2 + 1], dx=h))
+    a2 = float(np.trapezoid(excess[i2:], dx=h))
     tail_ok = True
     tail = 0.0
     if a2 > 1e-14:
@@ -191,13 +163,11 @@ def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None 
 
     h is the grid step (must resolve the mean spacing: h <= tau_bar / 50);
     horizon defaults to 40 mean spacings, which is far into the mixed
-    regime for all shipped laws. Raises ValueError for laws without an
-    integrable density, and when the march diverges (a density unbounded
-    at 0). The result is flagged non-converged when the deviation at the
-    horizon still exceeds tail_tol.
+    regime for all shipped laws. Raises ValueError when the march diverges
+    (a gamma shape below 1 makes the density unbounded at 0). The result
+    is flagged non-converged when the deviation at the horizon still
+    exceeds tail_tol.
     """
-    if not law.has_density:
-        raise ValueError("renewal density needs an integrable inter-arrival density")
     if h <= 0:
         raise ValueError("step must be positive")
     tau_bar = law.mean()

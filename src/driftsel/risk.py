@@ -76,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("delta_variant must be 'auto' or 'efficient'")
         if not self.n_values:
             raise ValueError("n_values is empty")
+        if not 0.0 < self.varsigma_star < math.inf:
+            raise ValueError(f"varsigma_star must be finite and positive, got {self.varsigma_star!r}")
 
 
 @dataclass(frozen=True)

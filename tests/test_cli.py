@@ -1,7 +1,14 @@
 """Tests for config parsing, manifests, and the CSV-emitting subcommands."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import driftsel
 
 from driftsel.cli import (
     ConfigError,
@@ -17,6 +24,7 @@ from driftsel.cli import (
     validate_config,
     _parse_interarrival,
 )
+from driftsel.renewal import InterarrivalLaw
 
 
 def read_csv(path):
@@ -82,10 +90,11 @@ def test_digest_tracks_content():
 
 
 def test_interarrival_parsing():
-    assert _parse_interarrival("exponential(1)").kind == "exponential"
+    assert _parse_interarrival("exponential(1)") == InterarrivalLaw.gamma(1.0, 1.0)
     assert _parse_interarrival("gamma(2, 1)").mean() == pytest.approx(2.0)
     assert _parse_interarrival("chi_squared(3)").mean() == pytest.approx(3.0)
-    for bad in ("weibull(1)", "gamma(1)", "chi_squared(abc)", "exponential", "exponential(-1)"):
+    for bad in ("weibull(1)", "gamma(1)", "chi_squared(abc)", "exponential", "exponential(-1)",
+                "exponential(inf)", "chi_squared(nan)", "gamma(inf,1)"):
         with pytest.raises(ConfigError):
             _parse_interarrival(bad)
 
@@ -141,6 +150,33 @@ def test_main_rejects_bad_config(tmp_path):
     )
     tiny = write_cfg(tmp_path, "risk.n_values=20\nrisk.p=101\nrisk.replications=2\n", "tiny.cfg")
     assert main(["risk-table", "--config", str(tiny), "--threads", "0", "--out", str(tmp_path)]) == 2
+    flat = write_cfg(tmp_path, "estimator.varsigma_star=0\n", "flat.cfg")
+    assert main(["risk-table", "--config", str(flat), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["noise.interarrival=exponential(inf)", "noise.interarrival=chi_squared(nan)",
+     "noise.interarrival=gamma(inf,1)", "noise.rho1=nan"],
+)
+def test_main_rejects_non_finite_noise(tmp_path, capsys, setting):
+    cfg = write_cfg(tmp_path, f"{setting}\nrisk.n_values=20\nrisk.p=101\nrisk.replications=2\n")
+    out = tmp_path / "out"
+    assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "risk.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # the gamma law needs only scipy.special; scipy.stats alone costs
+    # most of a second of start-up
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, driftsel.cli; "
+            "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [0, 1])

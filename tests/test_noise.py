@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import trapezoid
 
 from driftsel.noise import (
     LevyJumpSpec,
@@ -22,6 +21,16 @@ from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
 
 CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
+
+
+class UnitSpacing:
+    """Degenerate law with every gap equal to 1: the two methods the samplers call."""
+
+    def mean(self):
+        return 1.0
+
+    def sample(self, rng, size):
+        return np.full(size, 1.0)
 
 
 def test_same_seed_gives_identical_paths():
@@ -104,16 +113,14 @@ def test_renewal_rate_chi_squared():
 def test_semimarkov_fixed_law_lands_in_the_right_cells():
     # unit spacings put exactly one epoch in each cell (l-1, l], including
     # the epoch sitting exactly on the right endpoint of the last cell
-    law = InterarrivalLaw.fixed_unit(testing=True)
-    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=law, marks="rademacher")
+    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=UnitSpacing(), marks="rademacher")
     grid = np.arange(6.0)
     z = sample_semimarkov_increments(grid, spec, RngStream(2, 0))
     assert np.array_equal(np.abs(z), np.ones(5))
 
 
 def test_semimarkov_without_epochs_is_zero():
-    law = InterarrivalLaw.fixed_unit(testing=True)
-    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=law)
+    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=UnitSpacing())
     z = sample_semimarkov_increments(np.array([0.0, 0.5]), spec, RngStream(2, 1))
     assert np.array_equal(z, np.zeros(1))
 
@@ -211,7 +218,7 @@ def test_terminal_variance_matches_renewal_integral():
         ends[r] = sample_observations(ZERO, CHI2_SPEC, n=n, p=p, rng=RngStream(402, r)).y[-1]
     sol = solve_renewal_density(InterarrivalLaw.chi_squared(3.0), h=1e-3, horizon=60.0)
     m = int(round(n / sol.h))
-    expected = 0.25 * n + 0.25 * trapezoid(sol.rho[: m + 1], dx=sol.h)
+    expected = 0.25 * n + 0.25 * np.trapezoid(sol.rho[: m + 1], dx=sol.h)
     second = ends**2
     se = second.std(ddof=1) / np.sqrt(reps)
     assert abs(second.mean() - expected) <= 3.0 * se
@@ -227,7 +234,7 @@ def test_mark_count_variance_tracks_the_renewal_function():
         ends[r] = sample_semimarkov_increments(grid, CHI2_SPEC, RngStream(55, r)).sum()
     sol = solve_renewal_density(InterarrivalLaw.chi_squared(3.0), h=5e-3, horizon=120.0)
     m = int(round(n / sol.h))
-    expected = trapezoid(sol.rho[: m + 1], dx=sol.h)
+    expected = np.trapezoid(sol.rho[: m + 1], dx=sol.h)
     var = ends.var(ddof=1)
     se = np.sqrt(2.0 / reps) * expected
     assert abs(var - expected) <= 3.0 * se
@@ -237,13 +244,13 @@ LAWS = (
     InterarrivalLaw.exponential(1.0 / 3.0),
     InterarrivalLaw.gamma(2.0, 1.5),
     InterarrivalLaw.chi_squared(3.0),
-    InterarrivalLaw.fixed_unit(testing=True),
+    UnitSpacing(),
 )
 
 
 @pytest.mark.parametrize("p", [11, 12])
 @pytest.mark.parametrize("marks", ["normal", "rademacher", "uniform"])
-@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.kind)
+@pytest.mark.parametrize("law", LAWS, ids=["exponential", "gamma", "chi_squared", "fixed"])
 def test_period_sums_match_the_folded_path(law, marks, p):
     # without the Levy part the folded sampler reuses the path's epochs
     # and marks, so it equals the full path folded onto one period
@@ -272,6 +279,13 @@ def test_period_sums_validation():
 def test_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(rho1=-0.1, rho2=0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseSpec(rho1=bad, rho2=0.5)
+        with pytest.raises(ValueError):
+            NoiseSpec(rho1=0.5, rho2=bad)
+        with pytest.raises(ValueError):
+            LevyJumpSpec(intensity=bad)
     with pytest.raises(ValueError):
         NoiseSpec(rho1=0.5, rho2=0.5, rho_check=1.5)
     with pytest.raises(ValueError):

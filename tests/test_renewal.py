@@ -1,7 +1,10 @@
 """Tests for the renewal-density solver and noise-level scalars."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from driftsel.noise import RngStream, sample_renewal_times
 from driftsel.renewal import InterarrivalLaw, proxy_variance, solve_renewal_density
@@ -13,14 +16,35 @@ def test_interarrival_means():
     assert InterarrivalLaw.chi_squared(3.0).mean() == pytest.approx(3.0)
 
 
-def test_fixed_law_is_gated():
-    with pytest.raises(ValueError):
-        InterarrivalLaw.fixed_unit()
-    law = InterarrivalLaw.fixed_unit(testing=True)
-    assert law.mean() == 1.0
-    assert not law.has_density
-    with pytest.raises(ValueError):
-        solve_renewal_density(law, h=1e-3)
+@pytest.mark.parametrize(
+    "law, reference, draw",
+    [
+        (InterarrivalLaw.exponential(1.0 / 3.0), stats.expon(scale=3.0),
+         lambda gen, size: gen.exponential(3.0, size)),
+        (InterarrivalLaw.gamma(2.0, 1.5), stats.gamma(2.0, scale=1.5),
+         lambda gen, size: gen.gamma(2.0, 1.5, size)),
+        (InterarrivalLaw.chi_squared(3.0), stats.chi2(3.0),
+         lambda gen, size: gen.chisquare(3.0, size)),
+    ],
+    ids=["exponential", "gamma", "chi_squared"],
+)
+def test_gamma_law_matches_its_named_family(law, reference, draw):
+    # the gamma formulas reproduce scipy.stats' density and cdf, and the
+    # gamma sampler reproduces the named family's numpy draws bit for bit
+    x = np.arange(0.0, 60.0, 1e-3)
+    np.testing.assert_allclose(law.pdf(x), reference.pdf(x), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(law.cdf(x), reference.cdf(x), rtol=1e-13, atol=0.0)
+    assert law.mean() == reference.mean()
+    ours = law.sample(RngStream(9, 0).generator(0), 1000)
+    theirs = draw(RngStream(9, 0).generator(0), 1000)
+    assert np.array_equal(ours, theirs)
+
+
+def test_law_parameters_must_be_finite_and_positive():
+    for shape, scale in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan),
+                         (0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError):
+            InterarrivalLaw(shape, scale)
 
 
 def test_solver_preconditions():

@@ -79,6 +79,9 @@ def test_config_validation():
     for threads in (0, -3):
         with pytest.raises(ValueError):
             ExperimentConfig(threads=threads)
+    for varsigma_star in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ExperimentConfig(varsigma_star=varsigma_star)
 
 
 def test_frequency_resolution():
