@@ -7,6 +7,11 @@ then config file, then explicit flags.  Every run writes a manifest
 whose digest is stamped into each emitted CSV; the digest covers the
 resolved config only, never wall-clock state or worker count, so reruns
 with the same parameters are traceable to the same digest.
+
+`main` validates the config once and hands each subcommand both it and
+its `ExperimentConfig`.  `estimate` and `figures` fit through the risk
+engine's sampler, `risk.replication_estimates`, so only `simulate`
+builds an n*p path.
 """
 
 import argparse
@@ -20,17 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import estimate_coefficients, select_model
+from .estimator import select_model
 from .noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations
 from .renewal import InterarrivalLaw, solve_renewal_density
 from .risk import (
     ExperimentConfig,
+    replication_estimates,
     resolve_frequency,
     resolve_selection,
     run_risk_experiment,
     satisfies_h5,
 )
-from .signal import SignalSpec, grid_values
+from .signal import SignalSpec, cell_integrals, grid_values
 
 
 class ConfigError(Exception):
@@ -42,7 +48,8 @@ class RunConfig:
     """Flat, serializable view of everything a run can configure.
 
     Zero sentinels mean "derive from the sample size": k_star, eps, p,
-    and renewal_horizon all switch to their rules when left at 0.
+    and renewal_horizon all switch to their rules when left at 0, and
+    must not be negative.
     """
 
     seed: int = 0
@@ -67,7 +74,6 @@ class RunConfig:
     p: int = 100001
     p_min: int = 101
     replications: int = 10000
-    oracle: bool = True
     estimate_n: int = 100
     renewal_h: float = 0.001
     renewal_horizon: float = 0.0
@@ -99,7 +105,6 @@ _SCHEMA = (
     ("risk.p", "p", "int"),
     ("risk.p_min", "p_min", "int"),
     ("risk.replications", "replications", "int"),
-    ("risk.oracle", "oracle", "bool"),
     ("estimate.n", "estimate_n", "int"),
     ("renewal.h", "renewal_h", "float"),
     ("renewal.horizon", "renewal_horizon", "float"),
@@ -131,8 +136,6 @@ def _deserialize(key, text, kind):
     try:
         if kind == "int":
             return int(text)
-        if kind == "float":
-            return float(text)
         if kind == "bool":
             if text in ("true", "false"):
                 return text == "true"
@@ -141,11 +144,17 @@ def _deserialize(key, text, kind):
             return text
         if kind == "ints":
             return tuple(int(v) for v in text.split(",")) if text else ()
-        if kind == "floats":
-            return tuple(float(v) for v in text.split(",")) if text else ()
+        if kind == "float":
+            values = (float(text),)
+        elif kind == "floats":
+            values = tuple(float(v) for v in text.split(",")) if text else ()
+        else:
+            raise AssertionError(kind)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("numbers must be finite")
+        return values[0] if kind == "float" else values
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
-    raise AssertionError(kind)
 
 
 def emit_config(config: RunConfig) -> str:
@@ -243,8 +252,10 @@ def experiment_config(config: RunConfig) -> ExperimentConfig:
     else:
         try:
             delta, variant = float(config.delta), "auto"
+            if not math.isfinite(delta):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"estimator.delta must be auto, efficient, or a number, got {config.delta!r}") from None
+            raise ConfigError(f"estimator.delta must be auto, efficient, or a finite number, got {config.delta!r}") from None
     try:
         return ExperimentConfig(
             signal=build_signal(config),
@@ -256,7 +267,6 @@ def experiment_config(config: RunConfig) -> ExperimentConfig:
             base_seed=config.seed,
             threads=config.threads,
             strict_h5=config.strict_h5,
-            oracle=config.oracle,
             eps=config.eps if config.eps > 0.0 else None,
             k_star=config.k_star if config.k_star > 0 else None,
             k_star0=config.k_star0,
@@ -268,7 +278,12 @@ def experiment_config(config: RunConfig) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
 
 
-def validate_config(config: RunConfig):
+def validate_config(config: RunConfig) -> ExperimentConfig:
+    """Reject an inconsistent config; return its materialized experiment."""
+    for key, name, _ in _SCHEMA:
+        # a negative zero-sentinel would otherwise silently mean "derive"
+        if name in ("k_star", "eps", "p", "renewal_horizon") and getattr(config, name) < 0:
+            raise ConfigError(f"{key} must be positive, or 0 to derive it, got {getattr(config, name)!r}")
     experiment = experiment_config(config)
     if config.strict_h5 and config.p > 0:
         for n in (*config.n_values, config.estimate_n):
@@ -310,107 +325,71 @@ def _write_csv(path: Path, digest: str, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fit_one_path(config: RunConfig, n: int, stream: int):
-    experiment = experiment_config(config)
+def _fit_one_path(experiment: ExperimentConfig, n: int, stream: int):
+    """Weight family and selection result of one replication at sample size n."""
     p, family, delta = resolve_selection(experiment, n)
-    signal = experiment.signal
-    obs = sample_observations(signal, experiment.noise, n=n, p=p, rng=RngStream(config.seed, stream))
-    result = select_model(estimate_coefficients(obs), family, delta)
-    return p, signal, family, result
+    drift_sums = n * cell_integrals(experiment.signal, p)
+    est = replication_estimates(drift_sums, experiment.noise, n, RngStream(experiment.base_seed, stream))
+    return family, select_model(est, family, delta)
 
 
-def _run_simulate(config: RunConfig, out: Path, digest: str):
-    experiment = experiment_config(config)
+def _write_fit(path: Path, digest: str, signal: SignalSpec, result):
+    """Truth and fitted curve at the p in-period grid points."""
+    p = result.p
+    rows = zip(np.arange(1, p + 1) / p, grid_values(signal, p), result.grid_values())
+    _write_csv(path, digest, ("t", "truth", "estimate"), (map(_fmt, row) for row in rows))
+
+
+def _run_simulate(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
     n = config.estimate_n
     p = resolve_frequency(experiment, n)
-    obs = sample_observations(
-        experiment.signal, experiment.noise, n=n, p=p, rng=RngStream(config.seed, 0)
-    )
+    obs = sample_observations(experiment.signal, experiment.noise, n=n, p=p, rng=RngStream(config.seed, 0))
     rows = ((str(j), _fmt(j / p), _fmt(y)) for j, y in enumerate(obs.y))
     _write_csv(out / "path.csv", digest, ("j", "t", "y"), rows)
     return ["path.csv"]
 
 
-def _run_estimate(config: RunConfig, out: Path, digest: str):
-    n = config.estimate_n
-    p, signal, family, result = _fit_one_path(config, n, stream=0)
-    truth = grid_values(signal, p)
-    fitted = result.grid_values()
-    t = np.arange(1, p + 1) / p
-    _write_csv(
-        out / "estimate.csv",
-        digest,
-        ("t", "truth", "estimate"),
-        ((_fmt(a), _fmt(b), _fmt(c)) for a, b, c in zip(t, truth, fitted)),
+def _run_estimate(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
+    family, result = _fit_one_path(experiment, config.estimate_n, stream=0)
+    _write_fit(out / "estimate.csv", digest, experiment.signal, result)
+    rows = (
+        (str(k), str(beta), _fmt(scale), _fmt(result.costs[k]), str(int(k == result.index)))
+        for k, (beta, scale) in enumerate(family.members)
     )
-    _write_csv(
-        out / "selection.csv",
-        digest,
-        ("index", "beta", "scale", "cost", "selected"),
-        (
-            (str(k), str(beta), _fmt(scale), _fmt(result.costs[k]), str(int(k == result.index)))
-            for k, (beta, scale) in enumerate(family.members)
-        ),
-    )
+    _write_csv(out / "selection.csv", digest, ("index", "beta", "scale", "cost", "selected"), rows)
     return ["estimate.csv", "selection.csv"]
 
 
-def _run_risk_table(config: RunConfig, out: Path, digest: str):
-    report = run_risk_experiment(experiment_config(config))
+def _run_risk_table(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
     rows = (
-        (
-            str(row.n),
-            str(row.p),
-            str(row.replications),
-            _fmt(row.risk),
-            _fmt(row.risk_se),
-            _fmt(row.relative),
-            _fmt(row.oracle),
-            _fmt(row.seconds),
-        )
-        for row in report.rows
+        (str(row.n), str(row.p), str(row.replications),
+         *map(_fmt, (row.risk, row.risk_se, row.relative, row.oracle, row.seconds)))
+        for row in run_risk_experiment(experiment).rows
     )
-    _write_csv(
-        out / "risk.csv",
-        digest,
-        ("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"),
-        rows,
-    )
+    _write_csv(out / "risk.csv", digest, ("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), rows)
     return ["risk.csv"]
 
 
-def _run_renewal_density(config: RunConfig, out: Path, digest: str):
-    law = _parse_interarrival(config.interarrival)
+def _run_renewal_density(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
     horizon = config.renewal_horizon if config.renewal_horizon > 0.0 else None
-    solution = solve_renewal_density(law, h=config.renewal_h, horizon=horizon)
+    solution = solve_renewal_density(experiment.noise.interarrival, h=config.renewal_h, horizon=horizon)
     if not solution.converged:
         print(
             f"driftsel: warning: renewal solve did not converge by horizon {solution.horizon!r}; "
             "raise renewal.horizon or refine renewal.h",
             file=sys.stderr,
         )
-    rows = (
-        (_fmt(x), _fmt(r), _fmt(u))
-        for x, r, u in zip(solution.x, solution.rho, solution.upsilon)
-    )
+    rows = (map(_fmt, row) for row in zip(solution.x, solution.rho, solution.upsilon))
     _write_csv(out / "renewal.csv", digest, ("x", "rho", "upsilon"), rows)
     return ["renewal.csv"]
 
 
-def _run_figures(config: RunConfig, out: Path, digest: str):
+def _run_figures(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
     written = []
-    for stream, n in enumerate(config.n_values):
-        p, signal, _, result = _fit_one_path(config, n, stream=stream)
-        truth = grid_values(signal, p)
-        fitted = result.grid_values()
-        t = np.arange(1, p + 1) / p
+    for stream, n in enumerate(experiment.n_values):
+        _, result = _fit_one_path(experiment, n, stream=stream)
         name = f"figure_n{n}.csv"
-        _write_csv(
-            out / name,
-            digest,
-            ("t", "truth", "estimate"),
-            ((_fmt(a), _fmt(b), _fmt(c)) for a, b, c in zip(t, truth, fitted)),
-        )
+        _write_fit(out / name, digest, experiment.signal, result)
         written.append(name)
     return written
 
@@ -461,7 +440,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_run_config(args)
-        validate_config(config)
+        experiment = validate_config(config)
     except ConfigError as exc:
         print(f"driftsel: config error: {exc}", file=sys.stderr)
         return 2
@@ -469,7 +448,7 @@ def main(argv=None) -> int:
     digest = config_digest(config)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        outputs = _HANDLERS[args.subcommand](config, out, digest)
+        outputs = _HANDLERS[args.subcommand](config, experiment, out, digest)
         manifest = RunManifest(
             subcommand=args.subcommand,
             config_text=emit_config(config),

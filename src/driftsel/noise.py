@@ -197,23 +197,18 @@ def sample_levy_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) ->
     return spec.rho_check * dW + math.sqrt(1.0 - spec.rho_check**2) * dJ
 
 
-def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream,
-                        drift_cells: np.ndarray | None = None) -> ObservationPath:
+def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> ObservationPath:
     """One observation path over n periods at p samples per period.
 
     Each increment is the exact-quadrature drift integral over its cell
-    plus rho1 dL + rho2 dz. drift_cells lets a caller that samples many
-    paths of one signal tile the cell integrals once; they must equal
-    tile(cell_integrals(S, p), n).
+    plus rho1 dL + rho2 dz.
     """
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
     grid = np.arange(n * p + 1) / p
     dz = sample_semimarkov_increments(grid, spec, rng)
     dL = sample_levy_increments(grid, spec, rng)
-    if drift_cells is None:
-        drift_cells = np.tile(cell_integrals(S, p), n)
-    dy = drift_cells + spec.rho1 * dL + spec.rho2 * dz
+    dy = np.tile(cell_integrals(S, p), n) + spec.rho1 * dL + spec.rho2 * dz
     y = np.concatenate(([0.0], np.cumsum(dy)))
     return ObservationPath(n=n, p=p, y=y)
 

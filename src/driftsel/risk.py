@@ -1,13 +1,14 @@
 """Monte Carlo risk evaluation for the model-selection estimator.
 
-One engine run drives everything: each replication draws the period
-sums of a fresh path (its n*p increments folded onto one period, drawn
-directly by `sample_period_sums` without building the path), scores
-every distinct shrinkage profile through the coefficient-space identity
-for the discrete norm, and runs the full selection pipeline, whose
-chosen estimate is one of those profiles and takes its error.  The
-adaptive risk and the oracle benchmark thus share replications and one
-scoring identity, so they are directly comparable.
+One engine run drives everything.  Each replication takes its
+coefficient estimates from `replication_estimates`, which draws the
+period sums of a fresh path (its n*p increments folded onto one period)
+without building the path; the CLI's single-path fits use it too.  The
+replication then scores every distinct shrinkage profile through the
+coefficient-space identity for the discrete norm, and runs the full
+selection pipeline, whose chosen estimate is one of those profiles and
+takes its error.  The adaptive risk and the oracle benchmark thus share
+replications and one scoring identity, so they are directly comparable.
 
 Determinism contract: replication r always draws from stream r of the
 base seed, replications are processed in fixed chunks of 50, and chunk
@@ -23,6 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .estimator import (
+    CoefficientEstimates,
     build_weight_family,
     coefficients_from_period_sums,
     default_delta,
@@ -59,7 +61,6 @@ class ExperimentConfig:
     base_seed: int = 0
     threads: int = 1
     strict_h5: bool = False
-    oracle: bool = True
     eps: float = None
     k_star: int = None
     k_star0: int = 100
@@ -173,6 +174,14 @@ def _candidate_tail_sums(theta_grid: np.ndarray, p: int) -> np.ndarray:
     return suffix
 
 
+def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
+                          rng: RngStream) -> CoefficientEstimates:
+    """Coefficient estimates of one replication: n periods of the signal
+    whose drift part is `drift_sums` (n * cell_integrals(S, p)), observed
+    under `noise` and drawn from `rng`."""
+    return coefficients_from_period_sums(sample_period_sums(drift_sums, noise, n, rng), n)
+
+
 def _run_chunk(payload):
     """Selected-estimate errors of replications start..stop-1 and each
     distinct profile's error summed over them; the selected estimate is
@@ -185,8 +194,7 @@ def _run_chunk(payload):
     errors = np.empty(len(family.profiles))
     profile_sum = np.zeros(len(family.profiles))
     for r in range(start, stop):
-        sums = sample_period_sums(drift_sums, noise, n, RngStream(base_seed, r))
-        est = coefficients_from_period_sums(sums, n)
+        est = replication_estimates(drift_sums, noise, n, RngStream(base_seed, r))
         for k, lam in enumerate(family.profiles):
             m = lam.size
             d = lam * est.theta[:m] - theta[:m]
@@ -226,7 +234,6 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
         risk = float(selected.mean())
         risk_se = float(selected.std(ddof=1) / math.sqrt(total))
         profile_total = sum(profile_sum for _, profile_sum in results)
-        oracle_val = float(profile_total.min() / total) if config.oracle else math.nan
         rows.append(
             RiskRow(
                 n=n,
@@ -235,7 +242,7 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
                 risk=risk,
                 risk_se=risk_se,
                 relative=relative_risk(risk, config.signal, p),
-                oracle=oracle_val,
+                oracle=float(profile_total.min() / total),
                 seconds=perf_counter() - t0,
             )
         )

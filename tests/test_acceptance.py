@@ -107,11 +107,10 @@ def test_criterion_3_covariance_identity():
     n, p, reps, seed = 50, 101, 20_000, 9301
     spec = NoiseSpec(rho1=RHO1, rho2=RHO2, interarrival=exponential_third())
     flat = zero_signal()
-    cells = np.zeros(n * p)
     phi2 = sg.trig_basis_eval(2, np.arange(1, n * p + 1) / p)
     vals = np.empty(reps)
     for r in range(reps):
-        path = sample_observations(flat, spec, n, p, RngStream(seed, r), drift_cells=cells)
+        path = sample_observations(flat, spec, n, p, RngStream(seed, r))
         integral = float(phi2 @ path.increments)
         vals[r] = integral * integral / n
     dev = abs(float(vals.mean()) - SIGMA_TARGET)
@@ -134,10 +133,9 @@ def test_criterion_4_proxy_variance():
     n, p, reps, seed = 100, 1001, 1000, 9401
     spec = NoiseSpec(rho1=RHO1, rho2=RHO2, interarrival=exponential_third())
     flat = zero_signal()
-    cells = np.zeros(n * p)
     devs = np.empty(reps)
     for r in range(reps):
-        path = sample_observations(flat, spec, n, p, RngStream(seed, r), drift_cells=cells)
+        path = sample_observations(flat, spec, n, p, RngStream(seed, r))
         devs[r] = abs(estimate_proxy_variance(estimate_coefficients(path)) - SIGMA_TARGET)
     mean_dev = float(devs.mean())
     elapsed = time.perf_counter() - t0

@@ -1,8 +1,10 @@
 """Tests for config parsing, manifests, and the CSV-emitting subcommands."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +24,14 @@ from driftsel.cli import (
     main,
     parse_config,
     validate_config,
+    _fit_one_path,
     _parse_interarrival,
 )
+from driftsel.estimator import estimate_coefficients, select_model
+from driftsel.noise import RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
+from driftsel.risk import replication_estimates, resolve_selection
+from driftsel.signal import cell_integrals, grid_values
 
 
 def read_csv(path):
@@ -50,7 +57,6 @@ def test_config_roundtrip():
         signal_coefficients=(0.1, -0.25, 1.0 / 7.0),
         n_values=(10, 20),
         delta="0.05",
-        oracle=False,
     )
     assert parse_config(emit_config(tweaked)) == tweaked
 
@@ -65,7 +71,7 @@ def test_parse_rejects_malformed_input():
     with pytest.raises(ConfigError):
         parse_config("just a line\n")
     with pytest.raises(ConfigError):
-        parse_config("risk.oracle=yes\n")
+        parse_config("strict_h5=yes\n")
 
 
 def test_parse_layers_on_base():
@@ -168,6 +174,24 @@ def test_main_rejects_non_finite_noise(tmp_path, capsys, setting):
     assert not (out / "risk.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ["estimator.delta=nan", "estimator.delta=inf", "estimator.eps=nan", "estimator.eps=-0.5",
+     "estimator.k_star=-1", "risk.p=-5", "renewal.horizon=nan", "renewal.horizon=-1", "renewal.h=nan",
+     "signal.kind=trig\nsignal.coefficients=1,nan", "signal.kind=tabulated\nsignal.values=0,inf,1"],
+)
+def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
+    # non-finite numbers, and negative zero-sentinels, would otherwise run
+    # to the end (or fail late) with a derived value the manifest misstates
+    subcommand = "renewal-density" if setting.startswith("renewal.") else "estimate"
+    cfg = write_cfg(tmp_path, f"{setting}\nestimate.n=10\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # the gamma law needs only scipy.special; scipy.stats alone costs
     # most of a second of start-up
@@ -226,6 +250,52 @@ def test_estimate_outputs(tmp_path):
     assert len(chosen) == 1
     costs = np.array([float(row[3]) for row in sel])
     assert float(chosen[0][3]) == costs.min()
+
+
+def test_estimate_is_the_engine_replication(tmp_path):
+    # estimate fits stream 0 through the risk engine's own sampler
+    cfg = write_cfg(tmp_path, "estimate.n=10\nrisk.p=101\nestimator.k_star=3\nestimator.eps=0.3\n")
+    out = tmp_path / "est"
+    assert main(["estimate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
+    experiment = experiment_config(RunConfig(seed=3, p=101, k_star=3, eps=0.3))
+    p, family, delta = resolve_selection(experiment, 10)
+    est = replication_estimates(10 * cell_integrals(experiment.signal, p), experiment.noise, 10, RngStream(3, 0))
+    result = select_model(est, family, delta)
+    _, _, rows = read_csv(out / "estimate.csv")
+    columns = np.array(rows, dtype=float).T
+    assert np.array_equal(columns[1], grid_values(experiment.signal, p))
+    assert np.array_equal(columns[2], result.grid_values())
+    _, _, sel = read_csv(out / "selection.csv")
+    assert np.array_equal(np.array([float(row[3]) for row in sel]), result.costs)
+
+
+def test_estimate_memory_does_not_grow_with_n(tmp_path):
+    # one n*p path at n=1000, p=10001 alone is 80 MB
+    cfg = write_cfg(tmp_path, "estimate.n=1000\nrisk.p=10001\nestimator.k_star=5\n")
+    tracemalloc.start()
+    try:
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "est")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n, p", [(20, 101), (100, 1001)])
+def test_fit_matches_full_path_fit_in_law(n, p):
+    # the folded sampler's fits have the discrete error of full-path fits
+    experiment = experiment_config(RunConfig(seed=71, p=p))
+    _, family, delta = resolve_selection(experiment, n)
+    truth = grid_values(experiment.signal, p)
+    folded, full = np.empty(400), np.empty(400)
+    for r in range(400):
+        _, result = _fit_one_path(experiment, n, stream=r)
+        folded[r] = np.sum((result.grid_values() - truth) ** 2) / p
+        obs = sample_observations(experiment.signal, experiment.noise, n, p, RngStream(71, r))
+        result = select_model(estimate_coefficients(obs), family, delta)
+        full[r] = np.sum((result.grid_values() - truth) ** 2) / p
+    se = math.hypot(folded.std(ddof=1), full.std(ddof=1)) / math.sqrt(400)
+    assert abs(folded.mean() - full.mean()) <= 5.0 * se
 
 
 def test_risk_table_output(tmp_path):

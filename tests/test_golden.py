@@ -2,8 +2,8 @@
 
 The config keeps the default k_star, so the weight family holds many
 members that share a profile, selection costs tie, and the earliest
-member must win; the oracle is on.  risk.csv is pinned with its
-wall-clock `seconds` column masked, for one worker and for two.
+member must win.  risk.csv is pinned with its wall-clock `seconds`
+column masked, for one worker and for two.
 
 Recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1.  A change that
 alters a reported digit must update these digests on purpose and say
@@ -26,18 +26,18 @@ CONFIG = (
 
 GOLDEN = {
     "risk-table": {
-        "risk.csv": "c24a1c41cdaee9b6fd680429ab14996aad0ef008449244b7fca7eec06a159baf",
-        "manifest.txt": "7c29d8a0e14d3dff4e25a3e359bbbaee008f5af91c9a7ff5ca3f5a8d0537f155",
+        "risk.csv": "62e68e978afb6a3f85957dde6edad962db8e8c3c95048a4f23adbe44c479a29c",
+        "manifest.txt": "eb07a873588d3490f09d834142eb6876001f6ec28d9f40254ecbd3df2dba898a",
     },
     "estimate": {
-        "estimate.csv": "a057d342639cb1a246d31241054d90d6d375570d75195ee024c29c38041d887e",
-        "selection.csv": "507a6bcf606a2bd312458013158fc3d48278ce7c7d92e3d2c6a16064b0b294fc",
-        "manifest.txt": "8a7d5f2389ca07862540dd13e1748f400b48375e0f8ca0f8a7e52daf915fd024",
+        "estimate.csv": "d03c255075d22591672bb9b5695a07b3b2ef49e80a137c45a74d9daa823a3391",
+        "selection.csv": "0a500b23f36d20193d80f5d9ad84be066b79307aad2f4788125e606e5d2ba3e1",
+        "manifest.txt": "9a4f17a7d31d8ebcdc81d18fbf0d6a2ac822b3f9aee9cc482934a72774d79f97",
     },
     "figures": {
-        "figure_n20.csv": "7a13bc32f430cd56dbf9936566fb0fb87db6f022921c2a2fa845b6e5029e0e75",
-        "figure_n40.csv": "a404e0497c3eeb7abecf5dc75e84f29f41b9b7ff49d0fe5ad19818611bd20a90",
-        "manifest.txt": "e6f4f53c91de5db637a779cd0ea15efc88fd146fff0590537996faa48e41bc78",
+        "figure_n20.csv": "f19bb59b6c28dc66cc96bef059d3af20cf96a35bc4b60acf43f3b06a97183f3c",
+        "figure_n40.csv": "7f99ce95b2427ce3418b65bc9034822c8bd1bbbb7fdc178d3ebc499a40595781",
+        "manifest.txt": "c7f014fcb76726c12f0fe936d55ddf86d7eb25ae6b064fac068d10f382f5d69f",
     },
 }
 

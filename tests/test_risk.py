@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,10 +122,6 @@ def test_grid_and_coefficient_routes_agree():
             chosen.add(int(family.profile_of[result.index]))
         assert len(chosen) > 1
         assert row.risk == pytest.approx(np.mean(errors), rel=1e-12)
-        # the oracle switch only decides whether the column is reported
-        off = run_risk_experiment(replace(cfg, oracle=False)).rows[0]
-        assert (off.risk, off.risk_se) == (row.risk, row.risk_se)
-        assert math.isnan(off.oracle)
 
 
 def test_report_is_deterministic():
@@ -187,7 +182,7 @@ def test_efficiency_trend_on_smooth_signals():
     exp_noise = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))
     cfg = ExperimentConfig(
         signal=smooth, noise=exp_noise, n_values=(100, 400, 1600), p=601,
-        replications=120, base_seed=601, k_star=5, oracle=False,
+        replications=120, base_seed=601, k_star=5,
     )
     rows = run_risk_experiment(cfg).rows
     scaled = [(r.n ** (2.0 / 3.0) * r.risk, r.n ** (2.0 / 3.0) * r.risk_se) for r in rows]
