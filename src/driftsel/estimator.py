@@ -38,9 +38,10 @@ class WeightFamily:
     """Candidate grid of shrinkage profiles.
 
     `members` holds the (beta, scale) label of every candidate in grid
-    order; many labels share one weight vector, so `profiles` keeps each
-    distinct nonzero prefix once, in order of first appearance, and
-    `profile_of[k]` is the index of member k's profile.
+    order; many labels share one weight vector, so `weights` stores each
+    distinct profile once, as one row of a zero-padded (D x W) matrix in
+    order of first appearance, and `profile_of[k]` is the row of member
+    k's profile.
     """
 
     k_star: int
@@ -48,7 +49,7 @@ class WeightFamily:
     m: int
     upsilon: float
     members: tuple
-    profiles: tuple
+    weights: np.ndarray
     profile_of: np.ndarray
 
     @classmethod
@@ -58,28 +59,26 @@ class WeightFamily:
         if len(members) != len(weights):
             raise ValueError("need one weight vector per member")
         first = {}
-        profiles = []
         profile_of = np.empty(len(weights), dtype=np.intp)
         for k, lam in enumerate(weights):
             lam = np.asarray(lam, dtype=float)
-            key = lam.tobytes()
-            if key not in first:
-                first[key] = len(profiles)
-                profiles.append(lam)
-            profile_of[k] = first[key]
-        return cls(k_star, eps, m, upsilon, tuple(members), tuple(profiles), profile_of)
+            profile_of[k] = first.setdefault(lam.tobytes(), (len(first), lam))[0]
+        rows = [lam for _, lam in first.values()]
+        matrix = np.zeros((len(rows), max((lam.size for lam in rows), default=0)))
+        for i, lam in enumerate(rows):
+            matrix[i, : lam.size] = lam
+        return cls(k_star, eps, m, upsilon, tuple(members), matrix, profile_of)
 
     @property
     def max_total(self) -> float:
         """Largest weight sum over the family, the quantity the residual
         term of the oracle inequality scales with."""
-        return max(float(lam.sum()) for lam in self.profiles)
+        return float(self.weights.sum(axis=1).max())
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     index: int
-    weights: np.ndarray
     sigma: float
     delta: float
     costs: np.ndarray
@@ -195,27 +194,28 @@ def build_weight_family(
     return family
 
 
-def penalty(lam: np.ndarray, sigma: float, n: int) -> float:
+def penalty(lam: np.ndarray, sigma: float, n: int):
     """Price of replacing the unknown cross term in the empirical error:
-    the noise level times the squared norm of the profile, per unit time."""
-    return sigma * float(np.dot(lam, lam)) / n
+    the noise level times the squared norm of each profile (row of `lam`),
+    per unit time."""
+    return sigma * (lam * lam).sum(axis=-1) / n
 
 
-def selection_cost(
-    lam: np.ndarray, est: CoefficientEstimates, sigma: float, delta: float
-) -> float:
-    """Penalized empirical squared error of one profile prefix `lam`."""
+def selection_cost(lam: np.ndarray, est: CoefficientEstimates, sigma: float, delta: float):
+    """Penalized empirical squared error of each profile, one value per
+    row of the zero-padded profile matrix `lam` (or one value for a single
+    profile).  Row-wise sums give a row the same bits whatever the row
+    count."""
     if not 0.0 < delta <= 1.0 / 6.0:
         warnings.warn(
             "threshold delta outside (0, 1/6]: the oracle inequality is not guaranteed",
             stacklevel=2,
         )
-    if lam.size > est.theta.size:
+    if lam.shape[-1] > est.theta.size:
         raise ValueError("weight support exceeds the estimable frequencies")
-    th = est.theta[: lam.size]
-    tilde = th * th - sigma / est.n
-    quad = float(np.dot(lam * lam, th * th))
-    linear = float(np.dot(lam, tilde))
+    sq = est.theta[: lam.shape[-1]] ** 2
+    quad = (lam * lam * sq).sum(axis=-1)
+    linear = (lam * (sq - sigma / est.n)).sum(axis=-1)
     return quad - 2.0 * linear + delta * penalty(lam, sigma, est.n)
 
 
@@ -234,9 +234,9 @@ def select_model(
 ) -> SelectionResult:
     """Scan the candidate grid and keep the cost minimizer.
 
-    Each distinct profile is scored once and its cost copied to every
-    member that shares it, so the result records every member's cost for
-    auditing; argmin takes the first occurrence, which makes ties
+    Every distinct profile is scored in one pass and its cost copied to
+    every member that shares it, so the result records every member's
+    cost for auditing; argmin takes the first occurrence, which makes ties
     deterministic.
     """
     if not family.members:
@@ -244,15 +244,13 @@ def select_model(
     if delta is None:
         delta = default_delta(est.n)
     sigma = estimate_proxy_variance(est)
-    profile_costs = np.array([selection_cost(lam, est, sigma, delta) for lam in family.profiles])
-    costs = profile_costs[family.profile_of]
+    costs = selection_cost(family.weights, est, sigma, delta)[family.profile_of]
     index = int(np.argmin(costs))
-    best = family.profiles[family.profile_of[index]]
+    width = family.weights.shape[1]
     shrunk = np.zeros(est.p - 1)
-    shrunk[: best.size] = best * est.theta[: best.size]
+    shrunk[:width] = family.weights[family.profile_of[index]] * est.theta[:width]
     return SelectionResult(
         index=index,
-        weights=best,
         sigma=sigma,
         delta=delta,
         costs=costs,

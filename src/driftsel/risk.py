@@ -97,12 +97,6 @@ class RiskRow:
 class RiskReport:
     rows: tuple
 
-    def row_for(self, n: int) -> RiskRow:
-        for row in self.rows:
-            if row.n == n:
-                return row
-        raise KeyError(f"no row for n={n}")
-
 
 def satisfies_h5(n: int, p: int) -> bool:
     """Sampling-frequency condition p >= n^(5/6)."""
@@ -160,20 +154,6 @@ def relative_risk(risk: float, signal, p: int) -> float:
     return risk / norm_sq
 
 
-def _candidate_tail_sums(theta_grid: np.ndarray, p: int) -> np.ndarray:
-    """suffix[m] = squared-norm contribution of coordinates above m.
-
-    The grid norm weights the last coefficient by 1/2 on even grids, so
-    the same suffix array serves both parities exactly.
-    """
-    sq = theta_grid * theta_grid
-    tail = sq[p - 1] if p % 2 else 0.5 * sq[p - 1]
-    suffix = np.empty(p)
-    suffix[p - 1] = tail
-    suffix[: p - 1] = np.cumsum(sq[: p - 1][::-1])[::-1] + tail
-    return suffix
-
-
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
                           rng: RngStream) -> CoefficientEstimates:
     """Coefficient estimates of one replication: n periods of the signal
@@ -185,20 +165,23 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
 def _run_chunk(payload):
     """Selected-estimate errors of replications start..stop-1 and each
     distinct profile's error summed over them; the selected estimate is
-    its member's profile applied to theta_hat, so it takes that error."""
+    its member's profile applied to theta_hat, so it takes that error.
+
+    A profile row is zero-padded to the family width W, so its error is
+    the squared distance over the first W coefficients plus the squared
+    norm of theta above W, whose last coefficient the grid norm weights
+    by 1/2 on even grids."""
     (signal, noise, n, p, family, delta, base_seed, start, stop) = payload
     theta = discrete_fourier_coeffs(signal, p)
-    suffix = _candidate_tail_sums(theta, p)
+    width = family.weights.shape[1]
+    sq = theta * theta
+    tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
     drift_sums = n * cell_integrals(signal, p)
     selected = np.empty(stop - start)
-    errors = np.empty(len(family.profiles))
-    profile_sum = np.zeros(len(family.profiles))
+    profile_sum = np.zeros(family.weights.shape[0])
     for r in range(start, stop):
         est = replication_estimates(drift_sums, noise, n, RngStream(base_seed, r))
-        for k, lam in enumerate(family.profiles):
-            m = lam.size
-            d = lam * est.theta[:m] - theta[:m]
-            errors[k] = np.dot(d, d) + suffix[m]
+        errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
         selected[r - start] = errors[family.profile_of[select_model(est, family, delta).index]]
         profile_sum += errors
     return selected, profile_sum

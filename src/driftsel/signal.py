@@ -123,7 +123,7 @@ def discrete_inner(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"grid length mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y) / x.size)
+    return float((x * y).sum() / x.size)
 
 
 def discrete_norm_sq(x) -> float:

@@ -182,7 +182,7 @@ def test_criterion_6_oracle_inequality():
     cfg = ExperimentConfig(
         n_values=(100,), p=1001, replications=500, k_star=5, base_seed=4242
     )
-    row = run_risk_experiment(cfg).row_for(100)
+    row = next(row for row in run_risk_experiment(cfg).rows if row.n == 100)
     bound = 1.5 * row.oracle + 10.0 / row.n
     elapsed = time.perf_counter() - t0
     verdict(

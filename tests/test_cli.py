@@ -203,6 +203,22 @@ def test_cli_import_leaves_out_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_module_entry_point_runs_the_subcommand(tmp_path):
+    # `python -m driftsel.cli` must run the command and pass on its exit code
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(tmp_path, "estimate.n=10\nrisk.p=101\nestimator.k_star=2\n")
+    out = tmp_path / "est"
+    done = subprocess.run([sys.executable, "-m", "driftsel.cli", "estimate", "--config", str(cfg),
+                           "--out", str(out)], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert {"estimate.csv", "selection.csv", "manifest.txt"} <= {f.name for f in out.iterdir()}
+    bad = write_cfg(tmp_path, "volume=11\n", "bad.cfg")
+    done = subprocess.run([sys.executable, "-m", "driftsel.cli", "estimate", "--config", str(bad),
+                           "--out", str(tmp_path / "bad")], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and "config error" in done.stderr
+
+
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("subcommand, key", [("risk-table", "risk.n_values"), ("estimate", "estimate.n")])
 def test_main_rejects_too_few_periods(tmp_path, capsys, subcommand, key, n):

@@ -39,6 +39,14 @@ def noiseless_path(S, n, p):
     return sample_observations(S, QUIET, n=n, p=p, rng=RngStream(0, 0))
 
 
+def padded(profiles, width):
+    """Profile prefixes as the rows of a zero-padded matrix of the given width."""
+    rows = np.zeros((len(profiles), width))
+    for i, lam in enumerate(profiles):
+        rows[i, : lam.size] = lam
+    return rows
+
+
 def test_noiseless_coefficients_match_corrected_coefficients():
     S = SignalSpec.trig_polynomial([0.3, 1.0, -0.4, 0.0, 0.2])
     for n, p in ((3, 16), (4, 25), (5, 40)):
@@ -174,8 +182,8 @@ def test_family_cardinality():
     assert fam.members[0][1] == pytest.approx(0.5)
     assert fam.members[3][1] == pytest.approx(2.0)
     assert len(fam.profile_of) == 8
-    for k, (beta, scale) in enumerate(fam.members):
-        assert np.array_equal(fam.profiles[fam.profile_of[k]], pinsker_weights(beta, scale, 50.0, 50))
+    rows = padded([pinsker_weights(beta, scale, 50.0, 50) for beta, scale in fam.members], fam.weights.shape[1])
+    assert fam.weights[fam.profile_of].tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -206,10 +214,12 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
     brute = WeightFamily.from_members(fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members, weights)
     assert fam.members == brute.members
     assert np.array_equal(fam.profile_of, brute.profile_of)
-    assert [w.tobytes() for w in fam.profiles] == [w.tobytes() for w in brute.profiles]
-    assert all(w.dtype == np.float64 for w in fam.profiles)
+    assert fam.weights.shape == brute.weights.shape
+    assert fam.weights.tobytes() == brute.weights.tobytes()
+    assert fam.weights.dtype == np.float64 and fam.weights.flags.c_contiguous
+    assert fam.weights.shape[1] == max(w.size for w in weights)
     if kwargs.get("upsilon") == 2.7:
-        assert fam.profiles[0].size == 0 and len(fam.profiles) > 1
+        assert not fam.weights[0].any() and fam.weights.shape[0] > 1
 
 
 def test_family_defaults_track_sample_size():
@@ -291,7 +301,7 @@ def test_select_singleton_family():
     fam = WeightFamily.from_members(1, 1.0, 1, 10.0, [(1, 1.0)], [only])
     res = select_model(est, fam, delta=0.1)
     assert res.index == 0
-    assert res.weights is only
+    assert np.array_equal(res.coefficients, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def test_select_empty_family():
@@ -303,18 +313,18 @@ def test_select_empty_family():
 
 def test_select_scores_each_distinct_profile_once(monkeypatch):
     fam = build_weight_family(n=1000, p=10001)
-    assert (len(fam.members), len(fam.profiles)) == (4794, 45)
+    assert (len(fam.members), *fam.weights.shape) == (4794, 45, 16)
     calls = []
 
     def counted(lam, *args):
-        calls.append(lam)
+        calls.append(lam.shape)
         return selection_cost(lam, *args)
 
     monkeypatch.setattr("driftsel.estimator.selection_cost", counted)
     rng = np.random.default_rng(80)
     est = CoefficientEstimates(n=1000, p=10001, theta=rng.normal(0.0, 0.05, 10000))
     res = select_model(est, fam)
-    assert len(calls) == len(fam.profiles)
+    assert calls == [(45, 16)]
     assert res.costs.shape == (len(fam.members),)
 
 
@@ -325,10 +335,8 @@ def test_select_attains_exhaustive_minimum():
     res = select_model(est, fam, delta=0.05)
     sigma = estimate_proxy_variance(est)
     # one cost per member, from a profile rebuilt from the member's label
-    brute = np.array([
-        selection_cost(pinsker_weights(beta, scale, 40.0, 40), est, sigma, 0.05)
-        for beta, scale in fam.members
-    ])
+    rows = padded([pinsker_weights(beta, scale, 40.0, 40) for beta, scale in fam.members], fam.weights.shape[1])
+    brute = selection_cost(rows, est, sigma, 0.05)
     assert np.array_equal(res.costs, brute)
     assert res.costs[res.index] == res.costs.min()
     assert res.index == int(np.argmin(brute))
@@ -338,7 +346,7 @@ def test_select_breaks_ties_at_lowest_index():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7) * 0.3)
     w = np.array([1.0, 1.0])
     fam = WeightFamily.from_members(1, 1.0, 2, 10.0, [(1, 1.0), (1, 2.0)], [w, w.copy()])
-    assert len(fam.profiles) == 1
+    assert fam.weights.shape == (1, 2)
     assert select_model(est, fam, delta=0.1).index == 0
 
 
@@ -348,7 +356,7 @@ def test_select_invariant_under_candidate_permutation():
     fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
     flipped = WeightFamily.from_members(
         fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members[::-1],
-        [fam.profiles[i] for i in fam.profile_of[::-1]],
+        [fam.weights[i] for i in fam.profile_of[::-1]],
     )
     a = select_model(est, fam, delta=0.05)
     b = select_model(est, flipped, delta=0.05)
@@ -368,10 +376,10 @@ def test_select_noiseless_pure_basis():
     target = grid_values(S, p)
     errors = []
     for i in fam.profile_of:
-        w = fam.profiles[i]
-        padded = np.zeros(p)
-        padded[: w.size] = w * est.theta[: w.size]
-        errors.append(np.mean((coefficients_to_grid(padded) - target) ** 2))
+        w = fam.weights[i]
+        coeffs = np.zeros(p)
+        coeffs[: w.size] = w * est.theta[: w.size]
+        errors.append(np.mean((coefficients_to_grid(coeffs) - target) ** 2))
     assert errors[res.index] <= min(errors) + 1e-12
 
 

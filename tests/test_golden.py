@@ -26,7 +26,7 @@ CONFIG = (
 
 GOLDEN = {
     "risk-table": {
-        "risk.csv": "62e68e978afb6a3f85957dde6edad962db8e8c3c95048a4f23adbe44c479a29c",
+        "risk.csv": "746ed51f367a1615f8b7dd3aeb6d65bef52b3b007be6a1f58edfb8bafcc2362d",
         "manifest.txt": "eb07a873588d3490f09d834142eb6876001f6ec28d9f40254ecbd3df2dba898a",
     },
     "estimate": {

@@ -13,6 +13,7 @@ from driftsel.estimator import (
     efficient_delta,
     estimate_coefficients,
     estimate_proxy_variance,
+    pinsker_weights,
     select_model,
 )
 from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
@@ -21,13 +22,21 @@ from driftsel.risk import (
     ExperimentConfig,
     pinsker_constant,
     relative_risk,
+    replication_estimates,
     resolve_delta,
     resolve_frequency,
     resolve_selection,
     run_risk_experiment,
     satisfies_h5,
 )
-from driftsel.signal import SignalSpec, cell_integrals, discrete_norm_sq, grid_coefficients, grid_values
+from driftsel.signal import (
+    SignalSpec,
+    cell_integrals,
+    discrete_fourier_coeffs,
+    discrete_norm_sq,
+    grid_coefficients,
+    grid_values,
+)
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -105,7 +114,9 @@ def test_delta_resolution():
 def test_grid_and_coefficient_routes_agree():
     # the engine scores the selected estimate in coefficient space; replay
     # its streams and score the same selections on the grid instead, on
-    # both grid parities, with a family whose selections vary
+    # both grid parities, with a family whose selections vary; the oracle
+    # is replayed one unpadded profile prefix at a time with the suffix
+    # identity (the last coefficient weighs 1/2 on even grids)
     n, reps, seed = 20, 40, 11
     for p in (501, 500):
         cfg = ExperimentConfig(n_values=(n,), p=p, replications=reps, base_seed=seed, k_star=3, eps=0.3)
@@ -113,15 +124,49 @@ def test_grid_and_coefficient_routes_agree():
         _, family, delta = resolve_selection(cfg, n)
         drift = n * cell_integrals(cfg.signal, p)
         truth = grid_values(cfg.signal, p)
-        errors, chosen = [], set()
+        theta = discrete_fourier_coeffs(cfg.signal, p)
+        sq = theta**2
+        last = sq[p - 1] if p % 2 else 0.5 * sq[p - 1]
+        prefixes = [pinsker_weights(beta, scale, family.upsilon, min(n, p - 1)) for beta, scale in family.members]
+        errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
             sums = sample_period_sums(drift, cfg.noise, n, RngStream(seed, r))
-            result = select_model(coefficients_from_period_sums(sums, n), family, delta)
+            est = coefficients_from_period_sums(sums, n)
+            result = select_model(est, family, delta)
             diff = result.grid_values() - truth
             errors.append(np.dot(diff, diff) / p)
             chosen.add(int(family.profile_of[result.index]))
+            for k, lam in enumerate(prefixes):
+                m = lam.size
+                d = lam * est.theta[:m] - theta[:m]
+                profile_errors[k] += np.dot(d, d) + sq[m : p - 1].sum() + last
         assert len(chosen) > 1
         assert row.risk == pytest.approx(np.mean(errors), rel=1e-12)
+        assert row.oracle == pytest.approx(profile_errors.min() / reps, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p, k_star, reps", [(100, 1001, None, 300), (1000, 10001, 5, 100)])
+def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
+    # the one-pass matrix scoring picks the member a loop scoring one
+    # unpadded prefix at a time picks, on the engine's own replications
+    cfg = ExperimentConfig(n_values=(n,), p=p, replications=reps, base_seed=12, k_star=k_star)
+    _, family, delta = resolve_selection(cfg, n)
+    first = {}
+    for k, (beta, scale) in enumerate(family.members):
+        first.setdefault(family.profile_of[k], pinsker_weights(beta, scale, family.upsilon, min(n, p - 1)))
+    prefixes = [first[i] for i in range(len(first))]
+    drift = n * cell_integrals(cfg.signal, p)
+    for r in range(reps):
+        est = replication_estimates(drift, cfg.noise, n, RngStream(12, r))
+        sigma = estimate_proxy_variance(est)
+        costs = []
+        for lam in prefixes:
+            th = est.theta[: lam.size]
+            quad = np.dot(lam * lam, th * th)
+            linear = np.dot(lam, th * th - sigma / n)
+            costs.append(quad - 2.0 * linear + delta * sigma * np.dot(lam, lam) / n)
+        expected = int(np.argmin(np.array(costs)[family.profile_of]))
+        assert select_model(est, family, delta).index == expected
 
 
 def test_report_is_deterministic():
@@ -136,8 +181,7 @@ def test_report_is_deterministic():
 
 
 def test_desk_scale_monotone_in_n(desk_report):
-    lo = desk_report.row_for(20)
-    hi = desk_report.row_for(100)
+    lo, hi = (next(row for row in desk_report.rows if row.n == n) for n in (20, 100))
     assert hi.risk < lo.risk - 3.0 * math.hypot(lo.risk_se, hi.risk_se)
 
 
@@ -167,8 +211,8 @@ def test_noiseless_oracle_is_the_truncation_error():
     sq = theta_grid**2
     family = build_weight_family(n, p, eps=0.5, k_star=2)
     errors = []
-    for i in family.profile_of:
-        w = family.profiles[i]
+    for beta, scale in family.members:
+        w = pinsker_weights(beta, scale, family.upsilon, min(n, p - 1))
         m = w.size
         d = w * est.theta[:m] - theta_grid[:m]
         errors.append(np.dot(d, d) + sq[m : p - 1].sum() + sq[p - 1])
