@@ -379,7 +379,8 @@ def _run_renewal_density(config: RunConfig, experiment: ExperimentConfig, out: P
             "raise renewal.horizon or refine renewal.h",
             file=sys.stderr,
         )
-    rows = (map(_fmt, row) for row in zip(solution.x, solution.rho, solution.upsilon))
+    # Python floats repr exactly like the numpy scalars, without building 360k of them
+    rows = (map(repr, row) for row in zip(solution.x.tolist(), solution.rho.tolist(), solution.upsilon.tolist()))
     _write_csv(out / "renewal.csv", digest, ("x", "rho", "upsilon"), rows)
     return ["renewal.csv"]
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from .renewal import InterarrivalLaw
 from .signal import cell_integrals
@@ -40,9 +41,9 @@ class RngStream:
     base_seed: int
     stream_index: int = 0
 
-    def generator(self, tag: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.base_seed, spawn_key=(self.stream_index, tag))
-        return np.random.Generator(np.random.Philox(seq))
+    def generator(self, tag: int) -> Generator:
+        seq = SeedSequence(self.base_seed, spawn_key=(self.stream_index, tag))
+        return Generator(Philox(seq))
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class ObservationPath:
         return np.arange(self.y.size) / self.p
 
 
-def _sample_marks(law: str, gen: np.random.Generator, size: int) -> np.ndarray:
+def _sample_marks(law: str, gen: Generator, size: int) -> np.ndarray:
     # standardized: mean 0, variance 1, finite fourth moment
     if law == "normal":
         return gen.standard_normal(size)

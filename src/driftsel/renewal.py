@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlogy
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,16 @@ class InterarrivalLaw:
 
     def pdf(self, x):
         """Density at x >= 0."""
+        # deferred: scipy.special would double every command's start-up, and only the renewal solve needs it
+        from scipy.special import gammaln, xlogy
+
         z = x / self.scale
         return np.exp(xlogy(self.shape - 1.0, z) - z - gammaln(self.shape)) / self.scale
 
     def cdf(self, x):
         """Distribution function at x >= 0 (the regularized incomplete gamma)."""
+        from scipy.special import gammainc
+
         return gammainc(self.shape, x / self.scale)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:

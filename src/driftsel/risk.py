@@ -18,6 +18,7 @@ time only, never a reported digit.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -190,43 +191,40 @@ def _run_chunk(payload):
 def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
     """Evaluate the selection procedure for every requested n."""
     rows = []
-    for n in config.n_values:
-        t0 = perf_counter()
-        p, family, delta = resolve_selection(config, n)
-        total = config.replications
-        payloads = [
-            (
-                config.signal,
-                config.noise,
-                n,
-                p,
-                family,
-                delta,
-                config.base_seed,
-                start,
-                min(start + _CHUNK, total),
+    with ProcessPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
+        for n in config.n_values:
+            t0 = perf_counter()
+            p, family, delta = resolve_selection(config, n)
+            total = config.replications
+            payloads = [
+                (
+                    config.signal,
+                    config.noise,
+                    n,
+                    p,
+                    family,
+                    delta,
+                    config.base_seed,
+                    start,
+                    min(start + _CHUNK, total),
+                )
+                for start in range(0, total, _CHUNK)
+            ]
+            results = list((pool.map if pool else map)(_run_chunk, payloads))
+            selected = np.concatenate([sel for sel, _ in results])
+            risk = float(selected.mean())
+            risk_se = float(selected.std(ddof=1) / math.sqrt(total))
+            profile_total = sum(profile_sum for _, profile_sum in results)
+            rows.append(
+                RiskRow(
+                    n=n,
+                    p=p,
+                    replications=total,
+                    risk=risk,
+                    risk_se=risk_se,
+                    relative=relative_risk(risk, config.signal, p),
+                    oracle=float(profile_total.min() / total),
+                    seconds=perf_counter() - t0,
+                )
             )
-            for start in range(0, total, _CHUNK)
-        ]
-        if config.threads > 1:
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
-                results = list(pool.map(_run_chunk, payloads))
-        else:
-            results = [_run_chunk(pay) for pay in payloads]
-        selected = np.concatenate([sel for sel, _ in results])
-        risk = float(selected.mean())
-        risk_se = float(selected.std(ddof=1) / math.sqrt(total))
-        profile_total = sum(profile_sum for _, profile_sum in results)
-        rows.append(
-            RiskRow(
-                n=n,
-                p=p,
-                replications=total,
-                risk=risk,
-                risk_se=risk_se,
-                relative=relative_risk(risk, config.signal, p),
-                oracle=float(profile_total.min() / total),
-                seconds=perf_counter() - t0,
-            )
-        )
     return RiskReport(rows=tuple(rows))

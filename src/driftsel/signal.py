@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 SQRT2 = math.sqrt(2.0)
 
@@ -167,7 +168,7 @@ def grid_coefficients(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     p = v.size
     x = np.roll(v, 1)
-    X = np.fft.rfft(x)
+    X = rfft(x)
     theta = np.empty(p)
     theta[0] = X[0].real / p
     # even j = 2k at slots 1, 3, 5, ...; odd j = 2k+1 at slots 2, 4, 6, ...
@@ -192,7 +193,7 @@ def coefficients_to_grid(theta: np.ndarray) -> np.ndarray:
     im = theta[2::2]
     X[1:1 + re.size] += p * re / SQRT2
     X[1:1 + im.size] += -1j * p * im / SQRT2
-    x = np.fft.irfft(X, n=p)
+    x = irfft(X, n=p)
     return np.roll(x, -1)
 
 

@@ -192,15 +192,48 @@ def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # the gamma law needs only scipy.special; scipy.stats alone costs
-    # most of a second of start-up
+def test_cli_import_loads_no_scipy():
+    # scipy.special alone costs about half of start-up and only the renewal
+    # solve needs it; numpy.random and numpy.fft load lazily in numpy 2, so
+    # the modules that use them must load them up front
     src = str(Path(driftsel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, driftsel.cli; "
-            "print([m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))])")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] True True"
+
+
+def test_only_renewal_density_loads_modules_after_import(tmp_path):
+    # a numpy or scipy module loaded inside a command lands in its timed run
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(
+        tmp_path,
+        "risk.n_values=10\nrisk.p=101\nrisk.replications=20\nestimate.n=10\n"
+        "estimator.k_star=2\nestimator.eps=0.5\n"
+        "noise.interarrival=exponential(1)\nrenewal.h=0.02\nrenewal.horizon=20.0\n",
+    )
+    code = f"""
+import sys
+from driftsel.cli import main
+
+def loaded():
+    return {{m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')}}
+
+before = loaded()
+for argv in (["risk-table", "--threads", "1"], ["risk-table", "--threads", "2"],
+             ["estimate"], ["figures"], ["simulate"]):
+    assert main([*argv, "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print(sorted(loaded() - before))
+assert main(["renewal-density", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "ren")!r}]) == 0
+print("scipy.special" in loaded() - before)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    assert (tmp_path / "ren" / "renewal.csv").exists()
 
 
 def test_module_entry_point_runs_the_subcommand(tmp_path):

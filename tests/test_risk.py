@@ -2,6 +2,8 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,6 +180,23 @@ def test_report_is_deterministic():
     assert (a.risk, a.risk_se, a.relative, a.oracle) == (c.risk, c.risk_se, c.relative, c.oracle)
     other = run_risk_experiment(ExperimentConfig(n_values=(20,), p=501, replications=60, base_seed=8, k_star=3)).rows[0]
     assert other.risk != a.risk
+
+
+def test_one_process_pool_per_run(monkeypatch):
+    # a pool start and stop costs 12-25 ms, so every n shares one pool
+    pools = []
+
+    def counted(*args, **kwargs):
+        pools.append(ProcessPoolExecutor(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr("driftsel.risk.ProcessPoolExecutor", counted)
+    cfg = ExperimentConfig(n_values=(10, 20, 30), p=101, replications=60, k_star=2)
+    serial = run_risk_experiment(cfg).rows
+    assert pools == []
+    pooled = run_risk_experiment(replace(cfg, threads=2)).rows
+    assert len(pools) == 1
+    assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in pooled]
 
 
 def test_desk_scale_monotone_in_n(desk_report):
