@@ -26,7 +26,8 @@ from .signal import coefficients_to_grid, grid_coefficients
 
 @dataclass(frozen=True)
 class CoefficientEstimates:
-    """Raw coefficient estimates for one observation path."""
+    """Raw coefficient estimates for one observation path, or for a block
+    of paths with one (possibly truncated) row of `theta` each."""
 
     n: int
     p: int
@@ -51,23 +52,6 @@ class WeightFamily:
     members: tuple
     weights: np.ndarray
     profile_of: np.ndarray
-
-    @classmethod
-    def from_members(cls, k_star, eps, m, upsilon, members, weights) -> "WeightFamily":
-        """Family whose member k has label members[k] and profile weights[k];
-        equal profiles are stored once."""
-        if len(members) != len(weights):
-            raise ValueError("need one weight vector per member")
-        first = {}
-        profile_of = np.empty(len(weights), dtype=np.intp)
-        for k, lam in enumerate(weights):
-            lam = np.asarray(lam, dtype=float)
-            profile_of[k] = first.setdefault(lam.tobytes(), (len(first), lam))[0]
-        rows = [lam for _, lam in first.values()]
-        matrix = np.zeros((len(rows), max((lam.size for lam in rows), default=0)))
-        for i, lam in enumerate(rows):
-            matrix[i, : lam.size] = lam
-        return cls(k_star, eps, m, upsilon, tuple(members), matrix, profile_of)
 
     @property
     def max_total(self) -> float:
@@ -130,6 +114,12 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     return float(est.n / p_check * np.dot(block, block))
 
 
+def _bandwidth_law(beta: int):
+    """Constant d_beta and exponent 1/(2 beta + 1) of the bandwidth
+    omega = (d_beta * scale * upsilon) ** exponent of taper order beta."""
+    return (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta), 1.0 / (2 * beta + 1)
+
+
 def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.ndarray:
     """Shrinkage profile: flat at 1 below the cutoff 1 + floor(ln upsilon),
     polynomial taper 1 - (j/omega)^beta out to the bandwidth omega, zero
@@ -142,8 +132,8 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.nda
     if scale <= 0.0 or upsilon <= 1.0:
         raise ValueError("bandwidth scale must be positive and upsilon > 1")
     j_star = 1 + math.floor(math.log(upsilon))
-    d_beta = (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta)
-    omega = (d_beta * scale * upsilon) ** (1.0 / (2 * beta + 1))
+    d_beta, power = _bandwidth_law(beta)
+    omega = (d_beta * scale * upsilon) ** power
     if math.floor(omega) < j_star:
         # the bandwidth stops below the cutoff: the flat all-ones prefix
         return np.ones(min(cap, j_star - 1))
@@ -181,11 +171,38 @@ def build_weight_family(
         raise ValueError("eps must lie in (0, 1); increase n or set eps explicitly")
     if k_star < 1:
         raise ValueError("k_star must be at least 1")
+    if upsilon <= 1.0:
+        raise ValueError("upsilon must exceed 1")
     m = int(1.0 / eps**2)
     cap = min(n, p - 1)
-    members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
-    weights = [pinsker_weights(beta, scale, upsilon, cap) for beta, scale in members]
-    family = WeightFamily.from_members(k_star, eps, m, upsilon, members, weights)
+    j_star = 1 + math.floor(math.log(upsilon))
+    # most members' bandwidth stops below the cutoff, where
+    # pinsker_weights returns the flat prefix: they share one row, keyed
+    # like every other profile so that a taper capped below the cutoff,
+    # which is all ones too, joins it
+    flat = np.ones(min(cap, j_star - 1))
+    flat_key = flat.tobytes()
+    members, profile_of, rows, first = [], [], [], {}
+    for beta in range(1, k_star + 1):
+        d_beta, power = _bandwidth_law(beta)
+        for i in range(1, m + 1):
+            scale = i * eps
+            omega = (d_beta * scale * upsilon) ** power
+            if math.floor(omega) < j_star:
+                lam, key = flat, flat_key
+            else:
+                lam = pinsker_weights(beta, scale, upsilon, cap)
+                key = lam.tobytes()
+            row = first.setdefault(key, len(first))
+            if row == len(rows):
+                rows.append(lam)
+            members.append((beta, scale))
+            profile_of.append(row)
+    weights = np.zeros((len(rows), max(lam.size for lam in rows)))
+    for row, lam in enumerate(rows):
+        weights[row, : lam.size] = lam
+    family = WeightFamily(k_star, eps, m, upsilon, tuple(members), weights,
+                          np.array(profile_of, dtype=np.intp))
     total = family.max_total
     if total < 1.0:
         raise ValueError("all candidates shrink below total weight 1; grid too small")
@@ -194,28 +211,34 @@ def build_weight_family(
     return family
 
 
-def penalty(lam: np.ndarray, sigma: float, n: int):
+def penalty(lam: np.ndarray, sigma, n: int):
     """Price of replacing the unknown cross term in the empirical error:
     the noise level times the squared norm of each profile (row of `lam`),
-    per unit time."""
+    per unit time; an array `sigma` broadcasts against the profiles."""
     return sigma * (lam * lam).sum(axis=-1) / n
 
 
-def selection_cost(lam: np.ndarray, est: CoefficientEstimates, sigma: float, delta: float):
-    """Penalized empirical squared error of each profile, one value per
-    row of the zero-padded profile matrix `lam` (or one value for a single
-    profile).  Row-wise sums give a row the same bits whatever the row
-    count."""
+def selection_cost(lam: np.ndarray, est: CoefficientEstimates, sigma, delta: float):
+    """Penalized empirical squared error of each profile (row of the
+    zero-padded profile matrix `lam`, or one profile) for each estimate:
+    `est.theta` holds one estimate with its proxy variance `sigma`, or a
+    block of estimates, one per row, with one `sigma` each, and then the
+    costs have one row per estimate.  Row-wise sums give a cost the same
+    bits whatever the number of profiles and estimates."""
     if not 0.0 < delta <= 1.0 / 6.0:
         warnings.warn(
             "threshold delta outside (0, 1/6]: the oracle inequality is not guaranteed",
             stacklevel=2,
         )
-    if lam.shape[-1] > est.theta.size:
+    width = lam.shape[-1]
+    if width > est.theta.shape[-1]:
         raise ValueError("weight support exceeds the estimable frequencies")
-    sq = est.theta[: lam.shape[-1]] ** 2
+    # estimate axes first, then the profile axes of lam
+    lead = est.theta.shape[:-1]
+    sq = (est.theta[..., :width] ** 2).reshape(lead + (1,) * (lam.ndim - 1) + (width,))
+    sigma = np.reshape(sigma, lead + (1,) * (lam.ndim - 1))
     quad = (lam * lam * sq).sum(axis=-1)
-    linear = (lam * (sq - sigma / est.n)).sum(axis=-1)
+    linear = (lam * (sq - sigma[..., None] / est.n)).sum(axis=-1)
     return quad - 2.0 * linear + delta * penalty(lam, sigma, est.n)
 
 

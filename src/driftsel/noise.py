@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -180,8 +181,25 @@ def sample_levy_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) ->
     widths = np.diff(grid)
     if grid.size < 2 or np.any(widths < 0):
         raise ValueError("grid must be nondecreasing with at least two points")
+    return _levy_on_cells(widths, np.sqrt(widths), spec, rng)
+
+
+@lru_cache(maxsize=1)
+def _period_cells(n: int, p: int):
+    """Widths of the p cells of width n/p that sample_period_sums draws
+    the Levy part on, and their square roots, built once per (n, p) from
+    the grid sample_levy_increments would diff (read-only: shared)."""
+    widths = np.diff(np.arange(p + 1) * (n / p))
+    roots = np.sqrt(widths)
+    widths.flags.writeable = roots.flags.writeable = False
+    return widths, roots
+
+
+def _levy_on_cells(widths: np.ndarray, roots: np.ndarray, spec: NoiseSpec,
+                   rng: RngStream) -> np.ndarray:
+    """Levy increments over cells of the given widths (roots = sqrt(widths))."""
     m_cells = widths.size
-    dW = rng.generator(TAG_BROWNIAN).standard_normal(m_cells) * np.sqrt(widths)
+    dW = rng.generator(TAG_BROWNIAN).standard_normal(m_cells) * roots
     if spec.rho_check == 1.0:
         return dW
     if spec.jumps is None:
@@ -243,5 +261,5 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int,
     right += right / p < epochs
     right -= (right - 1) / p >= epochs
     dz = np.bincount((right - 1) % p, weights=marks, minlength=p)
-    dL = sample_levy_increments(np.arange(p + 1) * (n / p), spec, rng)
+    dL = _levy_on_cells(*_period_cells(n, p), spec, rng)
     return drift_sums + spec.rho1 * dL + spec.rho2 * dz

@@ -3,11 +3,13 @@
 One engine run drives everything.  Each replication takes its
 coefficient estimates from `replication_estimates`, which draws the
 period sums of a fresh path (its n*p increments folded onto one period)
-without building the path; the CLI's single-path fits use it too.  The
-replication then scores every distinct shrinkage profile through the
-coefficient-space identity for the discrete norm, and runs the full
-selection pipeline, whose chosen estimate is one of those profiles and
-takes its error.  The adaptive risk and the oracle benchmark thus share
+without building the path; the CLI's single-path fits use it too.  A
+chunk keeps each replication's proxy variance and the coefficients the
+profiles reach, then selects and scores all its replications as one
+block: every distinct shrinkage profile is scored through the
+coefficient-space identity for the discrete norm, and each replication's
+selected estimate, the profile select_model would choose, takes that
+profile's error.  The adaptive risk and the oracle benchmark thus share
 replications and one scoring identity, so they are directly comparable.
 
 Determinism contract: replication r always draws from stream r of the
@@ -30,7 +32,8 @@ from .estimator import (
     coefficients_from_period_sums,
     default_delta,
     efficient_delta,
-    select_model,
+    estimate_proxy_variance,
+    selection_cost,
 )
 from .noise import NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
@@ -165,27 +168,35 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
 
 def _run_chunk(payload):
     """Selected-estimate errors of replications start..stop-1 and each
-    distinct profile's error summed over them; the selected estimate is
-    its member's profile applied to theta_hat, so it takes that error.
+    distinct profile's error summed over them.
 
-    A profile row is zero-padded to the family width W, so its error is
+    Each replication contributes its proxy variance and the first W
+    coefficient estimates, W the width of the profile matrix `weights`,
+    which is all that selection and scoring read; the chunk is then
+    selected and scored as one block.  A replication's selected estimate
+    is its cheapest profile applied to theta_hat (the earliest on ties,
+    which holds the member select_model picks), so it takes that
+    profile's error.  A profile row is zero-padded to W, so its error is
     the squared distance over the first W coefficients plus the squared
     norm of theta above W, whose last coefficient the grid norm weights
     by 1/2 on even grids."""
-    (signal, noise, n, p, family, delta, base_seed, start, stop) = payload
+    (signal, noise, n, p, weights, delta, base_seed, start, stop) = payload
     theta = discrete_fourier_coeffs(signal, p)
-    width = family.weights.shape[1]
+    width = weights.shape[1]
     sq = theta * theta
     tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
     drift_sums = n * cell_integrals(signal, p)
-    selected = np.empty(stop - start)
-    profile_sum = np.zeros(family.weights.shape[0])
+    block = np.empty((stop - start, width))
+    sigma = np.empty(stop - start)
     for r in range(start, stop):
         est = replication_estimates(drift_sums, noise, n, RngStream(base_seed, r))
-        errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
-        selected[r - start] = errors[family.profile_of[select_model(est, family, delta).index]]
-        profile_sum += errors
-    return selected, profile_sum
+        sigma[r - start] = estimate_proxy_variance(est)
+        block[r - start] = est.theta[:width]
+    chosen = selection_cost(weights, CoefficientEstimates(n, p, block), sigma, delta).argmin(axis=1)
+    errors = ((weights * block[:, None, :] - theta[:width]) ** 2).sum(axis=-1) + tail
+    # a running sum down the rows, as one replication at a time would add
+    # them: errors.sum(axis=0) pairs the rows up when there is one profile
+    return errors[np.arange(stop - start), chosen], errors.cumsum(axis=0)[-1]
 
 
 def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
@@ -202,7 +213,7 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
                     config.noise,
                     n,
                     p,
-                    family,
+                    family.weights,
                     delta,
                     config.base_seed,
                     start,

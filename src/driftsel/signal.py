@@ -167,7 +167,7 @@ def grid_coefficients(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     p = v.size
-    x = np.roll(v, 1)
+    x = np.concatenate((v[-1:], v[:-1]))
     X = rfft(x)
     theta = np.empty(p)
     theta[0] = X[0].real / p

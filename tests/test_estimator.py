@@ -1,5 +1,6 @@
 """Tests for coefficient estimation, proxy variance, and model selection."""
 
+import itertools
 import math
 import warnings
 
@@ -45,6 +46,36 @@ def padded(profiles, width):
     for i, lam in enumerate(profiles):
         rows[i, : lam.size] = lam
     return rows
+
+
+def family_of(k_star, eps, m, upsilon, members, profiles):
+    """Family whose member k has label members[k] and profile profiles[k],
+    equal profiles stored once in order of first appearance."""
+    first, profile_of = {}, []
+    for lam in profiles:
+        lam = np.asarray(lam, dtype=float)
+        profile_of.append(first.setdefault(lam.tobytes(), (len(first), lam))[0])
+    rows = [lam for _, lam in first.values()]
+    weights = padded(rows, max((lam.size for lam in rows), default=0))
+    return WeightFamily(k_star, eps, m, upsilon, tuple(members), weights, np.array(profile_of, dtype=np.intp))
+
+
+def reference_family(n, p, eps=None, k_star=None):
+    """build_weight_family's family at the default upsilon = n, from one
+    pinsker_weights call per member, with its errors."""
+    if n < 2:
+        raise ValueError("n < 2")
+    eps = 1.0 / math.log(n) if eps is None else eps
+    k_star = int(100 + math.sqrt(math.log(n))) if k_star is None else k_star
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps outside (0, 1)")
+    m, upsilon = int(1.0 / eps**2), n / 1.0
+    members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
+    profiles = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members]
+    fam = family_of(k_star, eps, m, upsilon, members, profiles)
+    if not 1.0 <= fam.max_total <= 1.0 + (upsilon / eps) ** (1.0 / 3.0):
+        raise ValueError("total weight out of bounds")
+    return fam
 
 
 def test_noiseless_coefficients_match_corrected_coefficients():
@@ -211,7 +242,7 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
     fam = build_weight_family(n, p, **kwargs)
     cap = min(n, p - 1)
     weights = [taper(beta, scale, fam.upsilon, cap) for beta, scale in fam.members]
-    brute = WeightFamily.from_members(fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members, weights)
+    brute = family_of(fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members, weights)
     assert fam.members == brute.members
     assert np.array_equal(fam.profile_of, brute.profile_of)
     assert fam.weights.shape == brute.weights.shape
@@ -220,6 +251,33 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
     assert fam.weights.shape[1] == max(w.size for w in weights)
     if kwargs.get("upsilon") == 2.7:
         assert not fam.weights[0].any() and fam.weights.shape[0] > 1
+
+
+@pytest.mark.parametrize("p", [3, 11, 101, 1001, 100001])
+def test_family_matches_a_per_member_reference(p):
+    # flat members share one row without a profile of their own; the
+    # reference builds and dedupes every member's profile, and p = 3 or 11
+    # caps tapers below the cutoff, where they equal the flat row
+    built = failed = 0
+    for n in (2, 3, 4, 6, 9, 15, 30, 60, 100, 200, 450, 1000, 3000):
+        for k_star, eps in itertools.product((None, 1, 3, 5), (None, 0.3, 0.1)):
+            try:
+                expected = reference_family(n, p, eps=eps, k_star=k_star)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    build_weight_family(n, p, eps=eps, k_star=k_star)
+                failed += 1
+                continue
+            fam = build_weight_family(n, p, eps=eps, k_star=k_star)
+            assert (fam.k_star, fam.eps, fam.m, fam.upsilon) == (
+                expected.k_star, expected.eps, expected.m, expected.upsilon)
+            assert fam.members == expected.members
+            assert fam.profile_of.dtype == np.intp
+            assert np.array_equal(fam.profile_of, expected.profile_of)
+            assert fam.weights.shape == expected.weights.shape
+            assert fam.weights.tobytes() == expected.weights.tobytes()
+            built += 1
+    assert built > 100 and failed > 0
 
 
 def test_family_defaults_track_sample_size():
@@ -298,7 +356,7 @@ def test_default_thresholds():
 def test_select_singleton_family():
     est = CoefficientEstimates(n=10, p=8, theta=np.arange(1.0, 8.0))
     only = np.array([1.0, 0.5])
-    fam = WeightFamily.from_members(1, 1.0, 1, 10.0, [(1, 1.0)], [only])
+    fam = family_of(1, 1.0, 1, 10.0, [(1, 1.0)], [only])
     res = select_model(est, fam, delta=0.1)
     assert res.index == 0
     assert np.array_equal(res.coefficients, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -306,7 +364,7 @@ def test_select_singleton_family():
 
 def test_select_empty_family():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7))
-    fam = WeightFamily.from_members(1, 1.0, 0, 10.0, [], [])
+    fam = family_of(1, 1.0, 0, 10.0, [], [])
     with pytest.raises(ValueError):
         select_model(est, fam)
 
@@ -345,7 +403,7 @@ def test_select_attains_exhaustive_minimum():
 def test_select_breaks_ties_at_lowest_index():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7) * 0.3)
     w = np.array([1.0, 1.0])
-    fam = WeightFamily.from_members(1, 1.0, 2, 10.0, [(1, 1.0), (1, 2.0)], [w, w.copy()])
+    fam = family_of(1, 1.0, 2, 10.0, [(1, 1.0), (1, 2.0)], [w, w.copy()])
     assert fam.weights.shape == (1, 2)
     assert select_model(est, fam, delta=0.1).index == 0
 
@@ -354,7 +412,7 @@ def test_select_invariant_under_candidate_permutation():
     rng = np.random.default_rng(78)
     est = CoefficientEstimates(n=40, p=101, theta=rng.normal(0.0, 0.3, 100))
     fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
-    flipped = WeightFamily.from_members(
+    flipped = family_of(
         fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members[::-1],
         [fam.weights[i] for i in fam.profile_of[::-1]],
     )

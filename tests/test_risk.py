@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from driftsel.estimator import (
+    CoefficientEstimates,
     build_weight_family,
     coefficients_from_period_sums,
     default_delta,
@@ -17,11 +18,13 @@ from driftsel.estimator import (
     estimate_proxy_variance,
     pinsker_weights,
     select_model,
+    selection_cost,
 )
 from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     ExperimentConfig,
+    _run_chunk,
     pinsker_constant,
     relative_risk,
     replication_estimates,
@@ -158,6 +161,7 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
         first.setdefault(family.profile_of[k], pinsker_weights(beta, scale, family.upsilon, min(n, p - 1)))
     prefixes = [first[i] for i in range(len(first))]
     drift = n * cell_integrals(cfg.signal, p)
+    rows, sigmas, picks = [], [], []
     for r in range(reps):
         est = replication_estimates(drift, cfg.noise, n, RngStream(12, r))
         sigma = estimate_proxy_variance(est)
@@ -169,6 +173,43 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
             costs.append(quad - 2.0 * linear + delta * sigma * np.dot(lam, lam) / n)
         expected = int(np.argmin(np.array(costs)[family.profile_of]))
         assert select_model(est, family, delta).index == expected
+        rows.append(est.theta)
+        sigmas.append(sigma)
+        picks.append(family.profile_of[expected])
+    # the engine's block chooser: every replication's costs in one call
+    block = CoefficientEstimates(n, p, np.array(rows))
+    chosen = selection_cost(family.weights, block, np.array(sigmas), delta).argmin(axis=1)
+    assert np.array_equal(chosen, picks)
+
+
+@pytest.mark.parametrize("p", [501, 500])
+@pytest.mark.parametrize(
+    "n, knobs",
+    [(20, {}), (20, {"k_star": 3, "eps": 0.3}), (9, {"k_star": 2, "eps": 0.5})],
+    ids=["default", "k3_eps03", "one_profile"],
+)
+def test_chunk_block_matches_a_replication_loop(n, knobs, p):
+    # the chunk selects and scores its replications as one block; one
+    # replication at a time through select_model must give the same bits
+    # (at n = 9 with k_star = 2 every member is flat: one profile)
+    cfg = ExperimentConfig(n_values=(n,), p=p, replications=100, base_seed=5, **knobs)
+    _, family, delta = resolve_selection(cfg, n)
+    start, stop = 50, 100
+    selected, profile_sum = _run_chunk(
+        (cfg.signal, cfg.noise, n, p, family.weights, delta, cfg.base_seed, start, stop))
+    width = family.weights.shape[1]
+    theta = discrete_fourier_coeffs(cfg.signal, p)
+    sq = theta * theta
+    tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
+    drift = n * cell_integrals(cfg.signal, p)
+    expected, total = [], np.zeros(family.weights.shape[0])
+    for r in range(start, stop):
+        est = replication_estimates(drift, cfg.noise, n, RngStream(cfg.base_seed, r))
+        errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
+        expected.append(errors[family.profile_of[select_model(est, family, delta).index]])
+        total += errors
+    assert np.array_equal(selected, expected)
+    assert np.array_equal(profile_sum, total)
 
 
 def test_report_is_deterministic():
@@ -319,3 +360,18 @@ def test_risk_engine_memory_does_not_grow_with_the_path():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_risk_engine_memory_does_not_grow_with_the_chunk():
+    # a chunk keeps W <= 16 coefficients per replication: holding its 50
+    # replications' length-p rows instead would add 3.8 MiB at p = 10001
+    peaks = []
+    for reps in (2, 50):
+        cfg = ExperimentConfig(n_values=(1000,), p=10001, replications=reps, base_seed=9, k_star=5)
+        tracemalloc.start()
+        try:
+            run_risk_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
