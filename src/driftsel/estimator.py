@@ -26,8 +26,7 @@ from .signal import coefficients_to_grid, grid_coefficients
 
 @dataclass(frozen=True)
 class CoefficientEstimates:
-    """Raw coefficient estimates for one observation path, or for a block
-    of paths with one (possibly truncated) row of `theta` each."""
+    """Raw coefficient estimates for one observation path."""
 
     n: int
     p: int
@@ -134,9 +133,6 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.nda
     j_star = 1 + math.floor(math.log(upsilon))
     d_beta, power = _bandwidth_law(beta)
     omega = (d_beta * scale * upsilon) ** power
-    if math.floor(omega) < j_star:
-        # the bandwidth stops below the cutoff: the flat all-ones prefix
-        return np.ones(min(cap, j_star - 1))
     support = min(cap, max(j_star - 1, math.floor(omega)))
     j = np.arange(1, support + 1, dtype=float)
     lam = np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
@@ -176,10 +172,10 @@ def build_weight_family(
     m = int(1.0 / eps**2)
     cap = min(n, p - 1)
     j_star = 1 + math.floor(math.log(upsilon))
-    # most members' bandwidth stops below the cutoff, where
-    # pinsker_weights returns the flat prefix: they share one row, keyed
-    # like every other profile so that a taper capped below the cutoff,
-    # which is all ones too, joins it
+    # most members' bandwidth stops below the cutoff, which leaves only
+    # the flat all-ones prefix: they share one row without building a
+    # profile each, keyed like every other profile so that a taper capped
+    # below the cutoff, which is all ones too, joins it
     flat = np.ones(min(cap, j_star - 1))
     flat_key = flat.tobytes()
     members, profile_of, rows, first = [], [], [], {}
@@ -218,28 +214,41 @@ def penalty(lam: np.ndarray, sigma, n: int):
     return sigma * (lam * lam).sum(axis=-1) / n
 
 
-def selection_cost(lam: np.ndarray, est: CoefficientEstimates, sigma, delta: float):
+def selection_cost(lam: np.ndarray, theta: np.ndarray, sigma, n: int, delta: float):
     """Penalized empirical squared error of each profile (row of the
-    zero-padded profile matrix `lam`, or one profile) for each estimate:
-    `est.theta` holds one estimate with its proxy variance `sigma`, or a
-    block of estimates, one per row, with one `sigma` each, and then the
-    costs have one row per estimate.  Row-wise sums give a cost the same
-    bits whatever the number of profiles and estimates."""
+    zero-padded profile matrix `lam`, or one profile) for each estimate
+    from n periods: `theta` holds one coefficient estimate with its proxy
+    variance `sigma`, or a block of estimates, one per row, with one
+    `sigma` each, and then the costs have one row per estimate.  Only the
+    first W coefficients are read, W the profile width.  Row-wise sums
+    give a cost the same bits whatever the number of profiles and
+    estimates."""
     if not 0.0 < delta <= 1.0 / 6.0:
         warnings.warn(
             "threshold delta outside (0, 1/6]: the oracle inequality is not guaranteed",
             stacklevel=2,
         )
     width = lam.shape[-1]
-    if width > est.theta.shape[-1]:
+    if width > theta.shape[-1]:
         raise ValueError("weight support exceeds the estimable frequencies")
     # estimate axes first, then the profile axes of lam
-    lead = est.theta.shape[:-1]
-    sq = (est.theta[..., :width] ** 2).reshape(lead + (1,) * (lam.ndim - 1) + (width,))
+    lead = theta.shape[:-1]
+    sq = (theta[..., :width] ** 2).reshape(lead + (1,) * (lam.ndim - 1) + (width,))
     sigma = np.reshape(sigma, lead + (1,) * (lam.ndim - 1))
     quad = (lam * lam * sq).sum(axis=-1)
-    linear = (lam * (sq - sigma[..., None] / est.n)).sum(axis=-1)
-    return quad - 2.0 * linear + delta * penalty(lam, sigma, est.n)
+    linear = (lam * (sq - sigma[..., None] / n)).sum(axis=-1)
+    return quad - 2.0 * linear + delta * penalty(lam, sigma, n)
+
+
+def cheapest_profiles(weights: np.ndarray, theta: np.ndarray, sigma, n: int, delta: float):
+    """Selection costs of every profile (row of the family's profile
+    matrix `weights`) for one estimate `theta` or a block of them, one per
+    row, with their proxy variances `sigma`, and the index of each
+    estimate's cheapest profile.  Ties go to the lowest index: profiles
+    are numbered in order of first appearance, so that profile holds the
+    earliest cheapest member."""
+    costs = selection_cost(weights, theta, sigma, n, delta)
+    return costs, costs.argmin(axis=-1)
 
 
 def default_delta(n: int) -> float:
@@ -257,9 +266,11 @@ def select_model(
 ) -> SelectionResult:
     """Scan the candidate grid and keep the cost minimizer.
 
-    Every distinct profile is scored in one pass and its cost copied to
+    This is the one-estimate case of the risk engine's block chooser:
+    every distinct profile is scored in one pass and its cost copied to
     every member that shares it, so the result records every member's
-    cost for auditing; argmin takes the first occurrence, which makes ties
+    cost for auditing.  The selected member is the first that holds the
+    cheapest profile, which is the earliest cheapest member, so ties are
     deterministic.
     """
     if not family.members:
@@ -267,16 +278,16 @@ def select_model(
     if delta is None:
         delta = default_delta(est.n)
     sigma = estimate_proxy_variance(est)
-    costs = selection_cost(family.weights, est, sigma, delta)[family.profile_of]
-    index = int(np.argmin(costs))
+    costs, chosen = cheapest_profiles(family.weights, est.theta, sigma, est.n, delta)
+    index = int(np.argmax(family.profile_of == chosen))
     width = family.weights.shape[1]
     shrunk = np.zeros(est.p - 1)
-    shrunk[:width] = family.weights[family.profile_of[index]] * est.theta[:width]
+    shrunk[:width] = family.weights[chosen] * est.theta[:width]
     return SelectionResult(
         index=index,
         sigma=sigma,
         delta=delta,
-        costs=costs,
+        costs=costs[family.profile_of],
         coefficients=shrunk,
         n=est.n,
         p=est.p,

@@ -29,11 +29,11 @@ import numpy as np
 from .estimator import (
     CoefficientEstimates,
     build_weight_family,
+    cheapest_profiles,
     coefficients_from_period_sums,
     default_delta,
     efficient_delta,
     estimate_proxy_variance,
-    selection_cost,
 )
 from .noise import NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
@@ -192,7 +192,7 @@ def _run_chunk(payload):
         est = replication_estimates(drift_sums, noise, n, RngStream(base_seed, r))
         sigma[r - start] = estimate_proxy_variance(est)
         block[r - start] = est.theta[:width]
-    chosen = selection_cost(weights, CoefficientEstimates(n, p, block), sigma, delta).argmin(axis=1)
+    _, chosen = cheapest_profiles(weights, block, sigma, n, delta)
     errors = ((weights * block[:, None, :] - theta[:width]) ** 2).sum(axis=-1) + tail
     # a running sum down the rows, as one replication at a time would add
     # them: errors.sum(axis=0) pairs the rows up when there is one profile

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from driftsel.estimator import (
-    CoefficientEstimates,
     build_weight_family,
+    cheapest_profiles,
     coefficients_from_period_sums,
     default_delta,
     efficient_delta,
@@ -18,7 +18,6 @@ from driftsel.estimator import (
     estimate_proxy_variance,
     pinsker_weights,
     select_model,
-    selection_cost,
 )
 from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
@@ -177,8 +176,7 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
         sigmas.append(sigma)
         picks.append(family.profile_of[expected])
     # the engine's block chooser: every replication's costs in one call
-    block = CoefficientEstimates(n, p, np.array(rows))
-    chosen = selection_cost(family.weights, block, np.array(sigmas), delta).argmin(axis=1)
+    _, chosen = cheapest_profiles(family.weights, np.array(rows), np.array(sigmas), n, delta)
     assert np.array_equal(chosen, picks)
 
 
