@@ -7,20 +7,30 @@ E[J^2] equals 1. z is a semi-Markov component: a renewal process with a
 general inter-arrival law, carrying i.i.d. standardized marks at its epochs.
 
 Randomness is fully deterministic given (base_seed, stream_index): each
-component draws from its own counter-based substream (Philox keyed through
-SeedSequence spawn keys), so the z-path and the L-path of one replication
-never share random state, and any component can be re-generated bitwise in
-isolation.
+component draws from its own counter-based substream, so the z-path and the
+L-path of one replication never share random state, and any component can be
+re-generated bitwise in isolation.  Component t of replication r is Philox
+keyed by SeedSequence(base_seed, spawn_key=(r, t)).generate_state(2,
+np.uint64), so plain numpy reproduces any stream:
+
+    Generator(Philox(SeedSequence(base_seed, spawn_key=(r, t))))
+
+The keys themselves are derived here with numpy's documented SeedSequence
+hash (pool size 4): the part that depends on the seed alone once per seed,
+then every (stream, tag) pair of a run of streams in one vectorized pass,
+which is much cheaper than one SeedSequence per substream.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .renewal import InterarrivalLaw
 from .signal import cell_integrals
@@ -35,16 +45,131 @@ MARK_LAWS = ("normal", "rademacher", "uniform")
 JUMP_LAWS = ("gaussian", "two_point")
 
 
+# numpy's SeedSequence hash on 32-bit words, pool size 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_TAGS = 4
+
+
+# both helpers take Python ints or uint32 arrays (whose arithmetic wraps)
+def _hash(value, xor, mul):
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _steps(const: int, mult: int):
+    """The (xor, multiply) constants of _POOL successive hash steps from
+    `const`, as uint32 arrays, and the constant after them."""
+    xor, mul = [], []
+    for _ in range(_POOL):
+        xor.append(const)
+        const = const * mult & _MASK32
+        mul.append(const)
+    return np.array(xor, dtype=np.uint32), np.array(mul, dtype=np.uint32), const
+
+
+@lru_cache(maxsize=1)
+def _seed_part(base_seed: int):
+    """Everything of SeedSequence(base_seed, spawn_key=(r, t)) that does
+    not depend on r: the pool after the seed's words are mixed in, the
+    hash constants the stream word r meets, the hashed tag words indexed
+    [t, pool word], and the constants generate_state hashes the pool with."""
+    seed = operator.index(base_seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    # a spawn key follows, so SeedSequence pads the seed's words to the pool size
+    words += [0] * (_POOL - len(words))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        xor, const = const, const * _MULT_A & _MASK32
+        return _hash(value, xor, const)
+
+    pool = [hashmix(word) for word in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    stream_xor, stream_mul, const = _steps(const, _MULT_A)
+    tag_xor, tag_mul, _ = _steps(const, _MULT_A)
+    tags = _hash(np.arange(_TAGS, dtype=np.uint32)[:, None], tag_xor, tag_mul)
+    state_xor, state_mul, _ = _steps(_INIT_B, _MULT_B)
+    return np.array(pool, dtype=np.uint32), stream_xor, stream_mul, tags, state_xor, state_mul
+
+
+def _substream_keys(base_seed: int, start: int, stop: int) -> np.ndarray:
+    """Philox keys of every substream of streams start..stop-1, shape
+    (stop - start, 4 tags, 2), entry [i, t] equal to
+    SeedSequence(base_seed, spawn_key=(start + i, t)).generate_state(2, np.uint64).
+
+    A stream index of 2**32 or more is a two-word spawn key entry, which
+    this one-word derivation does not cover, so it is an error."""
+    pool, stream_xor, stream_mul, tags, state_xor, state_mul = _seed_part(base_seed)
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"stream indices must lie in [0, 2**32), got {start}..{stop - 1}")
+    r = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)[:, None]
+    pools = _mix(pool, _hash(r, stream_xor, stream_mul))
+    words = _hash(_mix(pools[:, None, :], tags), state_xor, state_mul).astype(np.uint64)
+    return words[..., 0::2] | words[..., 1::2] << 32
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands Philox one precomputed key and nothing else."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a substream key serves only Philox's two-word uint64 key")
+        return self.key
+
+
 @dataclass(frozen=True)
 class RngStream:
-    """Replication-addressed randomness: (base_seed, stream_index) -> substreams."""
+    """Replication-addressed randomness: (base_seed, stream_index) -> substreams.
+
+    Substream `tag` (0..3) is Philox keyed by
+    SeedSequence(base_seed, spawn_key=(stream_index, tag)); every generator
+    is fresh, so substreams never share state.
+    """
 
     base_seed: int
     stream_index: int = 0
 
+    @classmethod
+    def span(cls, base_seed: int, start: int, stop: int) -> list:
+        """Streams start..stop-1 of base_seed, their keys derived in one pass."""
+        streams = [cls(base_seed, r) for r in range(start, stop)]
+        for stream, keys in zip(streams, _substream_keys(base_seed, start, stop)):
+            vars(stream)["_keys"] = keys  # fills the cached_property below
+        return streams
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _substream_keys(self.base_seed, self.stream_index, self.stream_index + 1)[0]
+
     def generator(self, tag: int) -> Generator:
-        seq = SeedSequence(self.base_seed, spawn_key=(self.stream_index, tag))
-        return Generator(Philox(seq))
+        if not 0 <= tag < _TAGS:
+            raise ValueError(f"substream tag must be one of 0..{_TAGS - 1}, got {tag}")
+        return Generator(Philox(_PhiloxKey(self._keys[tag])))
 
 
 @dataclass(frozen=True)

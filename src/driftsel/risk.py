@@ -12,6 +12,11 @@ selected estimate, the profile select_model would choose, takes that
 profile's error.  The adaptive risk and the oracle benchmark thus share
 replications and one scoring identity, so they are directly comparable.
 
+A chunk derives the Philox keys of all its replications' noise
+substreams in one pass (`RngStream.span`), and takes the truth
+coefficients, their tail norm and the drift part of the period sums
+from a per-process cache.
+
 Determinism contract: replication r always draws from stream r of the
 base seed, replications are processed in fixed chunks of 50, and chunk
 results are reduced in chunk order.  Thread count changes wall-clock
@@ -22,6 +27,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -77,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("need at least 2 replications for a standard error")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.base_seed}")
         if self.delta_variant not in ("auto", "efficient"):
             raise ValueError("delta_variant must be 'auto' or 'efficient'")
         if not self.n_values:
@@ -166,6 +174,21 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
     return coefficients_from_period_sums(sample_period_sums(drift_sums, noise, n, rng), n)
 
 
+@lru_cache(maxsize=1)
+def _chunk_constants(signal: SignalSpec, n: int, p: int, width: int):
+    """What every chunk of one n shares, built once per process: the first
+    `width` truth coefficients, the grid norm of theta above them (the last
+    coefficient weighted by 1/2 on even grids) and the drift part of the
+    period sums, n * cell_integrals(signal, p) (read-only: shared)."""
+    theta = discrete_fourier_coeffs(signal, p)
+    sq = theta * theta
+    tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
+    truth = theta[:width].copy()
+    drift_sums = n * cell_integrals(signal, p)
+    truth.flags.writeable = drift_sums.flags.writeable = False
+    return truth, tail, drift_sums
+
+
 def _run_chunk(payload):
     """Selected-estimate errors of replications start..stop-1 and each
     distinct profile's error summed over them.
@@ -181,19 +204,16 @@ def _run_chunk(payload):
     norm of theta above W, whose last coefficient the grid norm weights
     by 1/2 on even grids."""
     (signal, noise, n, p, weights, delta, base_seed, start, stop) = payload
-    theta = discrete_fourier_coeffs(signal, p)
     width = weights.shape[1]
-    sq = theta * theta
-    tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
-    drift_sums = n * cell_integrals(signal, p)
+    truth, tail, drift_sums = _chunk_constants(signal, n, p, width)
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
-    for r in range(start, stop):
-        est = replication_estimates(drift_sums, noise, n, RngStream(base_seed, r))
-        sigma[r - start] = estimate_proxy_variance(est)
-        block[r - start] = est.theta[:width]
+    for i, rng in enumerate(RngStream.span(base_seed, start, stop)):
+        est = replication_estimates(drift_sums, noise, n, rng)
+        sigma[i] = estimate_proxy_variance(est)
+        block[i] = est.theta[:width]
     _, chosen = cheapest_profiles(weights, block, sigma, n, delta)
-    errors = ((weights * block[:, None, :] - theta[:width]) ** 2).sum(axis=-1) + tail
+    errors = ((weights * block[:, None, :] - truth) ** 2).sum(axis=-1) + tail
     # a running sum down the rows, as one replication at a time would add
     # them: errors.sum(axis=0) pairs the rows up when there is one profile
     return errors[np.arange(stop - start), chosen], errors.cumsum(axis=0)[-1]

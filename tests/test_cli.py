@@ -192,6 +192,20 @@ def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("subcommand", ["risk-table", "estimate", "simulate"])
+def test_main_rejects_negative_seed(tmp_path, capsys, subcommand, source):
+    # numpy would refuse it only inside the run, after the output directory exists
+    seed_line = "seed=-1\n" if source == "config" else ""
+    cfg = write_cfg(tmp_path, f"{seed_line}risk.n_values=20\nrisk.p=101\nrisk.replications=2\nestimate.n=10\n")
+    flags = ["--seed", "-1"] if source == "flag" else []
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.special alone costs about half of start-up and only the renewal
     # solve needs it; numpy.random and numpy.fft load lazily in numpy 2, so

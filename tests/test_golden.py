@@ -3,7 +3,10 @@
 The config keeps the default k_star, so the weight family holds many
 members that share a profile, selection costs tie, and the earliest
 member must win.  risk.csv is pinned with its wall-clock `seconds`
-column masked, for one worker and for two.
+column masked, for one worker and for two.  `simulate` pins the
+full-path sampler, and a risk table with a jump part (two-point jumps,
+Brownian weight 1/2) pins the jump substream, so all four noise
+substreams are covered.
 
 Recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1.  A change that
 alters a reported digit must update these digests on purpose and say
@@ -23,6 +26,7 @@ CONFIG = (
     "risk.replications=60\n"
     "estimate.n=40\n"
 )
+JUMPS = "noise.rho_check=0.5\nnoise.jump_intensity=2\nnoise.jump_law=two_point\n"
 
 GOLDEN = {
     "risk-table": {
@@ -39,6 +43,14 @@ GOLDEN = {
         "figure_n40.csv": "7f99ce95b2427ce3418b65bc9034822c8bd1bbbb7fdc178d3ebc499a40595781",
         "manifest.txt": "c7f014fcb76726c12f0fe936d55ddf86d7eb25ae6b064fac068d10f382f5d69f",
     },
+    "simulate": {
+        "path.csv": "a81dfcfa4661a219631b714dd7fa029896bbff621254d649773c7c6c231df03b",
+        "manifest.txt": "f8fa3a1bcdd28cfdc2076b341e95fd839fb6321b3d17fad0af45b2eddf9bce59",
+    },
+}
+GOLDEN_JUMPS = {
+    "risk.csv": "65e303bf98fdfa81b0981cd1304062bcbd63407b8cf752d650acc006efe706bb",
+    "manifest.txt": "eed3e76c97a9ad19645b39bf38e766815a09566777e1f1ea3b68302ef9b28f87",
 }
 
 
@@ -48,13 +60,13 @@ def _mask_seconds(text: str) -> str:
     return "\n".join(lines[:2] + rows) + "\n"
 
 
-def _digests(tmp_path, subcommand, *flags):
+def _digests(tmp_path, config, names, subcommand, *flags):
     cfg = tmp_path / "golden.cfg"
-    cfg.write_text(CONFIG, encoding="utf-8")
+    cfg.write_text(config, encoding="utf-8")
     out = tmp_path / "-".join((subcommand, *flags))
     assert main([subcommand, "--config", str(cfg), "--out", str(out), *flags]) == 0
     digests = {}
-    for name in GOLDEN[subcommand]:
+    for name in names:
         text = (out / name).read_text(encoding="utf-8")
         if name == "risk.csv":
             text = _mask_seconds(text)
@@ -69,7 +81,14 @@ def _digests(tmp_path, subcommand, *flags):
         ("risk-table", ("--threads", "2")),
         ("estimate", ()),
         ("figures", ()),
+        ("simulate", ()),
     ],
 )
 def test_outputs_match_golden_digests(tmp_path, subcommand, flags):
-    assert _digests(tmp_path, subcommand, *flags) == GOLDEN[subcommand]
+    assert _digests(tmp_path, CONFIG, GOLDEN[subcommand], subcommand, *flags) == GOLDEN[subcommand]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_jump_noise_risk_table_matches_golden_digests(tmp_path, threads):
+    digests = _digests(tmp_path, CONFIG + JUMPS, GOLDEN_JUMPS, "risk-table", "--threads", threads)
+    assert digests == GOLDEN_JUMPS

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 
 from driftsel.noise import (
     LevyJumpSpec,
     NoiseSpec,
     ObservationPath,
     RngStream,
+    _PhiloxKey,
+    _substream_keys,
     sample_levy_increments,
     sample_observations,
     sample_period_sums,
@@ -51,6 +54,86 @@ def test_reproducibility_for_arbitrary_seeds(seed, rep):
     a = sample_observations(ZERO, CHI2_SPEC, n=2, p=7, rng=RngStream(seed, rep))
     b = sample_observations(ZERO, CHI2_SPEC, n=2, p=7, rng=RngStream(seed, rep))
     assert np.array_equal(a.y, b.y)
+
+
+# the last seed has six 32-bit words, so SeedSequence mixes it unpadded
+KEY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**160 + 12345]
+KEY_STREAMS = [0, 1, 49, 50, 9999, 2**32 - 1]
+
+
+def reference_key(seed, stream, tag):
+    return SeedSequence(seed, spawn_key=(stream, tag)).generate_state(2, np.uint64)
+
+
+def reference_generator(seed, stream, tag):
+    return Generator(Philox(SeedSequence(seed, spawn_key=(stream, tag))))
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_substream_keys_match_seed_sequence(seed):
+    for stream in KEY_STREAMS:
+        keys = _substream_keys(seed, stream, stream + 1)
+        assert keys.shape == (1, 4, 2) and keys.dtype == np.uint64
+        for tag in range(4):
+            assert np.array_equal(keys[0, tag], reference_key(seed, stream, tag))
+    # one pass over a chunk gives every stream its own keys
+    block = _substream_keys(seed, 40, 60)
+    assert block.shape == (20, 4, 2)
+    for i in range(20):
+        for tag in range(4):
+            assert np.array_equal(block[i, tag], reference_key(seed, 40 + i, tag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**200),
+       stream=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70), st.integers(-(2**40), -1)),
+       tag=st.integers(0, 3))
+def test_substream_keys_match_or_refuse(seed, stream, tag):
+    # a stream index the one-word derivation cannot match must raise,
+    # never give another stream's key
+    if 0 <= stream < 2**32:
+        assert np.array_equal(_substream_keys(seed, stream, stream + 1)[0, tag], reference_key(seed, stream, tag))
+        ours = RngStream(seed, stream).generator(tag).integers(0, 2**63, 8)
+        assert np.array_equal(ours, reference_generator(seed, stream, tag).integers(0, 2**63, 8))
+    else:
+        with pytest.raises(ValueError):
+            RngStream(seed, stream).generator(tag)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: g.gamma(1.5, 2.0, 64),
+        lambda g: g.standard_normal(64),
+        lambda g: g.poisson(3.0, 64),
+        lambda g: g.integers(0, 2, 64),
+        lambda g: g.uniform(-1.0, 1.0, 64),
+    ],
+    ids=["gamma", "standard_normal", "poisson", "integers", "uniform"],
+)
+def test_substreams_draw_as_plain_numpy(draw):
+    for seed, start in [(0, 0), (2, 48), (2**64 + 5, 9998)]:
+        for offset, rng in enumerate(RngStream.span(seed, start, start + 3)):
+            assert rng == RngStream(seed, start + offset)
+            for tag in range(4):
+                expected = draw(reference_generator(seed, start + offset, tag))
+                assert np.array_equal(draw(rng.generator(tag)), expected)
+                assert np.array_equal(draw(RngStream(seed, start + offset).generator(tag)), expected)
+
+
+def test_substream_keys_refuse_what_they_cannot_match():
+    for seed in (-1, -(2**40)):
+        with pytest.raises(ValueError):
+            RngStream(seed, 0).generator(0)
+    for tag in (-1, 4):
+        with pytest.raises(ValueError):
+            RngStream(3, 0).generator(tag)
+    with pytest.raises(ValueError):
+        RngStream.span(3, 2**32 - 1, 2**32 + 1)
+    key = _PhiloxKey(reference_key(3, 0, 0))
+    for request in ((4,), (2,), (2, np.uint32), (4, np.uint64)):
+        with pytest.raises(ValueError):
+            key.generate_state(*request)
 
 
 def test_semimarkov_component_ignores_levy_settings():

@@ -19,10 +19,15 @@ from driftsel.estimator import (
     pinsker_weights,
     select_model,
 )
+from numpy.random import SeedSequence
+
+import driftsel.risk
+from driftsel import noise
 from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     ExperimentConfig,
+    _chunk_constants,
     _run_chunk,
     pinsker_constant,
     relative_risk,
@@ -208,6 +213,53 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
         total += errors
     assert np.array_equal(selected, expected)
     assert np.array_equal(profile_sum, total)
+
+
+def test_chunk_builds_no_seed_sequence(monkeypatch):
+    # a SeedSequence per substream was the largest fixed cost of a
+    # replication; a chunk derives every key in one pass instead
+    built, seeds = [], []
+    real_sequence, real_philox = np.random.SeedSequence, noise.Philox
+
+    def sequence(*args, **kwargs):
+        built.append(args)
+        return real_sequence(*args, **kwargs)
+
+    def philox(*args, **kwargs):
+        seeds.append((args, kwargs))
+        return real_philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", sequence)
+    monkeypatch.setattr(np.random.bit_generator, "SeedSequence", sequence)
+    monkeypatch.setattr(noise, "Philox", philox)
+    cfg = ExperimentConfig(n_values=(20,), p=101, replications=50, base_seed=3, k_star=3)
+    _, family, delta = resolve_selection(cfg, 20)
+    _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.base_seed, 0, 50))
+    assert built == []
+    # renewal epochs, marks and Brownian sums: three substreams a replication
+    assert len(seeds) == 150
+    assert all(len(args) == 1 and not kwargs and not isinstance(args[0], SeedSequence) for args, kwargs in seeds)
+
+
+def test_chunk_constants_are_built_once_per_process(monkeypatch):
+    calls = []
+    real = driftsel.risk.cell_integrals
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(driftsel.risk, "cell_integrals", counted)
+    _chunk_constants.cache_clear()
+    cfg = ExperimentConfig(n_values=(20,), p=101, replications=4, base_seed=3, k_star=3)
+    _, family, delta = resolve_selection(cfg, 20)
+    for start in (0, 2):
+        _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.base_seed, start, start + 2))
+    assert len(calls) == 1
+    truth, tail, drift = _chunk_constants(cfg.signal, 20, 101, family.weights.shape[1])
+    assert not truth.flags.writeable and not drift.flags.writeable
+    assert np.array_equal(drift, 20 * real(cfg.signal, 101))
+    assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: family.weights.shape[1]])
 
 
 def test_report_is_deterministic():
