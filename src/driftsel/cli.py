@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimator import select_model
+from .estimator import family_knobs, select_model
 from .noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations
 from .renewal import InterarrivalLaw, solve_renewal_density
 from .risk import (
@@ -34,7 +34,6 @@ from .risk import (
     resolve_frequency,
     resolve_selection,
     run_risk_experiment,
-    satisfies_h5,
 )
 from .signal import SignalSpec, cell_integrals, grid_values
 
@@ -279,18 +278,22 @@ def experiment_config(config: RunConfig) -> ExperimentConfig:
 
 
 def validate_config(config: RunConfig) -> ExperimentConfig:
-    """Reject an inconsistent config; return its materialized experiment."""
+    """Reject an inconsistent config before anything is computed or
+    written; return its materialized experiment.  Every n in
+    risk.n_values must pass the weight-family and frequency rules (no
+    family is built), and estimate.n the frequency rules."""
     for key, name, _ in _SCHEMA:
         # a negative zero-sentinel would otherwise silently mean "derive"
         if name in ("k_star", "eps", "p", "renewal_horizon") and getattr(config, name) < 0:
             raise ConfigError(f"{key} must be positive, or 0 to derive it, got {getattr(config, name)!r}")
     experiment = experiment_config(config)
-    if config.strict_h5 and config.p > 0:
-        for n in (*config.n_values, config.estimate_n):
-            if not satisfies_h5(n, config.p):
-                raise ConfigError(
-                    f"strict frequency check: p={config.p} < n^(5/6) for n={n}"
-                )
+    try:
+        for n in experiment.n_values:
+            family_knobs(n, experiment.eps, experiment.k_star, experiment.k_star0, None, experiment.varsigma_star)
+            resolve_frequency(experiment, n)
+        resolve_frequency(experiment, config.estimate_n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return experiment
 
 
@@ -322,6 +325,8 @@ def _fmt(x) -> str:
 def _write_csv(path: Path, digest: str, header, rows):
     lines = [f"# manifest_digest={digest}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
+    # the first file a run writes creates the output directory, so a run that fails leaves none
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -448,7 +453,6 @@ def main(argv=None) -> int:
     out = Path(args.out)
     digest = config_digest(config)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         outputs = _HANDLERS[args.subcommand](config, experiment, out, digest)
         manifest = RunManifest(
             subcommand=args.subcommand,

@@ -41,32 +41,19 @@ class WeightFamily:
     order; many labels share one weight vector, so `weights` stores each
     distinct profile once, as one row of a zero-padded (D x W) matrix in
     order of first appearance, and `profile_of[k]` is the row of member
-    k's profile.
+    k's profile.  The knobs the grid was built from are `family_knobs`'s.
     """
 
-    k_star: int
-    eps: float
-    m: int
-    upsilon: float
     members: tuple
     weights: np.ndarray
     profile_of: np.ndarray
-
-    @property
-    def max_total(self) -> float:
-        """Largest weight sum over the family, the quantity the residual
-        term of the oracle inequality scales with."""
-        return float(self.weights.sum(axis=1).max())
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     index: int
-    sigma: float
-    delta: float
     costs: np.ndarray
     coefficients: np.ndarray
-    n: int
     p: int
 
     def grid_values(self) -> np.ndarray:
@@ -139,6 +126,29 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.nda
     return np.trim_zeros(lam, "b")
 
 
+def family_knobs(n: int, eps, k_star, k_star0: int, upsilon, varsigma_star: float):
+    """Grid step eps, taper count k_star, scale count m and normalizer
+    upsilon of the weight family for n periods, each left at None taking
+    its sample-size driven choice: eps = 1/ln n,
+    k_star = floor(k_star0 + sqrt(ln n)) and upsilon = n / varsigma_star.
+    Raises ValueError when n < 2 or a knob leaves its range."""
+    if n < 2:
+        raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
+    if eps is None:
+        eps = 1.0 / math.log(n)
+    if k_star is None:
+        k_star = int(k_star0 + math.sqrt(math.log(n)))
+    if upsilon is None:
+        upsilon = n / varsigma_star
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r} for n={n}; increase n or set eps explicitly")
+    if k_star < 1:
+        raise ValueError(f"k_star must be at least 1, got {k_star} for n={n}")
+    if upsilon <= 1.0:
+        raise ValueError(f"upsilon must exceed 1, got {upsilon!r} for n={n}")
+    return eps, k_star, int(1.0 / eps**2), upsilon
+
+
 def build_weight_family(
     n: int,
     p: int,
@@ -149,27 +159,9 @@ def build_weight_family(
     varsigma_star: float = 1.0,
 ) -> WeightFamily:
     """Construct the full candidate grid: taper orders 1..k_star crossed
-    with bandwidth scales eps, 2*eps, ..., floor(1/eps^2)*eps.
-
-    Defaults follow the sample-size driven choices eps = 1/ln n and
-    k_star = floor(k_star0 + sqrt(ln n)); upsilon defaults to n divided
-    by the variance threshold.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
-    if eps is None:
-        eps = 1.0 / math.log(n)
-    if k_star is None:
-        k_star = int(k_star0 + math.sqrt(math.log(n)))
-    if upsilon is None:
-        upsilon = n / varsigma_star
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1); increase n or set eps explicitly")
-    if k_star < 1:
-        raise ValueError("k_star must be at least 1")
-    if upsilon <= 1.0:
-        raise ValueError("upsilon must exceed 1")
-    m = int(1.0 / eps**2)
+    with bandwidth scales eps, 2*eps, ..., floor(1/eps^2)*eps, the knobs
+    resolved by `family_knobs`."""
+    eps, k_star, m, upsilon = family_knobs(n, eps, k_star, k_star0, upsilon, varsigma_star)
     cap = min(n, p - 1)
     j_star = 1 + math.floor(math.log(upsilon))
     # most members' bandwidth stops below the cutoff, which leaves only
@@ -197,14 +189,13 @@ def build_weight_family(
     weights = np.zeros((len(rows), max(lam.size for lam in rows)))
     for row, lam in enumerate(rows):
         weights[row, : lam.size] = lam
-    family = WeightFamily(k_star, eps, m, upsilon, tuple(members), weights,
-                          np.array(profile_of, dtype=np.intp))
-    total = family.max_total
+    # the residual term of the oracle inequality scales with the largest weight sum
+    total = float(weights.sum(axis=1).max())
     if total < 1.0:
         raise ValueError("all candidates shrink below total weight 1; grid too small")
     if total > 1.0 + (upsilon / eps) ** (1.0 / 3.0):
         raise ValueError("a candidate's total weight exceeds 1 + (upsilon/eps)^(1/3)")
-    return family
+    return WeightFamily(tuple(members), weights, np.array(profile_of, dtype=np.intp))
 
 
 def penalty(lam: np.ndarray, sigma, n: int):
@@ -283,12 +274,4 @@ def select_model(
     width = family.weights.shape[1]
     shrunk = np.zeros(est.p - 1)
     shrunk[:width] = family.weights[chosen] * est.theta[:width]
-    return SelectionResult(
-        index=index,
-        sigma=sigma,
-        delta=delta,
-        costs=costs[family.profile_of],
-        coefficients=shrunk,
-        n=est.n,
-        p=est.p,
-    )
+    return SelectionResult(index=index, costs=costs[family.profile_of], coefficients=shrunk, p=est.p)

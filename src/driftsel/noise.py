@@ -241,10 +241,6 @@ class ObservationPath:
     def increments(self) -> np.ndarray:
         return np.diff(self.y)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.y.size) / self.p
-
 
 def _sample_marks(law: str, gen: Generator, size: int) -> np.ndarray:
     # standardized: mean 0, variance 1, finite fourth moment
@@ -327,8 +323,6 @@ def _levy_on_cells(widths: np.ndarray, roots: np.ndarray, spec: NoiseSpec,
     dW = rng.generator(TAG_BROWNIAN).standard_normal(m_cells) * roots
     if spec.rho_check == 1.0:
         return dW
-    if spec.jumps is None:
-        raise ValueError("a jump specification is required when the Brownian weight is below 1")
     jump_spec = spec.jumps
     gen = rng.generator(TAG_JUMPS)
     counts = gen.poisson(jump_spec.intensity * widths)

@@ -49,14 +49,10 @@ class InterarrivalLaw:
 
     @classmethod
     def gamma(cls, shape: float, scale: float) -> "InterarrivalLaw":
-        if shape <= 0 or scale <= 0:
-            raise ValueError("shape and scale must be positive")
         return cls(float(shape), float(scale))
 
     @classmethod
     def chi_squared(cls, df: float) -> "InterarrivalLaw":
-        if df <= 0:
-            raise ValueError("df must be positive")
         return cls(float(df) / 2.0, 2.0)
 
     def mean(self) -> float:

@@ -58,8 +58,8 @@ class ExperimentConfig:
 
     `p` fixes the sampling frequency for every n; setting it to None
     switches to the rule p = max(p_min, ceil(n^(5/6))) instead.  The
-    estimator knobs default to the sample-size driven choices when left
-    at None.
+    estimator knobs left at None take `estimator.family_knobs`'s
+    sample-size driven choices.
     """
 
     signal: SignalSpec = field(default_factory=SignalSpec.benchmark)
@@ -116,10 +116,17 @@ def satisfies_h5(n: int, p: int) -> bool:
 
 
 def resolve_frequency(config: ExperimentConfig, n: int) -> int:
+    """Sampling frequency for n >= 0 periods: config.p, or the rule
+    max(p_min, ceil(n^(5/6))) when that is None.  Raises ValueError when
+    it is below 3, or below n^(5/6) under the strict frequency check."""
+    if n < 0:
+        raise ValueError(f"need a nonnegative number of periods, got n={n}")
     if config.p is not None:
         p = config.p
     else:
         p = max(config.p_min, math.ceil(n ** (5.0 / 6.0)))
+    if p < 3:
+        raise ValueError(f"need p >= 3 samples per period, got p={p} for n={n}")
     if config.strict_h5 and not satisfies_h5(n, p):
         raise ValueError(f"p={p} violates the frequency condition for n={n}")
     return p

@@ -10,9 +10,8 @@ is orthonormal in (., .)_p for indices j <= p - 1.
 
 Coefficient transforms are routed through numpy's real FFT, with the index
 convention spelled out in `grid_coefficients`; a 4-point Gauss rule per cell
-provides the exact-enough cell integrals used both for correction coefficients
-and for simulated drift increments (the two must match, so they share
-`cell_integrals`).
+provides the exact-enough cell integrals of the simulated drift increments
+(`cell_integrals`).
 """
 
 from __future__ import annotations
@@ -202,17 +201,3 @@ def discrete_fourier_coeffs(S, p: int) -> np.ndarray:
     if p < 3:
         raise ValueError("need at least 3 points per period")
     return grid_coefficients(grid_values(S, p))
-
-
-def correction_coeffs(S, p: int) -> np.ndarray:
-    """Correction coefficients h_{j,p}, j = 1..p, from per-cell quadrature.
-
-    h_{j,p} = sum_l integral over cell l of phi_j(t_l) (S(t) - S(t_l)) dt,
-    which is the discrete coefficient vector of the grid function
-    d(t_l) = p * (cell integral) - S(t_l); the refined coefficients are
-    theta_bar = theta + h.
-    """
-    if p < 3:
-        raise ValueError("need at least 3 points per period")
-    d = p * cell_integrals(S, p) - grid_values(S, p)
-    return grid_coefficients(d)

