@@ -8,16 +8,16 @@ whose digest is stamped into each emitted CSV; the digest covers the
 resolved config only, never wall-clock state or worker count, so reruns
 with the same parameters are traceable to the same digest.
 
-`main` validates the config once and hands each subcommand both it and
-its `ExperimentConfig`.  `estimate` and `figures` fit through the risk
-engine's sampler, `risk.replication_estimates`, so only `simulate`
-builds an n*p path.
+The config itself, `risk.RunConfig`, and its defaults live with the
+risk engine; this module owns its text form, the gate that `main` runs
+before any output, the manifest and the subcommands.  `estimate` and
+`figures` fit through the risk engine's sampler,
+`risk.replication_estimates`, so only `simulate` builds an n*p path.
 """
 
 import argparse
 import hashlib
 import math
-import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,10 +26,10 @@ import numpy as np
 
 from . import __version__
 from .estimator import family_knobs, select_model
-from .noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations
-from .renewal import InterarrivalLaw, solve_renewal_density
+from .noise import RngStream, sample_observations
+from .renewal import solve_renewal_density
 from .risk import (
-    ExperimentConfig,
+    RunConfig,
     replication_estimates,
     resolve_frequency,
     resolve_selection,
@@ -40,42 +40,6 @@ from .signal import SignalSpec, cell_integrals, grid_values
 
 class ConfigError(Exception):
     """Raised for malformed, unknown, or inconsistent configuration."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat, serializable view of everything a run can configure.
-
-    Zero sentinels mean "derive from the sample size": k_star, eps, p,
-    and renewal_horizon all switch to their rules when left at 0, and
-    must not be negative.
-    """
-
-    seed: int = 0
-    threads: int = 1
-    strict_h5: bool = False
-    signal_kind: str = "benchmark"
-    signal_coefficients: tuple = ()
-    signal_values: tuple = ()
-    rho1: float = 0.5
-    rho2: float = 0.5
-    rho_check: float = 1.0
-    interarrival: str = "chi_squared(3)"
-    marks: str = "normal"
-    jump_intensity: float = 0.0
-    jump_law: str = "gaussian"
-    k_star0: int = 100
-    k_star: int = 0
-    delta: str = "auto"
-    eps: float = 0.0
-    varsigma_star: float = 1.0
-    n_values: tuple = (20, 100, 200, 1000)
-    p: int = 100001
-    p_min: int = 101
-    replications: int = 10000
-    estimate_n: int = 100
-    renewal_h: float = 0.001
-    renewal_horizon: float = 0.0
 
 
 # (config key, RunConfig field, value kind); order fixes the canonical emission.
@@ -181,7 +145,10 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
         name, kind = by_key[key]
-        config = replace(config, **{name: _deserialize(key, value.strip(), kind)})
+        try:
+            config = replace(config, **{name: _deserialize(key, value.strip(), kind)})
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
     return config
 
 
@@ -189,112 +156,20 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(emit_config(config).encode("utf-8")).hexdigest()
 
 
-_LAW_PATTERN = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
-
-
-def _parse_interarrival(text: str) -> InterarrivalLaw:
-    match = _LAW_PATTERN.match(text.replace(" ", ""))
-    if not match:
-        raise ConfigError(f"bad interarrival law {text!r}; expected name(args)")
-    name, arg_text = match.groups()
-    try:
-        args = [float(a) for a in arg_text.split(",")] if arg_text else []
-    except ValueError:
-        raise ConfigError(f"bad interarrival arguments in {text!r}") from None
-    try:
-        if name == "exponential" and len(args) == 1:
-            return InterarrivalLaw.exponential(args[0])
-        if name == "gamma" and len(args) == 2:
-            return InterarrivalLaw.gamma(args[0], args[1])
-        if name == "chi_squared" and len(args) == 1:
-            return InterarrivalLaw.chi_squared(args[0])
-    except ValueError as exc:
-        raise ConfigError(f"bad interarrival law {text!r}: {exc}") from None
-    raise ConfigError(f"unsupported interarrival law {text!r}")
-
-
-def build_signal(config: RunConfig) -> SignalSpec:
-    if config.signal_kind == "benchmark":
-        return SignalSpec.benchmark()
-    if config.signal_kind == "trig":
-        if not config.signal_coefficients:
-            raise ConfigError("signal.kind=trig needs signal.coefficients")
-        return SignalSpec.trig_polynomial(config.signal_coefficients)
-    if config.signal_kind == "tabulated":
-        if not config.signal_values:
-            raise ConfigError("signal.kind=tabulated needs signal.values")
-        return SignalSpec.tabulated(config.signal_values)
-    raise ConfigError(f"unknown signal.kind {config.signal_kind!r}")
-
-
-def build_noise(config: RunConfig) -> NoiseSpec:
-    jumps = None
-    if config.jump_intensity > 0.0:
-        jumps = LevyJumpSpec(intensity=config.jump_intensity, law=config.jump_law)
-    try:
-        return NoiseSpec(
-            rho1=config.rho1,
-            rho2=config.rho2,
-            rho_check=config.rho_check,
-            interarrival=_parse_interarrival(config.interarrival),
-            marks=config.marks,
-            jumps=jumps,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad noise settings: {exc}") from None
-
-
-def experiment_config(config: RunConfig) -> ExperimentConfig:
-    """Materialize the risk-engine config, resolving all sentinels."""
-    if config.delta in ("auto", "efficient"):
-        delta, variant = None, config.delta
-    else:
-        try:
-            delta, variant = float(config.delta), "auto"
-            if not math.isfinite(delta):
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"estimator.delta must be auto, efficient, or a finite number, got {config.delta!r}") from None
-    try:
-        return ExperimentConfig(
-            signal=build_signal(config),
-            noise=build_noise(config),
-            n_values=config.n_values,
-            p=config.p if config.p > 0 else None,
-            p_min=config.p_min,
-            replications=config.replications,
-            base_seed=config.seed,
-            threads=config.threads,
-            strict_h5=config.strict_h5,
-            eps=config.eps if config.eps > 0.0 else None,
-            k_star=config.k_star if config.k_star > 0 else None,
-            k_star0=config.k_star0,
-            delta=delta,
-            delta_variant=variant,
-            varsigma_star=config.varsigma_star,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def validate_config(config: RunConfig) -> ExperimentConfig:
+def validate_config(config: RunConfig) -> None:
     """Reject an inconsistent config before anything is computed or
-    written; return its materialized experiment.  Every n in
-    risk.n_values must pass the weight-family and frequency rules (no
-    family is built), and estimate.n the frequency rules."""
-    for key, name, _ in _SCHEMA:
-        # a negative zero-sentinel would otherwise silently mean "derive"
-        if name in ("k_star", "eps", "p", "renewal_horizon") and getattr(config, name) < 0:
-            raise ConfigError(f"{key} must be positive, or 0 to derive it, got {getattr(config, name)!r}")
-    experiment = experiment_config(config)
+    written.  RunConfig itself checks the rules of one field; this checks
+    the rules that join fields: the signal and noise settings, the
+    weight-family and frequency rules for every n in risk.n_values (no
+    family is built), and the frequency rules for estimate.n."""
     try:
-        for n in experiment.n_values:
-            family_knobs(n, experiment.eps, experiment.k_star, experiment.k_star0, None, experiment.varsigma_star)
-            resolve_frequency(experiment, n)
-        resolve_frequency(experiment, config.estimate_n)
+        config.signal, config.noise  # built here once, and cached for the handler
+        for n in config.n_values:
+            family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
+            resolve_frequency(config, n)
+        resolve_frequency(config, config.estimate_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return experiment
 
 
 @dataclass(frozen=True)
@@ -330,11 +205,11 @@ def _write_csv(path: Path, digest: str, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _fit_one_path(experiment: ExperimentConfig, n: int, stream: int):
+def _fit_one_path(config: RunConfig, n: int, stream: int):
     """Weight family and selection result of one replication at sample size n."""
-    p, family, delta = resolve_selection(experiment, n)
-    drift_sums = n * cell_integrals(experiment.signal, p)
-    est = replication_estimates(drift_sums, experiment.noise, n, RngStream(experiment.base_seed, stream))
+    p, family, delta = resolve_selection(config, n)
+    drift_sums = n * cell_integrals(config.signal, p)
+    est = replication_estimates(drift_sums, config.noise, n, RngStream(config.seed, stream))
     return family, select_model(est, family, delta)
 
 
@@ -345,18 +220,18 @@ def _write_fit(path: Path, digest: str, signal: SignalSpec, result):
     _write_csv(path, digest, ("t", "truth", "estimate"), (map(_fmt, row) for row in rows))
 
 
-def _run_simulate(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
+def _run_simulate(config: RunConfig, out: Path, digest: str):
     n = config.estimate_n
-    p = resolve_frequency(experiment, n)
-    obs = sample_observations(experiment.signal, experiment.noise, n=n, p=p, rng=RngStream(config.seed, 0))
+    p = resolve_frequency(config, n)
+    obs = sample_observations(config.signal, config.noise, n=n, p=p, rng=RngStream(config.seed, 0))
     rows = ((str(j), _fmt(j / p), _fmt(y)) for j, y in enumerate(obs.y))
     _write_csv(out / "path.csv", digest, ("j", "t", "y"), rows)
     return ["path.csv"]
 
 
-def _run_estimate(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
-    family, result = _fit_one_path(experiment, config.estimate_n, stream=0)
-    _write_fit(out / "estimate.csv", digest, experiment.signal, result)
+def _run_estimate(config: RunConfig, out: Path, digest: str):
+    family, result = _fit_one_path(config, config.estimate_n, stream=0)
+    _write_fit(out / "estimate.csv", digest, config.signal, result)
     rows = (
         (str(k), str(beta), _fmt(scale), _fmt(result.costs[k]), str(int(k == result.index)))
         for k, (beta, scale) in enumerate(family.members)
@@ -365,19 +240,19 @@ def _run_estimate(config: RunConfig, experiment: ExperimentConfig, out: Path, di
     return ["estimate.csv", "selection.csv"]
 
 
-def _run_risk_table(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
+def _run_risk_table(config: RunConfig, out: Path, digest: str):
     rows = (
         (str(row.n), str(row.p), str(row.replications),
          *map(_fmt, (row.risk, row.risk_se, row.relative, row.oracle, row.seconds)))
-        for row in run_risk_experiment(experiment).rows
+        for row in run_risk_experiment(config).rows
     )
     _write_csv(out / "risk.csv", digest, ("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), rows)
     return ["risk.csv"]
 
 
-def _run_renewal_density(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
-    horizon = config.renewal_horizon if config.renewal_horizon > 0.0 else None
-    solution = solve_renewal_density(experiment.noise.interarrival, h=config.renewal_h, horizon=horizon)
+def _run_renewal_density(config: RunConfig, out: Path, digest: str):
+    horizon = config.renewal_horizon or None
+    solution = solve_renewal_density(config.noise.interarrival, h=config.renewal_h, horizon=horizon)
     if not solution.converged:
         print(
             f"driftsel: warning: renewal solve did not converge by horizon {solution.horizon!r}; "
@@ -390,12 +265,12 @@ def _run_renewal_density(config: RunConfig, experiment: ExperimentConfig, out: P
     return ["renewal.csv"]
 
 
-def _run_figures(config: RunConfig, experiment: ExperimentConfig, out: Path, digest: str):
+def _run_figures(config: RunConfig, out: Path, digest: str):
     written = []
-    for stream, n in enumerate(experiment.n_values):
-        _, result = _fit_one_path(experiment, n, stream=stream)
+    for stream, n in enumerate(config.n_values):
+        _, result = _fit_one_path(config, n, stream=stream)
         name = f"figure_n{n}.csv"
-        _write_fit(out / name, digest, experiment.signal, result)
+        _write_fit(out / name, digest, config.signal, result)
         written.append(name)
     return written
 
@@ -425,35 +300,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_run_config(args) -> RunConfig:
-    config = RunConfig()
-    if args.preset:
-        config = replace(config, **PRESETS[args.preset])
+    config = RunConfig(**PRESETS[args.preset]) if args.preset else RunConfig()
     if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         config = parse_config(path.read_text(encoding="utf-8"), base=config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.threads is not None:
-        config = replace(config, threads=args.threads)
-    if args.strict_h5:
-        config = replace(config, strict_h5=True)
-    return config
+    flags = {"seed": args.seed, "threads": args.threads, "strict_h5": args.strict_h5 or None}
+    try:
+        return replace(config, **{name: value for name, value in flags.items() if value is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_run_config(args)
-        experiment = validate_config(config)
+        validate_config(config)
     except ConfigError as exc:
         print(f"driftsel: config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)
     digest = config_digest(config)
     try:
-        outputs = _HANDLERS[args.subcommand](config, experiment, out, digest)
+        outputs = _HANDLERS[args.subcommand](config, out, digest)
         manifest = RunManifest(
             subcommand=args.subcommand,
             config_text=emit_config(config),

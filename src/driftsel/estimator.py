@@ -126,20 +126,19 @@ def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.nda
     return np.trim_zeros(lam, "b")
 
 
-def family_knobs(n: int, eps, k_star, k_star0: int, upsilon, varsigma_star: float):
+def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
     """Grid step eps, taper count k_star, scale count m and normalizer
-    upsilon of the weight family for n periods, each left at None taking
-    its sample-size driven choice: eps = 1/ln n,
-    k_star = floor(k_star0 + sqrt(ln n)) and upsilon = n / varsigma_star.
-    Raises ValueError when n < 2 or a knob leaves its range."""
+    upsilon = n / varsigma_star of the weight family for n periods, eps
+    and k_star left at None taking their sample-size driven choices
+    eps = 1/ln n and k_star = floor(k_star0 + sqrt(ln n)).  Raises
+    ValueError when n < 2 or a knob leaves its range."""
     if n < 2:
         raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
     if eps is None:
         eps = 1.0 / math.log(n)
     if k_star is None:
         k_star = int(k_star0 + math.sqrt(math.log(n)))
-    if upsilon is None:
-        upsilon = n / varsigma_star
+    upsilon = n / varsigma_star
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r} for n={n}; increase n or set eps explicitly")
     if k_star < 1:
@@ -155,13 +154,12 @@ def build_weight_family(
     eps: float = None,
     k_star: int = None,
     k_star0: int = 100,
-    upsilon: float = None,
     varsigma_star: float = 1.0,
 ) -> WeightFamily:
     """Construct the full candidate grid: taper orders 1..k_star crossed
     with bandwidth scales eps, 2*eps, ..., floor(1/eps^2)*eps, the knobs
     resolved by `family_knobs`."""
-    eps, k_star, m, upsilon = family_knobs(n, eps, k_star, k_star0, upsilon, varsigma_star)
+    eps, k_star, m, upsilon = family_knobs(n, eps, k_star, k_star0, varsigma_star)
     cap = min(n, p - 1)
     j_star = 1 + math.floor(math.log(upsilon))
     # most members' bandwidth stops below the cutoff, which leaves only

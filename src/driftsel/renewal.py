@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest deviation |rho - 1/tau_bar| at the horizon of a converged solve
+TAIL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class InterarrivalLaw:
@@ -157,8 +160,7 @@ def _l1_with_tail(ups: np.ndarray, h: float):
     return body + tail, tail_ok
 
 
-def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None = None,
-                          tail_tol: float = 1e-6) -> RenewalSolution:
+def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None = None) -> RenewalSolution:
     """Solve for the renewal density of the given inter-arrival law.
 
     h is the grid step (must resolve the mean spacing: h <= tau_bar / 50);
@@ -166,7 +168,7 @@ def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None 
     regime for all shipped laws. Raises ValueError when the march diverges
     (a gamma shape below 1 makes the density unbounded at 0). The result
     is flagged non-converged when the deviation at the horizon still
-    exceeds tail_tol.
+    exceeds TAIL_TOL.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -188,7 +190,7 @@ def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None 
     l1_error = abs(l1 - l1_coarse) / 3.0
 
     rho = np.maximum(1.0 / tau_bar + ups, 0.0)
-    converged = tail_ok and abs(ups[-1]) <= tail_tol
+    converged = tail_ok and abs(ups[-1]) <= TAIL_TOL
     return RenewalSolution(
         h=h,
         horizon=m * h,

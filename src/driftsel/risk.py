@@ -1,4 +1,11 @@
-"""Monte Carlo risk evaluation for the model-selection estimator.
+"""Run configuration and Monte Carlo risk evaluation for the
+model-selection estimator.
+
+`RunConfig` is the one description of a run: flat fields holding the
+paper's full-scale defaults, whose signal and noise are built from those
+fields.  The `resolve_*` functions turn it into each n's sampling
+frequency, weight family and penalty threshold; the CLI reads and writes
+it as key=value text.
 
 One engine run drives everything.  Each replication takes its
 coefficient estimates from `replication_estimates`, which draws the
@@ -24,10 +31,11 @@ time only, never a reported digit.
 """
 
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -41,56 +49,107 @@ from .estimator import (
     efficient_delta,
     estimate_proxy_variance,
 )
-from .noise import NoiseSpec, RngStream, sample_period_sums
+from .noise import LevyJumpSpec, NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
 from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
 _CHUNK = 50
 
-
-def _benchmark_noise() -> NoiseSpec:
-    return NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
+_LAW_PATTERN = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
+_LAW_ARITY = {"exponential": 1, "gamma": 2, "chi_squared": 1}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one risk experiment.
+class RunConfig:
+    """Everything a run can configure, as flat fields with the paper's
+    full-scale defaults.
 
-    `p` fixes the sampling frequency for every n; setting it to None
-    switches to the rule p = max(p_min, ceil(n^(5/6))) instead.  The
-    estimator knobs left at None take `estimator.family_knobs`'s
-    sample-size driven choices.
+    Zero sentinels mean "derive from the sample size": k_star, eps and p
+    switch to their rules when left at 0 (p = max(p_min,
+    ceil(n^(5/6)))); renewal_horizon at 0 takes the solver's default and
+    jump_intensity at 0 means no jump part.  None of them may be
+    negative.  `delta` is the text auto, efficient or a finite number.
+    Construction checks every rule that reads one field and raises
+    ValueError; `signal` and `noise` are built from their fields on first
+    use, and raise ValueError when those fields do not fit together.
     """
 
-    signal: SignalSpec = field(default_factory=SignalSpec.benchmark)
-    noise: NoiseSpec = field(default_factory=_benchmark_noise)
+    seed: int = 0
+    threads: int = 1
+    strict_h5: bool = False
+    signal_kind: str = "benchmark"
+    signal_coefficients: tuple = ()
+    signal_values: tuple = ()
+    rho1: float = 0.5
+    rho2: float = 0.5
+    rho_check: float = 1.0
+    interarrival: str = "chi_squared(3)"
+    marks: str = "normal"
+    jump_intensity: float = 0.0
+    jump_law: str = "gaussian"
+    k_star0: int = 100
+    k_star: int = 0
+    delta: str = "auto"
+    eps: float = 0.0
+    varsigma_star: float = 1.0
     n_values: tuple = (20, 100, 200, 1000)
     p: int = 100001
     p_min: int = 101
     replications: int = 10000
-    base_seed: int = 0
-    threads: int = 1
-    strict_h5: bool = False
-    eps: float = None
-    k_star: int = None
-    k_star0: int = 100
-    delta: float = None
-    delta_variant: str = "auto"
-    varsigma_star: float = 1.0
+    estimate_n: int = 100
+    renewal_h: float = 0.001
+    renewal_horizon: float = 0.0
 
     def __post_init__(self):
+        for name in ("k_star", "eps", "p", "renewal_horizon", "jump_intensity"):
+            # a negative zero-sentinel would otherwise silently mean its default
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be positive, or 0 for its default, got {getattr(self, name)!r}")
+        try:
+            known = self.delta in ("auto", "efficient") or math.isfinite(float(self.delta))
+        except ValueError:
+            known = False
+        if not known:
+            raise ValueError(f"delta must be auto, efficient, or a finite number, got {self.delta!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for a standard error")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
-        if self.base_seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.base_seed}")
-        if self.delta_variant not in ("auto", "efficient"):
-            raise ValueError("delta_variant must be 'auto' or 'efficient'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.n_values:
             raise ValueError("n_values is empty")
         if not 0.0 < self.varsigma_star < math.inf:
             raise ValueError(f"varsigma_star must be finite and positive, got {self.varsigma_star!r}")
+
+    @cached_property
+    def signal(self) -> SignalSpec:
+        if self.signal_kind == "benchmark":
+            return SignalSpec.benchmark()
+        if self.signal_kind == "trig":
+            return SignalSpec.trig_polynomial(self.signal_coefficients)
+        if self.signal_kind == "tabulated":
+            return SignalSpec.tabulated(self.signal_values)
+        raise ValueError(f"unknown signal.kind {self.signal_kind!r}")
+
+    @cached_property
+    def noise(self) -> NoiseSpec:
+        """The interarrival law is written name(args): exponential(rate),
+        gamma(shape, scale) or chi_squared(df)."""
+        text = self.interarrival
+        match = _LAW_PATTERN.match(text.replace(" ", ""))
+        if not match:
+            raise ValueError(f"bad interarrival law {text!r}; expected name(args)")
+        name, arg_text = match.groups()
+        try:
+            args = [float(a) for a in arg_text.split(",")] if arg_text else []
+        except ValueError:
+            raise ValueError(f"bad interarrival arguments in {text!r}") from None
+        if _LAW_ARITY.get(name) != len(args):
+            raise ValueError(f"unsupported interarrival law {text!r}")
+        law = getattr(InterarrivalLaw, name)(*args)
+        jumps = LevyJumpSpec(self.jump_intensity, self.jump_law) if self.jump_intensity > 0.0 else None
+        return NoiseSpec(self.rho1, self.rho2, self.rho_check, law, self.marks, jumps)
 
 
 @dataclass(frozen=True)
@@ -115,16 +174,13 @@ def satisfies_h5(n: int, p: int) -> bool:
     return p >= n ** (5.0 / 6.0)
 
 
-def resolve_frequency(config: ExperimentConfig, n: int) -> int:
+def resolve_frequency(config: RunConfig, n: int) -> int:
     """Sampling frequency for n >= 0 periods: config.p, or the rule
-    max(p_min, ceil(n^(5/6))) when that is None.  Raises ValueError when
-    it is below 3, or below n^(5/6) under the strict frequency check."""
+    max(p_min, ceil(n^(5/6))) when that is 0.  Raises ValueError when it
+    is below 3, or below n^(5/6) under the strict frequency check."""
     if n < 0:
         raise ValueError(f"need a nonnegative number of periods, got n={n}")
-    if config.p is not None:
-        p = config.p
-    else:
-        p = max(config.p_min, math.ceil(n ** (5.0 / 6.0)))
+    p = config.p or max(config.p_min, math.ceil(n ** (5.0 / 6.0)))
     if p < 3:
         raise ValueError(f"need p >= 3 samples per period, got p={p} for n={n}")
     if config.strict_h5 and not satisfies_h5(n, p):
@@ -132,22 +188,22 @@ def resolve_frequency(config: ExperimentConfig, n: int) -> int:
     return p
 
 
-def resolve_delta(config: ExperimentConfig, n: int) -> float:
-    if config.delta is not None:
-        return config.delta
-    if config.delta_variant == "efficient":
+def resolve_delta(config: RunConfig, n: int) -> float:
+    if config.delta == "auto":
+        return default_delta(n)
+    if config.delta == "efficient":
         return efficient_delta(n)
-    return default_delta(n)
+    return float(config.delta)
 
 
-def resolve_selection(config: ExperimentConfig, n: int):
+def resolve_selection(config: RunConfig, n: int):
     """Sampling frequency, weight family and penalty threshold for one n."""
     p = resolve_frequency(config, n)
     family = build_weight_family(
         n,
         p,
-        eps=config.eps,
-        k_star=config.k_star,
+        eps=config.eps or None,
+        k_star=config.k_star or None,
         k_star0=config.k_star0,
         varsigma_star=config.varsigma_star,
     )
@@ -226,14 +282,17 @@ def _run_chunk(payload):
     return errors[np.arange(stop - start), chosen], errors.cumsum(axis=0)[-1]
 
 
-def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
-    """Evaluate the selection procedure for every requested n."""
+def run_risk_experiment(config: RunConfig) -> RiskReport:
+    """Evaluate the selection procedure for every requested n.  Every n's
+    weight family is built before the first chunk runs, so a family that
+    fails its weight-sum checks stops the run before any work; a row's
+    `seconds` therefore leaves out its family build."""
+    selections = [(n, *resolve_selection(config, n)) for n in config.n_values]
     rows = []
+    total = config.replications
     with ProcessPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
-        for n in config.n_values:
+        for n, p, family, delta in selections:
             t0 = perf_counter()
-            p, family, delta = resolve_selection(config, n)
-            total = config.replications
             payloads = [
                 (
                     config.signal,
@@ -242,7 +301,7 @@ def run_risk_experiment(config: ExperimentConfig) -> RiskReport:
                     p,
                     family.weights,
                     delta,
-                    config.base_seed,
+                    config.seed,
                     start,
                     min(start + _CHUNK, total),
                 )

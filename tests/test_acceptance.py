@@ -21,7 +21,7 @@ from driftsel import signal as sg
 from driftsel.estimator import estimate_coefficients, estimate_proxy_variance
 from driftsel.noise import NoiseSpec, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
-from driftsel.risk import ExperimentConfig, pinsker_constant, run_risk_experiment
+from driftsel.risk import RunConfig, pinsker_constant, run_risk_experiment
 from reference_coeffs import correction_coeffs
 
 import pytest
@@ -180,9 +180,7 @@ def test_criterion_5_pinsker_constant():
 
 def test_criterion_6_oracle_inequality():
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(
-        n_values=(100,), p=1001, replications=500, k_star=5, base_seed=4242
-    )
+    cfg = RunConfig(n_values=(100,), p=1001, replications=500, k_star=5, seed=4242)
     row = next(row for row in run_risk_experiment(cfg).rows if row.n == 100)
     bound = 1.5 * row.oracle + 10.0 / row.n
     elapsed = time.perf_counter() - t0

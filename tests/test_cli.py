@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,21 +17,18 @@ from driftsel.cli import (
     ConfigError,
     PRESETS,
     RunConfig,
-    build_noise,
-    build_signal,
     config_digest,
     emit_config,
-    experiment_config,
     main,
     parse_config,
     validate_config,
+    _SCHEMA,
     _fit_one_path,
-    _parse_interarrival,
 )
-from driftsel.estimator import estimate_coefficients, select_model
+from driftsel.estimator import build_weight_family, default_delta, efficient_delta, estimate_coefficients, select_model
 from driftsel.noise import RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
-from driftsel.risk import replication_estimates, resolve_selection
+from driftsel.risk import replication_estimates, resolve_delta, resolve_frequency, resolve_selection
 from driftsel.signal import cell_integrals, grid_values
 
 
@@ -90,52 +88,83 @@ def test_presets():
     assert RunConfig(**PRESETS["full-scale"]) == RunConfig()
 
 
+def test_readme_key_table_matches_the_schema():
+    # besides RunConfig, README's key table is the only place that states
+    # the defaults: it lists every config key, and each default parses to
+    # RunConfig's
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    listed = []
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = line.split(" | ")
+        keys, defaults = re.findall(r"`([^`]+)`", cells[0]), cells[1].split(" / ")
+        assert len(keys) == len(defaults), line
+        for key, default in zip(keys, defaults):
+            text = "" if default == "empty" else default.strip("`")
+            assert parse_config(f"{key}={text}\n") == RunConfig(), key
+        listed += keys
+    assert listed == [key for key, _, _ in _SCHEMA]
+
+
 def test_digest_tracks_content():
     assert config_digest(RunConfig()) != config_digest(RunConfig(seed=1))
     assert config_digest(RunConfig()) == config_digest(RunConfig())
 
 
 def test_interarrival_parsing():
-    assert _parse_interarrival("exponential(1)") == InterarrivalLaw.gamma(1.0, 1.0)
-    assert _parse_interarrival("gamma(2, 1)").mean() == pytest.approx(2.0)
-    assert _parse_interarrival("chi_squared(3)").mean() == pytest.approx(3.0)
+    assert RunConfig(interarrival="exponential(1)").noise.interarrival == InterarrivalLaw.gamma(1.0, 1.0)
+    assert RunConfig(interarrival="gamma(2, 1)").noise.interarrival.mean() == pytest.approx(2.0)
+    assert RunConfig().noise.interarrival == InterarrivalLaw.chi_squared(3.0)
     for bad in ("weibull(1)", "gamma(1)", "chi_squared(abc)", "exponential", "exponential(-1)",
                 "exponential(inf)", "chi_squared(nan)", "gamma(inf,1)"):
+        with pytest.raises(ValueError):
+            RunConfig(interarrival=bad).noise
         with pytest.raises(ConfigError):
-            _parse_interarrival(bad)
+            validate_config(RunConfig(interarrival=bad))
 
 
 def test_signal_building():
-    assert build_signal(RunConfig()).kind == "benchmark"
-    trig = build_signal(RunConfig(signal_kind="trig", signal_coefficients=(1.0, 0.5)))
+    assert RunConfig().signal.kind == "benchmark"
+    trig = RunConfig(signal_kind="trig", signal_coefficients=(1.0, 0.5)).signal
     assert trig.kind == "trig_polynomial"
-    with pytest.raises(ConfigError):
-        build_signal(RunConfig(signal_kind="trig"))
-    with pytest.raises(ConfigError):
-        build_signal(RunConfig(signal_kind="spline"))
+    for bad in (RunConfig(signal_kind="trig"), RunConfig(signal_kind="spline")):
+        with pytest.raises(ValueError):
+            bad.signal
+        with pytest.raises(ConfigError):
+            validate_config(bad)
 
 
 def test_noise_building():
-    plain = build_noise(RunConfig())
+    plain = RunConfig().noise
     assert plain.jumps is None
-    jumpy = build_noise(RunConfig(rho_check=0.5, jump_intensity=2.0, jump_law="two_point"))
-    assert jumpy.jumps.intensity == 2.0
+    assert (plain.rho1, plain.rho2, plain.rho_check, plain.marks) == (0.5, 0.5, 1.0, "normal")
+    config = RunConfig(rho_check=0.5, jump_intensity=2.0, jump_law="two_point")
+    assert config.noise is config.noise                 # built once
+    assert config.noise.jumps.intensity == 2.0
+    with pytest.raises(ValueError):
+        RunConfig(rho_check=0.5).noise                   # jump part without a law
     with pytest.raises(ConfigError):
-        build_noise(RunConfig(rho_check=0.5))           # jump part without a law
+        validate_config(RunConfig(rho_check=0.5))
 
 
-def test_experiment_materialization():
-    exp = experiment_config(RunConfig())
-    assert exp.p == 100001
-    assert exp.k_star is None and exp.eps is None and exp.delta is None
-    exp = experiment_config(RunConfig(p=0, k_star=5, eps=0.3, delta="0.05"))
-    assert exp.p is None
-    assert exp.k_star == 5
-    assert exp.delta == 0.05
-    exp = experiment_config(RunConfig(delta="efficient"))
-    assert exp.delta_variant == "efficient"
+def test_zero_sentinels_are_read_directly():
+    # p, k_star and eps at 0 take their sample-size rules, and the delta
+    # text is read as it stands
+    default = RunConfig()
+    p, family, delta = resolve_selection(default, 100)
+    assert p == 100001
+    assert family.members == build_weight_family(100, p).members
+    assert delta == default_delta(100)
+    p, family, delta = resolve_selection(RunConfig(p=0, k_star=5, eps=0.3, delta="0.05"), 100)
+    assert p == resolve_frequency(RunConfig(p=0), 100) == 101
+    assert family.members[-1] == (5, 11 * 0.3)
+    assert delta == 0.05
+    assert resolve_delta(RunConfig(delta="efficient"), 100) == efficient_delta(100)
+    with pytest.raises(ValueError):
+        RunConfig(delta="fast")
     with pytest.raises(ConfigError):
-        experiment_config(RunConfig(delta="fast"))
+        parse_config("estimator.delta=fast\n")
 
 
 def test_strict_h5_validation():
@@ -178,15 +207,19 @@ def test_main_rejects_non_finite_noise(tmp_path, capsys, setting):
     "setting",
     ["estimator.delta=nan", "estimator.delta=inf", "estimator.eps=nan", "estimator.eps=-0.5",
      "estimator.k_star=-1", "risk.p=-5", "renewal.horizon=nan", "renewal.horizon=-1", "renewal.h=nan",
-     "signal.kind=trig\nsignal.coefficients=1,nan", "signal.kind=tabulated\nsignal.values=0,inf,1"],
+     "signal.kind=trig\nsignal.coefficients=1,nan", "signal.kind=tabulated\nsignal.values=0,inf,1",
+     "noise.jump_intensity=-1", "risk.replications=1", "estimator.delta=fast", "risk.n_values=",
+     "estimator.varsigma_star=0", "estimator.varsigma_star=-1", "--threads 0", "--threads -3"],
 )
 def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
     # non-finite numbers, and negative zero-sentinels, would otherwise run
-    # to the end (or fail late) with a derived value the manifest misstates
+    # to the end (or fail late) with a derived value the manifest misstates;
+    # these and RunConfig's other single-field rules fail as the config is read
     subcommand = "renewal-density" if setting.startswith("renewal.") else "estimate"
-    cfg = write_cfg(tmp_path, f"{setting}\nestimate.n=10\n")
+    flags = setting.split() if setting.startswith("--") else []
+    cfg = write_cfg(tmp_path, f"{'' if flags else setting}\nestimate.n=10\n")
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([subcommand, "--config", str(cfg), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not out.exists()
@@ -364,13 +397,13 @@ def test_estimate_is_the_engine_replication(tmp_path):
     cfg = write_cfg(tmp_path, "estimate.n=10\nrisk.p=101\nestimator.k_star=3\nestimator.eps=0.3\n")
     out = tmp_path / "est"
     assert main(["estimate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
-    experiment = experiment_config(RunConfig(seed=3, p=101, k_star=3, eps=0.3))
-    p, family, delta = resolve_selection(experiment, 10)
-    est = replication_estimates(10 * cell_integrals(experiment.signal, p), experiment.noise, 10, RngStream(3, 0))
+    config = RunConfig(seed=3, p=101, k_star=3, eps=0.3)
+    p, family, delta = resolve_selection(config, 10)
+    est = replication_estimates(10 * cell_integrals(config.signal, p), config.noise, 10, RngStream(3, 0))
     result = select_model(est, family, delta)
     _, _, rows = read_csv(out / "estimate.csv")
     columns = np.array(rows, dtype=float).T
-    assert np.array_equal(columns[1], grid_values(experiment.signal, p))
+    assert np.array_equal(columns[1], grid_values(config.signal, p))
     assert np.array_equal(columns[2], result.grid_values())
     _, _, sel = read_csv(out / "selection.csv")
     assert np.array_equal(np.array([float(row[3]) for row in sel]), result.costs)
@@ -391,14 +424,14 @@ def test_estimate_memory_does_not_grow_with_n(tmp_path):
 @pytest.mark.parametrize("n, p", [(20, 101), (100, 1001)])
 def test_fit_matches_full_path_fit_in_law(n, p):
     # the folded sampler's fits have the discrete error of full-path fits
-    experiment = experiment_config(RunConfig(seed=71, p=p))
-    _, family, delta = resolve_selection(experiment, n)
-    truth = grid_values(experiment.signal, p)
+    config = RunConfig(seed=71, p=p)
+    _, family, delta = resolve_selection(config, n)
+    truth = grid_values(config.signal, p)
     folded, full = np.empty(400), np.empty(400)
     for r in range(400):
-        _, result = _fit_one_path(experiment, n, stream=r)
+        _, result = _fit_one_path(config, n, stream=r)
         folded[r] = np.sum((result.grid_values() - truth) ** 2) / p
-        obs = sample_observations(experiment.signal, experiment.noise, n, p, RngStream(71, r))
+        obs = sample_observations(config.signal, config.noise, n, p, RngStream(71, r))
         result = select_model(estimate_coefficients(obs), family, delta)
         full[r] = np.sum((result.grid_values() - truth) ** 2) / p
     se = math.hypot(folded.std(ddof=1), full.std(ddof=1)) / math.sqrt(400)

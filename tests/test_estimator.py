@@ -55,13 +55,13 @@ def family_of(members, profiles):
     return WeightFamily(tuple(members), weights, np.array(profile_of, dtype=np.intp))
 
 
-def reference_family(n, p, eps=None, k_star=None, upsilon=None):
+def reference_family(n, p, eps=None, k_star=None, varsigma_star=1.0):
     """build_weight_family's knobs (eps, k_star, m, upsilon) from the
     sample-size rules, and its family from one pinsker_weights call per
     member."""
     eps = 1.0 / math.log(n) if eps is None else eps
     k_star = int(100 + math.sqrt(math.log(n))) if k_star is None else k_star
-    upsilon = n / 1.0 if upsilon is None else upsilon
+    upsilon = n / varsigma_star
     m = int(1.0 / eps**2)
     members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
     profiles = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members]
@@ -196,8 +196,8 @@ def test_pinsker_weight_shape_properties(beta, scale, upsilon):
 
 
 def test_family_cardinality():
-    fam = build_weight_family(n=50, p=101, eps=0.5, k_star=2, upsilon=50.0)
-    assert family_knobs(50, 0.5, 2, 100, 50.0, 1.0) == (0.5, 2, 4, 50.0)
+    fam = build_weight_family(n=50, p=101, eps=0.5, k_star=2, varsigma_star=1.0)
+    assert family_knobs(50, 0.5, 2, 100, 1.0) == (0.5, 2, 4, 50.0)
     assert len(fam.members) == 8
     assert [beta for beta, _ in fam.members] == [1, 1, 1, 1, 2, 2, 2, 2]
     assert fam.members[0][1] == pytest.approx(0.5)
@@ -213,9 +213,9 @@ def test_family_cardinality():
         (20, 101, {}),
         (100, 1001, {}),
         (1000, 10001, {}),
-        (50, 101, {"eps": 0.5, "k_star": 2, "upsilon": 50.0}),
-        # upsilon < e: the cutoff is 1, so the flat prefix is empty
-        (100, 101, {"eps": 0.05, "k_star": 3, "upsilon": 2.7}),
+        (50, 101, {"eps": 0.5, "k_star": 2, "varsigma_star": 1.0}),
+        # upsilon = n / varsigma_star < e: the cutoff is 1, so the flat prefix is empty
+        (100, 101, {"eps": 0.05, "k_star": 3, "varsigma_star": 100 / 2.7}),
         (3000, 100001, {}),
         (450, 1001, {"k_star": 5, "eps": 0.1}),
         # p = 3 caps every taper at or below the cutoff, where it equals
@@ -233,21 +233,21 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
     # profile per member, deduplicated
     fam = build_weight_family(n, p, **kwargs)
     knobs, expected = reference_family(n, p, **kwargs)
-    assert family_knobs(n, kwargs.get("eps"), kwargs.get("k_star"), 100, kwargs.get("upsilon"), 1.0) == knobs
+    assert family_knobs(n, kwargs.get("eps"), kwargs.get("k_star"), 100, kwargs.get("varsigma_star", 1.0)) == knobs
     assert fam.members == expected.members
     assert fam.profile_of.dtype == np.intp
     assert np.array_equal(fam.profile_of, expected.profile_of)
     assert fam.weights.shape == expected.weights.shape
     assert fam.weights.tobytes() == expected.weights.tobytes()
     assert fam.weights.dtype == np.float64 and fam.weights.flags.c_contiguous
-    if kwargs.get("upsilon") == 2.7:
+    if n / kwargs.get("varsigma_star", 1.0) < math.e:
         assert not fam.weights[0].any() and fam.weights.shape[0] > 1
     if p == 3:
         assert fam.weights.shape == (1, 2)
 
 
 def test_family_defaults_track_sample_size():
-    eps, k_star, m, upsilon = family_knobs(100, None, None, 100, None, 1.0)
+    eps, k_star, m, upsilon = family_knobs(100, None, None, 100, 1.0)
     assert eps == pytest.approx(1.0 / math.log(100.0))
     assert m == 21
     assert k_star == 102
@@ -260,7 +260,7 @@ def test_family_defaults_track_sample_size():
 def test_family_weight_sum_bound():
     for n, p in ((30, 101), (200, 401), (1000, 2001)):
         fam = build_weight_family(n=n, p=p)
-        eps, _, _, upsilon = family_knobs(n, None, None, 100, None, 1.0)
+        eps, _, _, upsilon = family_knobs(n, None, None, 100, 1.0)
         assert 1.0 <= fam.weights.sum(axis=1).max() <= 1.0 + (upsilon / eps) ** (1.0 / 3.0)
 
 
@@ -288,7 +288,7 @@ def test_family_rejects_tiny_samples():
 )
 def test_family_knobs_name_the_rule_and_n(n, eps, k_star0, varsigma_star, rule):
     # the CLI gate reports these messages before anything is built
-    for check in (lambda: family_knobs(n, eps, None, k_star0, None, varsigma_star),
+    for check in (lambda: family_knobs(n, eps, None, k_star0, varsigma_star),
                   lambda: build_weight_family(n, 101, eps=eps, k_star0=k_star0, varsigma_star=varsigma_star)):
         with pytest.raises(ValueError, match=rule) as info:
             check()
@@ -381,7 +381,7 @@ def test_select_scores_each_distinct_profile_once(monkeypatch):
 def test_select_attains_exhaustive_minimum():
     rng = np.random.default_rng(77)
     est = CoefficientEstimates(n=40, p=101, theta=rng.normal(0.0, 0.3, 100))
-    fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
+    fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, varsigma_star=1.0)
     res = select_model(est, fam, delta=0.05)
     sigma = estimate_proxy_variance(est)
     # one cost per member, from a profile rebuilt from the member's label
@@ -403,7 +403,7 @@ def test_select_breaks_ties_at_lowest_index():
 def test_select_invariant_under_candidate_permutation():
     rng = np.random.default_rng(78)
     est = CoefficientEstimates(n=40, p=101, theta=rng.normal(0.0, 0.3, 100))
-    fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, upsilon=40.0)
+    fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, varsigma_star=1.0)
     flipped = family_of(fam.members[::-1], [fam.weights[i] for i in fam.profile_of[::-1]])
     a = select_model(est, fam, delta=0.05)
     b = select_model(est, flipped, delta=0.05)
@@ -417,7 +417,7 @@ def test_select_noiseless_pure_basis():
     S = SignalSpec.trig_polynomial([0.0, 1.0])
     n, p = 4, 25
     est = estimate_coefficients(noiseless_path(S, n, p))
-    fam = build_weight_family(n=40, p=p, eps=0.3, k_star=3, upsilon=1000.0)
+    fam = build_weight_family(n=40, p=p, eps=0.3, k_star=3, varsigma_star=40 / 1000.0)
     res = select_model(est, fam)
     assert res.coefficients[1] == est.theta[1]
     target = grid_values(S, p)
@@ -433,7 +433,7 @@ def test_select_noiseless_pure_basis():
 def test_selection_grid_values_match_coefficients():
     rng = np.random.default_rng(79)
     est = CoefficientEstimates(n=20, p=25, theta=rng.normal(0.0, 0.5, 24))
-    fam = build_weight_family(n=20, p=25, eps=0.4, k_star=2, upsilon=20.0)
+    fam = build_weight_family(n=20, p=25, eps=0.4, k_star=2, varsigma_star=1.0)
     res = select_model(est, fam, delta=0.05)
     padded = np.zeros(25)
     padded[:24] = res.coefficients

@@ -6,7 +6,8 @@ member must win.  risk.csv is pinned with its wall-clock `seconds`
 column masked, for one worker and for two.  `simulate` pins the
 full-path sampler, and a risk table with a jump part (two-point jumps,
 Brownian weight 1/2) pins the jump substream, so all four noise
-substreams are covered.
+substreams are covered.  `renewal-density` is pinned on its own config,
+a gamma(3, 1/3) law on a 0.004 step (10 001 grid points).
 
 Recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1.  A change that
 alters a reported digit must update these digests on purpose and say
@@ -52,6 +53,11 @@ GOLDEN_JUMPS = {
     "risk.csv": "65e303bf98fdfa81b0981cd1304062bcbd63407b8cf752d650acc006efe706bb",
     "manifest.txt": "eed3e76c97a9ad19645b39bf38e766815a09566777e1f1ea3b68302ef9b28f87",
 }
+RENEWAL = "noise.interarrival=gamma(3, 0.3333333333333333)\nrenewal.h=0.004\n"
+GOLDEN_RENEWAL = {
+    "renewal.csv": "dfbd7c2f3bef4c5beb244dc820a64bb5a1a252ac81d77f4324dda6b226db2b2e",
+    "manifest.txt": "772bf7848dcf7ce2a2789fd1838859178e35bb8932436d4929db9913822db899",
+}
 
 
 def _mask_seconds(text: str) -> str:
@@ -92,3 +98,7 @@ def test_outputs_match_golden_digests(tmp_path, subcommand, flags):
 def test_jump_noise_risk_table_matches_golden_digests(tmp_path, threads):
     digests = _digests(tmp_path, CONFIG + JUMPS, GOLDEN_JUMPS, "risk-table", "--threads", threads)
     assert digests == GOLDEN_JUMPS
+
+
+def test_renewal_density_matches_golden_digests(tmp_path):
+    assert _digests(tmp_path, RENEWAL, GOLDEN_RENEWAL, "renewal-density") == GOLDEN_RENEWAL

@@ -26,7 +26,7 @@ from driftsel import noise
 from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
-    ExperimentConfig,
+    RunConfig,
     _chunk_constants,
     _run_chunk,
     pinsker_constant,
@@ -53,7 +53,7 @@ ZERO = SignalSpec.trig_polynomial([0.0])
 
 @pytest.fixture(scope="module")
 def desk_report():
-    cfg = ExperimentConfig(n_values=(20, 100), p=1001, replications=200, base_seed=42, k_star=5)
+    cfg = RunConfig(n_values=(20, 100), p=1001, replications=200, seed=42, k_star=5)
     return run_risk_experiment(cfg)
 
 
@@ -87,37 +87,34 @@ def test_relative_risk_division():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(replications=1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(delta_variant="fast")
-    with pytest.raises(ValueError):
-        ExperimentConfig(n_values=())
-    for threads in (0, -3):
-        with pytest.raises(ValueError):
-            ExperimentConfig(threads=threads)
-    for varsigma_star in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            ExperimentConfig(varsigma_star=varsigma_star)
+    # every rule that reads one field is checked on construction
+    for name, value in [
+        ("replications", 1), ("delta", "fast"), ("delta", "nan"), ("delta", "inf"), ("n_values", ()),
+        ("threads", 0), ("threads", -3), ("seed", -1),
+        ("varsigma_star", 0.0), ("varsigma_star", -1.0), ("varsigma_star", math.inf), ("varsigma_star", math.nan),
+        ("k_star", -1), ("eps", -0.5), ("p", -5), ("renewal_horizon", -1.0), ("jump_intensity", -1.0),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
 
 
 def test_frequency_resolution():
-    fixed = ExperimentConfig(p=301)
+    fixed = RunConfig(p=301)
     assert resolve_frequency(fixed, 100) == 301
-    ruled = ExperimentConfig(p=None, p_min=101)
+    ruled = RunConfig(p=0, p_min=101)
     assert resolve_frequency(ruled, 100) == 101          # rule floor
     assert resolve_frequency(ruled, 4000) == 1004        # ceil(4000^(5/6))
     assert satisfies_h5(100, 47)
     assert not satisfies_h5(100, 10)
-    strict = ExperimentConfig(p=10, strict_h5=True)
+    strict = RunConfig(p=10, strict_h5=True)
     with pytest.raises(ValueError):
         resolve_frequency(strict, 100)
 
 
 def test_delta_resolution():
-    assert resolve_delta(ExperimentConfig(), 100) == default_delta(100)
-    assert resolve_delta(ExperimentConfig(delta_variant="efficient"), 100) == efficient_delta(100)
-    assert resolve_delta(ExperimentConfig(delta=0.05), 100) == 0.05
+    assert resolve_delta(RunConfig(), 100) == default_delta(100)
+    assert resolve_delta(RunConfig(delta="efficient"), 100) == efficient_delta(100)
+    assert resolve_delta(RunConfig(delta="0.05"), 100) == 0.05
 
 
 def test_grid_and_coefficient_routes_agree():
@@ -128,7 +125,7 @@ def test_grid_and_coefficient_routes_agree():
     # identity (the last coefficient weighs 1/2 on even grids)
     n, reps, seed = 20, 40, 11
     for p in (501, 500):
-        cfg = ExperimentConfig(n_values=(n,), p=p, replications=reps, base_seed=seed, k_star=3, eps=0.3)
+        cfg = RunConfig(n_values=(n,), p=p, replications=reps, seed=seed, k_star=3, eps=0.3)
         row = run_risk_experiment(cfg).rows[0]
         _, family, delta = resolve_selection(cfg, n)
         drift = n * cell_integrals(cfg.signal, p)
@@ -159,7 +156,7 @@ def test_grid_and_coefficient_routes_agree():
 def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
     # the one-pass matrix scoring picks the member a loop scoring one
     # unpadded prefix at a time picks, on the engine's own replications
-    cfg = ExperimentConfig(n_values=(n,), p=p, replications=reps, base_seed=12, k_star=k_star)
+    cfg = RunConfig(n_values=(n,), p=p, replications=reps, seed=12, k_star=k_star or 0)  # None: the rule
     _, family, delta = resolve_selection(cfg, n)
     first, upsilon = {}, n / cfg.varsigma_star
     for k, (beta, scale) in enumerate(family.members):
@@ -196,11 +193,11 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
     # the chunk selects and scores its replications as one block; one
     # replication at a time through select_model must give the same bits
     # (at n = 9 with k_star = 2 every member is flat: one profile)
-    cfg = ExperimentConfig(n_values=(n,), p=p, replications=100, base_seed=5, **knobs)
+    cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=5, **knobs)
     _, family, delta = resolve_selection(cfg, n)
     start, stop = 50, 100
     selected, profile_sum = _run_chunk(
-        (cfg.signal, cfg.noise, n, p, family.weights, delta, cfg.base_seed, start, stop))
+        (cfg.signal, cfg.noise, n, p, family.weights, delta, cfg.seed, start, stop))
     width = family.weights.shape[1]
     theta = discrete_fourier_coeffs(cfg.signal, p)
     sq = theta * theta
@@ -208,7 +205,7 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
     drift = n * cell_integrals(cfg.signal, p)
     expected, total = [], np.zeros(family.weights.shape[0])
     for r in range(start, stop):
-        est = replication_estimates(drift, cfg.noise, n, RngStream(cfg.base_seed, r))
+        est = replication_estimates(drift, cfg.noise, n, RngStream(cfg.seed, r))
         errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
         expected.append(errors[family.profile_of[select_model(est, family, delta).index]])
         total += errors
@@ -233,9 +230,9 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", sequence)
     monkeypatch.setattr(np.random.bit_generator, "SeedSequence", sequence)
     monkeypatch.setattr(noise, "Philox", philox)
-    cfg = ExperimentConfig(n_values=(20,), p=101, replications=50, base_seed=3, k_star=3)
+    cfg = RunConfig(n_values=(20,), p=101, replications=50, seed=3, k_star=3)
     _, family, delta = resolve_selection(cfg, 20)
-    _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.base_seed, 0, 50))
+    _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.seed, 0, 50))
     assert built == []
     # renewal epochs, marks and Brownian sums: three substreams a replication
     assert len(seeds) == 150
@@ -252,10 +249,10 @@ def test_chunk_constants_are_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(driftsel.risk, "cell_integrals", counted)
     _chunk_constants.cache_clear()
-    cfg = ExperimentConfig(n_values=(20,), p=101, replications=4, base_seed=3, k_star=3)
+    cfg = RunConfig(n_values=(20,), p=101, replications=4, seed=3, k_star=3)
     _, family, delta = resolve_selection(cfg, 20)
     for start in (0, 2):
-        _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.base_seed, start, start + 2))
+        _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.seed, start, start + 2))
     assert len(calls) == 1
     truth, tail, drift = _chunk_constants(cfg.signal, 20, 101, family.weights.shape[1])
     assert not truth.flags.writeable and not drift.flags.writeable
@@ -264,13 +261,13 @@ def test_chunk_constants_are_built_once_per_process(monkeypatch):
 
 
 def test_report_is_deterministic():
-    cfg = ExperimentConfig(n_values=(20,), p=501, replications=60, base_seed=7, k_star=3)
+    cfg = RunConfig(n_values=(20,), p=501, replications=60, seed=7, k_star=3)
     a = run_risk_experiment(cfg).rows[0]
     b = run_risk_experiment(cfg).rows[0]
-    c = run_risk_experiment(ExperimentConfig(n_values=(20,), p=501, replications=60, base_seed=7, k_star=3, threads=3)).rows[0]
+    c = run_risk_experiment(RunConfig(n_values=(20,), p=501, replications=60, seed=7, k_star=3, threads=3)).rows[0]
     assert (a.risk, a.risk_se, a.relative, a.oracle) == (b.risk, b.risk_se, b.relative, b.oracle)
     assert (a.risk, a.risk_se, a.relative, a.oracle) == (c.risk, c.risk_se, c.relative, c.oracle)
-    other = run_risk_experiment(ExperimentConfig(n_values=(20,), p=501, replications=60, base_seed=8, k_star=3)).rows[0]
+    other = run_risk_experiment(RunConfig(n_values=(20,), p=501, replications=60, seed=8, k_star=3)).rows[0]
     assert other.risk != a.risk
 
 
@@ -283,7 +280,7 @@ def test_one_process_pool_per_run(monkeypatch):
         return pools[-1]
 
     monkeypatch.setattr("driftsel.risk.ProcessPoolExecutor", counted)
-    cfg = ExperimentConfig(n_values=(10, 20, 30), p=101, replications=60, k_star=2)
+    cfg = RunConfig(n_values=(10, 20, 30), p=101, replications=60, k_star=2)
     serial = run_risk_experiment(cfg).rows
     assert pools == []
     pooled = run_risk_experiment(replace(cfg, threads=2)).rows
@@ -312,10 +309,8 @@ def test_desk_scale_relative_column(desk_report):
 def test_noiseless_oracle_is_the_truncation_error():
     S = SignalSpec.benchmark()
     n, p = 5, 101
-    cfg = ExperimentConfig(
-        signal=S, noise=QUIET, n_values=(n,), p=p, replications=2,
-        base_seed=3, k_star=2, eps=0.5,
-    )
+    cfg = RunConfig(rho1=0.0, rho2=0.0, n_values=(n,), p=p, replications=2, seed=3, k_star=2, eps=0.5)
+    assert (cfg.signal, cfg.noise) == (S, QUIET)
     row = run_risk_experiment(cfg).rows[0]
     est = estimate_coefficients(sample_observations(S, QUIET, n=n, p=p, rng=RngStream(3, 0)))
     theta_grid = grid_coefficients(grid_values(S, p))
@@ -333,12 +328,12 @@ def test_noiseless_oracle_is_the_truncation_error():
 def test_efficiency_trend_on_smooth_signals():
     # scaling the risk by n^(2/3) should not grow along the geometric
     # sample sweep; this is the efficiency direction at desk scale
-    smooth = SignalSpec.trig_polynomial([0.2, 0.7, -0.3])
-    exp_noise = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))
-    cfg = ExperimentConfig(
-        signal=smooth, noise=exp_noise, n_values=(100, 400, 1600), p=601,
-        replications=120, base_seed=601, k_star=5,
+    cfg = RunConfig(
+        signal_kind="trig", signal_coefficients=(0.2, 0.7, -0.3), interarrival=f"exponential({1.0 / 3.0!r})",
+        n_values=(100, 400, 1600), p=601, replications=120, seed=601, k_star=5,
     )
+    assert cfg.signal == SignalSpec.trig_polynomial([0.2, 0.7, -0.3])
+    assert cfg.noise == NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))
     rows = run_risk_experiment(cfg).rows
     scaled = [(r.n ** (2.0 / 3.0) * r.risk, r.n ** (2.0 / 3.0) * r.risk_se) for r in rows]
     for (s1, e1), (s2, e2) in zip(scaled, scaled[1:]):
@@ -403,7 +398,7 @@ def test_period_sums_proxy_variance_matches_full_paths():
 
 def test_risk_engine_memory_does_not_grow_with_the_path():
     # one n*p path at n = 1000, p = 10001 alone would take 80 MB
-    cfg = ExperimentConfig(n_values=(1000,), p=10001, replications=2, base_seed=9, k_star=5)
+    cfg = RunConfig(n_values=(1000,), p=10001, replications=2, seed=9, k_star=5)
     tracemalloc.start()
     try:
         run_risk_experiment(cfg)
@@ -418,7 +413,7 @@ def test_risk_engine_memory_does_not_grow_with_the_chunk():
     # replications' length-p rows instead would add 3.8 MiB at p = 10001
     peaks = []
     for reps in (2, 50):
-        cfg = ExperimentConfig(n_values=(1000,), p=10001, replications=reps, base_seed=9, k_star=5)
+        cfg = RunConfig(n_values=(1000,), p=10001, replications=reps, seed=9, k_star=5)
         tracemalloc.start()
         try:
             run_risk_experiment(cfg)
@@ -426,3 +421,14 @@ def test_risk_engine_memory_does_not_grow_with_the_chunk():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2**20
+
+
+def test_late_family_failure_runs_no_chunk(monkeypatch):
+    # n = 2 passes the config gate but its family fails the weight-sum
+    # check; every family is built before the first chunk of n = 100
+    chunks = []
+    monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
+    cfg = RunConfig(n_values=(100, 2), p=11, replications=200, k_star=5, eps=0.3)
+    with pytest.raises(ValueError, match="below total weight 1"):
+        run_risk_experiment(cfg)
+    assert chunks == []
