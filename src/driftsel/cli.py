@@ -10,16 +10,20 @@ with the same parameters are traceable to the same digest.
 
 The config itself, `risk.RunConfig`, and its defaults live with the
 risk engine; this module owns its text form, the gate that `main` runs
-before any output, the manifest and the subcommands.  `estimate` and
-`figures` fit through the risk engine's sampler,
-`risk.replication_estimates`, so only `simulate` builds an n*p path.
+before any output, and the subcommands.  A subcommand's handler only
+computes: it returns its tables, file name to (header, rows), in output
+order.  `main` alone writes the run, the CSVs and then the manifest
+naming them, after every table is computed, so a run that fails creates
+no output directory.  `estimate` and `figures` fit through the risk
+engine's sampler, `risk.replication_estimates`, so only `simulate`
+builds an n*p path.
 """
 
 import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -172,37 +176,8 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    subcommand: str
-    config_text: str
-    digest: str
-    outputs: tuple
-    version: str = __version__
-
-    def render(self) -> str:
-        lines = [
-            "artifact=driftsel",
-            f"version={self.version}",
-            f"subcommand={self.subcommand}",
-            f"manifest_digest={self.digest}",
-        ]
-        lines.extend(f"output={name}" for name in self.outputs)
-        lines.append("--- config ---")
-        lines.append(self.config_text.rstrip("\n"))
-        return "\n".join(lines) + "\n"
-
-
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _write_csv(path: Path, digest: str, header, rows):
-    lines = [f"# manifest_digest={digest}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    # the first file a run writes creates the output directory, so a run that fails leaves none
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _fit_one_path(config: RunConfig, n: int, stream: int):
@@ -213,44 +188,43 @@ def _fit_one_path(config: RunConfig, n: int, stream: int):
     return family, select_model(est, family, delta)
 
 
-def _write_fit(path: Path, digest: str, signal: SignalSpec, result):
+def _fit_table(signal: SignalSpec, result):
     """Truth and fitted curve at the p in-period grid points."""
     p = result.p
     rows = zip(np.arange(1, p + 1) / p, grid_values(signal, p), result.grid_values())
-    _write_csv(path, digest, ("t", "truth", "estimate"), (map(_fmt, row) for row in rows))
+    return ("t", "truth", "estimate"), (map(_fmt, row) for row in rows)
 
 
-def _run_simulate(config: RunConfig, out: Path, digest: str):
+def _run_simulate(config: RunConfig):
     n = config.estimate_n
     p = resolve_frequency(config, n)
     obs = sample_observations(config.signal, config.noise, n=n, p=p, rng=RngStream(config.seed, 0))
     rows = ((str(j), _fmt(j / p), _fmt(y)) for j, y in enumerate(obs.y))
-    _write_csv(out / "path.csv", digest, ("j", "t", "y"), rows)
-    return ["path.csv"]
+    return {"path.csv": (("j", "t", "y"), rows)}
 
 
-def _run_estimate(config: RunConfig, out: Path, digest: str):
+def _run_estimate(config: RunConfig):
     family, result = _fit_one_path(config, config.estimate_n, stream=0)
-    _write_fit(out / "estimate.csv", digest, config.signal, result)
     rows = (
         (str(k), str(beta), _fmt(scale), _fmt(result.costs[k]), str(int(k == result.index)))
         for k, (beta, scale) in enumerate(family.members)
     )
-    _write_csv(out / "selection.csv", digest, ("index", "beta", "scale", "cost", "selected"), rows)
-    return ["estimate.csv", "selection.csv"]
+    return {
+        "estimate.csv": _fit_table(config.signal, result),
+        "selection.csv": (("index", "beta", "scale", "cost", "selected"), rows),
+    }
 
 
-def _run_risk_table(config: RunConfig, out: Path, digest: str):
+def _run_risk_table(config: RunConfig):
     rows = (
         (str(row.n), str(row.p), str(row.replications),
          *map(_fmt, (row.risk, row.risk_se, row.relative, row.oracle, row.seconds)))
-        for row in run_risk_experiment(config).rows
+        for row in run_risk_experiment(config)
     )
-    _write_csv(out / "risk.csv", digest, ("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), rows)
-    return ["risk.csv"]
+    return {"risk.csv": (("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), rows)}
 
 
-def _run_renewal_density(config: RunConfig, out: Path, digest: str):
+def _run_renewal_density(config: RunConfig):
     horizon = config.renewal_horizon or None
     solution = solve_renewal_density(config.noise.interarrival, h=config.renewal_h, horizon=horizon)
     if not solution.converged:
@@ -261,18 +235,14 @@ def _run_renewal_density(config: RunConfig, out: Path, digest: str):
         )
     # Python floats repr exactly like the numpy scalars, without building 360k of them
     rows = (map(repr, row) for row in zip(solution.x.tolist(), solution.rho.tolist(), solution.upsilon.tolist()))
-    _write_csv(out / "renewal.csv", digest, ("x", "rho", "upsilon"), rows)
-    return ["renewal.csv"]
+    return {"renewal.csv": (("x", "rho", "upsilon"), rows)}
 
 
-def _run_figures(config: RunConfig, out: Path, digest: str):
-    written = []
-    for stream, n in enumerate(config.n_values):
-        _, result = _fit_one_path(config, n, stream=stream)
-        name = f"figure_n{n}.csv"
-        _write_fit(out / name, digest, config.signal, result)
-        written.append(name)
-    return written
+def _run_figures(config: RunConfig):
+    return {
+        f"figure_n{n}.csv": _fit_table(config.signal, _fit_one_path(config, n, stream=stream)[1])
+        for stream, n in enumerate(config.n_values)
+    }
 
 
 _HANDLERS = {
@@ -324,14 +294,21 @@ def main(argv=None) -> int:
     out = Path(args.out)
     digest = config_digest(config)
     try:
-        outputs = _HANDLERS[args.subcommand](config, out, digest)
-        manifest = RunManifest(
-            subcommand=args.subcommand,
-            config_text=emit_config(config),
-            digest=digest,
-            outputs=tuple(outputs),
-        )
-        (out / "manifest.txt").write_text(manifest.render(), encoding="utf-8")
+        tables = _HANDLERS[args.subcommand](config)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            lines = [f"# manifest_digest={digest}", ",".join(header), *map(",".join, rows)]
+            (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = [
+            "artifact=driftsel",
+            f"version={__version__}",
+            f"subcommand={args.subcommand}",
+            f"manifest_digest={digest}",
+            *(f"output={name}" for name in tables),
+            "--- config ---",
+            emit_config(config).rstrip("\n"),
+        ]
+        (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     except (ValueError, OSError) as exc:
         print(f"driftsel: {exc}", file=sys.stderr)
         return 1

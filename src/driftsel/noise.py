@@ -17,8 +17,9 @@ np.uint64), so plain numpy reproduces any stream:
 
 The keys themselves are derived here with numpy's documented SeedSequence
 hash (pool size 4): the part that depends on the seed alone once per seed,
-then every (stream, tag) pair of a run of streams in one vectorized pass,
-which is much cheaper than one SeedSequence per substream.
+its pool read from SeedSequence(base_seed), then every (stream, tag) pair
+of a run of streams in one vectorized pass, which is much cheaper than one
+SeedSequence per substream.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 from .renewal import InterarrivalLaw
@@ -54,7 +55,7 @@ _POOL = 4
 _TAGS = 4
 
 
-# both helpers take Python ints or uint32 arrays (whose arithmetic wraps)
+# both helpers take uint32 arrays, whose arithmetic wraps
 def _hash(value, xor, mul):
     value = (value ^ xor) * mul & _MASK32
     return value ^ value >> 16
@@ -85,31 +86,17 @@ def _seed_part(base_seed: int):
     seed = operator.index(base_seed)
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    # a spawn key follows, so SeedSequence pads the seed's words to the pool size
-    words += [0] * (_POOL - len(words))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        xor, const = const, const * _MULT_A & _MASK32
-        return _hash(value, xor, const)
-
-    pool = [hashmix(word) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], hashmix(word))
+    # the spawn key is mixed in after the seed's words, so the pool is
+    # SeedSequence(seed)'s; mixing the seed took 4 + 12 hash steps (one per
+    # pool word, one per ordered pair of pool words), plus 4 for each seed
+    # word beyond the pool size
+    words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - _POOL), 1 << 32) & _MASK32
     stream_xor, stream_mul, const = _steps(const, _MULT_A)
     tag_xor, tag_mul, _ = _steps(const, _MULT_A)
     tags = _hash(np.arange(_TAGS, dtype=np.uint32)[:, None], tag_xor, tag_mul)
     state_xor, state_mul, _ = _steps(_INIT_B, _MULT_B)
-    return np.array(pool, dtype=np.uint32), stream_xor, stream_mul, tags, state_xor, state_mul
+    return SeedSequence(seed).pool, stream_xor, stream_mul, tags, state_xor, state_mul
 
 
 def _substream_keys(base_seed: int, start: int, stop: int) -> np.ndarray:

@@ -49,7 +49,7 @@ from .estimator import (
     efficient_delta,
     estimate_proxy_variance,
 )
-from .noise import LevyJumpSpec, NoiseSpec, RngStream, sample_period_sums
+from .noise import JUMP_LAWS, LevyJumpSpec, NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
 from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
@@ -111,6 +111,9 @@ class RunConfig:
             known = False
         if not known:
             raise ValueError(f"delta must be auto, efficient, or a finite number, got {self.delta!r}")
+        if self.jump_law not in JUMP_LAWS:
+            # checked with or without a jump part, so the manifest never names an unknown law
+            raise ValueError(f"jump_law must be one of {JUMP_LAWS}, got {self.jump_law!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for a standard error")
         if self.threads < 1:
@@ -162,11 +165,6 @@ class RiskRow:
     relative: float
     oracle: float
     seconds: float
-
-
-@dataclass(frozen=True)
-class RiskReport:
-    rows: tuple
 
 
 def satisfies_h5(n: int, p: int) -> bool:
@@ -282,12 +280,15 @@ def _run_chunk(payload):
     return errors[np.arange(stop - start), chosen], errors.cumsum(axis=0)[-1]
 
 
-def run_risk_experiment(config: RunConfig) -> RiskReport:
-    """Evaluate the selection procedure for every requested n.  Every n's
-    weight family is built before the first chunk runs, so a family that
-    fails its weight-sum checks stops the run before any work; a row's
-    `seconds` therefore leaves out its family build."""
+def run_risk_experiment(config: RunConfig) -> tuple:
+    """One RiskRow per requested n, in order.  Every n's weight family is
+    built, and the signal's discrete norm checked on its p, before the
+    first chunk runs, so a family that fails its weight-sum checks or a
+    zero signal stops the run before any work; a row's `seconds`
+    therefore leaves out its family build."""
     selections = [(n, *resolve_selection(config, n)) for n in config.n_values]
+    for _, p, _, _ in selections:
+        relative_risk(0.0, config.signal, p)  # raises for a zero-norm signal
     rows = []
     total = config.replications
     with ProcessPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
@@ -324,4 +325,4 @@ def run_risk_experiment(config: RunConfig) -> RiskReport:
                     seconds=perf_counter() - t0,
                 )
             )
-    return RiskReport(rows=tuple(rows))
+    return tuple(rows)

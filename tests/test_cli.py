@@ -209,7 +209,8 @@ def test_main_rejects_non_finite_noise(tmp_path, capsys, setting):
      "estimator.k_star=-1", "risk.p=-5", "renewal.horizon=nan", "renewal.horizon=-1", "renewal.h=nan",
      "signal.kind=trig\nsignal.coefficients=1,nan", "signal.kind=tabulated\nsignal.values=0,inf,1",
      "noise.jump_intensity=-1", "risk.replications=1", "estimator.delta=fast", "risk.n_values=",
-     "estimator.varsigma_star=0", "estimator.varsigma_star=-1", "--threads 0", "--threads -3"],
+     "estimator.varsigma_star=0", "estimator.varsigma_star=-1", "--threads 0", "--threads -3",
+     "noise.jump_law=foo"],
 )
 def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
     # non-finite numbers, and negative zero-sentinels, would otherwise run
@@ -489,7 +490,7 @@ def test_renewal_density_rejects_divergent_solve(tmp_path, capsys):
     out = tmp_path / "ren"
     assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 1
     assert "diverged" in capsys.readouterr().err
-    assert not out.exists()                 # the first write creates the directory
+    assert not out.exists()                 # nothing is written until every table is computed
 
 
 def test_renewal_density_warns_when_not_converged(tmp_path, capsys):
@@ -515,3 +516,14 @@ def test_figures_output(tmp_path):
         assert len(rows) == 101
     manifest = (out / "manifest.txt").read_text()
     assert "output=figure_n5.csv" in manifest and "output=figure_n8.csv" in manifest
+
+
+def test_figures_late_family_failure_writes_nothing(tmp_path, capsys):
+    # n = 2 passes the config gate but its family fails the weight-sum
+    # check, after n = 100 is fitted: no figure of n = 100 is left behind
+    cfg = write_cfg(tmp_path, "risk.n_values=100,2\nrisk.p=11\nestimator.k_star=5\nestimator.eps=0.3\n")
+    out = tmp_path / "figs"
+    assert main(["figures", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "below total weight 1" in err and "Traceback" not in err
+    assert not out.exists()

@@ -15,10 +15,11 @@ why in CHANGES.md.
 """
 
 import hashlib
+import os
 
 import pytest
 
-from driftsel.cli import main
+from driftsel.cli import _HANDLERS, main, parse_config
 
 CONFIG = (
     "seed=2\n"
@@ -102,3 +103,16 @@ def test_jump_noise_risk_table_matches_golden_digests(tmp_path, threads):
 
 def test_renewal_density_matches_golden_digests(tmp_path):
     assert _digests(tmp_path, RENEWAL, GOLDEN_RENEWAL, "renewal-density") == GOLDEN_RENEWAL
+
+
+@pytest.mark.parametrize("subcommand", sorted(_HANDLERS))
+def test_handlers_write_nothing_and_name_their_tables_in_manifest_order(tmp_path, monkeypatch, subcommand):
+    # a handler only computes: main writes its tables, in the order of its keys
+    monkeypatch.chdir(tmp_path)
+    golden = GOLDEN_RENEWAL if subcommand == "renewal-density" else GOLDEN[subcommand]
+    config = parse_config(RENEWAL if subcommand == "renewal-density" else CONFIG)
+    tables = _HANDLERS[subcommand](config)
+    for header, rows in tables.values():
+        assert all(len(row) == len(header) for row in map(list, rows))
+    assert list(tables) == [name for name in golden if name != "manifest.txt"]
+    assert os.listdir(tmp_path) == []

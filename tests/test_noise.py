@@ -112,7 +112,7 @@ def test_substream_keys_match_or_refuse(seed, stream, tag):
     ids=["gamma", "standard_normal", "poisson", "integers", "uniform"],
 )
 def test_substreams_draw_as_plain_numpy(draw):
-    for seed, start in [(0, 0), (2, 48), (2**64 + 5, 9998)]:
+    for seed, start in [(0, 0), (2, 48), (2**64 + 5, 9998), (2**160 + 99, 7)]:
         for offset, rng in enumerate(RngStream.span(seed, start, start + 3)):
             assert rng == RngStream(seed, start + offset)
             for tag in range(4):

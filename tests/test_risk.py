@@ -126,7 +126,7 @@ def test_grid_and_coefficient_routes_agree():
     n, reps, seed = 20, 40, 11
     for p in (501, 500):
         cfg = RunConfig(n_values=(n,), p=p, replications=reps, seed=seed, k_star=3, eps=0.3)
-        row = run_risk_experiment(cfg).rows[0]
+        row = run_risk_experiment(cfg)[0]
         _, family, delta = resolve_selection(cfg, n)
         drift = n * cell_integrals(cfg.signal, p)
         truth = grid_values(cfg.signal, p)
@@ -262,12 +262,12 @@ def test_chunk_constants_are_built_once_per_process(monkeypatch):
 
 def test_report_is_deterministic():
     cfg = RunConfig(n_values=(20,), p=501, replications=60, seed=7, k_star=3)
-    a = run_risk_experiment(cfg).rows[0]
-    b = run_risk_experiment(cfg).rows[0]
-    c = run_risk_experiment(RunConfig(n_values=(20,), p=501, replications=60, seed=7, k_star=3, threads=3)).rows[0]
+    a = run_risk_experiment(cfg)[0]
+    b = run_risk_experiment(cfg)[0]
+    c = run_risk_experiment(RunConfig(n_values=(20,), p=501, replications=60, seed=7, k_star=3, threads=3))[0]
     assert (a.risk, a.risk_se, a.relative, a.oracle) == (b.risk, b.risk_se, b.relative, b.oracle)
     assert (a.risk, a.risk_se, a.relative, a.oracle) == (c.risk, c.risk_se, c.relative, c.oracle)
-    other = run_risk_experiment(RunConfig(n_values=(20,), p=501, replications=60, seed=8, k_star=3)).rows[0]
+    other = run_risk_experiment(RunConfig(n_values=(20,), p=501, replications=60, seed=8, k_star=3))[0]
     assert other.risk != a.risk
 
 
@@ -281,27 +281,27 @@ def test_one_process_pool_per_run(monkeypatch):
 
     monkeypatch.setattr("driftsel.risk.ProcessPoolExecutor", counted)
     cfg = RunConfig(n_values=(10, 20, 30), p=101, replications=60, k_star=2)
-    serial = run_risk_experiment(cfg).rows
+    serial = run_risk_experiment(cfg)
     assert pools == []
-    pooled = run_risk_experiment(replace(cfg, threads=2)).rows
+    pooled = run_risk_experiment(replace(cfg, threads=2))
     assert len(pools) == 1
     assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in pooled]
 
 
 def test_desk_scale_monotone_in_n(desk_report):
-    lo, hi = (next(row for row in desk_report.rows if row.n == n) for n in (20, 100))
+    lo, hi = (next(row for row in desk_report if row.n == n) for n in (20, 100))
     assert hi.risk < lo.risk - 3.0 * math.hypot(lo.risk_se, hi.risk_se)
 
 
 def test_desk_scale_oracle_inequality(desk_report):
-    for row in desk_report.rows:
+    for row in desk_report:
         assert row.oracle <= row.risk + 1e-12
         assert row.risk <= 1.5 * row.oracle + 10.0 / row.n
 
 
 def test_desk_scale_relative_column(desk_report):
     bench = SignalSpec.benchmark()
-    for row in desk_report.rows:
+    for row in desk_report:
         norm = discrete_norm_sq(grid_values(bench, row.p))
         assert row.relative == pytest.approx(row.risk / norm, rel=1e-14)
 
@@ -311,7 +311,7 @@ def test_noiseless_oracle_is_the_truncation_error():
     n, p = 5, 101
     cfg = RunConfig(rho1=0.0, rho2=0.0, n_values=(n,), p=p, replications=2, seed=3, k_star=2, eps=0.5)
     assert (cfg.signal, cfg.noise) == (S, QUIET)
-    row = run_risk_experiment(cfg).rows[0]
+    row = run_risk_experiment(cfg)[0]
     est = estimate_coefficients(sample_observations(S, QUIET, n=n, p=p, rng=RngStream(3, 0)))
     theta_grid = grid_coefficients(grid_values(S, p))
     sq = theta_grid**2
@@ -334,7 +334,7 @@ def test_efficiency_trend_on_smooth_signals():
     )
     assert cfg.signal == SignalSpec.trig_polynomial([0.2, 0.7, -0.3])
     assert cfg.noise == NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))
-    rows = run_risk_experiment(cfg).rows
+    rows = run_risk_experiment(cfg)
     scaled = [(r.n ** (2.0 / 3.0) * r.risk, r.n ** (2.0 / 3.0) * r.risk_se) for r in rows]
     for (s1, e1), (s2, e2) in zip(scaled, scaled[1:]):
         assert s2 - s1 <= 3.0 * math.hypot(e1, e2)
@@ -430,5 +430,17 @@ def test_late_family_failure_runs_no_chunk(monkeypatch):
     monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
     cfg = RunConfig(n_values=(100, 2), p=11, replications=200, k_star=5, eps=0.3)
     with pytest.raises(ValueError, match="below total weight 1"):
+        run_risk_experiment(cfg)
+    assert chunks == []
+
+
+def test_zero_signal_runs_no_chunk(monkeypatch):
+    # the relative risk of a zero drift is undefined: the run stops before
+    # the first chunk rather than after every replication of the first n
+    chunks = []
+    monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
+    cfg = RunConfig(n_values=(20, 100), p=101, replications=200, k_star=3,
+                    signal_kind="trig", signal_coefficients=(0.0,))
+    with pytest.raises(ValueError, match="zero discrete norm"):
         run_risk_experiment(cfg)
     assert chunks == []
