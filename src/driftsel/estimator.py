@@ -145,7 +145,11 @@ def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
         raise ValueError(f"k_star must be at least 1, got {k_star} for n={n}")
     if upsilon <= 1.0:
         raise ValueError(f"upsilon must exceed 1, got {upsilon!r} for n={n}")
-    return eps, k_star, int(1.0 / eps**2), upsilon
+    try:
+        m = int(1.0 / eps**2)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"eps={eps!r} leaves no finite scale count 1/eps^2 for n={n}") from None
+    return eps, k_star, m, upsilon
 
 
 def build_weight_family(

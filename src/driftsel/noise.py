@@ -160,36 +160,17 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class LevyJumpSpec:
-    """Compound Poisson jump part, normalized to unit second-moment charge.
-
-    Jumps are drawn from `law` ("gaussian" or symmetric "two_point") and
-    scaled by 1/sqrt(intensity) so that intensity * E[J^2] = 1 regardless
-    of the intensity chosen. Both shipped laws are symmetric, so the
-    compensator term intensity * E[J] * dt vanishes.
-    """
-
-    intensity: float
-    law: str = "gaussian"
-
-    def __post_init__(self):
-        if not 0.0 < self.intensity < math.inf:
-            raise ValueError("jump intensity must be finite and positive")
-        if self.law not in JUMP_LAWS:
-            raise ValueError(f"jump law must be one of {JUMP_LAWS}")
-
-    @property
-    def scale(self) -> float:
-        return 1.0 / math.sqrt(self.intensity)
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     """Amplitudes and laws of the two noise components.
 
     rho1 scales the Levy part, rho2 the semi-Markov part; rho_check in
-    [0, 1] is the Brownian weight inside the Levy part, and rho_check < 1
-    requires a jump specification.
+    [0, 1] is the Brownian weight inside the Levy part.  The rest of the
+    Levy part is a compound Poisson jump part of intensity
+    jump_intensity, 0 meaning none, so rho_check < 1 requires a positive
+    intensity.  Jumps are drawn from jump_law ("gaussian" or symmetric
+    "two_point") and scaled by 1/sqrt(jump_intensity), so that intensity
+    * E[J^2] = 1 whatever the intensity; both laws are symmetric, so the
+    compensator term intensity * E[J] * dt vanishes.
     """
 
     rho1: float
@@ -197,17 +178,23 @@ class NoiseSpec:
     rho_check: float = 1.0
     interarrival: InterarrivalLaw = InterarrivalLaw.chi_squared(3.0)
     marks: str = "normal"
-    jumps: LevyJumpSpec | None = None
+    jump_intensity: float = 0.0
+    jump_law: str = "gaussian"
 
     def __post_init__(self):
         if not (0.0 <= self.rho1 < math.inf and 0.0 <= self.rho2 < math.inf):
             raise ValueError("noise amplitudes must be finite and nonnegative")
         if not 0.0 <= self.rho_check <= 1.0:
             raise ValueError("the Brownian weight must lie in [0, 1]")
-        if self.rho_check < 1.0 and self.jumps is None:
-            raise ValueError("a jump specification is required when the Brownian weight is below 1")
+        if not 0.0 <= self.jump_intensity < math.inf:
+            raise ValueError(f"jump_intensity must be finite and nonnegative, got {self.jump_intensity!r}")
+        if self.rho_check < 1.0 and self.jump_intensity == 0.0:
+            raise ValueError("a Brownian weight below 1 requires a jump part (jump_intensity > 0)")
         if self.marks not in MARK_LAWS:
             raise ValueError(f"mark law must be one of {MARK_LAWS}")
+        if self.jump_law not in JUMP_LAWS:
+            # checked with or without a jump part, so the manifest never names an unknown law
+            raise ValueError(f"jump_law must be one of {JUMP_LAWS}, got {self.jump_law!r}")
 
 
 @dataclass(frozen=True)
@@ -260,66 +247,57 @@ def sample_renewal_times(law: InterarrivalLaw, horizon: float, rng: RngStream) -
     return times[times <= horizon]
 
 
-def _renewal_marks(spec: NoiseSpec, horizon: float, rng: RngStream):
-    """Renewal epochs over [0, horizon] and the mark carried by each."""
-    epochs = sample_renewal_times(spec.interarrival, horizon, rng)
-    return epochs, _sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs.size)
+def _epoch_cells(epochs: np.ndarray, p: int) -> np.ndarray:
+    """Index m of the cell (s_m, s_{m+1}] of the grid s = arange(n*p+1)/p
+    that holds each epoch in (0, n].
+
+    ceil(t * p) alone misplaces epochs within an ulp of a cell edge, so
+    the right edge it gives is corrected by comparing the grid values
+    themselves, exactly as a search of that grid would."""
+    right = np.ceil(epochs * p).astype(np.intp)
+    right += right / p < epochs
+    right -= (right - 1) / p >= epochs
+    return right - 1
 
 
-def sample_semimarkov_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
-    """Increments of z over the grid cells (s_{m-1}, s_m], m = 1..M.
+def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, roots: np.ndarray, spec: NoiseSpec,
+                    n: int, p: int, rng: RngStream) -> np.ndarray:
+    """drift + rho1 dL + rho2 dz over cells of the given widths (roots =
+    sqrt(widths)) covering n periods observed at p points per period.
 
-    z jumps by an i.i.d. standardized mark at every renewal epoch; a cell's
-    increment is the sum of the marks of the epochs it contains.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing with at least two points")
-    m_cells = grid.size - 1
-    epochs, marks = _renewal_marks(spec, float(grid[-1]), rng)
-    if epochs.size == 0:
-        return np.zeros(m_cells)
-    slots = np.searchsorted(grid, epochs, side="left") - 1
-    return np.bincount(slots, weights=marks, minlength=m_cells)
-
-
-def sample_levy_increments(grid: np.ndarray, spec: NoiseSpec, rng: RngStream) -> np.ndarray:
-    """Increments of L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric, uncompensated jumps)."""
-    grid = np.asarray(grid, dtype=float)
-    widths = np.diff(grid)
-    if grid.size < 2 or np.any(widths < 0):
-        raise ValueError("grid must be nondecreasing with at least two points")
-    return _levy_on_cells(widths, np.sqrt(widths), spec, rng)
+    z jumps by an i.i.d. standardized mark at every renewal epoch in
+    [0, n]; each epoch's cell on the n*p-cell grid is taken modulo the
+    cell count, so n*p cells give the path's increments and p cells its
+    period sums.  L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric,
+    uncompensated jumps) is drawn per cell."""
+    cells = widths.size
+    epochs = sample_renewal_times(spec.interarrival, float(n), rng)
+    marks = _sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs.size)
+    dz = np.bincount(_epoch_cells(epochs, p) % cells, weights=marks, minlength=cells)
+    dL = rng.generator(TAG_BROWNIAN).standard_normal(cells) * roots
+    if spec.rho_check < 1.0:
+        gen = rng.generator(TAG_JUMPS)
+        counts = gen.poisson(spec.jump_intensity * widths)
+        total = int(counts.sum())
+        scale = 1.0 / math.sqrt(spec.jump_intensity)
+        if spec.jump_law == "gaussian":
+            jumps = gen.standard_normal(total) * scale
+        else:
+            jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
+        dJ = np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
+        dL = spec.rho_check * dL + math.sqrt(1.0 - spec.rho_check**2) * dJ
+    return drift + spec.rho1 * dL + spec.rho2 * dz
 
 
 @lru_cache(maxsize=1)
 def _period_cells(n: int, p: int):
     """Widths of the p cells of width n/p that sample_period_sums draws
-    the Levy part on, and their square roots, built once per (n, p) from
-    the grid sample_levy_increments would diff (read-only: shared)."""
+    the Levy part on, and their square roots, built once per (n, p)
+    (read-only: shared)."""
     widths = np.diff(np.arange(p + 1) * (n / p))
     roots = np.sqrt(widths)
     widths.flags.writeable = roots.flags.writeable = False
     return widths, roots
-
-
-def _levy_on_cells(widths: np.ndarray, roots: np.ndarray, spec: NoiseSpec,
-                   rng: RngStream) -> np.ndarray:
-    """Levy increments over cells of the given widths (roots = sqrt(widths))."""
-    m_cells = widths.size
-    dW = rng.generator(TAG_BROWNIAN).standard_normal(m_cells) * roots
-    if spec.rho_check == 1.0:
-        return dW
-    jump_spec = spec.jumps
-    gen = rng.generator(TAG_JUMPS)
-    counts = gen.poisson(jump_spec.intensity * widths)
-    total = int(counts.sum())
-    if jump_spec.law == "gaussian":
-        jumps = gen.standard_normal(total) * jump_spec.scale
-    else:
-        jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * jump_spec.scale
-    dJ = np.bincount(np.repeat(np.arange(m_cells), counts), weights=jumps, minlength=m_cells)
-    return spec.rho_check * dW + math.sqrt(1.0 - spec.rho_check**2) * dJ
 
 
 def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> ObservationPath:
@@ -330,12 +308,9 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> O
     """
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    grid = np.arange(n * p + 1) / p
-    dz = sample_semimarkov_increments(grid, spec, rng)
-    dL = sample_levy_increments(grid, spec, rng)
-    dy = np.tile(cell_integrals(S, p), n) + spec.rho1 * dL + spec.rho2 * dz
-    y = np.concatenate(([0.0], np.cumsum(dy)))
-    return ObservationPath(n=n, p=p, y=y)
+    widths = np.diff(np.arange(n * p + 1) / p)
+    dy = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, np.sqrt(widths), spec, n, p, rng)
+    return ObservationPath(n=n, p=p, y=np.concatenate(([0.0], np.cumsum(dy))))
 
 
 def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int,
@@ -351,21 +326,12 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int,
     in O(p) memory instead of O(n p):
 
     - the semi-Markov part uses the same epochs and marks as the full path
-      (same substreams), each epoch t folded into its cell (s_{m-1}, s_m]
-      modulo p, so this part matches the full path draw for draw;
+      (same substreams and cell rule), each epoch's cell taken modulo p,
+      so this part matches the full path draw for draw;
     - the Levy part is drawn directly on p cells of width n/p: Brownian
       sums N(0, n/p), jump counts Poisson(intensity * n/p).
     """
     p = drift_sums.size
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    epochs, marks = _renewal_marks(spec, float(n), rng)
-    # cell m holds the epochs t with m/p < t <= (m+1)/p, the grid values
-    # compared exactly as sample_semimarkov_increments compares them
-    # (ceil(t * p) alone misplaces epochs within an ulp of a cell edge)
-    right = np.ceil(epochs * p).astype(np.intp)
-    right += right / p < epochs
-    right -= (right - 1) / p >= epochs
-    dz = np.bincount((right - 1) % p, weights=marks, minlength=p)
-    dL = _levy_on_cells(*_period_cells(n, p), spec, rng)
-    return drift_sums + spec.rho1 * dL + spec.rho2 * dz
+    return _noise_on_cells(drift_sums, *_period_cells(n, p), spec, n, p, rng)

@@ -49,7 +49,7 @@ from .estimator import (
     efficient_delta,
     estimate_proxy_variance,
 )
-from .noise import JUMP_LAWS, LevyJumpSpec, NoiseSpec, RngStream, sample_period_sums
+from .noise import NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
 from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
@@ -69,9 +69,10 @@ class RunConfig:
     ceil(n^(5/6)))); renewal_horizon at 0 takes the solver's default and
     jump_intensity at 0 means no jump part.  None of them may be
     negative.  `delta` is the text auto, efficient or a finite number.
-    Construction checks every rule that reads one field and raises
-    ValueError; `signal` and `noise` are built from their fields on first
-    use, and raise ValueError when those fields do not fit together.
+    Construction checks every rule that reads one run, estimator or
+    renewal field and raises ValueError; `signal` and `noise` are built
+    from their fields on first use, and SignalSpec and NoiseSpec raise
+    ValueError for those fields.
     """
 
     seed: int = 0
@@ -111,9 +112,6 @@ class RunConfig:
             known = False
         if not known:
             raise ValueError(f"delta must be auto, efficient, or a finite number, got {self.delta!r}")
-        if self.jump_law not in JUMP_LAWS:
-            # checked with or without a jump part, so the manifest never names an unknown law
-            raise ValueError(f"jump_law must be one of {JUMP_LAWS}, got {self.jump_law!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for a standard error")
         if self.threads < 1:
@@ -122,6 +120,11 @@ class RunConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.n_values:
             raise ValueError("n_values is empty")
+        if len(set(self.n_values)) < len(self.n_values):
+            # one n would otherwise repeat a risk row, and overwrite one figure with another
+            raise ValueError(f"n_values repeats an n: {self.n_values!r}")
+        if not self.renewal_h > 0.0:
+            raise ValueError(f"renewal_h must be positive, got {self.renewal_h!r}")
         if not 0.0 < self.varsigma_star < math.inf:
             raise ValueError(f"varsigma_star must be finite and positive, got {self.varsigma_star!r}")
 
@@ -151,8 +154,8 @@ class RunConfig:
         if _LAW_ARITY.get(name) != len(args):
             raise ValueError(f"unsupported interarrival law {text!r}")
         law = getattr(InterarrivalLaw, name)(*args)
-        jumps = LevyJumpSpec(self.jump_intensity, self.jump_law) if self.jump_intensity > 0.0 else None
-        return NoiseSpec(self.rho1, self.rho2, self.rho_check, law, self.marks, jumps)
+        return NoiseSpec(self.rho1, self.rho2, self.rho_check, law, self.marks,
+                         self.jump_intensity, self.jump_law)
 
 
 @dataclass(frozen=True)
@@ -219,12 +222,13 @@ def pinsker_constant(k: int, r: float) -> float:
     )
 
 
-def relative_risk(risk: float, signal, p: int) -> float:
-    """Risk divided by the discrete squared norm of the signal."""
+def signal_norm_sq(signal, p: int) -> float:
+    """Discrete squared norm of the signal on p points, which a risk is
+    divided by to give its relative risk.  Raises ValueError when it is 0."""
     norm_sq = discrete_norm_sq(grid_values(signal, p))
     if norm_sq <= 0.0:
         raise ValueError("signal has zero discrete norm")
-    return risk / norm_sq
+    return norm_sq
 
 
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
@@ -282,17 +286,16 @@ def _run_chunk(payload):
 
 def run_risk_experiment(config: RunConfig) -> tuple:
     """One RiskRow per requested n, in order.  Every n's weight family is
-    built, and the signal's discrete norm checked on its p, before the
-    first chunk runs, so a family that fails its weight-sum checks or a
-    zero signal stops the run before any work; a row's `seconds`
-    therefore leaves out its family build."""
+    built, and the signal's discrete norm on its p computed and checked,
+    before the first chunk runs, so a family that fails its weight-sum
+    checks or a zero signal stops the run before any work; a row's
+    `seconds` therefore leaves out its family build."""
     selections = [(n, *resolve_selection(config, n)) for n in config.n_values]
-    for _, p, _, _ in selections:
-        relative_risk(0.0, config.signal, p)  # raises for a zero-norm signal
+    norms = [signal_norm_sq(config.signal, p) for _, p, _, _ in selections]
     rows = []
     total = config.replications
     with ProcessPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
-        for n, p, family, delta in selections:
+        for (n, p, family, delta), norm_sq in zip(selections, norms):
             t0 = perf_counter()
             payloads = [
                 (
@@ -320,7 +323,7 @@ def run_risk_experiment(config: RunConfig) -> tuple:
                     replications=total,
                     risk=risk,
                     risk_se=risk_se,
-                    relative=relative_risk(risk, config.signal, p),
+                    relative=risk / norm_sq,
                     oracle=float(profile_total.min() / total),
                     seconds=perf_counter() - t0,
                 )

@@ -137,15 +137,17 @@ def test_signal_building():
 
 def test_noise_building():
     plain = RunConfig().noise
-    assert plain.jumps is None
     assert (plain.rho1, plain.rho2, plain.rho_check, plain.marks) == (0.5, 0.5, 1.0, "normal")
+    assert (plain.jump_intensity, plain.jump_law) == (0.0, "gaussian")   # no jump part
     config = RunConfig(rho_check=0.5, jump_intensity=2.0, jump_law="two_point")
     assert config.noise is config.noise                 # built once
-    assert config.noise.jumps.intensity == 2.0
-    with pytest.raises(ValueError):
-        RunConfig(rho_check=0.5).noise                   # jump part without a law
-    with pytest.raises(ConfigError):
-        validate_config(RunConfig(rho_check=0.5))
+    assert (config.noise.jump_intensity, config.noise.jump_law) == (2.0, "two_point")
+    # a Brownian weight below 1 without a jump part, and an unknown law without one
+    for bad in (RunConfig(rho_check=0.5), RunConfig(jump_law="stable")):
+        with pytest.raises(ValueError):
+            bad.noise
+        with pytest.raises(ConfigError):
+            validate_config(bad)
 
 
 def test_zero_sentinels_are_read_directly():
@@ -210,7 +212,7 @@ def test_main_rejects_non_finite_noise(tmp_path, capsys, setting):
      "signal.kind=trig\nsignal.coefficients=1,nan", "signal.kind=tabulated\nsignal.values=0,inf,1",
      "noise.jump_intensity=-1", "risk.replications=1", "estimator.delta=fast", "risk.n_values=",
      "estimator.varsigma_star=0", "estimator.varsigma_star=-1", "--threads 0", "--threads -3",
-     "noise.jump_law=foo"],
+     "noise.jump_law=foo", "renewal.h=-1", "renewal.h=0", "risk.n_values=20,20"],
 )
 def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
     # non-finite numbers, and negative zero-sentinels, would otherwise run
@@ -326,6 +328,8 @@ GATE_BASE = {"risk.n_values": "20", "risk.p": "101", "risk.replications": "2", "
         ("estimator.k_star0", "-200", "k_star must be at least 1"),
         ("estimator.varsigma_star", "1000", "upsilon must exceed 1"),
         ("estimate.n", "-1", "n=-1"),
+        ("estimator.eps", "1e-200", "scale count"),
+        ("estimator.eps", "1e-160", "scale count"),
     ],
 )
 def test_gate_rejects_family_and_frequency_rules(tmp_path, capsys, subcommand, key, value, named):

@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 
 from driftsel.noise import (
-    LevyJumpSpec,
     NoiseSpec,
     ObservationPath,
     RngStream,
+    _epoch_cells,
     _PhiloxKey,
     _substream_keys,
-    sample_levy_increments,
     sample_observations,
     sample_period_sums,
     sample_renewal_times,
-    sample_semimarkov_increments,
 )
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
@@ -26,14 +24,28 @@ CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squar
 ZERO = SignalSpec.trig_polynomial([0.0])
 
 
-class UnitSpacing:
-    """Degenerate law with every gap equal to 1: the two methods the samplers call."""
+class FixedSpacing:
+    """Degenerate law with every gap equal to `gap`: the two methods the samplers call."""
+
+    def __init__(self, gap=1.0):
+        self.gap = gap
 
     def mean(self):
-        return 1.0
+        return self.gap
 
     def sample(self, rng, size):
-        return np.full(size, 1.0)
+        return np.full(size, self.gap)
+
+
+def path_increments(spec, n, p, rng, S=ZERO):
+    return sample_observations(S, spec, n=n, p=p, rng=rng).increments
+
+
+def period_sums(spec, n, p, rng, S=ZERO):
+    return sample_period_sums(n * cell_integrals(S, p), spec, n, rng)
+
+
+SAMPLERS = (path_increments, period_sums)
 
 
 def test_same_seed_gives_identical_paths():
@@ -137,41 +149,38 @@ def test_substream_keys_refuse_what_they_cannot_match():
 
 
 def test_semimarkov_component_ignores_levy_settings():
-    grid = np.arange(0, 41) / 8.0
-    jumpy = NoiseSpec(
-        rho1=0.5,
-        rho2=0.5,
-        rho_check=0.7,
-        interarrival=InterarrivalLaw.chi_squared(3.0),
-        jumps=LevyJumpSpec(intensity=5.0),
-    )
-    z_a = sample_semimarkov_increments(grid, CHI2_SPEC, RngStream(11, 0))
-    z_b = sample_semimarkov_increments(grid, jumpy, RngStream(11, 0))
-    assert np.array_equal(z_a, z_b)
+    # without a Levy amplitude both samplers draw the semi-Markov part
+    # alone, which must not move when only the Levy settings do
+    plain = NoiseSpec(rho1=0.0, rho2=0.5)
+    jumpy = NoiseSpec(rho1=0.0, rho2=0.5, rho_check=0.7, jump_intensity=5.0, jump_law="two_point")
+    for sample in SAMPLERS:
+        z = sample(plain, 5, 8, RngStream(11, 0))
+        assert z.any() and np.array_equal(z, sample(jumpy, 5, 8, RngStream(11, 0)))
 
 
 def test_levy_component_ignores_renewal_settings():
-    grid = np.arange(0, 41) / 8.0
-    other = NoiseSpec(
-        rho1=0.5,
-        rho2=0.5,
-        interarrival=InterarrivalLaw.gamma(2.0, 1.0),
-        marks="rademacher",
-    )
-    l_a = sample_levy_increments(grid, CHI2_SPEC, RngStream(12, 0))
-    l_b = sample_levy_increments(grid, other, RngStream(12, 0))
-    assert np.array_equal(l_a, l_b)
+    other = NoiseSpec(rho1=0.5, rho2=0.0, interarrival=InterarrivalLaw.gamma(2.0, 1.0), marks="rademacher")
+    for sample in SAMPLERS:
+        levy = sample(NoiseSpec(rho1=0.5, rho2=0.0), 5, 8, RngStream(12, 0))
+        assert np.array_equal(levy, sample(other, 5, 8, RngStream(12, 0)))
 
 
 def test_observation_path_composes_the_components():
-    # with no Brownian/jump amplitude the path is exactly the running
-    # sum of the semi-Markov increments drawn from the same streams
-    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=InterarrivalLaw.chi_squared(3.0))
-    n, p = 4, 25
-    obs = sample_observations(ZERO, spec, n=n, p=p, rng=RngStream(13, 2))
-    grid = np.arange(n * p + 1) / p
-    z = sample_semimarkov_increments(grid, spec, RngStream(13, 2))
-    assert np.array_equal(obs.y, np.concatenate(([0.0], np.cumsum(z))))
+    # both samplers return drift + rho1 dL + rho2 dz, each part drawn from
+    # the same streams whatever the amplitudes: the period sums exactly,
+    # the path's increments up to the rounding of its running sum
+    S, n, p = SignalSpec.benchmark(), 12, 25
+
+    def spec(rho1, rho2):
+        return NoiseSpec(rho1=rho1, rho2=rho2, rho_check=0.6, jump_intensity=3.0)
+
+    for sample, tol in ((period_sums, 0.0), (path_increments, 1e-12)):
+        drift = sample(spec(0.0, 0.0), n, p, RngStream(13, 2), S)
+        dL = sample(spec(1.0, 0.0), n, p, RngStream(13, 2))
+        dz = sample(spec(0.0, 1.0), n, p, RngStream(13, 2))
+        both = sample(spec(0.3, 0.8), n, p, RngStream(13, 2), S)
+        assert dL.any() and dz.any()
+        assert np.abs(both - (drift + 0.3 * dL + 0.8 * dz)).max() <= tol
 
 
 def test_renewal_times_shape():
@@ -194,57 +203,64 @@ def test_renewal_rate_chi_squared():
 
 
 def test_semimarkov_fixed_law_lands_in_the_right_cells():
-    # unit spacings put exactly one epoch in each cell (l-1, l], including
-    # the epoch sitting exactly on the right endpoint of the last cell
-    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=UnitSpacing(), marks="rademacher")
-    grid = np.arange(6.0)
-    z = sample_semimarkov_increments(grid, spec, RngStream(2, 0))
-    assert np.array_equal(np.abs(z), np.ones(5))
+    # fixed spacings put every epoch on a grid point, each in the cell it
+    # closes, the last on the path's final point; the period sums fold
+    # the path's cells onto one period
+    for gap, n, p, cells in ((1.0, 5, 3, [2]), (0.5, 2, 4, [1, 3])):
+        spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=FixedSpacing(gap), marks="rademacher")
+        dz = path_increments(spec, n, p, RngStream(2, 0)).reshape(n, p)
+        hit = np.zeros(p)
+        hit[cells] = 1.0
+        assert np.array_equal(np.abs(dz), np.tile(hit, (n, 1)))
+        assert np.array_equal(period_sums(spec, n, p, RngStream(2, 0)), dz.sum(axis=0))
 
 
 def test_semimarkov_without_epochs_is_zero():
-    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=UnitSpacing())
-    z = sample_semimarkov_increments(np.array([0.0, 0.5]), spec, RngStream(2, 1))
-    assert np.array_equal(z, np.zeros(1))
+    # a first gap beyond the horizon leaves no epoch, and no increment
+    spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=FixedSpacing(2.5))
+    for sample, cells in ((path_increments, 6), (period_sums, 3)):
+        assert np.array_equal(sample(spec, 2, 3, RngStream(2, 1)), np.zeros(cells))
 
 
-def test_semimarkov_rejects_decreasing_grid():
-    with pytest.raises(ValueError):
-        sample_semimarkov_increments(np.array([0.0, 1.0, 0.5]), CHI2_SPEC, RngStream(2, 2))
+@pytest.mark.parametrize("n, p", [(1, 3), (7, 11), (7, 12), (100, 1001), (1000, 10001), (1000, 100001),
+                                  (50, 2000000), (33333333, 3)])
+def test_epoch_cells_match_a_search_of_the_grid(n, p):
+    # the cell rule must agree with searchsorted(arange(n*p+1)/p, t, "left") - 1
+    # on cell edges and one ulp either side, where ceil(t * p) alone slips;
+    # a grid value is j/p however the grid is sliced, and values two cells
+    # away from t lie on the same side of it as their cells, so the grid is
+    # searched only near each t and n*p up to 1e8 needs no 800 MB grid
+    gen = np.random.default_rng(n * p)
+    edges = np.unique(np.concatenate([[1, 2, n * p - 1, n * p], gen.integers(1, n * p + 1, 10000)]))
+    near = np.concatenate([edges / p, edges * (1.0 / p)])
+    times = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf), gen.uniform(0.0, n, 2000)])
+    times = times[(times > 0.0) & (times <= n)]
+    j = np.floor(times * p).astype(np.int64)[:, None] + np.arange(-2, 4)
+    below = (j / p < times[:, None]) & (j >= 0) & (j <= n * p)
+    reference = np.maximum(j[:, 0], 0) + below.sum(axis=1) - 1
+    if n * p <= 10**6:
+        assert np.array_equal(reference, np.searchsorted(np.arange(n * p + 1) / p, times, "left") - 1)
+    assert np.array_equal(_epoch_cells(times, p), reference)
 
 
 def test_levy_brownian_variance():
-    grid = np.arange(100001) * 0.01
-    d = sample_levy_increments(grid, CHI2_SPEC, RngStream(201, 0))
-    assert abs(d.var() / 0.01 - 1.0) < 0.0134     # 3 * sqrt(2 / 1e5)
-    assert abs(d.mean()) < 1e-3
+    # both samplers on cells of width 0.01: 100000 cells of the path, the
+    # 100000 folded cells of 1000 periods
+    spec = NoiseSpec(rho1=1.0, rho2=0.0)
+    for d in (path_increments(spec, 1000, 100, RngStream(201, 0)),
+              period_sums(spec, 1000, 100000, RngStream(201, 0))):
+        assert abs(d.var() / 0.01 - 1.0) < 0.0134     # 3 * sqrt(2 / 1e5)
+        assert abs(d.mean()) < 1e-3
 
 
 def test_levy_two_point_jump_variance():
     # pure-jump path: compensated two-point jumps are normalised so each
     # cell still carries variance equal to its width
-    spec = NoiseSpec(
-        rho1=1.0,
-        rho2=0.0,
-        rho_check=0.0,
-        jumps=LevyJumpSpec(intensity=4.0, law="two_point"),
-    )
-    grid = np.arange(100001) * 0.01
-    d = sample_levy_increments(grid, spec, RngStream(202, 0))
-    assert abs(d.var() / 0.01 - 1.0) < 0.05
-    assert abs(d.mean()) < 1e-3
-
-
-def test_levy_zero_width_cell_is_zero():
-    grid = np.array([0.0, 0.5, 0.5, 1.0])
-    spec = NoiseSpec(
-        rho1=1.0,
-        rho2=0.0,
-        rho_check=0.6,
-        jumps=LevyJumpSpec(intensity=3.0),
-    )
-    d = sample_levy_increments(grid, spec, RngStream(3, 0))
-    assert d[1] == 0.0
+    spec = NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.0, jump_intensity=4.0, jump_law="two_point")
+    for d in (path_increments(spec, 1000, 100, RngStream(202, 0)),
+              period_sums(spec, 1000, 100000, RngStream(202, 0))):
+        assert abs(d.var() / 0.01 - 1.0) < 0.05
+        assert abs(d.mean()) < 1e-3
 
 
 def test_noiseless_observations():
@@ -309,10 +325,10 @@ def test_mark_count_variance_tracks_the_renewal_function():
     # Var z(n) equals the expected number of epochs in [0, n], which the
     # renewal density integrates to n / tau_bar + O(1)
     n, reps = 100, 3000
-    grid = np.arange(0.0, n + 1.0)
+    marks_only = NoiseSpec(rho1=0.0, rho2=1.0)
     ends = np.empty(reps)
     for r in range(reps):
-        ends[r] = sample_semimarkov_increments(grid, CHI2_SPEC, RngStream(55, r)).sum()
+        ends[r] = period_sums(marks_only, n, 3, RngStream(55, r)).sum()
     sol = solve_renewal_density(InterarrivalLaw.chi_squared(3.0), h=5e-3, horizon=120.0)
     m = int(round(n / sol.h))
     expected = np.trapezoid(sol.rho[: m + 1], dx=sol.h)
@@ -325,7 +341,7 @@ LAWS = (
     InterarrivalLaw.exponential(1.0 / 3.0),
     InterarrivalLaw.gamma(2.0, 1.5),
     InterarrivalLaw.chi_squared(3.0),
-    UnitSpacing(),
+    FixedSpacing(),
 )
 
 
@@ -360,20 +376,20 @@ def test_period_sums_validation():
 def test_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(rho1=-0.1, rho2=0.5)
-    for bad in (float("nan"), float("inf")):
+    for bad in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError):
             NoiseSpec(rho1=bad, rho2=0.5)
         with pytest.raises(ValueError):
             NoiseSpec(rho1=0.5, rho2=bad)
         with pytest.raises(ValueError):
-            LevyJumpSpec(intensity=bad)
+            NoiseSpec(rho1=0.5, rho2=0.5, rho_check=0.5, jump_intensity=bad)
     with pytest.raises(ValueError):
         NoiseSpec(rho1=0.5, rho2=0.5, rho_check=1.5)
     with pytest.raises(ValueError):
-        NoiseSpec(rho1=0.5, rho2=0.5, rho_check=0.5)    # jump part needs a law
+        NoiseSpec(rho1=0.5, rho2=0.5, rho_check=0.5)    # a jump part needs an intensity
     with pytest.raises(ValueError):
         NoiseSpec(rho1=0.5, rho2=0.5, marks="cauchy")
-    with pytest.raises(ValueError):
-        LevyJumpSpec(intensity=0.0)
-    with pytest.raises(ValueError):
-        LevyJumpSpec(intensity=1.0, law="stable")
+    for intensity in (0.0, 1.0):                         # the law is checked with or without jumps
+        with pytest.raises(ValueError):
+            NoiseSpec(rho1=0.5, rho2=0.5, jump_intensity=intensity, jump_law="stable")
+    assert NoiseSpec(rho1=0.5, rho2=0.5, rho_check=0.5, jump_intensity=1.0, jump_law="two_point")

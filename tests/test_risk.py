@@ -23,20 +23,20 @@ from numpy.random import SeedSequence
 
 import driftsel.risk
 from driftsel import noise
-from driftsel.noise import LevyJumpSpec, NoiseSpec, RngStream, sample_observations, sample_period_sums
+from driftsel.noise import NoiseSpec, RngStream, sample_observations, sample_period_sums
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     RunConfig,
     _chunk_constants,
     _run_chunk,
     pinsker_constant,
-    relative_risk,
     replication_estimates,
     resolve_delta,
     resolve_frequency,
     resolve_selection,
     run_risk_experiment,
     satisfies_h5,
+    signal_norm_sq,
 )
 from driftsel.signal import (
     SignalSpec,
@@ -75,15 +75,15 @@ def test_pinsker_constant_limits_and_validation():
 
 
 def test_relative_risk_division():
-    assert relative_risk(0.0, SignalSpec.trig_polynomial([1.0]), 101) == 0.0
+    assert signal_norm_sq(SignalSpec.trig_polynomial([1.0]), 101) == pytest.approx(1.0)
     # published risk over published norm reproduces the published ratio
     flat = SignalSpec.trig_polynomial([math.sqrt(0.1883601)])
-    assert relative_risk(0.0398, flat, 101) == pytest.approx(0.211, abs=5e-4)
+    assert 0.0398 / signal_norm_sq(flat, 101) == pytest.approx(0.211, abs=5e-4)
     # same risk over the analytic benchmark norm 1/24
-    bench = relative_risk(0.0398, SignalSpec.benchmark(), 10001)
+    bench = 0.0398 / signal_norm_sq(SignalSpec.benchmark(), 10001)
     assert bench == pytest.approx(0.0398 * 24.0, rel=1e-2)
     with pytest.raises(ValueError):
-        relative_risk(0.1, SignalSpec.trig_polynomial([0.0]), 101)
+        signal_norm_sq(SignalSpec.trig_polynomial([0.0]), 101)
 
 
 def test_config_validation():
@@ -93,6 +93,7 @@ def test_config_validation():
         ("threads", 0), ("threads", -3), ("seed", -1),
         ("varsigma_star", 0.0), ("varsigma_star", -1.0), ("varsigma_star", math.inf), ("varsigma_star", math.nan),
         ("k_star", -1), ("eps", -0.5), ("p", -5), ("renewal_horizon", -1.0), ("jump_intensity", -1.0),
+        ("renewal_h", 0.0), ("renewal_h", -1.0), ("n_values", (100, 20, 100)),
     ]:
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
@@ -361,8 +362,8 @@ def _engine_and_path_sums(S, spec, n, p, reps):
     "levy",
     [
         NoiseSpec(rho1=1.0, rho2=0.0),
-        NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.6, jumps=LevyJumpSpec(intensity=2.0)),
-        NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.0, jumps=LevyJumpSpec(intensity=3.0, law="two_point")),
+        NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.6, jump_intensity=2.0),
+        NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.0, jump_intensity=3.0, jump_law="two_point"),
     ],
     ids=["brownian", "gaussian_jumps", "two_point_jumps"],
 )
