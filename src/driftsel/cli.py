@@ -11,19 +11,21 @@ with the same parameters are traceable to the same digest.
 The config itself, `risk.RunConfig`, and its defaults live with the
 risk engine; this module owns its text form, the gate that `main` runs
 before any output, and the subcommands.  A subcommand's handler only
-computes: it returns its tables, file name to (header, rows), in output
-order.  `main` alone writes the run, the CSVs and then the manifest
-naming them, after every table is computed, so a run that fails creates
-no output directory.  `estimate` and `figures` fit through the risk
-engine's sampler, `risk.replication_estimates`, so only `simulate`
-builds an n*p path.
+computes: it returns its tables, file name to (header, columns), in
+output order, with one array-like of numbers per column (ints, never
+bools).  `main` alone turns values into text, each the `repr` of its
+Python int or float, and writes the run: the CSVs, streamed a block of
+rows at a time, and then the manifest naming them, after every table is
+computed, so a run that fails creates no output directory.  `estimate`
+and `figures` fit through the risk engine's sampler,
+`risk.replication_estimates`, so only `simulate` builds an n*p path.
 """
 
 import argparse
 import hashlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +42,10 @@ from .risk import (
     run_risk_experiment,
 )
 from .signal import SignalSpec, cell_integrals, grid_values
+
+
+# rows formatted and written at a time: a table's text never exists whole
+_BLOCK = 1 << 16
 
 
 class ConfigError(Exception):
@@ -164,8 +170,9 @@ def validate_config(config: RunConfig) -> None:
     """Reject an inconsistent config before anything is computed or
     written.  RunConfig itself checks the rules of one field; this checks
     the rules that join fields: the signal and noise settings, the
-    weight-family and frequency rules for every n in risk.n_values (no
-    family is built), and the frequency rules for estimate.n."""
+    weight-family rules (its member count included) and frequency rules
+    for every n in risk.n_values (no family is built), and the frequency
+    rules for estimate.n."""
     try:
         config.signal, config.noise  # built here once, and cached for the handler
         for n in config.n_values:
@@ -174,10 +181,6 @@ def validate_config(config: RunConfig) -> None:
         resolve_frequency(config, config.estimate_n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _fit_one_path(config: RunConfig, n: int, stream: int):
@@ -191,37 +194,30 @@ def _fit_one_path(config: RunConfig, n: int, stream: int):
 def _fit_table(signal: SignalSpec, result):
     """Truth and fitted curve at the p in-period grid points."""
     p = result.p
-    rows = zip(np.arange(1, p + 1) / p, grid_values(signal, p), result.grid_values())
-    return ("t", "truth", "estimate"), (map(_fmt, row) for row in rows)
+    return ("t", "truth", "estimate"), (np.arange(1, p + 1) / p, grid_values(signal, p), result.grid_values())
 
 
 def _run_simulate(config: RunConfig):
     n = config.estimate_n
     p = resolve_frequency(config, n)
     obs = sample_observations(config.signal, config.noise, n=n, p=p, rng=RngStream(config.seed, 0))
-    rows = ((str(j), _fmt(j / p), _fmt(y)) for j, y in enumerate(obs.y))
-    return {"path.csv": (("j", "t", "y"), rows)}
+    j = np.arange(obs.y.size)
+    return {"path.csv": (("j", "t", "y"), (j, j / p, obs.y))}
 
 
 def _run_estimate(config: RunConfig):
     family, result = _fit_one_path(config, config.estimate_n, stream=0)
-    rows = (
-        (str(k), str(beta), _fmt(scale), _fmt(result.costs[k]), str(int(k == result.index)))
-        for k, (beta, scale) in enumerate(family.members)
-    )
+    index = np.arange(len(family.members))
+    columns = (index, *zip(*family.members), result.costs, (index == result.index).astype(int))
     return {
         "estimate.csv": _fit_table(config.signal, result),
-        "selection.csv": (("index", "beta", "scale", "cost", "selected"), rows),
+        "selection.csv": (("index", "beta", "scale", "cost", "selected"), columns),
     }
 
 
 def _run_risk_table(config: RunConfig):
-    rows = (
-        (str(row.n), str(row.p), str(row.replications),
-         *map(_fmt, (row.risk, row.risk_se, row.relative, row.oracle, row.seconds)))
-        for row in run_risk_experiment(config)
-    )
-    return {"risk.csv": (("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), rows)}
+    columns = zip(*map(astuple, run_risk_experiment(config)))  # RiskRow's fields in header order
+    return {"risk.csv": (("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), columns)}
 
 
 def _run_renewal_density(config: RunConfig):
@@ -233,9 +229,7 @@ def _run_renewal_density(config: RunConfig):
             "raise renewal.horizon or refine renewal.h",
             file=sys.stderr,
         )
-    # Python floats repr exactly like the numpy scalars, without building 360k of them
-    rows = (map(repr, row) for row in zip(solution.x.tolist(), solution.rho.tolist(), solution.upsilon.tolist()))
-    return {"renewal.csv": (("x", "rho", "upsilon"), rows)}
+    return {"renewal.csv": (("x", "rho", "upsilon"), (solution.x, solution.rho, solution.upsilon))}
 
 
 def _run_figures(config: RunConfig):
@@ -296,9 +290,13 @@ def main(argv=None) -> int:
     try:
         tables = _HANDLERS[args.subcommand](config)
         out.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in tables.items():
-            lines = [f"# manifest_digest={digest}", ",".join(header), *map(",".join, rows)]
-            (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name, (header, columns) in tables.items():
+            columns = [np.asarray(column) for column in columns]
+            with (out / name).open("w", encoding="utf-8") as f:
+                f.write(f"# manifest_digest={digest}\n{','.join(header)}\n")
+                for a in range(0, len(columns[0]), _BLOCK):
+                    rows = zip(*(column[a : a + _BLOCK].tolist() for column in columns), strict=True)
+                    f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
         manifest = [
             "artifact=driftsel",
             f"version={__version__}",

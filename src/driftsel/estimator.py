@@ -23,6 +23,11 @@ import numpy as np
 from .noise import ObservationPath
 from .signal import coefficients_to_grid, grid_coefficients
 
+# most members k_star * m a weight family may have: the default knobs stay
+# at 80115 or fewer up to n = 10^12, and one 50-replication risk chunk at
+# n = 1000, p = 10001 peaked at 34 MiB with 113322 members, 84 MiB with 255000
+_MAX_MEMBERS = 100_000
+
 
 @dataclass(frozen=True)
 class CoefficientEstimates:
@@ -131,7 +136,8 @@ def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
     upsilon = n / varsigma_star of the weight family for n periods, eps
     and k_star left at None taking their sample-size driven choices
     eps = 1/ln n and k_star = floor(k_star0 + sqrt(ln n)).  Raises
-    ValueError when n < 2 or a knob leaves its range."""
+    ValueError when n < 2, a knob leaves its range, or the family would
+    have more than _MAX_MEMBERS members."""
     if n < 2:
         raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
     if eps is None:
@@ -149,6 +155,9 @@ def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
         m = int(1.0 / eps**2)
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"eps={eps!r} leaves no finite scale count 1/eps^2 for n={n}") from None
+    if k_star * m > _MAX_MEMBERS:
+        raise ValueError(f"weight family for n={n} has {k_star * m} members ({k_star} tapers x {m} scales), "
+                         f"above the limit {_MAX_MEMBERS}; raise eps or lower k_star")
     return eps, k_star, m, upsilon
 
 

@@ -294,7 +294,10 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     norms = [signal_norm_sq(config.signal, p) for _, p, _, _ in selections]
     rows = []
     total = config.replications
-    with ProcessPoolExecutor(max_workers=config.threads) if config.threads > 1 else nullcontext() as pool:
+    # a fork-started pool forks every worker at the first submit, so it
+    # gets no more workers than there are chunks
+    workers = min(config.threads, math.ceil(total / _CHUNK))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for (n, p, family, delta), norm_sq in zip(selections, norms):
             t0 = perf_counter()
             payloads = [

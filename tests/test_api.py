@@ -1,9 +1,14 @@
 """Rules on driftsel's own code: every public top-level function and
-class has a production caller, only `cli.main` writes files, and the
-names the benchmark drives and observes keep their meaning."""
+class has a production caller, only `cli.main` writes files or turns
+values into text, the README's library example runs, and the names the
+benchmark drives and observes keep their meaning."""
 
 import ast
 import math
+import os
+import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -51,6 +56,30 @@ def test_only_main_writes():
     main = {("cli", "main")}
     helpers = {site for site in writers if site[1].startswith("_") and callers[site[1]] == main}
     assert writers <= main | helpers
+
+
+def test_only_main_formats():
+    # a handler returns columns of numbers, and main writes each value as
+    # its repr: one rule, so no handler may format a value itself
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name.startswith(("_run_", "_fit_")):
+            called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+                      for node in ast.walk(top) if isinstance(node, ast.Call)}
+            assert not called & {"repr", "str", "format", "join", "_fmt"}, top.name
+
+
+def test_readme_library_example_runs():
+    # nothing else runs the README's python block, so it is run as written
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^## Library use\n\n```python\n(.*?)^```", readme, re.S | re.M)
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", block + "print(fitted.shape)\n"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "(1001,)"
 
 
 def test_benchmark_hooks_keep_their_names_and_counts(tmp_path, monkeypatch):

@@ -25,7 +25,14 @@ from driftsel.cli import (
     _SCHEMA,
     _fit_one_path,
 )
-from driftsel.estimator import build_weight_family, default_delta, efficient_delta, estimate_coefficients, select_model
+from driftsel.estimator import (
+    build_weight_family,
+    default_delta,
+    efficient_delta,
+    estimate_coefficients,
+    family_knobs,
+    select_model,
+)
 from driftsel.noise import RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import replication_estimates, resolve_delta, resolve_frequency, resolve_selection
@@ -344,6 +351,32 @@ def test_gate_rejects_family_and_frequency_rules(tmp_path, capsys, subcommand, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["risk-table", "estimate"])
+@pytest.mark.parametrize(
+    "k_star, eps, members",
+    [(2, "1e-4", 200000000), (1, "0.0031622618488986627", 100001), (101, "0.03", 112211)],
+)
+def test_gate_bounds_the_family_size(tmp_path, capsys, subcommand, k_star, eps, members):
+    # a family of k_star * 1/eps^2 members above 100000 is refused before
+    # it is built: 2 * 10^8 members would take minutes and gigabytes
+    settings = {**GATE_BASE, "estimator.k_star": k_star, "estimator.eps": eps}
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in settings.items()))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"has {members} members" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gate_admits_a_family_at_the_size_limit():
+    config = RunConfig(n_values=(20,), p=101, k_star=1, eps=0.003162277660168379)
+    assert family_knobs(20, config.eps, config.k_star, 100, 1.0)[2] == 100000
+    validate_config(config)
+    # the family itself holds the limit, for callers that skip the gate
+    with pytest.raises(ValueError, match="has 100001 members"):
+        build_weight_family(20, 101, eps=0.0031622618488986627, k_star=1)
+
+
 def test_gate_builds_no_family(monkeypatch):
     # the gate runs before every command, inside its start-up time, so it
     # checks the family rules without paying for a family build
@@ -380,6 +413,25 @@ def test_simulate_noiseless_unit_drift(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert f"manifest_digest={digest}" in manifest
     assert "output=path.csv" in manifest
+
+
+def test_simulate_streams_its_table(tmp_path):
+    # main formats and writes a block of rows at a time: building every
+    # line, and then one string of them, took 3.4 times the sampler's peak
+    cfg = write_cfg(tmp_path, "estimate.n=20\nrisk.p=5001\n")
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        config = RunConfig(estimate_n=20, p=5001)
+        start = tracemalloc.get_traced_memory()[0]
+        sample_observations(config.signal, config.noise, n=20, p=5001, rng=RngStream(0, 0))
+        sampler = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(read_csv(tmp_path / "sim" / "path.csv")[2]) == 20 * 5001 + 1
+    assert peak < 2.5 * sampler
 
 
 def test_estimate_outputs(tmp_path):

@@ -17,6 +17,7 @@ why in CHANGES.md.
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from driftsel.cli import _HANDLERS, main, parse_config
@@ -107,12 +108,16 @@ def test_renewal_density_matches_golden_digests(tmp_path):
 
 @pytest.mark.parametrize("subcommand", sorted(_HANDLERS))
 def test_handlers_write_nothing_and_name_their_tables_in_manifest_order(tmp_path, monkeypatch, subcommand):
-    # a handler only computes: main writes its tables, in the order of its keys
+    # a handler only computes: main formats and writes its tables, in the
+    # order of its keys, from one column of numbers per header name
     monkeypatch.chdir(tmp_path)
     golden = GOLDEN_RENEWAL if subcommand == "renewal-density" else GOLDEN[subcommand]
     config = parse_config(RENEWAL if subcommand == "renewal-density" else CONFIG)
     tables = _HANDLERS[subcommand](config)
-    for header, rows in tables.values():
-        assert all(len(row) == len(header) for row in map(list, rows))
+    for header, columns in tables.values():
+        columns = [np.asarray(column) for column in columns]
+        assert len(columns) == len(header)
+        assert len({column.shape for column in columns}) == 1 and columns[0].ndim == 1
+        assert all(column.dtype.kind in "if" for column in columns)
     assert list(tables) == [name for name in golden if name != "manifest.txt"]
     assert os.listdir(tmp_path) == []

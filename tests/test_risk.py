@@ -289,6 +289,32 @@ def test_one_process_pool_per_run(monkeypatch):
     assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in pooled]
 
 
+@pytest.mark.parametrize(
+    "threads, replications, workers",
+    [(1000, 60, 2), (4, 60, 2), (3, 500, 3), (2, 1000, 2), (8, 50, None), (8, 2, None)],
+)
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, threads, replications, workers):
+    # a fork-started pool forks every worker at the first submit, so the
+    # pool is sized by its chunks; a recording stand-in starts no process
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr("driftsel.risk.ProcessPoolExecutor", Recorder)
+    run_risk_experiment(RunConfig(n_values=(10,), p=101, replications=replications, k_star=2, threads=threads))
+    assert pools == ([] if workers is None else [workers])
+
+
 def test_desk_scale_monotone_in_n(desk_report):
     lo, hi = (next(row for row in desk_report if row.n == n) for n in (20, 100))
     assert hi.risk < lo.risk - 3.0 * math.hypot(lo.risk_se, hi.risk_se)
