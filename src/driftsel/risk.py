@@ -20,9 +20,9 @@ profile's error.  The adaptive risk and the oracle benchmark thus share
 replications and one scoring identity, so they are directly comparable.
 
 A chunk derives the Philox keys of all its replications' noise
-substreams in one pass (`RngStream.span`), and takes the truth
-coefficients, their tail norm and the drift part of the period sums
-from a per-process cache.
+substreams in one pass (`RngStream.span`), and carries the truth
+coefficients, their tail norm and the drift part of the period sums,
+which the parent computes once per n: it depends on its arguments alone.
 
 Determinism contract: replication r always draws from stream r of the
 base seed, replications are processed in fixed chunks of 50, and chunk
@@ -35,7 +35,7 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -54,6 +54,9 @@ from .renewal import InterarrivalLaw
 from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
 _CHUNK = 50
+# values in one (chunk replications x distinct profiles x profile width)
+# scoring temporary, 128 MiB of float64; a chunk holds a few at once
+_MAX_SCORE_VALUES = 1 << 24
 
 _LAW_PATTERN = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 _LAW_ARITY = {"exponential": 1, "gamma": 2, "chi_squared": 1}
@@ -176,11 +179,11 @@ def satisfies_h5(n: int, p: int) -> bool:
 
 
 def resolve_frequency(config: RunConfig, n: int) -> int:
-    """Sampling frequency for n >= 0 periods: config.p, or the rule
-    max(p_min, ceil(n^(5/6))) when that is 0.  Raises ValueError when it
-    is below 3, or below n^(5/6) under the strict frequency check."""
-    if n < 0:
-        raise ValueError(f"need a nonnegative number of periods, got n={n}")
+    """Sampling frequency for n >= 1 periods: config.p, or the rule
+    max(p_min, ceil(n^(5/6))) when that is 0.  Raises ValueError for n < 1,
+    or p below 3 or, under the strict frequency check, below n^(5/6)."""
+    if n < 1:
+        raise ValueError(f"need n >= 1 periods, got n={n}")
     p = config.p or max(config.p_min, math.ceil(n ** (5.0 / 6.0)))
     if p < 3:
         raise ValueError(f"need p >= 3 samples per period, got p={p} for n={n}")
@@ -222,15 +225,6 @@ def pinsker_constant(k: int, r: float) -> float:
     )
 
 
-def signal_norm_sq(signal, p: int) -> float:
-    """Discrete squared norm of the signal on p points, which a risk is
-    divided by to give its relative risk.  Raises ValueError when it is 0."""
-    norm_sq = discrete_norm_sq(grid_values(signal, p))
-    if norm_sq <= 0.0:
-        raise ValueError("signal has zero discrete norm")
-    return norm_sq
-
-
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
                           rng: RngStream) -> CoefficientEstimates:
     """Coefficient estimates of one replication: n periods of the signal
@@ -239,19 +233,23 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
     return coefficients_from_period_sums(sample_period_sums(drift_sums, noise, n, rng), n)
 
 
-@lru_cache(maxsize=1)
-def _chunk_constants(signal: SignalSpec, n: int, p: int, width: int):
-    """What every chunk of one n shares, built once per process: the first
-    `width` truth coefficients, the grid norm of theta above them (the last
+def _truth(signal: SignalSpec, n: int, p: int, width: int):
+    """What every chunk of one n reads of the signal: the first `width`
+    truth coefficients, the grid norm of theta above them (the last
     coefficient weighted by 1/2 on even grids) and the drift part of the
-    period sums, n * cell_integrals(signal, p) (read-only: shared)."""
+    period sums, n * cell_integrals(signal, p) (read-only: shared), and
+    the discrete squared norm a risk is divided by, which raises
+    ValueError when it is 0."""
+    norm_sq = discrete_norm_sq(grid_values(signal, p))
+    if norm_sq <= 0.0:
+        raise ValueError("signal has zero discrete norm")
     theta = discrete_fourier_coeffs(signal, p)
     sq = theta * theta
     tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
     truth = theta[:width].copy()
     drift_sums = n * cell_integrals(signal, p)
     truth.flags.writeable = drift_sums.flags.writeable = False
-    return truth, tail, drift_sums
+    return truth, tail, drift_sums, norm_sq
 
 
 def _run_chunk(payload):
@@ -268,9 +266,8 @@ def _run_chunk(payload):
     the squared distance over the first W coefficients plus the squared
     norm of theta above W, whose last coefficient the grid norm weights
     by 1/2 on even grids."""
-    (signal, noise, n, p, weights, delta, base_seed, start, stop) = payload
+    (noise, n, weights, delta, truth, tail, drift_sums, base_seed, start, stop) = payload
     width = weights.shape[1]
-    truth, tail, drift_sums = _chunk_constants(signal, n, p, width)
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
     for i, rng in enumerate(RngStream.span(base_seed, start, stop)):
@@ -286,32 +283,32 @@ def _run_chunk(payload):
 
 def run_risk_experiment(config: RunConfig) -> tuple:
     """One RiskRow per requested n, in order.  Every n's weight family is
-    built, and the signal's discrete norm on its p computed and checked,
-    before the first chunk runs, so a family that fails its weight-sum
-    checks or a zero signal stops the run before any work; a row's
-    `seconds` therefore leaves out its family build."""
-    selections = [(n, *resolve_selection(config, n)) for n in config.n_values]
-    norms = [signal_norm_sq(config.signal, p) for _, p, _, _ in selections]
-    rows = []
+    built and checked against the scoring budget, and its `_truth`
+    computed once here in the parent, before the first chunk runs: a
+    family that fails a check or a zero signal stops the run before any
+    work, and a row's `seconds` leaves out both."""
     total = config.replications
+    chunk_rows = min(_CHUNK, total)
+    plans = []
+    for n in config.n_values:
+        p, family, delta = resolve_selection(config, n)
+        distinct, width = family.weights.shape
+        if chunk_rows * distinct * width > _MAX_SCORE_VALUES:
+            raise ValueError(
+                f"scoring n={n} needs {chunk_rows} replications x D={distinct} profiles x W={width} "
+                f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
+                f"(now {config.eps!r}) or lower estimator.k_star")
+        plans.append((n, p, family.weights, delta, *_truth(config.signal, n, p, width)))
+    rows = []
     # a fork-started pool forks every worker at the first submit, so it
     # gets no more workers than there are chunks
     workers = min(config.threads, math.ceil(total / _CHUNK))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for (n, p, family, delta), norm_sq in zip(selections, norms):
+        for n, p, weights, delta, truth, tail, drift_sums, norm_sq in plans:
             t0 = perf_counter()
             payloads = [
-                (
-                    config.signal,
-                    config.noise,
-                    n,
-                    p,
-                    family.weights,
-                    delta,
-                    config.seed,
-                    start,
-                    min(start + _CHUNK, total),
-                )
+                (config.noise, n, weights, delta, truth, tail, drift_sums, config.seed,
+                 start, min(start + _CHUNK, total))
                 for start in range(0, total, _CHUNK)
             ]
             results = list((pool.map if pool else map)(_run_chunk, payloads))

@@ -312,11 +312,12 @@ def test_module_entry_point_runs_the_subcommand(tmp_path):
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("subcommand, key", [("risk-table", "risk.n_values"), ("estimate", "estimate.n")])
 def test_main_rejects_too_few_periods(tmp_path, capsys, subcommand, key, n):
-    # risk.n_values is checked in the config gate; estimate.n gets no
-    # family check there (simulate runs at any n >= 1), so the fit rejects it
+    # risk.n_values needs n >= 2 in the config gate; estimate.n gets only
+    # the gate's n >= 1 there (simulate runs at any n >= 1), so the fit
+    # rejects n = 1
     cfg = write_cfg(tmp_path, f"{key}={n}\nrisk.p=101\nrisk.replications=2\n")
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == (2 if key == "risk.n_values" else 1)
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == (2 if key == "risk.n_values" or n < 1 else 1)
     err = capsys.readouterr().err
     assert f"n={n}" in err and "Traceback" not in err
     assert not out.exists()
@@ -335,6 +336,7 @@ GATE_BASE = {"risk.n_values": "20", "risk.p": "101", "risk.replications": "2", "
         ("estimator.k_star0", "-200", "k_star must be at least 1"),
         ("estimator.varsigma_star", "1000", "upsilon must exceed 1"),
         ("estimate.n", "-1", "n=-1"),
+        ("estimate.n", "0", "n=0"),
         ("estimator.eps", "1e-200", "scale count"),
         ("estimator.eps", "1e-160", "scale count"),
     ],
@@ -375,6 +377,20 @@ def test_gate_admits_a_family_at_the_size_limit():
     # the family itself holds the limit, for callers that skip the gate
     with pytest.raises(ValueError, match="has 100001 members"):
         build_weight_family(20, 101, eps=0.0031622618488986627, k_star=1)
+
+
+def test_risk_table_refuses_a_family_beyond_the_scoring_budget(tmp_path, capsys):
+    # the gate admits 2500 members, but a risk chunk at n = 10^6 would score
+    # 50 x 2500 x 312 values at once; estimate scores one row and runs
+    settings = {**GATE_BASE, "risk.n_values": "1000000", "risk.p": "1001", "risk.replications": "50",
+                "estimate.n": "1000000", "estimator.k_star": "1", "estimator.eps": "0.02"}
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in settings.items()))
+    out = tmp_path / "out"
+    assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "n=1000000" in err and "D=2500" in err and "W=312" in err and "estimator.eps" in err
+    assert "Traceback" not in err and not out.exists()
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_gate_builds_no_family(monkeypatch):

@@ -27,8 +27,8 @@ from driftsel.noise import NoiseSpec, RngStream, sample_observations, sample_per
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     RunConfig,
-    _chunk_constants,
     _run_chunk,
+    _truth,
     pinsker_constant,
     replication_estimates,
     resolve_delta,
@@ -36,7 +36,6 @@ from driftsel.risk import (
     resolve_selection,
     run_risk_experiment,
     satisfies_h5,
-    signal_norm_sq,
 )
 from driftsel.signal import (
     SignalSpec,
@@ -75,15 +74,18 @@ def test_pinsker_constant_limits_and_validation():
 
 
 def test_relative_risk_division():
-    assert signal_norm_sq(SignalSpec.trig_polynomial([1.0]), 101) == pytest.approx(1.0)
+    def norm_sq(signal, p):
+        return _truth(signal, 1, p, 1)[3]
+
+    assert norm_sq(SignalSpec.trig_polynomial([1.0]), 101) == pytest.approx(1.0)
     # published risk over published norm reproduces the published ratio
     flat = SignalSpec.trig_polynomial([math.sqrt(0.1883601)])
-    assert 0.0398 / signal_norm_sq(flat, 101) == pytest.approx(0.211, abs=5e-4)
+    assert 0.0398 / norm_sq(flat, 101) == pytest.approx(0.211, abs=5e-4)
     # same risk over the analytic benchmark norm 1/24
-    bench = 0.0398 / signal_norm_sq(SignalSpec.benchmark(), 10001)
+    bench = 0.0398 / norm_sq(SignalSpec.benchmark(), 10001)
     assert bench == pytest.approx(0.0398 * 24.0, rel=1e-2)
-    with pytest.raises(ValueError):
-        signal_norm_sq(SignalSpec.trig_polynomial([0.0]), 101)
+    with pytest.raises(ValueError, match="zero discrete norm"):
+        norm_sq(SignalSpec.trig_polynomial([0.0]), 101)
 
 
 def test_config_validation():
@@ -197,13 +199,16 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
     cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=5, **knobs)
     _, family, delta = resolve_selection(cfg, n)
     start, stop = 50, 100
-    selected, profile_sum = _run_chunk(
-        (cfg.signal, cfg.noise, n, p, family.weights, delta, cfg.seed, start, stop))
     width = family.weights.shape[1]
     theta = discrete_fourier_coeffs(cfg.signal, p)
     sq = theta * theta
     tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
     drift = n * cell_integrals(cfg.signal, p)
+    # the parent's truth of this n is the one written out here
+    carried = _truth(cfg.signal, n, p, width)
+    assert np.array_equal(carried[0], theta[:width]) and carried[1] == tail and np.array_equal(carried[2], drift)
+    selected, profile_sum = _run_chunk(
+        (cfg.noise, n, family.weights, delta, *carried[:3], cfg.seed, start, stop))
     expected, total = [], np.zeros(family.weights.shape[0])
     for r in range(start, stop):
         est = replication_estimates(drift, cfg.noise, n, RngStream(cfg.seed, r))
@@ -233,32 +238,40 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     monkeypatch.setattr(noise, "Philox", philox)
     cfg = RunConfig(n_values=(20,), p=101, replications=50, seed=3, k_star=3)
     _, family, delta = resolve_selection(cfg, 20)
-    _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.seed, 0, 50))
+    truth, tail, drift, _ = _truth(cfg.signal, 20, 101, family.weights.shape[1])
+    _run_chunk((cfg.noise, 20, family.weights, delta, truth, tail, drift, cfg.seed, 0, 50))
     assert built == []
     # renewal epochs, marks and Brownian sums: three substreams a replication
     assert len(seeds) == 150
     assert all(len(args) == 1 and not kwargs and not isinstance(args[0], SeedSequence) for args, kwargs in seeds)
 
 
-def test_chunk_constants_are_built_once_per_process(monkeypatch):
-    calls = []
-    real = driftsel.risk.cell_integrals
+def test_truth_is_built_once_per_n_in_the_parent(monkeypatch):
+    # every chunk of one n carries the truth the parent built for that n,
+    # so a chunk computes nothing per n and the engine keeps no cache
+    calls, payloads = [], []
+    real_integrals, real_chunk = driftsel.risk.cell_integrals, driftsel.risk._run_chunk
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        return real_integrals(*args)
+
+    def chunk(payload):
+        payloads.append(payload)
+        return real_chunk(payload)
 
     monkeypatch.setattr(driftsel.risk, "cell_integrals", counted)
-    _chunk_constants.cache_clear()
-    cfg = RunConfig(n_values=(20,), p=101, replications=4, seed=3, k_star=3)
-    _, family, delta = resolve_selection(cfg, 20)
-    for start in (0, 2):
-        _run_chunk((cfg.signal, cfg.noise, 20, 101, family.weights, delta, cfg.seed, start, start + 2))
-    assert len(calls) == 1
-    truth, tail, drift = _chunk_constants(cfg.signal, 20, 101, family.weights.shape[1])
-    assert not truth.flags.writeable and not drift.flags.writeable
-    assert np.array_equal(drift, 20 * real(cfg.signal, 101))
-    assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: family.weights.shape[1]])
+    monkeypatch.setattr(driftsel.risk, "_run_chunk", chunk)
+    cfg = RunConfig(n_values=(20, 30), p=101, replications=120, seed=3, k_star=3)
+    run_risk_experiment(cfg)
+    assert [n for _, n, *_ in payloads] == [20] * 3 + [30] * 3
+    assert [p for _, p in calls] == [101, 101]
+    for n in (20, 30):
+        (_, _, weights, _, truth, tail, drift, *_), *rest = [pl for pl in payloads if pl[1] == n]
+        assert all(pl[4] is truth and pl[6] is drift for pl in rest)
+        assert not truth.flags.writeable and not drift.flags.writeable
+        assert np.array_equal(drift, n * real_integrals(cfg.signal, 101))
+        assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: weights.shape[1]])
 
 
 def test_report_is_deterministic():
@@ -459,6 +472,26 @@ def test_late_family_failure_runs_no_chunk(monkeypatch):
     with pytest.raises(ValueError, match="below total weight 1"):
         run_risk_experiment(cfg)
     assert chunks == []
+
+
+def test_scoring_budget_runs_no_chunk(monkeypatch):
+    # a chunk scores 50 replications x 2500 distinct profiles x 312
+    # coefficients at once at n = 10^6, 2.3 times the budget: the run
+    # stops after the family build, before the first chunk of n = 20
+    chunks = []
+    monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
+    cfg = RunConfig(n_values=(20, 10**6), p=1001, replications=200, k_star=1, eps=0.02)
+    with pytest.raises(ValueError, match=r"n=1000000 needs 50 replications x D=2500 profiles x W=312 "
+                                         r"coefficients .* raise estimator.eps \(now 0.02\)"):
+        run_risk_experiment(cfg)
+    assert chunks == []
+
+
+def test_scoring_budget_admits_default_families():
+    # the default knobs at n = 10^7 and a wide explicit family at n = 10^5
+    for cfg, n in [(RunConfig(), 10**7), (RunConfig(k_star=99, eps=0.0317), 10**5)]:
+        distinct, width = resolve_selection(cfg, n)[1].weights.shape
+        assert 50 * distinct * width <= driftsel.risk._MAX_SCORE_VALUES
 
 
 def test_zero_signal_runs_no_chunk(monkeypatch):
