@@ -269,7 +269,11 @@ def resolve_run_config(args) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        config = parse_config(path.read_text(encoding="utf-8"), base=config)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        config = parse_config(text, base=config)
     flags = {"seed": args.seed, "threads": args.threads, "strict_h5": args.strict_h5 or None}
     try:
         return replace(config, **{name: value for name, value in flags.items() if value is not None})

@@ -91,10 +91,12 @@ def estimate_coefficients(obs: ObservationPath) -> CoefficientEstimates:
 def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     """Noise-level estimate from the high-frequency coefficients.
 
-    Frequencies from floor(sqrt(n)) up to min(p, n) carry essentially no
-    signal, so n times each squared coefficient is an almost unbiased
-    read of the proxy variance; the window average is returned, or 0.0
-    when the window is empty.
+    Frequencies j from floor(sqrt(n)) up to min(n, p - 1) carry
+    essentially no signal, so n times each squared coefficient is an
+    almost unbiased read of the proxy variance.  Returned is (n / d) times
+    the sum of theta_j^2 over that window, d = min(p, n), so the sum is
+    divided by d rather than by the window's length; 0.0 when the window
+    is empty.
     """
     low = math.isqrt(est.n)
     p_check = min(est.p, est.n)
@@ -209,48 +211,30 @@ def build_weight_family(
     return WeightFamily(tuple(members), weights, np.array(profile_of, dtype=np.intp))
 
 
-def penalty(lam: np.ndarray, sigma, n: int):
-    """Price of replacing the unknown cross term in the empirical error:
-    the noise level times the squared norm of each profile (row of `lam`),
-    per unit time; an array `sigma` broadcasts against the profiles."""
-    return sigma * (lam * lam).sum(axis=-1) / n
-
-
-def selection_cost(lam: np.ndarray, theta: np.ndarray, sigma, n: int, delta: float):
-    """Penalized empirical squared error of each profile (row of the
-    zero-padded profile matrix `lam`, or one profile) for each estimate
-    from n periods: `theta` holds one coefficient estimate with its proxy
-    variance `sigma`, or a block of estimates, one per row, with one
-    `sigma` each, and then the costs have one row per estimate.  Only the
-    first W coefficients are read, W the profile width.  Row-wise sums
-    give a cost the same bits whatever the number of profiles and
-    estimates."""
+def selection_cost(weights: np.ndarray, block: np.ndarray, sigma: np.ndarray, n: int, delta: float):
+    """Penalized empirical squared error of every profile (row of the
+    zero-padded D x W profile matrix `weights`) for every estimate from n
+    periods (row of the R x >=W `block`, with its proxy variance in the
+    R-vector `sigma`), as an R x D array.  The penalty prices the unknown
+    cross term as the noise level times the profile's squared norm per
+    unit time.  Only the first W coefficients are read, and row-wise sums
+    give a cost the same bits whatever R and D.  A row's argmin takes the
+    lowest index on ties: profiles are numbered in order of first
+    appearance, so that profile holds the earliest cheapest member."""
     if not 0.0 < delta <= 1.0 / 6.0:
         warnings.warn(
             "threshold delta outside (0, 1/6]: the oracle inequality is not guaranteed",
             stacklevel=2,
         )
-    width = lam.shape[-1]
-    if width > theta.shape[-1]:
+    width = weights.shape[1]
+    if width > block.shape[1]:
         raise ValueError("weight support exceeds the estimable frequencies")
-    # estimate axes first, then the profile axes of lam
-    lead = theta.shape[:-1]
-    sq = (theta[..., :width] ** 2).reshape(lead + (1,) * (lam.ndim - 1) + (width,))
-    sigma = np.reshape(sigma, lead + (1,) * (lam.ndim - 1))
-    quad = (lam * lam * sq).sum(axis=-1)
-    linear = (lam * (sq - sigma[..., None] / n)).sum(axis=-1)
-    return quad - 2.0 * linear + delta * penalty(lam, sigma, n)
-
-
-def cheapest_profiles(weights: np.ndarray, theta: np.ndarray, sigma, n: int, delta: float):
-    """Selection costs of every profile (row of the family's profile
-    matrix `weights`) for one estimate `theta` or a block of them, one per
-    row, with their proxy variances `sigma`, and the index of each
-    estimate's cheapest profile.  Ties go to the lowest index: profiles
-    are numbered in order of first appearance, so that profile holds the
-    earliest cheapest member."""
-    costs = selection_cost(weights, theta, sigma, n, delta)
-    return costs, costs.argmin(axis=-1)
+    # estimates down the first axis, profiles down the second
+    sq = block[:, None, :width] ** 2
+    squares = weights * weights
+    quad = (squares * sq).sum(axis=-1)
+    linear = (weights * (sq - sigma[:, None, None] / n)).sum(axis=-1)
+    return quad - 2.0 * linear + delta * (sigma[:, None] * squares.sum(axis=-1) / n)
 
 
 def default_delta(n: int) -> float:
@@ -268,19 +252,19 @@ def select_model(
 ) -> SelectionResult:
     """Scan the candidate grid and keep the cost minimizer.
 
-    This is the one-estimate case of the risk engine's block chooser:
-    every distinct profile is scored in one pass and its cost copied to
-    every member that shares it, so the result records every member's
-    cost for auditing.  The selected member is the first that holds the
-    cheapest profile, which is the earliest cheapest member, so ties are
-    deterministic.
+    This is the one-row case of `selection_cost`, the risk engine's
+    block scorer: every distinct profile is scored in one pass and its
+    cost copied to every member that shares it, so the result records
+    every member's cost for auditing.  The selected member is the first
+    that holds the cheapest profile, so ties are deterministic.
     """
     if not family.members:
         raise ValueError("weight family is empty")
     if delta is None:
         delta = default_delta(est.n)
     sigma = estimate_proxy_variance(est)
-    costs, chosen = cheapest_profiles(family.weights, est.theta, sigma, est.n, delta)
+    costs = selection_cost(family.weights, est.theta[None], np.array([sigma]), est.n, delta)[0]
+    chosen = costs.argmin()
     index = int(np.argmax(family.profile_of == chosen))
     width = family.weights.shape[1]
     shrunk = np.zeros(est.p - 1)

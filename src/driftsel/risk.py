@@ -43,11 +43,11 @@ import numpy as np
 from .estimator import (
     CoefficientEstimates,
     build_weight_family,
-    cheapest_profiles,
     coefficients_from_period_sums,
     default_delta,
     efficient_delta,
     estimate_proxy_variance,
+    selection_cost,
 )
 from .noise import NoiseSpec, RngStream, sample_period_sums
 from .renewal import InterarrivalLaw
@@ -274,7 +274,7 @@ def _run_chunk(payload):
         est = replication_estimates(drift_sums, noise, n, rng)
         sigma[i] = estimate_proxy_variance(est)
         block[i] = est.theta[:width]
-    _, chosen = cheapest_profiles(weights, block, sigma, n, delta)
+    chosen = selection_cost(weights, block, sigma, n, delta).argmin(axis=1)
     errors = ((weights * block[:, None, :] - truth) ** 2).sum(axis=-1) + tail
     # a running sum down the rows, as one replication at a time would add
     # them: errors.sum(axis=0) pairs the rows up when there is one profile

@@ -97,21 +97,20 @@ def test_presets():
 
 def test_readme_key_table_matches_the_schema():
     # besides RunConfig, README's key table is the only place that states
-    # the defaults: it lists every config key, and each default parses to
-    # RunConfig's
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    listed = []
-    for line in readme.read_text(encoding="utf-8").splitlines():
-        if not line.startswith("| `"):
-            continue
-        cells = line.split(" | ")
-        keys, defaults = re.findall(r"`([^`]+)`", cells[0]), cells[1].split(" / ")
-        assert len(keys) == len(defaults), line
-        for key, default in zip(keys, defaults):
-            text = "" if default == "empty" else default.strip("`")
-            assert parse_config(f"{key}={text}\n") == RunConfig(), key
-        listed += keys
-    assert listed == [key for key, _, _ in _SCHEMA]
+    # the defaults: it lists every config key in schema order, each with
+    # the text a default run's manifest carries; one row pairs noise.rho1
+    # with noise.rho2, and `empty` stands for an empty tuple
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [table] = re.findall(r"^Keys and defaults:\n\n(.*?)\n\n", readme, re.S | re.M)
+    documented = []
+    for line in table.splitlines()[2:]:
+        key_cell, default_cell = line.split("|")[1:3]
+        keys = re.findall(r"`([^`]+)`", key_cell)
+        values = ["" if v == "empty" else v.strip("`") for v in default_cell.strip().split(" / ")]
+        documented += zip(keys, values, strict=True)
+    emitted = [tuple(line.split("=", 1)) for line in emit_config(RunConfig()).splitlines()]
+    assert [key for key, _ in emitted] == [key for key, _, _ in _SCHEMA]
+    assert documented == emitted
 
 
 def test_digest_tracks_content():
@@ -196,6 +195,17 @@ def test_main_rejects_bad_config(tmp_path):
     assert main(["risk-table", "--config", str(tiny), "--threads", "0", "--out", str(tmp_path)]) == 2
     flat = write_cfg(tmp_path, "estimator.varsigma_star=0\n", "flat.cfg")
     assert main(["risk-table", "--config", str(flat), "--out", str(tmp_path)]) == 2
+
+
+def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    # a decode error is a config error like any other, not a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed=1\n\xff\xfe\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from driftsel.estimator import (
     estimate_coefficients,
     estimate_proxy_variance,
     family_knobs,
-    penalty,
     pinsker_weights,
     select_model,
     selection_cost,
@@ -295,18 +294,29 @@ def test_family_knobs_name_the_rule_and_n(n, eps, k_star0, varsigma_star, rule):
         assert f"n={n}" in str(info.value)
 
 
+def one_row(weights, theta, sigma, n, delta):
+    """Costs of each profile (row of `weights`) for one estimate, scored as
+    the one-row block `select_model` passes."""
+    return selection_cost(weights, theta[None], np.array([sigma]), n, delta)[0]
+
+
 def test_penalty_values():
-    two = np.array([1.0, 1.0])
-    assert penalty(two, sigma=1.0, n=100) == pytest.approx(0.02)
-    assert penalty(np.zeros(0), sigma=5.0, n=10) == 0.0
-    assert penalty(two, sigma=0.0, n=10) == 0.0
+    # the penalty is what delta multiplies: read it off two thresholds
+    def penalty(weights, sigma, n):
+        theta = np.linspace(0.5, -0.5, 7)
+        return (one_row(weights, theta, sigma, n, 0.1) - one_row(weights, theta, sigma, n, 0.05)) / 0.05
+
+    two = np.array([[1.0, 1.0]])
+    assert penalty(two, sigma=1.0, n=100) == pytest.approx([0.02])
+    assert penalty(np.zeros((1, 0)), sigma=5.0, n=10) == [0.0]
+    assert penalty(two, sigma=0.0, n=10) == [0.0]
 
 
 def test_cost_vanishes_without_coefficients():
     est = CoefficientEstimates(n=10, p=8, theta=np.zeros(7))
     for size in (1, 3, 5):
-        w = np.linspace(1.0, 0.2, size)
-        assert selection_cost(w, est.theta, sigma=0.0, n=est.n, delta=0.1) == 0.0
+        w = np.linspace(1.0, 0.2, size)[None]
+        assert one_row(w, est.theta, sigma=0.0, n=est.n, delta=0.1) == [0.0]
 
 
 def test_cost_single_coefficient_calculus():
@@ -314,29 +324,26 @@ def test_cost_single_coefficient_calculus():
     # parabola bottoms out at full weight
     est = CoefficientEstimates(n=10, p=8, theta=np.array([1.0, 0, 0, 0, 0, 0, 0]))
     grid = np.linspace(0.0, 1.0, 21)
-    costs = [
-        selection_cost(np.array([w]), est.theta, sigma=0.0, n=est.n, delta=0.1)
-        for w in grid
-    ]
+    costs = one_row(grid[:, None], est.theta, sigma=0.0, n=est.n, delta=0.1)
     assert costs == pytest.approx([w * w - 2.0 * w for w in grid])
     assert np.argmin(costs) == 20
 
 
 def test_cost_warns_outside_theory_range():
     est = CoefficientEstimates(n=10, p=8, theta=np.ones(7))
-    w = np.array([1.0])
+    w = np.array([[1.0]])
     with pytest.warns(UserWarning):
-        selection_cost(w, est.theta, sigma=0.1, n=est.n, delta=0.5)
+        one_row(w, est.theta, sigma=0.1, n=est.n, delta=0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        selection_cost(w, est.theta, sigma=0.1, n=est.n, delta=1.0 / 6.0)
+        one_row(w, est.theta, sigma=0.1, n=est.n, delta=1.0 / 6.0)
 
 
 def test_cost_rejects_oversized_support():
     est = CoefficientEstimates(n=10, p=4, theta=np.ones(3))
-    w = np.ones(5)
+    w = np.ones((1, 5))
     with pytest.raises(ValueError):
-        selection_cost(w, est.theta, sigma=0.0, n=est.n, delta=0.1)
+        one_row(w, est.theta, sigma=0.0, n=est.n, delta=0.1)
 
 
 def test_default_thresholds():
@@ -386,7 +393,7 @@ def test_select_attains_exhaustive_minimum():
     sigma = estimate_proxy_variance(est)
     # one cost per member, from a profile rebuilt from the member's label
     rows = padded([pinsker_weights(beta, scale, 40.0, 40) for beta, scale in fam.members], fam.weights.shape[1])
-    brute = selection_cost(rows, est.theta, sigma, est.n, 0.05)
+    brute = one_row(rows, est.theta, sigma, est.n, 0.05)
     assert np.array_equal(res.costs, brute)
     assert res.costs[res.index] == res.costs.min()
     assert res.index == int(np.argmin(brute))

@@ -10,7 +10,6 @@ import pytest
 
 from driftsel.estimator import (
     build_weight_family,
-    cheapest_profiles,
     coefficients_from_period_sums,
     default_delta,
     efficient_delta,
@@ -18,6 +17,7 @@ from driftsel.estimator import (
     estimate_proxy_variance,
     pinsker_weights,
     select_model,
+    selection_cost,
 )
 from numpy.random import SeedSequence
 
@@ -182,7 +182,7 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
         sigmas.append(sigma)
         picks.append(family.profile_of[expected])
     # the engine's block chooser: every replication's costs in one call
-    _, chosen = cheapest_profiles(family.weights, np.array(rows), np.array(sigmas), n, delta)
+    chosen = selection_cost(family.weights, np.array(rows), np.array(sigmas), n, delta).argmin(axis=1)
     assert np.array_equal(chosen, picks)
 
 
