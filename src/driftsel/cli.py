@@ -187,7 +187,7 @@ def _fit_one_path(config: RunConfig, n: int, stream: int):
     """Weight family and selection result of one replication at sample size n."""
     p, family, delta = resolve_selection(config, n)
     drift_sums = n * cell_integrals(config.signal, p)
-    est = replication_estimates(drift_sums, config.noise, n, RngStream(config.seed, stream))
+    [est] = replication_estimates(drift_sums, config.noise, n, [RngStream(config.seed, stream)])
     return family, select_model(est, family, delta)
 
 

@@ -27,6 +27,8 @@ from .signal import coefficients_to_grid, grid_coefficients
 # at 80115 or fewer up to n = 10^12, and one 50-replication risk chunk at
 # n = 1000, p = 10001 peaked at 34 MiB with 113322 members, 84 MiB with 255000
 _MAX_MEMBERS = 100_000
+# longest dot product OpenBLAS computes on one thread, whatever its thread count
+_DOT_SLICE = 10_000
 
 
 @dataclass(frozen=True)
@@ -68,24 +70,27 @@ class SelectionResult:
         return coefficients_to_grid(padded)
 
 
-def coefficients_from_period_sums(sums: np.ndarray, n: int) -> CoefficientEstimates:
+def coefficients_from_period_sums(sums: np.ndarray, n: int) -> list:
     """Average each basis function against the increments of n periods,
-    given their per-cell sums over the periods (`sums`, length p).
+    given their per-cell sums over the periods: one CoefficientEstimates
+    per row of the (R x p) block `sums`, each theta a row view of one
+    transformed block.
 
     Periodicity makes these sums all the estimates read of a path, so
-    the cost is one length-p FFT regardless of n.
+    the cost is one length-p FFT per row regardless of n.
     """
-    p = sums.size
+    p = sums.shape[-1]
     if p < 3:
         raise ValueError("need at least 3 observations per period")
-    theta = grid_coefficients(sums)[: p - 1] * (p / n)
-    return CoefficientEstimates(n=n, p=p, theta=theta)
+    thetas = grid_coefficients(sums)[:, : p - 1] * (p / n)
+    return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
 
 
 def estimate_coefficients(obs: ObservationPath) -> CoefficientEstimates:
     """Coefficient estimates of one path: its n*p increments folded onto
     one period, then `coefficients_from_period_sums`."""
-    return coefficients_from_period_sums(obs.increments.reshape(obs.n, obs.p).sum(axis=0), obs.n)
+    sums = obs.increments.reshape(obs.n, obs.p).sum(axis=0, keepdims=True)
+    return coefficients_from_period_sums(sums, obs.n)[0]
 
 
 def estimate_proxy_variance(est: CoefficientEstimates) -> float:
@@ -96,15 +101,20 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     almost unbiased read of the proxy variance.  Returned is (n / d) times
     the sum of theta_j^2 over that window, d = min(p, n), so the sum is
     divided by d rather than by the window's length; 0.0 when the window
-    is empty.
+    is empty.  The sum adds up dot products over consecutive slices of
+    at most _DOT_SLICE coefficients in window order: OpenBLAS splits a
+    longer one over its threads, and the split changes its rounding.
     """
     low = math.isqrt(est.n)
     p_check = min(est.p, est.n)
     high = min(p_check, est.p - 1)
     if low > high:
         return 0.0
-    block = est.theta[low - 1 : high]
-    return float(est.n / p_check * np.dot(block, block))
+    total = 0.0
+    for start in range(low - 1, high, _DOT_SLICE):
+        block = est.theta[start : min(start + _DOT_SLICE, high)]
+        total += np.dot(block, block)
+    return float(est.n / p_check * total)
 
 
 def _bandwidth_law(beta: int):

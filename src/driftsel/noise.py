@@ -6,6 +6,13 @@ jump measure is normalized so that the second-moment charge intensity *
 E[J^2] equals 1. z is a semi-Markov component: a renewal process with a
 general inter-arrival law, carrying i.i.d. standardized marks at its epochs.
 
+One core, `_noise_on_cells`, draws a block of replications, one row per
+stream: each stream makes only its own draws into its row, and the rule
+that places an epoch in its cell, the per-cell sums of the marks and the
+drift + rho1 dL + rho2 dz arithmetic each run once over the whole block.
+`sample_period_sums` returns such a block; a whole path
+(`sample_observations`) is the one-row case.
+
 Randomness is fully deterministic given (base_seed, stream_index): each
 component draws from its own counter-based substream, so the z-path and the
 L-path of one replication never share random state, and any component can be
@@ -261,32 +268,53 @@ def _epoch_cells(epochs: np.ndarray, p: int) -> np.ndarray:
 
 
 def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, roots: np.ndarray, spec: NoiseSpec,
-                    n: int, p: int, rng: RngStream) -> np.ndarray:
+                    n: int, p: int, rngs) -> np.ndarray:
     """drift + rho1 dL + rho2 dz over cells of the given widths (roots =
-    sqrt(widths)) covering n periods observed at p points per period.
+    sqrt(widths)) covering n periods observed at p points per period, one
+    row per stream of `rngs`.
 
     z jumps by an i.i.d. standardized mark at every renewal epoch in
     [0, n]; each epoch's cell on the n*p-cell grid is taken modulo the
     cell count, so n*p cells give the path's increments and p cells its
     period sums.  L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric,
-    uncompensated jumps) is drawn per cell."""
+    uncompensated jumps) is drawn per cell.
+
+    A stream makes only its own draws, row by row; the cell rule, the
+    sums of marks per cell and the arithmetic each run once over the
+    block, elementwise or within a row, so a row has the same bits as
+    a block of one."""
     cells = widths.size
-    epochs = sample_renewal_times(spec.interarrival, float(n), rng)
-    marks = _sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs.size)
-    dz = np.bincount(_epoch_cells(epochs, p) % cells, weights=marks, minlength=cells)
-    dL = rng.generator(TAG_BROWNIAN).standard_normal(cells) * roots
-    if spec.rho_check < 1.0:
-        gen = rng.generator(TAG_JUMPS)
-        counts = gen.poisson(spec.jump_intensity * widths)
-        total = int(counts.sum())
-        scale = 1.0 / math.sqrt(spec.jump_intensity)
-        if spec.jump_law == "gaussian":
-            jumps = gen.standard_normal(total) * scale
-        else:
-            jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
-        dJ = np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
-        dL = spec.rho_check * dL + math.sqrt(1.0 - spec.rho_check**2) * dJ
-    return drift + spec.rho1 * dL + spec.rho2 * dz
+    dL = np.empty((len(rngs), cells))
+    dJ = np.empty_like(dL) if spec.rho_check < 1.0 else None
+    epochs, marks = [], []
+    for row, rng in enumerate(rngs):
+        epochs.append(sample_renewal_times(spec.interarrival, float(n), rng))
+        marks.append(_sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs[-1].size))
+        rng.generator(TAG_BROWNIAN).standard_normal(out=dL[row])
+        if dJ is not None:
+            gen = rng.generator(TAG_JUMPS)
+            counts = gen.poisson(spec.jump_intensity * widths)
+            total = int(counts.sum())
+            scale = 1.0 / math.sqrt(spec.jump_intensity)
+            if spec.jump_law == "gaussian":
+                jumps = gen.standard_normal(total) * scale
+            else:
+                jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
+            dJ[row] = np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
+    # each epoch's cell, offset by its row's cells: one count fills the block
+    offsets = np.repeat(np.arange(len(rngs)) * cells, [e.size for e in epochs])
+    dz = np.bincount(offsets + _epoch_cells(np.concatenate(epochs), p) % cells,
+                     weights=np.concatenate(marks), minlength=dL.size).reshape(dL.shape)
+    dL *= roots
+    if dJ is not None:
+        dL *= spec.rho_check
+        dJ *= math.sqrt(1.0 - spec.rho_check**2)
+        dL += dJ
+    # (drift + rho1 dL) + rho2 dz, in place
+    dL *= spec.rho1
+    dL += drift
+    dL += spec.rho2 * dz
+    return dL
 
 
 @lru_cache(maxsize=1)
@@ -309,19 +337,20 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> O
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
     widths = np.diff(np.arange(n * p + 1) / p)
-    dy = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, np.sqrt(widths), spec, n, p, rng)
+    [dy] = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, np.sqrt(widths), spec, n, p, [rng])
     return ObservationPath(n=n, p=p, y=np.concatenate(([0.0], np.cumsum(dy))))
 
 
-def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int,
-                       rng: RngStream) -> np.ndarray:
-    """The n*p increments of one observation path folded onto one period.
+def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, rngs) -> np.ndarray:
+    """The n*p increments of one observation path per stream of `rngs`,
+    folded onto one period: an (R x p) block for R streams, whose rows
+    have the same bits as R blocks of one.
 
-    Entry l is the sum over the n periods of the increment over the l-th
-    in-period cell, which is all the coefficient estimates read of a path.
-    drift_sums is the drift part, n * cell_integrals(S, p), which a caller
-    sampling many replications of one signal computes once; its length
-    is p. The result has the law of
+    Entry l of a row is the sum over the n periods of the increment over
+    the l-th in-period cell, which is all the coefficient estimates read
+    of a path.  drift_sums is the drift part, n * cell_integrals(S, p),
+    which a caller sampling many replications of one signal computes
+    once; its length is p. The row of stream rng has the law of
     sample_observations(S, spec, n, p, rng).increments.reshape(n, p).sum(0),
     in O(p) memory instead of O(n p):
 
@@ -334,4 +363,4 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int,
     p = drift_sums.size
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    return _noise_on_cells(drift_sums, *_period_cells(n, p), spec, n, p, rng)
+    return _noise_on_cells(drift_sums, *_period_cells(n, p), spec, n, p, rngs)

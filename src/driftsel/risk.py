@@ -7,17 +7,21 @@ fields.  The `resolve_*` functions turn it into each n's sampling
 frequency, weight family and penalty threshold; the CLI reads and writes
 it as key=value text.
 
-One engine run drives everything.  Each replication takes its
+One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
-period sums of a fresh path (its n*p increments folded onto one period)
-without building the path; the CLI's single-path fits use it too.  A
-chunk keeps each replication's proxy variance and the coefficients the
-profiles reach, then selects and scores all its replications as one
-block: every distinct shrinkage profile is scored through the
-coefficient-space identity for the discrete norm, and each replication's
-selected estimate, the profile select_model would choose, takes that
-profile's error.  The adaptive risk and the oracle benchmark thus share
-replications and one scoring identity, so they are directly comparable.
+period sums of a fresh path per stream (its n*p increments folded onto
+one period) without building the path, and transforms them as one
+block; the CLI's single-path fits are its one-stream case.  A chunk
+walks its replications in blocks of max(1, _BLOCK_VALUES // p) rows, 8
+at p = 1001 and one from p = 4097 up, which keep every bit of one
+replication at a time.  It keeps each replication's proxy variance and
+the coefficients the profiles reach, then selects and scores all its
+replications as one block: every distinct shrinkage profile is scored
+through the coefficient-space identity for the discrete norm, and each
+replication's selected estimate, the profile select_model would choose,
+takes that profile's error.  The adaptive risk and the oracle benchmark
+thus share replications and one scoring identity, so they are directly
+comparable.
 
 A chunk derives the Philox keys of all its replications' noise
 substreams in one pass (`RngStream.span`), and carries the truth
@@ -54,6 +58,10 @@ from .renewal import InterarrivalLaw
 from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
 _CHUNK = 50
+# period-sum values a chunk draws and transforms at once: 8 replications
+# at p = 1001, one from p = 4097 up, where a row's own cost dominates;
+# 32 rows at p = 1001 added 1.1 MiB to a 50-replication run's traced peak
+_BLOCK_VALUES = 1 << 13
 # values in one (chunk replications x distinct profiles x profile width)
 # scoring temporary, 128 MiB of float64; a chunk holds a few at once
 _MAX_SCORE_VALUES = 1 << 24
@@ -225,12 +233,12 @@ def pinsker_constant(k: int, r: float) -> float:
     )
 
 
-def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int,
-                          rng: RngStream) -> CoefficientEstimates:
-    """Coefficient estimates of one replication: n periods of the signal
-    whose drift part is `drift_sums` (n * cell_integrals(S, p)), observed
-    under `noise` and drawn from `rng`."""
-    return coefficients_from_period_sums(sample_period_sums(drift_sums, noise, n, rng), n)
+def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> list:
+    """Coefficient estimates of one replication per stream of `rngs`: n
+    periods of the signal whose drift part is `drift_sums`
+    (n * cell_integrals(S, p)), observed under `noise`.  The streams are
+    drawn and transformed as one block, each estimate a row view of it."""
+    return coefficients_from_period_sums(sample_period_sums(drift_sums, noise, n, rngs), n)
 
 
 def _truth(signal: SignalSpec, n: int, p: int, width: int):
@@ -256,10 +264,11 @@ def _run_chunk(payload):
     """Selected-estimate errors of replications start..stop-1 and each
     distinct profile's error summed over them.
 
-    Each replication contributes its proxy variance and the first W
-    coefficient estimates, W the width of the profile matrix `weights`,
-    which is all that selection and scoring read; the chunk is then
-    selected and scored as one block.  A replication's selected estimate
+    Replications are drawn and transformed a block of
+    max(1, _BLOCK_VALUES // p) at a time.  Each contributes its proxy
+    variance and the first W coefficient estimates, W the width of the
+    profile matrix `weights`, which is all that selection and scoring
+    read; the chunk is then selected and scored as one block.  A replication's selected estimate
     is its cheapest profile applied to theta_hat (the earliest on ties,
     which holds the member select_model picks), so it takes that
     profile's error.  A profile row is zero-padded to W, so its error is
@@ -270,10 +279,13 @@ def _run_chunk(payload):
     width = weights.shape[1]
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
-    for i, rng in enumerate(RngStream.span(base_seed, start, stop)):
-        est = replication_estimates(drift_sums, noise, n, rng)
-        sigma[i] = estimate_proxy_variance(est)
-        block[i] = est.theta[:width]
+    streams = RngStream.span(base_seed, start, stop)
+    rows = max(1, _BLOCK_VALUES // drift_sums.size)
+    for first in range(0, stop - start, rows):
+        ests = replication_estimates(drift_sums, noise, n, streams[first : first + rows])
+        for i, est in enumerate(ests, start=first):
+            sigma[i] = estimate_proxy_variance(est)
+            block[i] = est.theta[:width]
     chosen = selection_cost(weights, block, sigma, n, delta).argmin(axis=1)
     errors = ((weights * block[:, None, :] - truth) ** 2).sum(axis=-1) + tail
     # a running sum down the rows, as one replication at a time would add

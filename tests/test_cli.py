@@ -482,7 +482,7 @@ def test_estimate_is_the_engine_replication(tmp_path):
     assert main(["estimate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
     config = RunConfig(seed=3, p=101, k_star=3, eps=0.3)
     p, family, delta = resolve_selection(config, 10)
-    est = replication_estimates(10 * cell_integrals(config.signal, p), config.noise, 10, RngStream(3, 0))
+    [est] = replication_estimates(10 * cell_integrals(config.signal, p), config.noise, 10, [RngStream(3, 0)])
     result = select_model(est, family, delta)
     _, _, rows = read_csv(out / "estimate.csv")
     columns = np.array(rows, dtype=float).T

@@ -1,13 +1,18 @@
 """Tests for coefficient estimation, proxy variance, and model selection."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import driftsel
 from driftsel.estimator import (
     CoefficientEstimates,
     WeightFamily,
@@ -131,6 +136,31 @@ def test_proxy_variance_window_stops_at_estimable_frequencies():
     theta = np.array([5.0, 0.3, 0.2])
     est = CoefficientEstimates(n=8, p=4, theta=theta)
     assert estimate_proxy_variance(est) == pytest.approx(2.0 * (0.09 + 0.04))
+
+
+def test_proxy_variance_does_not_depend_on_the_blas_thread_count():
+    # the window j = 141..20000 is 19860 coefficients long: OpenBLAS splits
+    # one dot product that long over its threads, and the split changes
+    # its rounding, so each thread count runs in its own process
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    code = ("import numpy as np\n"
+            "from driftsel.estimator import CoefficientEstimates, estimate_proxy_variance\n"
+            "rng = np.random.default_rng(1)\n"
+            "for _ in range(8):\n"
+            "    theta = rng.standard_normal(100000) / 141.0\n"
+            "    print(estimate_proxy_variance(CoefficientEstimates(20000, 100001, theta)).hex())\n")
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout.split())
+    assert len(printed[0]) == 8 and printed[0] == printed[1]
+    theta = np.random.default_rng(1).standard_normal(100000) / 141.0
+    window = theta[140:20000]  # n / min(p, n) = 1
+    assert estimate_proxy_variance(CoefficientEstimates(20000, 100001, theta)) == pytest.approx(
+        math.fsum(window * window), rel=1e-13)
 
 
 def test_proxy_variance_error_shape():

@@ -42,7 +42,8 @@ def path_increments(spec, n, p, rng, S=ZERO):
 
 
 def period_sums(spec, n, p, rng, S=ZERO):
-    return sample_period_sums(n * cell_integrals(S, p), spec, n, rng)
+    [sums] = sample_period_sums(n * cell_integrals(S, p), spec, n, [rng])
+    return sums
 
 
 SAMPLERS = (path_increments, period_sums)
@@ -353,24 +354,47 @@ def test_period_sums_match_the_folded_path(law, marks, p):
     # and marks, so it equals the full path folded onto one period
     spec = NoiseSpec(rho1=0.0, rho2=0.8, interarrival=law, marks=marks)
     n = 7
-    for r in range(4):
-        sums = sample_period_sums(n * cell_integrals(SignalSpec.benchmark(), p), spec, n, RngStream(61, r))
+    block = sample_period_sums(n * cell_integrals(SignalSpec.benchmark(), p), spec, n,
+                               [RngStream(61, r) for r in range(4)])
+    for r, sums in enumerate(block):
         path = sample_observations(SignalSpec.benchmark(), spec, n=n, p=p, rng=RngStream(61, r))
         assert np.abs(sums - path.increments.reshape(n, p).sum(axis=0)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "levy",
+    [{}, {"rho_check": 0.6, "jump_intensity": 2.0},
+     {"rho_check": 0.0, "jump_intensity": 0.7, "jump_law": "two_point"}],
+    ids=["brownian", "gaussian_jumps", "two_point_jumps"],
+)
+@pytest.mark.parametrize("marks", ["normal", "rademacher", "uniform"])
+def test_period_sums_block_is_its_streams_drawn_one_at_a_time(marks, levy):
+    # a block draws each stream's own substreams and runs the cell rule,
+    # the per-cell sums and the arithmetic over all rows at once
+    spec = NoiseSpec(rho1=0.7, rho2=0.4, marks=marks, **levy)
+    n, p = 30, 101
+    drift = n * cell_integrals(SignalSpec.benchmark(), p)
+    streams = RngStream.span(5, 10, 17)
+    block = sample_period_sums(drift, spec, n, streams)
+    assert block.shape == (7, p)
+    for row, stream in zip(block, streams):
+        [one] = sample_period_sums(drift, spec, n, [RngStream(5, stream.stream_index)])
+        assert np.array_equal(row, one)
 
 
 def test_noiseless_period_sums_are_the_drift():
     quiet = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
     S = SignalSpec.benchmark()
     drift = 13 * cell_integrals(S, 101)
-    assert np.array_equal(sample_period_sums(drift, quiet, 13, RngStream(4, 0)), drift)
+    [sums] = sample_period_sums(drift, quiet, 13, [RngStream(4, 0)])
+    assert np.array_equal(sums, drift)
 
 
 def test_period_sums_validation():
     with pytest.raises(ValueError):
-        sample_period_sums(np.zeros(11), CHI2_SPEC, 0, RngStream(1, 0))
+        sample_period_sums(np.zeros(11), CHI2_SPEC, 0, [RngStream(1, 0)])
     with pytest.raises(ValueError):
-        sample_period_sums(np.zeros(2), CHI2_SPEC, 3, RngStream(1, 0))
+        sample_period_sums(np.zeros(2), CHI2_SPEC, 3, [RngStream(1, 0)])
 
 
 def test_spec_validation():

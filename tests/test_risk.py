@@ -140,8 +140,8 @@ def test_grid_and_coefficient_routes_agree():
         prefixes = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in family.members]
         errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
-            sums = sample_period_sums(drift, cfg.noise, n, RngStream(seed, r))
-            est = coefficients_from_period_sums(sums, n)
+            sums = sample_period_sums(drift, cfg.noise, n, [RngStream(seed, r)])
+            [est] = coefficients_from_period_sums(sums, n)
             result = select_model(est, family, delta)
             diff = result.grid_values() - truth
             errors.append(np.dot(diff, diff) / p)
@@ -168,7 +168,7 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
     drift = n * cell_integrals(cfg.signal, p)
     rows, sigmas, picks = [], [], []
     for r in range(reps):
-        est = replication_estimates(drift, cfg.noise, n, RngStream(12, r))
+        [est] = replication_estimates(drift, cfg.noise, n, [RngStream(12, r)])
         sigma = estimate_proxy_variance(est)
         costs = []
         for lam in prefixes:
@@ -211,12 +211,42 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
         (cfg.noise, n, family.weights, delta, *carried[:3], cfg.seed, start, stop))
     expected, total = [], np.zeros(family.weights.shape[0])
     for r in range(start, stop):
-        est = replication_estimates(drift, cfg.noise, n, RngStream(cfg.seed, r))
+        [est] = replication_estimates(drift, cfg.noise, n, [RngStream(cfg.seed, r)])
         errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
         expected.append(errors[family.profile_of[select_model(est, family, delta).index]])
         total += errors
     assert np.array_equal(selected, expected)
     assert np.array_equal(profile_sum, total)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{}, {"marks": "rademacher", "rho_check": 0.6, "jump_intensity": 3.0, "jump_law": "two_point"}],
+    ids=["default", "rademacher_jumps"],
+)
+def test_chunk_keeps_its_bits_whatever_the_block_size(monkeypatch, knobs):
+    # a chunk draws and transforms max(1, _BLOCK_VALUES // p) replications
+    # at a time, 8 at p = 1001; any other block size gives the same bits
+    n, p = 20, 1001
+    cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=7, k_star=3, **knobs)
+    _, family, delta = resolve_selection(cfg, n)
+    truth = _truth(cfg.signal, n, p, family.weights.shape[1])[:3]
+    payload = (cfg.noise, n, family.weights, delta, *truth, cfg.seed, 50, 100)
+    sizes = []
+
+    def estimates(drift_sums, noise, n, rngs):
+        sizes.append(len(rngs))
+        return replication_estimates(drift_sums, noise, n, rngs)
+
+    monkeypatch.setattr(driftsel.risk, "replication_estimates", estimates)
+    default = _run_chunk(payload)
+    assert sizes == [8] * 6 + [2]
+    for rows in (1, 3, 50):
+        sizes.clear()
+        monkeypatch.setattr(driftsel.risk, "_BLOCK_VALUES", rows * p)
+        selected, profile_sum = _run_chunk(payload)
+        assert sizes == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
+        assert np.array_equal(selected, default[0]) and np.array_equal(profile_sum, default[1])
 
 
 def test_chunk_builds_no_seed_sequence(monkeypatch):
@@ -389,7 +419,7 @@ def _within(a, b, k=5.0):
 def _engine_and_path_sums(S, spec, n, p, reps):
     """Period sums from the engine's sampler and from full paths (other seeds)."""
     drift = n * cell_integrals(S, p)
-    folded = np.array([sample_period_sums(drift, spec, n, RngStream(81, r)) for r in range(reps)])
+    folded = sample_period_sums(drift, spec, n, [RngStream(81, r) for r in range(reps)])
     full = np.array([
         sample_observations(S, spec, n=n, p=p, rng=RngStream(82, r)).increments.reshape(n, p).sum(0)
         for r in range(reps)
@@ -415,7 +445,7 @@ def test_period_sums_levy_part_matches_full_paths_in_law(levy):
         assert abs(sq.mean() - 1.0) <= 5.0 * sq.std(ddof=1) / math.sqrt(sq.size)
     assert _within(cell_var["folded"], cell_var["full"])
     # first coefficients: mean 0 and n * E theta_j^2 = rho1^2 = 1
-    thetas = {k: np.array([coefficients_from_period_sums(row, n).theta[:5] for row in v])
+    thetas = {k: np.array([est.theta[:5] for est in coefficients_from_period_sums(v, n)])
               for k, v in (("folded", folded), ("full", full))}
     for j in range(5):
         a, b = thetas["folded"][:, j], thetas["full"][:, j]
@@ -428,7 +458,7 @@ def test_period_sums_proxy_variance_matches_full_paths():
     n, p, reps = 100, 1001, 300
     spec = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
     folded, full = _engine_and_path_sums(SignalSpec.benchmark(), spec, n, p, reps)
-    a, b = (np.array([estimate_proxy_variance(coefficients_from_period_sums(row, n)) for row in v])
+    a, b = (np.array([estimate_proxy_variance(est) for est in coefficients_from_period_sums(v, n)])
             for v in (folded, full))
     assert _within(a, b)
     # sd of a sample sd is about sd / sqrt(2 (reps - 1)) for near-normal draws
@@ -454,6 +484,21 @@ def test_risk_engine_memory_does_not_grow_with_the_chunk():
     peaks = []
     for reps in (2, 50):
         cfg = RunConfig(n_values=(1000,), p=10001, replications=reps, seed=9, k_star=5)
+        tracemalloc.start()
+        try:
+            run_risk_experiment(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
+
+
+def test_risk_engine_memory_does_not_grow_with_the_block():
+    # at p = 1001 a chunk draws and transforms 8 replications at once; a
+    # block of 32 rows added 1.1 MiB here, and one of 50 rows 1.8 MiB
+    peaks = []
+    for reps in (2, 50):
+        cfg = RunConfig(n_values=(1000,), p=1001, replications=reps, seed=9, k_star=5)
         tracemalloc.start()
         try:
             run_risk_experiment(cfg)

@@ -166,6 +166,19 @@ def test_fft_route_matches_direct_sums():
         assert np.allclose(sg.grid_coefficients(v), direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("p", [1000, 1001, 10001])
+def test_block_rows_keep_the_bits_of_one_transform(p):
+    # the risk engine transforms a block of replications at once; each row
+    # must take the bits its own 1-D transform gives, or every risk digit moves
+    rng = np.random.default_rng(p)
+    block = rng.normal(size=(9, p))
+    theta = sg.grid_coefficients(block)
+    assert theta.shape == (9, p)
+    for row, v in zip(theta, block):
+        one = sg.grid_coefficients(v)
+        assert one.shape == (p,) and np.array_equal(row, one)
+
+
 @pytest.mark.parametrize("p", [5, 8, 16, 101])
 def test_coefficient_round_trip(p):
     rng = np.random.default_rng(p)
