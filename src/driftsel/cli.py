@@ -25,8 +25,9 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -52,93 +53,56 @@ class ConfigError(Exception):
     """Raised for malformed, unknown, or inconsistent configuration."""
 
 
-# (config key, RunConfig field, value kind); order fixes the canonical emission.
-# threads is deliberately absent: worker count is an execution detail set only
-# by the --threads flag, so it never reaches the digest and results stay
-# byte-identical across thread counts.
-_SCHEMA = (
-    ("seed", "seed", "int"),
-    ("strict_h5", "strict_h5", "bool"),
-    ("signal.kind", "signal_kind", "str"),
-    ("signal.coefficients", "signal_coefficients", "floats"),
-    ("signal.values", "signal_values", "floats"),
-    ("noise.rho1", "rho1", "float"),
-    ("noise.rho2", "rho2", "float"),
-    ("noise.rho_check", "rho_check", "float"),
-    ("noise.interarrival", "interarrival", "str"),
-    ("noise.marks", "marks", "str"),
-    ("noise.jump_intensity", "jump_intensity", "float"),
-    ("noise.jump_law", "jump_law", "str"),
-    ("estimator.k_star0", "k_star0", "int"),
-    ("estimator.k_star", "k_star", "int"),
-    ("estimator.delta", "delta", "str"),
-    ("estimator.eps", "eps", "float"),
-    ("estimator.varsigma_star", "varsigma_star", "float"),
-    ("risk.n_values", "n_values", "ints"),
-    ("risk.p", "p", "int"),
-    ("risk.p_min", "p_min", "int"),
-    ("risk.replications", "replications", "int"),
-    ("estimate.n", "estimate_n", "int"),
-    ("renewal.h", "renewal_h", "float"),
-    ("renewal.horizon", "renewal_horizon", "float"),
-)
-
 PRESETS = {
     "full-scale": {},
     "desk-scale": {"n_values": (20, 100), "p": 1001, "replications": 500, "k_star": 5},
 }
 
 
-def _serialize(value, kind):
-    if kind == "int":
-        return str(value)
-    if kind == "float":
-        return repr(float(value))
-    if kind == "bool":
+def _keyed_fields():
+    """(key, field name, type) of each keyed RunConfig field, in field order."""
+    types = get_type_hints(RunConfig)
+    return [(f.metadata["key"], f.name, types[f.name]) for f in fields(RunConfig) if "key" in f.metadata]
+
+
+def _text(value, kind):
+    if kind is bool:
         return "true" if value else "false"
-    if kind == "str":
-        return value
-    if kind == "ints":
-        return ",".join(str(v) for v in value)
-    if kind == "floats":
-        return ",".join(repr(float(v)) for v in value)
-    raise AssertionError(kind)
+    if kind is float:
+        return repr(float(value))
+    if kind in (int, str):
+        return str(value)
+    [item, _] = get_args(kind)  # tuple[int, ...] or tuple[float, ...]
+    return ",".join(_text(v, item) for v in value)
 
 
-def _deserialize(key, text, kind):
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "bool":
-            if text in ("true", "false"):
-                return text == "true"
-            raise ValueError("expected true or false")
-        if kind == "str":
-            return text
-        if kind == "ints":
-            return tuple(int(v) for v in text.split(",")) if text else ()
-        if kind == "float":
-            values = (float(text),)
-        elif kind == "floats":
-            values = tuple(float(v) for v in text.split(",")) if text else ()
-        else:
-            raise AssertionError(kind)
-        if not all(map(math.isfinite, values)):
-            raise ValueError("numbers must be finite")
-        return values[0] if kind == "float" else values
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
+def _value(text, kind):
+    """The value of type `kind` that `text` spells; ValueError if none."""
+    if kind is bool:
+        if text in ("true", "false"):
+            return text == "true"
+        raise ValueError("expected true or false")
+    if kind in (int, str):
+        return kind(text)
+    if kind is float:
+        values = (float(text),)
+    else:
+        [item, _] = get_args(kind)
+        values = tuple(map(item, text.split(","))) if text else ()
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        raise ValueError("numbers must be finite")
+    return values[0] if kind is float else values
 
 
 def emit_config(config: RunConfig) -> str:
     """Canonical text form; parse_config inverts it exactly."""
-    lines = [f"{key}={_serialize(getattr(config, name), kind)}" for key, name, kind in _SCHEMA]
+    lines = [f"{key}={_text(getattr(config, name), kind)}" for key, name, kind in _keyed_fields()]
     return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str, base: RunConfig = None) -> RunConfig:
     """Apply key=value lines on top of `base`; unknown keys are errors."""
-    by_key = {key: (name, kind) for key, name, kind in _SCHEMA}
+    by_key = {key: (name, kind) for key, name, kind in _keyed_fields()}
     config = base if base is not None else RunConfig()
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -148,7 +112,7 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in by_key:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
@@ -156,7 +120,11 @@ def parse_config(text: str, base: RunConfig = None) -> RunConfig:
         seen.add(key)
         name, kind = by_key[key]
         try:
-            config = replace(config, **{name: _deserialize(key, value.strip(), kind)})
+            value = _value(value, kind)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
+        try:
+            config = replace(config, **{name: value})
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
     return config
@@ -311,8 +279,8 @@ def main(argv=None) -> int:
             emit_config(config).rstrip("\n"),
         ]
         (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    except (ValueError, OSError) as exc:
-        print(f"driftsel: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"driftsel: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -38,7 +38,7 @@ import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
 
@@ -70,10 +70,20 @@ _LAW_PATTERN = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 _LAW_ARITY = {"exponential": 1, "gamma": 2, "chi_squared": 1}
 
 
+def _setting(key: str, default):
+    """A RunConfig field that the text form writes and reads as `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run can configure, as flat fields with the paper's
     full-scale defaults.
+
+    Each keyed field declares its config key beside its default, and the
+    text form lists those fields in declaration order.  `threads` has no
+    key: set only by --threads, it never reaches the digest, so results
+    stay byte-identical across thread counts.
 
     Zero sentinels mean "derive from the sample size": k_star, eps and p
     switch to their rules when left at 0 (p = max(p_min,
@@ -86,31 +96,31 @@ class RunConfig:
     ValueError for those fields.
     """
 
-    seed: int = 0
+    seed: int = _setting("seed", 0)
     threads: int = 1
-    strict_h5: bool = False
-    signal_kind: str = "benchmark"
-    signal_coefficients: tuple = ()
-    signal_values: tuple = ()
-    rho1: float = 0.5
-    rho2: float = 0.5
-    rho_check: float = 1.0
-    interarrival: str = "chi_squared(3)"
-    marks: str = "normal"
-    jump_intensity: float = 0.0
-    jump_law: str = "gaussian"
-    k_star0: int = 100
-    k_star: int = 0
-    delta: str = "auto"
-    eps: float = 0.0
-    varsigma_star: float = 1.0
-    n_values: tuple = (20, 100, 200, 1000)
-    p: int = 100001
-    p_min: int = 101
-    replications: int = 10000
-    estimate_n: int = 100
-    renewal_h: float = 0.001
-    renewal_horizon: float = 0.0
+    strict_h5: bool = _setting("strict_h5", False)
+    signal_kind: str = _setting("signal.kind", "benchmark")
+    signal_coefficients: tuple[float, ...] = _setting("signal.coefficients", ())
+    signal_values: tuple[float, ...] = _setting("signal.values", ())
+    rho1: float = _setting("noise.rho1", 0.5)
+    rho2: float = _setting("noise.rho2", 0.5)
+    rho_check: float = _setting("noise.rho_check", 1.0)
+    interarrival: str = _setting("noise.interarrival", "chi_squared(3)")
+    marks: str = _setting("noise.marks", "normal")
+    jump_intensity: float = _setting("noise.jump_intensity", 0.0)
+    jump_law: str = _setting("noise.jump_law", "gaussian")
+    k_star0: int = _setting("estimator.k_star0", 100)
+    k_star: int = _setting("estimator.k_star", 0)
+    delta: str = _setting("estimator.delta", "auto")
+    eps: float = _setting("estimator.eps", 0.0)
+    varsigma_star: float = _setting("estimator.varsigma_star", 1.0)
+    n_values: tuple[int, ...] = _setting("risk.n_values", (20, 100, 200, 1000))
+    p: int = _setting("risk.p", 100001)
+    p_min: int = _setting("risk.p_min", 101)
+    replications: int = _setting("risk.replications", 10000)
+    estimate_n: int = _setting("estimate.n", 100)
+    renewal_h: float = _setting("renewal.h", 0.001)
+    renewal_horizon: float = _setting("renewal.horizon", 0.0)
 
     def __post_init__(self):
         for name in ("k_star", "eps", "p", "renewal_horizon", "jump_intensity"):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,6 @@ from driftsel.cli import (
     main,
     parse_config,
     validate_config,
-    _SCHEMA,
     _fit_one_path,
 )
 from driftsel.estimator import (
@@ -54,15 +54,34 @@ def masked_rows(rows, drop_col):
 def test_config_roundtrip():
     default = RunConfig()
     assert parse_config(emit_config(default)) == default
+    # every keyed field off its default, so each annotated type makes the trip
     tweaked = RunConfig(
         seed=99,
-        rho1=1.0 / 3.0,
-        interarrival="gamma(2.0,1.0)",
+        strict_h5=True,
         signal_kind="trig",
         signal_coefficients=(0.1, -0.25, 1.0 / 7.0),
-        n_values=(10, 20),
+        signal_values=(0.0, 1.5, -2.0),
+        rho1=1.0 / 3.0,
+        rho2=0.25,
+        rho_check=0.75,
+        interarrival="gamma(2.0,1.0)",
+        marks="rademacher",
+        jump_intensity=2.5,
+        jump_law="two_point",
+        k_star0=50,
+        k_star=3,
         delta="0.05",
+        eps=0.2,
+        varsigma_star=2.0,
+        n_values=(10, 20),
+        p=501,
+        p_min=51,
+        replications=7,
+        estimate_n=30,
+        renewal_h=0.01,
+        renewal_horizon=12.5,
     )
+    assert [f.name for f in fields(RunConfig) if "key" in f.metadata and getattr(tweaked, f.name) == f.default] == []
     assert parse_config(emit_config(tweaked)) == tweaked
 
 
@@ -97,7 +116,7 @@ def test_presets():
 
 def test_readme_key_table_matches_the_schema():
     # besides RunConfig, README's key table is the only place that states
-    # the defaults: it lists every config key in schema order, each with
+    # the defaults: it lists every config key in RunConfig's field order, each with
     # the text a default run's manifest carries; one row pairs noise.rho1
     # with noise.rho2, and `empty` stands for an empty tuple
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -109,13 +128,20 @@ def test_readme_key_table_matches_the_schema():
         values = ["" if v == "empty" else v.strip("`") for v in default_cell.strip().split(" / ")]
         documented += zip(keys, values, strict=True)
     emitted = [tuple(line.split("=", 1)) for line in emit_config(RunConfig()).splitlines()]
-    assert [key for key, _ in emitted] == [key for key, _, _ in _SCHEMA]
+    assert [key for key, _ in emitted] == [f.metadata["key"] for f in fields(RunConfig) if "key" in f.metadata]
     assert documented == emitted
 
 
 def test_digest_tracks_content():
     assert config_digest(RunConfig()) != config_digest(RunConfig(seed=1))
     assert config_digest(RunConfig()) == config_digest(RunConfig())
+
+
+def test_thread_count_never_reaches_the_text_form():
+    # a worker count changes wall-clock time only, so it has no key
+    assert config_digest(RunConfig(threads=4)) == config_digest(RunConfig())
+    with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+        parse_config("threads=2\n")
 
 
 def test_interarrival_parsing():
@@ -256,6 +282,22 @@ def test_main_rejects_negative_seed(tmp_path, capsys, subcommand, source):
     assert main([subcommand, "--config", str(cfg), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 745. GiB for an array"), MemoryError()])
+def test_main_reports_a_failed_allocation(tmp_path, capsys, monkeypatch, exc):
+    # a huge request (a short mean interarrival time at a large n*p) fails
+    # inside the sampler; it is one line on stderr, not a traceback
+    def refuse(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("driftsel.risk.sample_period_sums", refuse)
+    cfg = write_cfg(tmp_path, "risk.p=101\nestimate.n=10\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"driftsel: {exc if str(exc) else 'MemoryError'}\n"
     assert not out.exists()
 
 
