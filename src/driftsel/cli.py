@@ -33,10 +33,11 @@ import numpy as np
 
 from . import __version__
 from .estimator import family_knobs, select_model
-from .noise import RngStream, sample_observations
+from .noise import RngStream, renewal_chunk, sample_observations
 from .renewal import solve_renewal_density
 from .risk import (
     RunConfig,
+    block_rows,
     replication_estimates,
     resolve_frequency,
     resolve_selection,
@@ -47,6 +48,8 @@ from .signal import SignalSpec, cell_integrals, grid_values
 
 # rows formatted and written at a time: a table's text never exists whole
 _BLOCK = 1 << 16
+# renewal gaps one block of replications may draw at once, 128 MiB of float64
+_MAX_GAP_VALUES = 1 << 24
 
 
 class ConfigError(Exception):
@@ -134,19 +137,31 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(emit_config(config).encode("utf-8")).hexdigest()
 
 
+def _check_gap_draw(config: RunConfig, n: int, rows: int) -> None:
+    """Refuse n when a block of `rows` replications would draw more
+    renewal gaps at once than _MAX_GAP_VALUES."""
+    chunk = renewal_chunk(config.noise.interarrival, float(n))
+    if rows * chunk > _MAX_GAP_VALUES:
+        raise ValueError(
+            f"renewal epochs at n={n}: {rows} replications x {chunk:.0f} gaps at once exceed the limit of "
+            f"{_MAX_GAP_VALUES} values; lower n or raise the mean of noise.interarrival (now {config.interarrival})")
+
+
 def validate_config(config: RunConfig) -> None:
     """Reject an inconsistent config before anything is computed or
     written.  RunConfig itself checks the rules of one field; this checks
     the rules that join fields: the signal and noise settings, the
-    weight-family rules (its member count included) and frequency rules
-    for every n in risk.n_values (no family is built), and the frequency
-    rules for estimate.n."""
+    weight-family rules (its member count included), frequency rules and
+    renewal gap budget for every n in risk.n_values, whose replications
+    draw a block at a time (no family is built), and the frequency rules
+    and gap budget of one replication for estimate.n."""
     try:
         config.signal, config.noise  # built here once, and cached for the handler
         for n in config.n_values:
             family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
-            resolve_frequency(config, n)
+            _check_gap_draw(config, n, min(block_rows(resolve_frequency(config, n)), config.replications))
         resolve_frequency(config, config.estimate_n)
+        _check_gap_draw(config, config.estimate_n, 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -7,11 +7,12 @@ E[J^2] equals 1. z is a semi-Markov component: a renewal process with a
 general inter-arrival law, carrying i.i.d. standardized marks at its epochs.
 
 One core, `_noise_on_cells`, draws a block of replications, one row per
-stream: each stream makes only its own draws into its row, and the rule
-that places an epoch in its cell, the per-cell sums of the marks and the
-drift + rho1 dL + rho2 dz arithmetic each run once over the whole block.
-`sample_period_sums` returns such a block; a whole path
-(`sample_observations`) is the one-row case.
+stream: each stream makes only its own draws into its row, and the
+cumulative sums of the renewal gaps, the rule that places an epoch in
+its cell, the per-cell sums of the marks and the drift + rho1 dL + rho2
+dz arithmetic each run once over the whole block.  `sample_period_sums`
+returns such a block; a whole path (`sample_observations`) is the
+one-row case.
 
 Randomness is fully deterministic given (base_seed, stream_index): each
 component draws from its own counter-based substream, so the z-path and the
@@ -26,7 +27,11 @@ The keys themselves are derived here with numpy's documented SeedSequence
 hash (pool size 4): the part that depends on the seed alone once per seed,
 its pool read from SeedSequence(base_seed), then every (stream, tag) pair
 of a run of streams in one vectorized pass, which is much cheaper than one
-SeedSequence per substream.
+SeedSequence per substream.  Nor does the block sampler build a
+generator per substream: it keeps one per component, built once per
+process, and re-keys it for each stream.  Philox is counter-based, so a
+Philox set to a key at counter 0 with an empty buffer draws the bits of
+one freshly built with that key.
 """
 
 from __future__ import annotations
@@ -152,18 +157,44 @@ class RngStream:
     def span(cls, base_seed: int, start: int, stop: int) -> list:
         """Streams start..stop-1 of base_seed, their keys derived in one pass."""
         streams = [cls(base_seed, r) for r in range(start, stop)]
-        for stream, keys in zip(streams, _substream_keys(base_seed, start, stop)):
+        for stream, keys in zip(streams, _substream_keys(base_seed, start, stop).tolist()):
             vars(stream)["_keys"] = keys  # fills the cached_property below
         return streams
 
     @cached_property
-    def _keys(self) -> np.ndarray:
-        return _substream_keys(self.base_seed, self.stream_index, self.stream_index + 1)[0]
+    def _keys(self) -> list:
+        """Each tag's key as two Python ints, which Philox's state setter
+        reads faster than array items."""
+        return _substream_keys(self.base_seed, self.stream_index, self.stream_index + 1)[0].tolist()
 
     def generator(self, tag: int) -> Generator:
         if not 0 <= tag < _TAGS:
             raise ValueError(f"substream tag must be one of 0..{_TAGS - 1}, got {tag}")
-        return Generator(Philox(_PhiloxKey(self._keys[tag])))
+        return Generator(Philox(_PhiloxKey(np.array(self._keys[tag], dtype=np.uint64))))
+
+
+@lru_cache(maxsize=None)
+def _component(tag: int):
+    """The one generator of substream `tag` that the block sampler
+    re-keys for every stream, built once per process, and the state of
+    its fresh Philox: counter 0, an empty buffer and no saved 32-bit
+    half.  The key it is built with is never drawn from."""
+    gen = Generator(Philox(_PhiloxKey(np.zeros(2, dtype=np.uint64))))
+    state = gen.bit_generator.state
+    # as Python ints, like the keys
+    counter, buffer = state["state"]["counter"].tolist(), state["buffer"].tolist()
+    return gen, {**state, "state": {"counter": counter, "key": None}, "buffer": buffer}
+
+
+def _rekeyed(tag: int, rng: RngStream) -> Generator:
+    """Substream `tag` of `rng` on the component's one generator, with
+    the bits of rng.generator(tag) whatever the last stream left in it.
+    The generator is shared, so a process runs one sampler at a time
+    (the risk engine's workers are processes)."""
+    gen, fresh = _component(tag)
+    fresh["state"]["key"] = rng._keys[tag]
+    gen.bit_generator.state = fresh
+    return gen
 
 
 @dataclass(frozen=True)
@@ -234,6 +265,16 @@ def _sample_marks(law: str, gen: Generator, size: int) -> np.ndarray:
     raise ValueError(f"unknown mark law {law!r}")
 
 
+def renewal_chunk(law: InterarrivalLaw, horizon: float) -> float:
+    """How many gaps sample_renewal_times draws at a time for the epochs
+    up to horizon > 0: the expected epoch count, a 6-sd margin and 16,
+    rounded down, as a float that is inf when the count overflows."""
+    mean = law.mean()
+    expected = horizon / mean if mean > 0.0 else math.inf
+    chunk = expected + 6.0 * math.sqrt(expected + 1.0) + 16.0
+    return float(math.floor(chunk)) if chunk < math.inf else chunk
+
+
 def sample_renewal_times(law: InterarrivalLaw, horizon: float, rng: RngStream) -> np.ndarray:
     """Renewal epochs T_1 < T_2 < ... <= horizon (possibly empty)."""
     if horizon < 0:
@@ -241,8 +282,7 @@ def sample_renewal_times(law: InterarrivalLaw, horizon: float, rng: RngStream) -
     if horizon == 0:
         return np.empty(0)
     gen = rng.generator(TAG_RENEWAL)
-    expected = horizon / law.mean()
-    chunk = max(16, int(expected + 6.0 * math.sqrt(expected + 1.0) + 16.0))
+    chunk = int(renewal_chunk(law, horizon))
     gaps = law.sample(gen, chunk)
     total = float(gaps.sum())
     parts = [gaps]
@@ -252,6 +292,30 @@ def sample_renewal_times(law: InterarrivalLaw, horizon: float, rng: RngStream) -
         total += float(more.sum())
     times = np.cumsum(np.concatenate(parts))
     return times[times <= horizon]
+
+
+def _renewal_epochs(law: InterarrivalLaw, horizon: float, rngs):
+    """The epochs sample_renewal_times draws up to horizon > 0 for each
+    stream of `rngs`, concatenated in stream order, and each stream's
+    count.
+
+    Every stream draws its first chunk of gaps into its row of one
+    block, whose cumulative sums and selection run once.  A row whose
+    last sum passes the horizon already holds every epoch that
+    sample_renewal_times keeps, whether or not the (pairwise) sum it
+    tests agrees, since later gaps are nonnegative and a cumulative sum
+    never falls; every other row, rare with the chunk's 6-sd margin, is
+    redrawn from its start by sample_renewal_times."""
+    chunk = int(renewal_chunk(law, horizon))
+    times = np.array([law.sample(_rekeyed(TAG_RENEWAL, rng), chunk) for rng in rngs])
+    times.cumsum(axis=1, out=times)
+    inside = times <= horizon
+    short = inside[:, -1]
+    if not short.any():
+        return times[inside], inside.sum(axis=1)
+    rows = [sample_renewal_times(law, horizon, rng) if redraw else row[keep]
+            for rng, redraw, row, keep in zip(rngs, short, times, inside)]
+    return np.concatenate(rows), [row.size for row in rows]
 
 
 def _epoch_cells(epochs: np.ndarray, p: int) -> np.ndarray:
@@ -279,20 +343,20 @@ def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, roots: np.ndarray, sp
     period sums.  L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric,
     uncompensated jumps) is drawn per cell.
 
-    A stream makes only its own draws, row by row; the cell rule, the
-    sums of marks per cell and the arithmetic each run once over the
-    block, elementwise or within a row, so a row has the same bits as
-    a block of one."""
+    A stream makes only its own draws, row by row, each component on its
+    one re-keyed generator; the renewal gaps' cumulative sums, the cell
+    rule, the sums of marks per cell and the arithmetic each run once
+    over the block, elementwise or within a row, so a row has the same
+    bits as a block of one."""
     cells = widths.size
     dL = np.empty((len(rngs), cells))
     dJ = np.empty_like(dL) if spec.rho_check < 1.0 else None
-    epochs, marks = [], []
+    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), rngs)
+    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, rng), count) for rng, count in zip(rngs, per_row)]
     for row, rng in enumerate(rngs):
-        epochs.append(sample_renewal_times(spec.interarrival, float(n), rng))
-        marks.append(_sample_marks(spec.marks, rng.generator(TAG_MARKS), epochs[-1].size))
-        rng.generator(TAG_BROWNIAN).standard_normal(out=dL[row])
+        _rekeyed(TAG_BROWNIAN, rng).standard_normal(out=dL[row])
         if dJ is not None:
-            gen = rng.generator(TAG_JUMPS)
+            gen = _rekeyed(TAG_JUMPS, rng)
             counts = gen.poisson(spec.jump_intensity * widths)
             total = int(counts.sum())
             scale = 1.0 / math.sqrt(spec.jump_intensity)
@@ -302,8 +366,8 @@ def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, roots: np.ndarray, sp
                 jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
             dJ[row] = np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
     # each epoch's cell, offset by its row's cells: one count fills the block
-    offsets = np.repeat(np.arange(len(rngs)) * cells, [e.size for e in epochs])
-    dz = np.bincount(offsets + _epoch_cells(np.concatenate(epochs), p) % cells,
+    offsets = np.repeat(np.arange(len(rngs)) * cells, per_row)
+    dz = np.bincount(offsets + _epoch_cells(epochs, p) % cells,
                      weights=np.concatenate(marks), minlength=dL.size).reshape(dL.shape)
     dL *= roots
     if dJ is not None:

@@ -243,6 +243,11 @@ def pinsker_constant(k: int, r: float) -> float:
     )
 
 
+def block_rows(p: int) -> int:
+    """Replications a chunk draws and transforms at once at frequency p."""
+    return min(_CHUNK, max(1, _BLOCK_VALUES // p))
+
+
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> list:
     """Coefficient estimates of one replication per stream of `rngs`: n
     periods of the signal whose drift part is `drift_sums`
@@ -290,7 +295,7 @@ def _run_chunk(payload):
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
     streams = RngStream.span(base_seed, start, stop)
-    rows = max(1, _BLOCK_VALUES // drift_sums.size)
+    rows = block_rows(drift_sums.size)
     for first in range(0, stop - start, rows):
         ests = replication_estimates(drift_sums, noise, n, streams[first : first + rows])
         for i, est in enumerate(ests, start=first):

@@ -33,7 +33,7 @@ from driftsel.estimator import (
     family_knobs,
     select_model,
 )
-from driftsel.noise import RngStream, sample_observations
+from driftsel.noise import RngStream, renewal_chunk, sample_observations
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import replication_estimates, resolve_delta, resolve_frequency, resolve_selection
 from driftsel.signal import cell_integrals, grid_values
@@ -443,6 +443,44 @@ def test_risk_table_refuses_a_family_beyond_the_scoring_budget(tmp_path, capsys)
     assert "n=1000000" in err and "D=2500" in err and "W=312" in err and "estimator.eps" in err
     assert "Traceback" not in err and not out.exists()
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["risk-table", "simulate"])
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        # both replications in one block at p = 101, each drawing 2e10 gaps
+        ({"noise.interarrival": "exponential(1e9)"}, "n=20: 2 replications x 20000848544 gaps"),
+        # one row a block at p = 100001, but estimate.n draws 10^8 gaps
+        ({"noise.interarrival": "exponential(1e5)", "risk.p": "100001", "estimate.n": "1000"},
+         "n=1000: 1 replications x 100060016 gaps"),
+        # n / mean overflows, or the mean underflows to 0
+        ({"noise.interarrival": "exponential(1e308)"}, "n=20: 2 replications x inf gaps"),
+        ({"noise.interarrival": "gamma(1e-200,1e-200)"}, "n=20: 2 replications x inf gaps"),
+    ],
+)
+def test_gate_bounds_the_renewal_gap_draw(tmp_path, capsys, subcommand, settings, named):
+    # a block of replications draws its renewal gaps as one array, about
+    # n / mean interarrival time a row; one beyond 2^24 values is refused
+    # before any draw
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in {**GATE_BASE, **settings}.items()))
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("driftsel: config error: renewal epochs at ") and named in line
+    assert "16777216" in line and "noise.interarrival" in line
+    assert not out.exists()
+
+
+def test_gate_admits_a_renewal_gap_draw_at_the_limit():
+    # 8 replications a block at p = 1001 and n = 10^6 draw 8 x 336813 gaps
+    validate_config(RunConfig(n_values=(1000000,), p=1001, replications=50, estimate_n=1000000))
+    # 16 replications a block at p = 512, each drawing 2^20 gaps at this n
+    n = 1042435
+    assert renewal_chunk(InterarrivalLaw.exponential(1.0), n) == 1 << 20
+    validate_config(RunConfig(n_values=(n,), p=512, replications=50, interarrival="exponential(1)"))
+    with pytest.raises(ConfigError, match="renewal epochs"):
+        validate_config(RunConfig(n_values=(n + 1,), p=512, replications=50, interarrival="exponential(1)"))
 
 
 def test_gate_builds_no_family(monkeypatch):

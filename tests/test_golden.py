@@ -16,6 +16,9 @@ why in CHANGES.md.
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +103,51 @@ def test_outputs_match_golden_digests(tmp_path, subcommand, flags):
 def test_jump_noise_risk_table_matches_golden_digests(tmp_path, threads):
     digests = _digests(tmp_path, CONFIG + JUMPS, GOLDEN_JUMPS, "risk-table", "--threads", threads)
     assert digests == GOLDEN_JUMPS
+
+
+# each golden command, and risk-table at two worker counts, in one process
+THREAD_RUNS = (
+    ("risk-table", CONFIG, ("--threads", "1")),
+    ("risk-table", CONFIG, ("--threads", "2")),
+    ("risk-table", CONFIG + JUMPS, ()),
+    ("estimate", CONFIG, ()),
+    ("figures", CONFIG, ()),
+    ("simulate", CONFIG, ()),
+)
+
+
+def _outputs(out):
+    # every output file's bytes, risk.csv's wall-clock seconds masked
+    return {path.name: _mask_seconds(path.read_text(encoding="utf-8")) if path.name == "risk.csv"
+            else path.read_text(encoding="utf-8") for path in sorted(out.iterdir())}
+
+
+def test_outputs_do_not_depend_on_the_thread_counts(tmp_path):
+    # the golden commands write the same bytes under one OpenBLAS thread
+    # and two, and risk-table under one worker and two. renewal-density is
+    # left out: its march sums dot products of more than 10000 elements,
+    # which OpenBLAS splits across threads, so a grid of more than 10000
+    # points still depends on the thread count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for i, (subcommand, config, flags) in enumerate(THREAD_RUNS):
+        cfg = tmp_path / f"{i}.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        runs.append([subcommand, "--config", str(cfg), *flags])
+    code = ("import sys\nfrom driftsel.cli import main\n"
+            f"for i, argv in enumerate({runs!r}):\n"
+            "    assert main([*argv, '--out', f'{sys.argv[1]}/{i}']) == 0\n")
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / threads)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = [_outputs(tmp_path / threads / str(i)) for i in range(len(runs))]
+    assert outputs["1"] == outputs["2"]
+    assert outputs["1"][0] == outputs["1"][1]
+    assert set(outputs["1"][3]) == {"estimate.csv", "selection.csv", "manifest.txt"}
 
 
 def test_renewal_density_matches_golden_digests(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+
+import driftsel.noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
@@ -12,7 +14,11 @@ from driftsel.noise import (
     RngStream,
     _epoch_cells,
     _PhiloxKey,
+    _rekeyed,
+    _renewal_epochs,
+    _sample_marks,
     _substream_keys,
+    renewal_chunk,
     sample_observations,
     sample_period_sums,
     sample_renewal_times,
@@ -336,6 +342,114 @@ def test_mark_count_variance_tracks_the_renewal_function():
     var = ends.var(ddof=1)
     se = np.sqrt(2.0 / reps) * expected
     assert abs(var - expected) <= 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda g: _sample_marks("rademacher", g, 33),
+        lambda g: _sample_marks("uniform", g, 33),
+        lambda g: g.standard_normal(33),
+        lambda g: g.integers(0, 2, 33) * 2.0 - 1.0,
+        lambda g: g.integers(0, 2**32, 7, dtype=np.uint32),
+    ],
+    ids=["rademacher_marks", "uniform_marks", "gaussian_jumps", "two_point_jumps", "odd_uint32"],
+)
+def test_rekeyed_components_draw_as_fresh_generators(draw):
+    # the block sampler re-keys one generator per component for every
+    # stream; whatever the last stream left in it, mid-buffer and with a
+    # saved 32-bit half, the next stream draws a fresh generator's bits
+    for seed, start in [(0, 0), (2**64 + 5, 9998)]:
+        for rng in RngStream.span(seed, start, start + 3):
+            for tag in range(4):
+                dirty = _rekeyed(tag, RngStream(99, 7))
+                dirty.random(5)
+                dirty.integers(0, 2**32, 1, dtype=np.uint32)
+                state = dirty.bit_generator.state
+                assert state["buffer_pos"] == 2 and state["has_uint32"] == 1
+                expected = draw(reference_generator(seed, rng.stream_index, tag))
+                assert np.array_equal(draw(_rekeyed(tag, rng)), expected)
+
+
+class ShortFirstChunk:
+    """A law whose mean claims 1 while a chunk whose first uniform lies
+    below 0.2 draws gaps below 0.01: such a stream's first chunk ends far
+    short of the horizon."""
+
+    def mean(self):
+        return 1.0
+
+    def sample(self, rng, size):
+        u = rng.random(size)
+        return u * (0.01 if u[0] < 0.2 else 4.0)
+
+
+def _rows(epochs, counts):
+    return np.split(epochs, np.cumsum(counts)[:-1])
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+    real = driftsel.noise.sample_renewal_times
+
+    def counted(law, horizon, rng):
+        calls.append(rng.stream_index)
+        return real(law, horizon, rng)
+
+    monkeypatch.setattr(driftsel.noise, "sample_renewal_times", counted)
+    return calls
+
+
+def test_block_redraws_a_short_row_as_sample_renewal_times(monkeypatch):
+    # one row of this block falls short of the horizon on its first
+    # chunk; it is redrawn from its start and keeps today's bits
+    law, streams = ShortFirstChunk(), RngStream.span(2, 0, 8)
+    calls = _counting_fallback(monkeypatch)
+    epochs, counts = _renewal_epochs(law, 10.0, streams)
+    assert calls == [5] and counts[5] > renewal_chunk(law, 10.0)
+    for row, rng in zip(_rows(epochs, counts), streams):
+        assert np.array_equal(row, sample_renewal_times(law, 10.0, rng))
+    # and the noise over the block is its rows drawn one at a time
+    spec = NoiseSpec(rho1=0.3, rho2=0.8, interarrival=law, marks="uniform")
+    block = sample_period_sums(np.zeros(11), spec, 10, streams)
+    for row, rng in zip(block, streams):
+        assert np.array_equal(row, sample_period_sums(np.zeros(11), spec, 10, [rng])[0])
+
+
+class Far:
+    """A law whose mean claims 1e9, so every chunk holds 22 gaps, while
+    its gaps are uniform on [0, 5): a chunk ends near 55."""
+
+    def mean(self):
+        return 1e9
+
+    def sample(self, rng, size):
+        return rng.random(size) * 5.0
+
+
+def test_block_coverage_agrees_with_the_sum_or_falls_back(monkeypatch):
+    # sample_renewal_times stops when the pairwise sum of its first chunk
+    # passes the horizon, the block when the chunk's last cumulative sum
+    # does; at horizons on and beside either sum of some row, every row
+    # still has the epochs of sample_renewal_times, and a row falls back
+    # exactly when its cumulative sum does not pass the horizon
+    law, streams = Far(), RngStream.span(6, 0, 8)
+    sums = []
+    for rng in streams:
+        gaps = law.sample(rng.generator(0), 22)
+        sums.append((float(gaps.sum()), float(gaps.cumsum()[-1])))
+    assert any(s != c for s, c in sums)
+    horizons = sorted({h for pair in sums for x in pair for h in (np.nextafter(x, 0.0), x, np.nextafter(x, 99.0))})
+    doubt = 0
+    for horizon in horizons:
+        assert renewal_chunk(law, horizon) == 22
+        calls = _counting_fallback(monkeypatch)
+        epochs, counts = _renewal_epochs(law, horizon, streams)
+        assert calls == [rng.stream_index for rng, (_, c) in zip(streams, sums) if c <= horizon]
+        doubt += sum(min(s, c) <= horizon < max(s, c) for s, c in sums)
+        for row, rng in zip(_rows(epochs, counts), streams):
+            assert np.array_equal(row, sample_renewal_times(law, horizon, rng))
+    assert doubt > 0
 
 
 LAWS = (

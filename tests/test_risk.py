@@ -251,7 +251,9 @@ def test_chunk_keeps_its_bits_whatever_the_block_size(monkeypatch, knobs):
 
 def test_chunk_builds_no_seed_sequence(monkeypatch):
     # a SeedSequence per substream was the largest fixed cost of a
-    # replication; a chunk derives every key in one pass instead
+    # replication, and a Philox per substream the next: a chunk derives
+    # every key in one pass, and a process builds one generator per noise
+    # component, which it re-keys for every stream
     built, seeds = [], []
     real_sequence, real_philox = np.random.SeedSequence, noise.Philox
 
@@ -266,13 +268,16 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", sequence)
     monkeypatch.setattr(np.random.bit_generator, "SeedSequence", sequence)
     monkeypatch.setattr(noise, "Philox", philox)
-    cfg = RunConfig(n_values=(20,), p=101, replications=50, seed=3, k_star=3)
+    noise._component.cache_clear()  # as in a fresh worker process
+    cfg = RunConfig(n_values=(20,), p=101, replications=100, seed=3, k_star=3,
+                    rho_check=0.5, jump_intensity=2.0)
     _, family, delta = resolve_selection(cfg, 20)
     truth, tail, drift, _ = _truth(cfg.signal, 20, 101, family.weights.shape[1])
-    _run_chunk((cfg.noise, 20, family.weights, delta, truth, tail, drift, cfg.seed, 0, 50))
+    for start in (0, 50):
+        _run_chunk((cfg.noise, 20, family.weights, delta, truth, tail, drift, cfg.seed, start, start + 50))
     assert built == []
-    # renewal epochs, marks and Brownian sums: three substreams a replication
-    assert len(seeds) == 150
+    # renewal epochs, marks, Brownian sums and jumps: one Philox each
+    assert len(seeds) == 4
     assert all(len(args) == 1 and not kwargs and not isinstance(args[0], SeedSequence) for args, kwargs in seeds)
 
 
