@@ -3,7 +3,11 @@
 The pipeline turns one observation path into a curve estimate in three
 steps.  First the raw trigonometric coefficients are read off the
 increments: averaging phi_j against dy over the whole path reduces,
-after folding onto one period, to a single length-p transform.  Second
+after folding onto one period, to a single length-p transform.  The
+risk engine transforms period sums that leave the Brownian part out and
+adds that part to the min(n, p - 1) coefficients it keeps, which are
+all that the later steps read (`CoefficientEstimates` holds at least
+those).  Second
 a high-frequency slice of those coefficients estimates the proxy
 variance, the noise level entering the penalty.  Third a finite family
 of shrinkage profiles is scanned with the penalized empirical cost and
@@ -33,11 +37,19 @@ _DOT_SLICE = 10_000
 
 @dataclass(frozen=True)
 class CoefficientEstimates:
-    """Raw coefficient estimates for one observation path."""
+    """Raw coefficient estimates for one observation path: theta_j at
+    entry j - 1, at least for every j <= min(n, p - 1), the frequencies
+    the profiles and the proxy-variance window read; a shorter theta is
+    a ValueError."""
 
     n: int
     p: int
     theta: np.ndarray
+
+    def __post_init__(self):
+        if len(self.theta) < min(self.n, self.p - 1):
+            raise ValueError(f"theta holds {len(self.theta)} coefficients, fewer than "
+                             f"min(n, p - 1) = {min(self.n, self.p - 1)}")
 
 
 @dataclass(frozen=True)
@@ -70,19 +82,26 @@ class SelectionResult:
         return coefficients_to_grid(padded)
 
 
-def coefficients_from_period_sums(sums: np.ndarray, n: int) -> list:
+def coefficients_from_period_sums(sums: np.ndarray, n: int, brownian: np.ndarray = None) -> list:
     """Average each basis function against the increments of n periods,
     given their per-cell sums over the periods: one CoefficientEstimates
     per row of the (R x p) block `sums`, each theta a row view of one
     transformed block.
 
     Periodicity makes these sums all the estimates read of a path, so
-    the cost is one length-p FFT per row regardless of n.
+    the cost is one length-p FFT per row regardless of n.  Each theta
+    holds all p - 1 estimable coefficients, or, given the (R x M) block
+    `brownian` of a Brownian part drawn in coefficient space (the risk
+    engine's route, whose sums leave that part out), the first M plus
+    its row of `brownian`.
     """
     p = sums.shape[-1]
     if p < 3:
         raise ValueError("need at least 3 observations per period")
-    thetas = grid_coefficients(sums)[:, : p - 1] * (p / n)
+    thetas = grid_coefficients(sums, p - 1 if brownian is None else brownian.shape[-1])
+    thetas *= p / n
+    if brownian is not None:
+        thetas += brownian
     return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
 
 

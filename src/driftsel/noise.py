@@ -14,6 +14,13 @@ dz arithmetic each run once over the whole block.  `sample_period_sums`
 returns such a block; a whole path (`sample_observations`) is the
 one-row case.
 
+The Brownian part comes from one stream of standard normals per
+replication, `brownian_normals`, read in one of two ways.  A whole path
+scales one normal per cell by the cell's root width.  The period sums
+leave the part out: the risk engine reads the first min(n, p - 1)
+normals as that part of its coefficient estimates directly, so it draws
+only those.
+
 Randomness is fully deterministic given (base_seed, stream_index): each
 component draws from its own counter-based substream, so the z-path and the
 L-path of one replication never share random state, and any component can be
@@ -331,100 +338,127 @@ def _epoch_cells(epochs: np.ndarray, p: int) -> np.ndarray:
     return right - 1
 
 
-def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, roots: np.ndarray, spec: NoiseSpec,
-                    n: int, p: int, rngs) -> np.ndarray:
-    """drift + rho1 dL + rho2 dz over cells of the given widths (roots =
-    sqrt(widths)) covering n periods observed at p points per period, one
-    row per stream of `rngs`.
+def brownian_normals(rngs, count: int) -> np.ndarray:
+    """The first `count` standard normals of substream TAG_BROWNIAN of
+    each stream of `rngs`, one row per stream; a shorter count draws the
+    first entries of a longer one.
+
+    A full path scales one by each cell's root width.  The risk engine
+    takes one per coefficient instead: by the discrete orthonormality of
+    phi_1..phi_{p-1} (`signal`), the Brownian part of the estimates
+    theta_1..theta_{p-1} of n periods is i.i.d. N(0, rho1^2 rho_check^2
+    / n), rho1 * rho_check / sqrt(n) times these normals, whatever the
+    path's other parts."""
+    normals = np.empty((len(rngs), count))
+    for row, rng in zip(normals, rngs):
+        _rekeyed(TAG_BROWNIAN, rng).standard_normal(out=row)
+    return normals
+
+
+def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, n: int, p: int,
+                    rngs) -> np.ndarray:
+    """drift + rho1 dL + rho2 dz over cells of the given widths covering n
+    periods observed at p points per period, one row per stream of `rngs`.
 
     z jumps by an i.i.d. standardized mark at every renewal epoch in
     [0, n]; each epoch's cell on the n*p-cell grid is taken modulo the
     cell count, so n*p cells give the path's increments and p cells its
     period sums.  L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric,
-    uncompensated jumps) is drawn per cell.
+    uncompensated jumps), the jumps drawn per cell.  The caller passes
+    the Brownian increments W over the cells as the block dW, which is
+    overwritten, or None to leave the Brownian part out.
 
     A stream makes only its own draws, row by row, each component on its
     one re-keyed generator; the renewal gaps' cumulative sums, the cell
     rule, the sums of marks per cell and the arithmetic each run once
     over the block, elementwise or within a row, so a row has the same
     bits as a block of one."""
-    cells = widths.size
-    dL = np.empty((len(rngs), cells))
-    dJ = np.empty_like(dL) if spec.rho_check < 1.0 else None
+    rows, cells = len(rngs), widths.size
     epochs, per_row = _renewal_epochs(spec.interarrival, float(n), rngs)
     marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, rng), count) for rng, count in zip(rngs, per_row)]
-    for row, rng in enumerate(rngs):
-        _rekeyed(TAG_BROWNIAN, rng).standard_normal(out=dL[row])
-        if dJ is not None:
+    dL = dW
+    if spec.rho_check < 1.0:
+        dJ = np.empty((rows, cells))
+        scale = 1.0 / math.sqrt(spec.jump_intensity)
+        for row, rng in enumerate(rngs):
             gen = _rekeyed(TAG_JUMPS, rng)
             counts = gen.poisson(spec.jump_intensity * widths)
             total = int(counts.sum())
-            scale = 1.0 / math.sqrt(spec.jump_intensity)
             if spec.jump_law == "gaussian":
                 jumps = gen.standard_normal(total) * scale
             else:
                 jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
             dJ[row] = np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
-    # each epoch's cell, offset by its row's cells: one count fills the block
-    offsets = np.repeat(np.arange(len(rngs)) * cells, per_row)
-    dz = np.bincount(offsets + _epoch_cells(epochs, p) % cells,
-                     weights=np.concatenate(marks), minlength=dL.size).reshape(dL.shape)
-    dL *= roots
-    if dJ is not None:
-        dL *= spec.rho_check
         dJ *= math.sqrt(1.0 - spec.rho_check**2)
-        dL += dJ
+        if dL is None:
+            dL = dJ
+        else:
+            dL *= spec.rho_check
+            dL += dJ
+    # each epoch's cell, offset by its row's cells: one count fills the block
+    offsets = np.repeat(np.arange(rows) * cells, per_row)
+    dz = spec.rho2 * np.bincount(offsets + _epoch_cells(epochs, p) % cells,
+                                 weights=np.concatenate(marks), minlength=rows * cells).reshape(rows, cells)
     # (drift + rho1 dL) + rho2 dz, in place
+    if dL is None:
+        dz += drift
+        return dz
     dL *= spec.rho1
     dL += drift
-    dL += spec.rho2 * dz
+    dL += dz
     return dL
 
 
 @lru_cache(maxsize=1)
-def _period_cells(n: int, p: int):
-    """Widths of the p cells of width n/p that sample_period_sums draws
-    the Levy part on, and their square roots, built once per (n, p)
-    (read-only: shared)."""
+def _period_widths(n: int, p: int) -> np.ndarray:
+    """Widths of the p cells of width n/p that the period sums draw the
+    jump part on, built once per (n, p) (read-only: shared)."""
     widths = np.diff(np.arange(p + 1) * (n / p))
-    roots = np.sqrt(widths)
-    widths.flags.writeable = roots.flags.writeable = False
-    return widths, roots
+    widths.flags.writeable = False
+    return widths
 
 
 def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> ObservationPath:
     """One observation path over n periods at p samples per period.
 
     Each increment is the exact-quadrature drift integral over its cell
-    plus rho1 dL + rho2 dz.
+    plus rho1 dL + rho2 dz, the Brownian part one normal per cell (n*p
+    of them) scaled by the cell's root width.
     """
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
     widths = np.diff(np.arange(n * p + 1) / p)
-    [dy] = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, np.sqrt(widths), spec, n, p, [rng])
+    dW = brownian_normals([rng], n * p)
+    dW *= np.sqrt(widths)
+    [dy] = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, dW, spec, n, p, [rng])
     return ObservationPath(n=n, p=p, y=np.concatenate(([0.0], np.cumsum(dy))))
 
 
 def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, rngs) -> np.ndarray:
     """The n*p increments of one observation path per stream of `rngs`,
-    folded onto one period: an (R x p) block for R streams, whose rows
-    have the same bits as R blocks of one.
+    without their Brownian part, folded onto one period: an (R x p) block
+    for R streams, whose rows have the same bits as R blocks of one.
 
     Entry l of a row is the sum over the n periods of the increment over
     the l-th in-period cell, which is all the coefficient estimates read
     of a path.  drift_sums is the drift part, n * cell_integrals(S, p),
     which a caller sampling many replications of one signal computes
     once; its length is p. The row of stream rng has the law of
-    sample_observations(S, spec, n, p, rng).increments.reshape(n, p).sum(0),
-    in O(p) memory instead of O(n p):
+    sample_observations(S, spec, n, p, rng).increments.reshape(n, p).sum(0)
+    less rho1 * rho_check times the path's Brownian sums, in O(p) memory
+    instead of O(n p):
 
     - the semi-Markov part uses the same epochs and marks as the full path
       (same substreams and cell rule), each epoch's cell taken modulo p,
       so this part matches the full path draw for draw;
-    - the Levy part is drawn directly on p cells of width n/p: Brownian
-      sums N(0, n/p), jump counts Poisson(intensity * n/p).
+    - the jump counts are drawn directly on p cells of width n/p,
+      Poisson(intensity * n/p).
+
+    The Brownian sums left out are i.i.d. N(0, n/p) and independent of
+    the rest; the risk engine draws that part in coefficient space
+    instead (`brownian_normals`).
     """
     p = drift_sums.size
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    return _noise_on_cells(drift_sums, *_period_cells(n, p), spec, n, p, rngs)
+    return _noise_on_cells(drift_sums, _period_widths(n, p), None, spec, n, p, rngs)

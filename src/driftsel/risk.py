@@ -10,8 +10,11 @@ it as key=value text.
 One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
 period sums of a fresh path per stream (its n*p increments folded onto
-one period) without building the path, and transforms them as one
-block; the CLI's single-path fits are its one-stream case.  A chunk
+one period) without building the path and without its Brownian part,
+transforms them as one block and keeps the M = min(n, p - 1)
+coefficients the estimator reads; it adds the Brownian part to those in
+coefficient space, M normals per stream, which is exact in law.  The
+CLI's single-path fits are its one-stream case.  A chunk
 walks its replications in blocks of max(1, _BLOCK_VALUES // p) rows, 8
 at p = 1001 and one from p = 4097 up, which keep every bit of one
 replication at a time.  It keeps each replication's proxy variance and
@@ -53,7 +56,7 @@ from .estimator import (
     estimate_proxy_variance,
     selection_cost,
 )
-from .noise import NoiseSpec, RngStream, sample_period_sums
+from .noise import NoiseSpec, RngStream, brownian_normals, sample_period_sums
 from .renewal import InterarrivalLaw
 from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
 
@@ -251,9 +254,18 @@ def block_rows(p: int) -> int:
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> list:
     """Coefficient estimates of one replication per stream of `rngs`: n
     periods of the signal whose drift part is `drift_sums`
-    (n * cell_integrals(S, p)), observed under `noise`.  The streams are
-    drawn and transformed as one block, each estimate a row view of it."""
-    return coefficients_from_period_sums(sample_period_sums(drift_sums, noise, n, rngs), n)
+    (n * cell_integrals(S, p)), observed under `noise`.
+
+    Each theta holds the M = min(n, p - 1) coefficients the estimator
+    reads: the transform of the stream's period sums without their
+    Brownian part, plus rho1 * rho_check / sqrt(n) times M standard
+    normals of its Brownian substream, that part's exact law.  The
+    streams are drawn and transformed as one block, each estimate a row
+    view of it."""
+    sums = sample_period_sums(drift_sums, noise, n, rngs)
+    brownian = brownian_normals(rngs, min(n, drift_sums.size - 1))
+    brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
+    return coefficients_from_period_sums(sums, n, brownian)
 
 
 def _truth(signal: SignalSpec, n: int, p: int, width: int):

@@ -151,9 +151,10 @@ def cell_integrals(S, p: int) -> np.ndarray:
     return vals @ _GAUSS_WEIGHTS / (2.0 * p)
 
 
-def grid_coefficients(v: np.ndarray) -> np.ndarray:
-    """All discrete coefficients (v, phi_j)_p, j = 1..p, of a grid function,
-    or of each row of a block of them (along the last axis).
+def grid_coefficients(v: np.ndarray, count: int = None) -> np.ndarray:
+    """The first `count` (default all p) discrete coefficients
+    (v, phi_j)_p, j = 1..count, of a grid function, or of each row of a
+    block of them (along the last axis).
 
     v holds the values at t_1..t_p. Entry k of the result holds index
     j = k + 1. Computed through one real FFT: with x = v rolled so that
@@ -163,17 +164,21 @@ def grid_coefficients(v: np.ndarray) -> np.ndarray:
         (v, phi_{2k})_p   = sqrt(2) Re X_k / p,
         (v, phi_{2k+1})_p = -sqrt(2) Im X_k / p,
 
-    where X = rfft(x).  A block's rows take the same bits as one at a time.
+    where X = rfft(x).  A block's rows take the same bits as one at a time,
+    and a shorter count the same bits as the first entries of a longer one.
     """
     v = np.asarray(v, dtype=float)
     p = v.shape[-1]
+    count = p if count is None else count
+    if not 1 <= count <= p:
+        raise ValueError(f"count must lie in 1..{p}, got {count}")
     x = np.concatenate((v[..., -1:], v[..., :-1]), axis=-1)
     X = rfft(x)
-    theta = np.empty(v.shape)
+    theta = np.empty(v.shape[:-1] + (count,))
     theta[..., 0] = X[..., 0].real / p
     # even j = 2k at slots 1, 3, 5, ...; odd j = 2k+1 at slots 2, 4, 6, ...
-    theta[..., 1::2] = SQRT2 * X[..., 1:1 + p // 2].real / p
-    theta[..., 2::2] = -SQRT2 * X[..., 1:1 + (p - 1) // 2].imag / p
+    theta[..., 1::2] = SQRT2 * X[..., 1:1 + count // 2].real / p
+    theta[..., 2::2] = -SQRT2 * X[..., 1:1 + (count - 1) // 2].imag / p
     return theta
 
 

@@ -138,6 +138,16 @@ def test_proxy_variance_window_stops_at_estimable_frequencies():
     assert estimate_proxy_variance(est) == pytest.approx(2.0 * (0.09 + 0.04))
 
 
+def test_coefficient_estimates_hold_every_frequency_the_estimator_reads():
+    # the profiles and the proxy-variance window read j <= min(n, p - 1);
+    # a shorter theta would have summed a short window without an error
+    for n, p in ((20, 101), (200, 101), (7, 8)):
+        m = min(n, p - 1)
+        with pytest.raises(ValueError, match=r"fewer than min\(n, p - 1\)"):
+            CoefficientEstimates(n=n, p=p, theta=np.ones(m - 1))
+        assert estimate_proxy_variance(CoefficientEstimates(n=n, p=p, theta=np.ones(m))) > 0.0
+
+
 def test_proxy_variance_does_not_depend_on_the_blas_thread_count():
     # the window j = 141..20000 is 19860 coefficients long: OpenBLAS splits
     # one dot product that long over its threads, and the split changes

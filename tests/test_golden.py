@@ -3,11 +3,22 @@
 The config keeps the default k_star, so the weight family holds many
 members that share a profile, selection costs tie, and the earliest
 member must win.  risk.csv is pinned with its wall-clock `seconds`
-column masked, for one worker and for two.  `simulate` pins the
-full-path sampler, and a risk table with a jump part (two-point jumps,
-Brownian weight 1/2) pins the jump substream, so all four noise
-substreams are covered.  `renewal-density` is pinned on its own config,
-a gamma(3, 1/3) law on a 0.004 step (10 001 grid points).
+column masked, for one worker and for two.  Substream t of replication r
+is numbered as in `driftsel.noise` (0 renewal gaps, 1 marks, 2 Brownian,
+3 jumps):
+
+- `risk-table`, `estimate` (estimate.csv, selection.csv) and `figures`
+  fit through the risk engine's route: they pin substreams 0 and 1
+  through the folded period sums, and substream 2 as the first
+  min(n, p - 1) normals, read as coefficients;
+- `simulate` pins the full-path sampler: substreams 0 and 1, and
+  substream 2 as one normal per cell of all n*p;
+- a risk table with a jump part (two-point jumps, Brownian weight 1/2)
+  adds substream 3, drawn per folded cell.
+
+`renewal-density` is pinned on its own config, a gamma(3, 1/3) law on a
+0.004 step (10 001 grid points).  The manifests hold the config and its
+digest alone, so no stream moves them.
 
 Recorded with Python 3.11, numpy 2.4.6 and scipy 1.17.1.  A change that
 alters a reported digit must update these digests on purpose and say
@@ -36,17 +47,17 @@ JUMPS = "noise.rho_check=0.5\nnoise.jump_intensity=2\nnoise.jump_law=two_point\n
 
 GOLDEN = {
     "risk-table": {
-        "risk.csv": "746ed51f367a1615f8b7dd3aeb6d65bef52b3b007be6a1f58edfb8bafcc2362d",
+        "risk.csv": "974674919642cdf1d13483826177f3b7c7204e1a8a98c0fec4c208a364c118b5",
         "manifest.txt": "eb07a873588d3490f09d834142eb6876001f6ec28d9f40254ecbd3df2dba898a",
     },
     "estimate": {
-        "estimate.csv": "d03c255075d22591672bb9b5695a07b3b2ef49e80a137c45a74d9daa823a3391",
-        "selection.csv": "0a500b23f36d20193d80f5d9ad84be066b79307aad2f4788125e606e5d2ba3e1",
+        "estimate.csv": "b73b80bea18ea91999a9bdccdbafb9948f31473e1722c752ebc4a0f12c3fb9b4",
+        "selection.csv": "0d803cc2b32d748b9654e0f92cbd07907876e3894bb97775c58592ba4cdef9d5",
         "manifest.txt": "9a4f17a7d31d8ebcdc81d18fbf0d6a2ac822b3f9aee9cc482934a72774d79f97",
     },
     "figures": {
-        "figure_n20.csv": "f19bb59b6c28dc66cc96bef059d3af20cf96a35bc4b60acf43f3b06a97183f3c",
-        "figure_n40.csv": "7f99ce95b2427ce3418b65bc9034822c8bd1bbbb7fdc178d3ebc499a40595781",
+        "figure_n20.csv": "6cbe9534633fa970e27f54806a6f1f2150f249a27f8aec9c79970f73c38dc05e",
+        "figure_n40.csv": "9084c33db5a974d3a36198c6a5e83737d356ab4e826fdf3b70c2c926ae43aeb0",
         "manifest.txt": "c7f014fcb76726c12f0fe936d55ddf86d7eb25ae6b064fac068d10f382f5d69f",
     },
     "simulate": {
@@ -55,7 +66,7 @@ GOLDEN = {
     },
 }
 GOLDEN_JUMPS = {
-    "risk.csv": "65e303bf98fdfa81b0981cd1304062bcbd63407b8cf752d650acc006efe706bb",
+    "risk.csv": "488d8d957dc6a3078a3b6f1b8da3223b5102befd94376b21a7c20ffe39bd5311",
     "manifest.txt": "eed3e76c97a9ad19645b39bf38e766815a09566777e1f1ea3b68302ef9b28f87",
 }
 RENEWAL = "noise.interarrival=gamma(3, 0.3333333333333333)\nrenewal.h=0.004\n"

@@ -25,6 +25,7 @@ from driftsel.noise import (
 )
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
+from folded import folded_path_sums
 
 CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -166,10 +167,14 @@ def test_semimarkov_component_ignores_levy_settings():
 
 
 def test_levy_component_ignores_renewal_settings():
-    other = NoiseSpec(rho1=0.5, rho2=0.0, interarrival=InterarrivalLaw.gamma(2.0, 1.0), marks="rademacher")
+    # with a jump part, so that the period sums, which leave the Brownian
+    # part out, draw a Levy part too
+    jumps = {"rho_check": 0.6, "jump_intensity": 2.0}
+    other = NoiseSpec(rho1=0.5, rho2=0.0, interarrival=InterarrivalLaw.gamma(2.0, 1.0), marks="rademacher",
+                      **jumps)
     for sample in SAMPLERS:
-        levy = sample(NoiseSpec(rho1=0.5, rho2=0.0), 5, 8, RngStream(12, 0))
-        assert np.array_equal(levy, sample(other, 5, 8, RngStream(12, 0)))
+        levy = sample(NoiseSpec(rho1=0.5, rho2=0.0, **jumps), 5, 8, RngStream(12, 0))
+        assert levy.any() and np.array_equal(levy, sample(other, 5, 8, RngStream(12, 0)))
 
 
 def test_observation_path_composes_the_components():
@@ -251,11 +256,12 @@ def test_epoch_cells_match_a_search_of_the_grid(n, p):
 
 
 def test_levy_brownian_variance():
-    # both samplers on cells of width 0.01: 100000 cells of the path, the
-    # 100000 folded cells of 1000 periods
+    # cells of width 0.01: 100000 cells of the path, the 100000 folded
+    # cells of 1000 periods, to which `folded_path_sums` adds the
+    # Brownian part that the period sums leave out
     spec = NoiseSpec(rho1=1.0, rho2=0.0)
     for d in (path_increments(spec, 1000, 100, RngStream(201, 0)),
-              period_sums(spec, 1000, 100000, RngStream(201, 0))):
+              folded_path_sums(np.zeros(100000), spec, 1000, [RngStream(201, 0)])[0]):
         assert abs(d.var() / 0.01 - 1.0) < 0.0134     # 3 * sqrt(2 / 1e5)
         assert abs(d.mean()) < 1e-3
 

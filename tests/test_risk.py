@@ -23,7 +23,7 @@ from numpy.random import SeedSequence
 
 import driftsel.risk
 from driftsel import noise
-from driftsel.noise import NoiseSpec, RngStream, sample_observations, sample_period_sums
+from driftsel.noise import NoiseSpec, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     RunConfig,
@@ -45,6 +45,7 @@ from driftsel.signal import (
     grid_coefficients,
     grid_values,
 )
+from folded import folded_path_sums
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -140,8 +141,7 @@ def test_grid_and_coefficient_routes_agree():
         prefixes = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in family.members]
         errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
-            sums = sample_period_sums(drift, cfg.noise, n, [RngStream(seed, r)])
-            [est] = coefficients_from_period_sums(sums, n)
+            [est] = replication_estimates(drift, cfg.noise, n, [RngStream(seed, r)])
             result = select_model(est, family, delta)
             diff = result.grid_values() - truth
             errors.append(np.dot(diff, diff) / p)
@@ -421,10 +421,12 @@ def _within(a, b, k=5.0):
     return abs(a.mean() - b.mean()) <= k * se
 
 
-def _engine_and_path_sums(S, spec, n, p, reps):
-    """Period sums from the engine's sampler and from full paths (other seeds)."""
+def _folded_and_path_sums(S, spec, n, p, reps):
+    """Period sums from the folded sampler, with the Brownian part it
+    leaves out added back (`folded_path_sums`), and from full paths
+    (other seeds)."""
     drift = n * cell_integrals(S, p)
-    folded = sample_period_sums(drift, spec, n, [RngStream(81, r) for r in range(reps)])
+    folded = folded_path_sums(drift, spec, n, [RngStream(81, r) for r in range(reps)])
     full = np.array([
         sample_observations(S, spec, n=n, p=p, rng=RngStream(82, r)).increments.reshape(n, p).sum(0)
         for r in range(reps)
@@ -443,7 +445,7 @@ def _engine_and_path_sums(S, spec, n, p, reps):
 )
 def test_period_sums_levy_part_matches_full_paths_in_law(levy):
     n, p, reps = 20, 101, 400
-    folded, full = _engine_and_path_sums(ZERO, levy, n, p, reps)
+    folded, full = _folded_and_path_sums(ZERO, levy, n, p, reps)
     # each folded cell sums n cells of width 1/p: variance n/p
     cell_var = {k: (v * v).ravel() / (n / p) for k, v in (("folded", folded), ("full", full))}
     for sq in cell_var.values():
@@ -462,13 +464,67 @@ def test_period_sums_proxy_variance_matches_full_paths():
     # the quantity the penalty reads, at the desk-scale n = 100, p = 1001
     n, p, reps = 100, 1001, 300
     spec = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
-    folded, full = _engine_and_path_sums(SignalSpec.benchmark(), spec, n, p, reps)
+    folded, full = _folded_and_path_sums(SignalSpec.benchmark(), spec, n, p, reps)
     a, b = (np.array([estimate_proxy_variance(est) for est in coefficients_from_period_sums(v, n)])
             for v in (folded, full))
     assert _within(a, b)
     # sd of a sample sd is about sd / sqrt(2 (reps - 1)) for near-normal draws
     sd_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(2.0 * (reps - 1))
     assert abs(a.std(ddof=1) - b.std(ddof=1)) <= 5.0 * sd_se
+
+
+ENGINE_NOISE = (
+    NoiseSpec(rho1=0.5, rho2=0.5),
+    NoiseSpec(rho1=0.8, rho2=0.4, rho_check=0.6, jump_intensity=2.0, jump_law="two_point"),
+)
+
+
+@pytest.mark.parametrize("n, p, reps", [(20, 101, 400), (20, 100, 400), (100, 1001, 300)])
+@pytest.mark.parametrize("spec", ENGINE_NOISE, ids=["no_jumps", "jumps"])
+def test_engine_estimates_match_full_path_estimates_in_law(spec, n, p, reps):
+    # the engine draws the Brownian part of its M = min(n, p - 1)
+    # coefficients in coefficient space and the rest through the period
+    # sums; full paths draw one normal per cell of all n*p (other seeds).
+    # n = 100, p = 1001 is the desk scale, where the proxy-variance
+    # window reads j = 10..100
+    S = SignalSpec.benchmark()
+    engine = replication_estimates(n * cell_integrals(S, p), spec, n, RngStream.span(81, 0, reps))
+    full = [estimate_coefficients(sample_observations(S, spec, n=n, p=p, rng=RngStream(82, r)))
+            for r in range(reps)]
+    assert all(est.theta.size == n for est in engine) and all(est.theta.size == p - 1 for est in full)
+    for j in (1, 2, 3, 8, 15, n):
+        a, b = (np.array([est.theta[j - 1] for est in ests]) for ests in (engine, full))
+        assert _within(a, b) and _within(n * a * a, n * b * b)
+    a, b = (np.array([estimate_proxy_variance(est) for est in ests]) for ests in (engine, full))
+    assert _within(a, b)
+    # sd of a sample sd is about sd / sqrt(2 (reps - 1)) for near-normal draws
+    sd_se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(2.0 * (reps - 1))
+    assert abs(a.std(ddof=1) - b.std(ddof=1)) <= 5.0 * sd_se
+
+
+@pytest.mark.parametrize("p", [101, 100])
+@pytest.mark.parametrize("spec", ENGINE_NOISE, ids=["no_jumps", "jumps"])
+def test_engine_block_is_its_streams_drawn_one_at_a_time(spec, p):
+    n = 30
+    drift = n * cell_integrals(SignalSpec.benchmark(), p)
+    streams = RngStream.span(5, 10, 17)
+    block = replication_estimates(drift, spec, n, streams)
+    for est, stream in zip(block, streams):
+        [one] = replication_estimates(drift, spec, n, [RngStream(5, stream.stream_index)])
+        assert np.array_equal(est.theta, one.theta)
+
+
+@pytest.mark.parametrize("n, p", [(30, 101), (30, 100), (200, 101)])
+def test_engine_brownian_part_is_plain_numpy_normals(n, p):
+    # with no signal, no semi-Markov part and no jumps, replication r's
+    # estimates are rho1 / sqrt(n) times the first M = min(n, p - 1)
+    # normals that plain numpy draws from substream 2 of stream r
+    seed, rho1 = 19, 0.7
+    ests = replication_estimates(n * cell_integrals(ZERO, p), NoiseSpec(rho1=rho1, rho2=0.0), n,
+                                 RngStream.span(seed, 0, 4))
+    for r, est in enumerate(ests):
+        gen = np.random.Generator(np.random.Philox(SeedSequence(seed, spawn_key=(r, 2))))
+        assert np.array_equal(est.theta, rho1 / math.sqrt(n) * gen.standard_normal(min(n, p - 1)))
 
 
 def test_risk_engine_memory_does_not_grow_with_the_path():

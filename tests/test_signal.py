@@ -179,6 +179,19 @@ def test_block_rows_keep_the_bits_of_one_transform(p):
         assert one.shape == (p,) and np.array_equal(row, one)
 
 
+@pytest.mark.parametrize("p", [100, 101])
+def test_a_shorter_count_keeps_the_bits_of_the_first_coefficients(p):
+    # the risk engine transforms only the min(n, p - 1) coefficients it reads
+    block = np.random.default_rng(p).normal(size=(3, p))
+    full = sg.grid_coefficients(block)
+    for count in (1, 2, 3, 20, 21, p - 1, p):
+        assert np.array_equal(sg.grid_coefficients(block, count), full[:, :count])
+        assert np.array_equal(sg.grid_coefficients(block[0], count), full[0, :count])
+    for count in (0, p + 1):
+        with pytest.raises(ValueError, match="count"):
+            sg.grid_coefficients(block, count)
+
+
 @pytest.mark.parametrize("p", [5, 8, 16, 101])
 def test_coefficient_round_trip(p):
     rng = np.random.default_rng(p)
