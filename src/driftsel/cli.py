@@ -147,18 +147,25 @@ def _check_gap_draw(config: RunConfig, n: int, rows: int) -> None:
             f"{_MAX_GAP_VALUES} values; lower n or raise the mean of noise.interarrival (now {config.interarrival})")
 
 
+def _check_family(config: RunConfig, n: int) -> None:
+    """The weight-family rules at n, its member count included; no family
+    is built.  Raises ValueError."""
+    family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
+
+
 def validate_config(config: RunConfig) -> None:
     """Reject an inconsistent config before anything is computed or
     written.  RunConfig itself checks the rules of one field; this checks
     the rules that join fields: the signal and noise settings, the
-    weight-family rules (its member count included), frequency rules and
-    renewal gap budget for every n in risk.n_values, whose replications
-    draw a block at a time (no family is built), and the frequency rules
-    and gap budget of one replication for estimate.n."""
+    weight-family rules, frequency rules and renewal gap budget for every
+    n in risk.n_values, whose replications draw a block at a time, and
+    the frequency rules and gap budget of one replication for estimate.n.
+    The family rules at estimate.n bind `estimate` alone (`simulate` fits
+    no family), so `main` checks them for that subcommand."""
     try:
         config.signal, config.noise  # built here once, and cached for the handler
         for n in config.n_values:
-            family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
+            _check_family(config, n)
             _check_gap_draw(config, n, min(block_rows(resolve_frequency(config, n)), config.replications))
         resolve_frequency(config, config.estimate_n)
         _check_gap_draw(config, config.estimate_n, 1)
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="key=value config file")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter bundle")
     parser.add_argument("--seed", type=int, help="base seed for all randomness")
-    parser.add_argument("--threads", type=int, help="worker processes for risk runs")
+    parser.add_argument("--threads", type=int, help="processes computing a risk table, this one included")
     parser.add_argument("--strict-h5", action="store_true", help="reject p below n^(5/6)")
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     return parser
@@ -269,7 +276,9 @@ def main(argv=None) -> int:
     try:
         config = resolve_run_config(args)
         validate_config(config)
-    except ConfigError as exc:
+        if args.subcommand == "estimate":
+            _check_family(config, config.estimate_n)
+    except (ConfigError, ValueError) as exc:
         print(f"driftsel: config error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out)

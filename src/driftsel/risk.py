@@ -31,18 +31,25 @@ substreams in one pass (`RngStream.span`), and carries the truth
 coefficients, their tail norm and the drift part of the period sums,
 which the parent computes once per n: it depends on its arguments alone.
 
+`--threads N` means N processes compute chunks, the parent one of
+them: once every n is planned, `run_risk_experiment` forks the others
+(os.fork, so POSIX only), which inherit the plans and send their share
+of each n's chunk results back down a pipe, one pickle per n.
+
 Determinism contract: replication r always draws from stream r of the
 base seed, replications are processed in fixed chunks of 50, and chunk
-results are reduced in chunk order.  Thread count changes wall-clock
-time only, never a reported digit.
+results are reduced in chunk order, whichever process computed them.
+Thread count changes wall-clock time only, never a reported digit.
 """
 
 import math
+import os
+import pickle
 import re
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
+from signal import SIGKILL
 from time import perf_counter
 
 import numpy as np
@@ -58,7 +65,7 @@ from .estimator import (
 )
 from .noise import NoiseSpec, RngStream, brownian_normals, sample_period_sums
 from .renewal import InterarrivalLaw
-from .signal import SignalSpec, cell_integrals, discrete_fourier_coeffs, discrete_norm_sq, grid_values
+from .signal import SignalSpec, cell_integrals, discrete_norm_sq, grid_coefficients, grid_values
 
 _CHUNK = 50
 # period-sum values a chunk draws and transforms at once: 8 replications
@@ -275,10 +282,11 @@ def _truth(signal: SignalSpec, n: int, p: int, width: int):
     period sums, n * cell_integrals(signal, p) (read-only: shared), and
     the discrete squared norm a risk is divided by, which raises
     ValueError when it is 0."""
-    norm_sq = discrete_norm_sq(grid_values(signal, p))
+    values = grid_values(signal, p)
+    norm_sq = discrete_norm_sq(values)
     if norm_sq <= 0.0:
         raise ValueError("signal has zero discrete norm")
-    theta = discrete_fourier_coeffs(signal, p)
+    theta = grid_coefficients(values)
     sq = theta * theta
     tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
     truth = theta[:width].copy()
@@ -320,14 +328,62 @@ def _run_chunk(payload):
     return errors[np.arange(stop - start), chosen], errors.cumsum(axis=0)[-1]
 
 
+def _share(plans, w: int, workers: int):
+    """Process w's share of the run: for each n in order, the results of
+    its chunks w, w + workers, w + 2 * workers, ..."""
+    for *_, payloads in plans:
+        yield [_run_chunk(payload) for payload in payloads[w::workers]]
+
+
+def _worker(plans, w: int, workers: int, sink) -> None:
+    """The forked side of process w.  It sends each n's share down the
+    pipe `sink` as one pickle, or the exception that stopped it, and then
+    leaves through os._exit, so it never returns into the caller's code,
+    its exit hooks or its stdio buffers."""
+    try:
+        for results in _share(plans, w, workers):
+            sink.write(pickle.dumps(results))
+            sink.flush()
+    except Exception as exc:
+        sink.write(pickle.dumps(exc))
+        sink.flush()
+    finally:
+        os._exit(0)
+
+
+def _received(pid: int, pipe) -> list:
+    """One n's share from the worker process `pid`, whose exception, if
+    one stopped it, is raised here."""
+    try:
+        results = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"risk worker process {pid} stopped without sending its results") from None
+    if isinstance(results, Exception):
+        raise results
+    return results
+
+
+def _reap(pid: int) -> None:
+    os.kill(pid, SIGKILL)
+    os.waitpid(pid, 0)
+
+
 def run_risk_experiment(config: RunConfig) -> tuple:
     """One RiskRow per requested n, in order.  Every n's weight family is
-    built and checked against the scoring budget, and its `_truth`
-    computed once here in the parent, before the first chunk runs: a
-    family that fails a check or a zero signal stops the run before any
-    work, and a row's `seconds` leaves out both."""
+    built and checked against the scoring budget, and its `_truth` and
+    chunk payloads made, here before the first chunk runs: a family that
+    fails a check or a zero signal stops the run before any work.
+
+    P = min(threads, chunks) processes then compute, the parent and P - 1
+    forked workers, process w taking chunks w, w + P, ... of every n in
+    n order.  A worker's exception is raised here, a worker that dies
+    without a result raises ChildProcessError, and every worker is
+    reaped before this returns or raises.  A row's `seconds` runs from
+    the end of the previous row, or from the fork, until all its n's
+    results are in."""
     total = config.replications
     chunk_rows = min(_CHUNK, total)
+    starts = range(0, total, _CHUNK)
     plans = []
     for n in config.n_values:
         p, family, delta = resolve_selection(config, n)
@@ -337,24 +393,37 @@ def run_risk_experiment(config: RunConfig) -> tuple:
                 f"scoring n={n} needs {chunk_rows} replications x D={distinct} profiles x W={width} "
                 f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
                 f"(now {config.eps!r}) or lower estimator.k_star")
-        plans.append((n, p, family.weights, delta, *_truth(config.signal, n, p, width)))
+        truth, tail, drift_sums, norm_sq = _truth(config.signal, n, p, width)
+        payloads = [
+            (config.noise, n, family.weights, delta, truth, tail, drift_sums, config.seed,
+             start, min(start + _CHUNK, total))
+            for start in starts
+        ]
+        plans.append((n, p, norm_sq, payloads))
+    workers = min(config.threads, len(starts))
     rows = []
-    # a fork-started pool forks every worker at the first submit, so it
-    # gets no more workers than there are chunks
-    workers = min(config.threads, math.ceil(total / _CHUNK))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for n, p, weights, delta, truth, tail, drift_sums, norm_sq in plans:
-            t0 = perf_counter()
-            payloads = [
-                (config.noise, n, weights, delta, truth, tail, drift_sums, config.seed,
-                 start, min(start + _CHUNK, total))
-                for start in range(0, total, _CHUNK)
-            ]
-            results = list((pool.map if pool else map)(_run_chunk, payloads))
+    t0 = perf_counter()
+    with ExitStack() as cleanup:
+        pipes = []
+        for w in range(1, workers):
+            read, write = os.pipe()
+            pipe = cleanup.enter_context(os.fdopen(read, "rb"))
+            with os.fdopen(write, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(plans, w, workers, sink)
+            cleanup.callback(_reap, pid)
+            pipes.append((pid, pipe))
+        for (n, p, norm_sq, payloads), own in zip(plans, _share(plans, 0, workers)):
+            results = [None] * len(payloads)
+            results[::workers] = own
+            for w, (pid, pipe) in enumerate(pipes, start=1):
+                results[w::workers] = _received(pid, pipe)
             selected = np.concatenate([sel for sel, _ in results])
             risk = float(selected.mean())
             risk_se = float(selected.std(ddof=1) / math.sqrt(total))
             profile_total = sum(profile_sum for _, profile_sum in results)
+            t1 = perf_counter()
             rows.append(
                 RiskRow(
                     n=n,
@@ -364,7 +433,8 @@ def run_risk_experiment(config: RunConfig) -> tuple:
                     risk_se=risk_se,
                     relative=risk / norm_sq,
                     oracle=float(profile_total.min() / total),
-                    seconds=perf_counter() - t0,
+                    seconds=t1 - t0,
                 )
             )
+            t0 = t1
     return tuple(rows)

@@ -200,10 +200,3 @@ def coefficients_to_grid(theta: np.ndarray) -> np.ndarray:
     X[1:1 + im.size] += -1j * p * im / SQRT2
     x = irfft(X, n=p)
     return np.roll(x, -1)
-
-
-def discrete_fourier_coeffs(S, p: int) -> np.ndarray:
-    """Discrete Fourier coefficients theta_{j,p} = (S, phi_j)_p, j = 1..p."""
-    if p < 3:
-        raise ValueError("need at least 3 points per period")
-    return grid_coefficients(grid_values(S, p))

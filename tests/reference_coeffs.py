@@ -1,11 +1,20 @@
 """Reference coefficients that only the tests read.
 
-The correction coefficients h_{j,p} measure how far the cell-integral
-drift increments the sampler draws sit from the grid values of the
-signal; noiseless coefficient estimates equal theta + h exactly.
+The discrete Fourier coefficients theta_{j,p} of a signal are the truth
+the estimates are compared against.  The correction coefficients
+h_{j,p} measure how far the cell-integral drift increments the sampler
+draws sit from the grid values of the signal; noiseless coefficient
+estimates equal theta + h exactly.
 """
 
 from driftsel.signal import cell_integrals, grid_coefficients, grid_values
+
+
+def discrete_fourier_coeffs(S, p: int):
+    """Discrete Fourier coefficients theta_{j,p} = (S, phi_j)_p, j = 1..p."""
+    if p < 3:
+        raise ValueError("need at least 3 points per period")
+    return grid_coefficients(grid_values(S, p))
 
 
 def correction_coeffs(S, p: int):

@@ -22,7 +22,7 @@ from driftsel.estimator import estimate_coefficients, estimate_proxy_variance
 from driftsel.noise import NoiseSpec, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.risk import RunConfig, pinsker_constant, run_risk_experiment
-from reference_coeffs import correction_coeffs
+from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
 
 import pytest
 
@@ -308,7 +308,7 @@ def test_criterion_9_coefficient_bounds():
         d2 = derivative_coeffs(d1)
         radius = float(coeffs @ coeffs + d1 @ d1 + d2 @ d2)
 
-        theta_bar = sg.discrete_fourier_coeffs(S, p) + correction_coeffs(S, p)
+        theta_bar = discrete_fourier_coeffs(S, p) + correction_coeffs(S, p)
         fine = (np.arange(200_001) + 0.5) / 200_001
         deriv_l1 = float(np.mean(np.abs(sg.SignalSpec.trig_polynomial(d1)(fine))))
 

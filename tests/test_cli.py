@@ -314,6 +314,73 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[] True True"
 
 
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # the risk engine forks its own workers: the pool modules cost start-up
+    # time and memory in every command
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(tmp_path, "risk.n_values=10\nrisk.p=101\nrisk.replications=100\nestimator.k_star=2\n"
+                              "estimator.eps=0.5\n")
+    code = f"""
+import sys
+from driftsel.cli import main
+
+def pools():
+    return sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing'))
+
+print(pools())
+assert main(["risk-table", "--threads", "2", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print(pools())
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "where, failure, message",
+    [
+        ("!=", "raise ValueError('chunk failed')", r"driftsel: chunk failed\n"),
+        ("!=", "os.kill(os.getpid(), signal.SIGKILL)",
+         r"driftsel: risk worker process \d+ stopped without sending its results\n"),
+        ("==", "raise ValueError('chunk failed')", r"driftsel: chunk failed\n"),
+    ],
+    ids=["worker-raises", "worker-dies", "parent-raises"],
+)
+def test_a_failed_chunk_fails_the_run_and_leaves_no_process(tmp_path, where, failure, message):
+    # _run_chunk is replaced before the fork, so the workers inherit it; a
+    # worker's exception or death fails the run as one at --threads 1
+    # would, and every worker is reaped, whichever process failed
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(tmp_path, "risk.n_values=10,20\nrisk.p=101\nrisk.replications=200\nestimator.k_star=2\n"
+                              "estimator.eps=0.5\n")
+    out = tmp_path / "out"
+    code = f"""
+import os, signal
+import driftsel.risk
+from driftsel.cli import main
+
+parent, real_chunk = os.getpid(), driftsel.risk._run_chunk
+
+def chunk(payload):
+    if os.getpid() {where} parent:
+        {failure}
+    return real_chunk(payload)
+
+driftsel.risk._run_chunk = chunk
+print(main(["risk-table", "--threads", "3", "--config", {str(cfg)!r}, "--out", {str(out)!r}]))
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split("\n")[:2] == ["1", "no child left"], done.stderr
+    assert re.fullmatch(message, done.stderr)
+    assert not out.exists()
+
+
 def test_only_renewal_density_loads_modules_after_import(tmp_path):
     # a numpy or scipy module loaded inside a command lands in its timed run
     src = str(Path(driftsel.__file__).resolve().parents[1])
@@ -364,12 +431,11 @@ def test_module_entry_point_runs_the_subcommand(tmp_path):
 @pytest.mark.parametrize("n", [0, 1])
 @pytest.mark.parametrize("subcommand, key", [("risk-table", "risk.n_values"), ("estimate", "estimate.n")])
 def test_main_rejects_too_few_periods(tmp_path, capsys, subcommand, key, n):
-    # risk.n_values needs n >= 2 in the config gate; estimate.n gets only
-    # the gate's n >= 1 there (simulate runs at any n >= 1), so the fit
-    # rejects n = 1
+    # a weight family needs n >= 2, a config error before any output for
+    # risk.n_values and, under estimate, for estimate.n
     cfg = write_cfg(tmp_path, f"{key}={n}\nrisk.p=101\nrisk.replications=2\n")
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == (2 if key == "risk.n_values" or n < 1 else 1)
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"n={n}" in err and "Traceback" not in err
     assert not out.exists()
@@ -420,6 +486,19 @@ def test_gate_bounds_the_family_size(tmp_path, capsys, subcommand, k_star, eps, 
     err = capsys.readouterr().err
     assert f"has {members} members" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_estimate_gates_the_family_at_estimate_n(tmp_path, capsys):
+    # 1/ln 2 > 1 leaves no eps for a family at n = 2; only estimate fits
+    # one there, so simulate still runs
+    cfg = write_cfg(tmp_path, "estimate.n=2\nrisk.p=101\n")
+    out = tmp_path / "out"
+    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftsel: config error: eps must lie in (0, 1)") and "n=2" in err
+    assert not out.exists()
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "path.csv").exists()
 
 
 def test_gate_admits_a_family_at_the_size_limit():

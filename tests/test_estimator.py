@@ -28,8 +28,8 @@ from driftsel.estimator import (
 )
 from driftsel.noise import NoiseSpec, ObservationPath, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
-from driftsel.signal import SignalSpec, coefficients_to_grid, discrete_fourier_coeffs, grid_values
-from reference_coeffs import correction_coeffs
+from driftsel.signal import SignalSpec, coefficients_to_grid, grid_values
+from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 EXP_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))

@@ -1,8 +1,8 @@
 """Tests for the Monte Carlo risk engine and benchmark constants."""
 
 import math
+import os
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -40,12 +40,12 @@ from driftsel.risk import (
 from driftsel.signal import (
     SignalSpec,
     cell_integrals,
-    discrete_fourier_coeffs,
     discrete_norm_sq,
     grid_coefficients,
     grid_values,
 )
 from folded import folded_path_sums
+from reference_coeffs import discrete_fourier_coeffs
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -320,21 +320,31 @@ def test_report_is_deterministic():
     assert other.risk != a.risk
 
 
-def test_one_process_pool_per_run(monkeypatch):
-    # a pool start and stop costs 12-25 ms, so every n shares one pool
-    pools = []
+def _counted_forks(monkeypatch):
+    """The parent's os.fork calls, recorded as they pass through."""
+    forks = []
+    real_fork = os.fork
 
-    def counted(*args, **kwargs):
-        pools.append(ProcessPoolExecutor(*args, **kwargs))
-        return pools[-1]
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-    monkeypatch.setattr("driftsel.risk.ProcessPoolExecutor", counted)
-    cfg = RunConfig(n_values=(10, 20, 30), p=101, replications=60, k_star=2)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_one_fork_per_worker_per_run(monkeypatch):
+    # the workers inherit every n's plan, so they are forked once per run;
+    # each process computes three of the six chunks, the last one short
+    forks = _counted_forks(monkeypatch)
+    cfg = RunConfig(n_values=(10, 20, 30), p=101, replications=260, k_star=2)
     serial = run_risk_experiment(cfg)
-    assert pools == []
-    pooled = run_risk_experiment(replace(cfg, threads=2))
-    assert len(pools) == 1
-    assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in pooled]
+    assert forks == []
+    forked = run_risk_experiment(replace(cfg, threads=2))
+    assert forks == [os.getpid()]
+    assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in forked]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -342,25 +352,11 @@ def test_one_process_pool_per_run(monkeypatch):
     [(1000, 60, 2), (4, 60, 2), (3, 500, 3), (2, 1000, 2), (8, 50, None), (8, 2, None)],
 )
 def test_pool_has_no_more_workers_than_chunks(monkeypatch, threads, replications, workers):
-    # a fork-started pool forks every worker at the first submit, so the
-    # pool is sized by its chunks; a recording stand-in starts no process
-    pools = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr("driftsel.risk.ProcessPoolExecutor", Recorder)
+    # min(threads, chunks) processes compute, the parent among them, so a
+    # run forks one fewer and none for a single chunk
+    forks = _counted_forks(monkeypatch)
     run_risk_experiment(RunConfig(n_values=(10,), p=101, replications=replications, k_star=2, threads=threads))
-    assert pools == ([] if workers is None else [workers])
+    assert len(forks) == (0 if workers is None else workers - 1)
 
 
 def test_desk_scale_monotone_in_n(desk_report):

