@@ -38,6 +38,7 @@ from .renewal import solve_renewal_density
 from .risk import (
     RunConfig,
     block_rows,
+    check_scoring_budget,
     replication_estimates,
     resolve_frequency,
     resolve_selection,
@@ -161,7 +162,9 @@ def validate_config(config: RunConfig) -> None:
     n in risk.n_values, whose replications draw a block at a time, and
     the frequency rules and gap budget of one replication for estimate.n.
     The family rules at estimate.n bind `estimate` alone (`simulate` fits
-    no family), so `main` checks them for that subcommand."""
+    no family), so `main` checks them for that subcommand.  For
+    `risk-table` it also builds each n's family, which checks its weight
+    sums, and applies the scoring budget."""
     try:
         config.signal, config.noise  # built here once, and cached for the handler
         for n in config.n_values:
@@ -197,8 +200,8 @@ def _run_simulate(config: RunConfig):
 
 def _run_estimate(config: RunConfig):
     family, result = _fit_one_path(config, config.estimate_n, stream=0)
-    index = np.arange(len(family.members))
-    columns = (index, *zip(*family.members), result.costs, (index == result.index).astype(int))
+    index = np.arange(family.profile_of.size)
+    columns = (index, family.beta, family.scale, result.costs, (index == result.index).astype(int))
     return {
         "estimate.csv": _fit_table(config.signal, result),
         "selection.csv": (("index", "beta", "scale", "cost", "selected"), columns),
@@ -278,6 +281,9 @@ def main(argv=None) -> int:
         validate_config(config)
         if args.subcommand == "estimate":
             _check_family(config, config.estimate_n)
+        elif args.subcommand == "risk-table":
+            for n in config.n_values:  # the engine builds its own families later
+                check_scoring_budget(config, n, resolve_selection(config, n)[1].weights)
     except (ConfigError, ValueError) as exc:
         print(f"driftsel: config error: {exc}", file=sys.stderr)
         return 2

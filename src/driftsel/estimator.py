@@ -28,8 +28,10 @@ from .noise import ObservationPath
 from .signal import coefficients_to_grid, grid_coefficients
 
 # most members k_star * m a weight family may have: the default knobs stay
-# at 80115 or fewer up to n = 10^12, and one 50-replication risk chunk at
-# n = 1000, p = 10001 peaked at 34 MiB with 113322 members, 84 MiB with 255000
+# at 80115 or fewer up to n = 10^12.  Traced peaks at the limit: 4.9 MiB to
+# build 99900 members (983 profiles) at n = 1000, p = 10001 and 22 MiB for a
+# 50-replication risk run with them; 71 MiB to build the 100000 members of
+# n = 20, p = 101, k_star = 1, of which 99299 are distinct profiles
 _MAX_MEMBERS = 100_000
 # longest dot product OpenBLAS computes on one thread, whatever its thread count
 _DOT_SLICE = 10_000
@@ -56,14 +58,16 @@ class CoefficientEstimates:
 class WeightFamily:
     """Candidate grid of shrinkage profiles.
 
-    `members` holds the (beta, scale) label of every candidate in grid
-    order; many labels share one weight vector, so `weights` stores each
-    distinct profile once, as one row of a zero-padded (D x W) matrix in
-    order of first appearance, and `profile_of[k]` is the row of member
-    k's profile.  The knobs the grid was built from are `family_knobs`'s.
+    Member k is taper order `beta[k]` at bandwidth scale `scale[k]`, in
+    grid order.  Many members share one weight vector, so `weights`
+    stores each distinct profile once, as one row of a zero-padded
+    (D x W) matrix in order of first appearance, and `profile_of[k]` is
+    the row of member k's profile.  The knobs the grid was built from
+    are `family_knobs`'s.
     """
 
-    members: tuple
+    beta: np.ndarray
+    scale: np.ndarray
     weights: np.ndarray
     profile_of: np.ndarray
 
@@ -136,30 +140,35 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     return float(est.n / p_check * total)
 
 
-def _bandwidth_law(beta: int):
+def _bandwidth_law(beta):
     """Constant d_beta and exponent 1/(2 beta + 1) of the bandwidth
-    omega = (d_beta * scale * upsilon) ** exponent of taper order beta."""
+    omega = (d_beta * scale * upsilon) ** exponent of taper order beta,
+    as Python floats for an int beta or arrays for an array of them."""
     return (beta + 1) * (2 * beta + 1) / (math.pi ** (2 * beta) * beta), 1.0 / (2 * beta + 1)
 
 
-def pinsker_weights(beta: int, scale: float, upsilon: float, cap: int) -> np.ndarray:
-    """Shrinkage profile: flat at 1 below the cutoff 1 + floor(ln upsilon),
+def pinsker_weights(beta: int, scales, upsilon: float, cap: int) -> np.ndarray:
+    """Shrinkage profiles of taper order beta, one row per bandwidth
+    scale in `scales`: flat at 1 below the cutoff 1 + floor(ln upsilon),
     polynomial taper 1 - (j/omega)^beta out to the bandwidth omega, zero
-    beyond.  `scale` multiplies the bandwidth; `cap` truncates the support
-    so no profile reaches past the estimable frequencies.  Returns the
-    nonzero prefix of the profile.
+    beyond.  A scale multiplies the bandwidth; `cap` truncates the
+    support so no profile reaches past the estimable frequencies.  Rows
+    are zero-padded to the widest support, min(cap, max(cutoff - 1,
+    floor(omega))).  Each omega is a Python float power, as in the flat
+    test of `build_weight_family`.
     """
     if beta < 1:
         raise ValueError("taper order must be a positive integer")
-    if scale <= 0.0 or upsilon <= 1.0:
+    scales = np.asarray(scales, dtype=float)
+    if not (scales > 0.0).all() or upsilon <= 1.0:
         raise ValueError("bandwidth scale must be positive and upsilon > 1")
     j_star = 1 + math.floor(math.log(upsilon))
     d_beta, power = _bandwidth_law(beta)
-    omega = (d_beta * scale * upsilon) ** power
-    support = min(cap, max(j_star - 1, math.floor(omega)))
+    omegas = [(d_beta * scale * upsilon) ** power for scale in scales.tolist()]
+    support = min(cap, max(j_star - 1, math.floor(max(omegas, default=0.0))))
     j = np.arange(1, support + 1, dtype=float)
-    lam = np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
-    return np.trim_zeros(lam, "b")
+    omega = np.array(omegas)[:, None]
+    return np.where(j < j_star, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
 
 
 def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
@@ -202,42 +211,60 @@ def build_weight_family(
 ) -> WeightFamily:
     """Construct the full candidate grid: taper orders 1..k_star crossed
     with bandwidth scales eps, 2*eps, ..., floor(1/eps^2)*eps, the knobs
-    resolved by `family_knobs`."""
+    resolved by `family_knobs`.
+
+    Most members' bandwidth stops below the cutoff, which leaves only
+    the flat all-ones prefix: they share one row, and only the others
+    get a profile built, one `pinsker_weights` block per taper order.
+    Whether a member is flat is decided for all of them at once; numpy's
+    power may differ from the scalar one in the last bits, so a member
+    whose bandwidth lies within 1e-9 of the cutoff is decided again with
+    the scalar rule floor(omega) < cutoff."""
     eps, k_star, m, upsilon = family_knobs(n, eps, k_star, k_star0, varsigma_star)
     cap = min(n, p - 1)
     j_star = 1 + math.floor(math.log(upsilon))
-    # most members' bandwidth stops below the cutoff, which leaves only
-    # the flat all-ones prefix: they share one row without building a
-    # profile each, keyed like every other profile so that a taper capped
-    # below the cutoff, which is all ones too, joins it
-    flat = np.ones(min(cap, j_star - 1))
-    flat_key = flat.tobytes()
-    members, profile_of, rows, first = [], [], [], {}
-    for beta in range(1, k_star + 1):
-        d_beta, power = _bandwidth_law(beta)
-        for i in range(1, m + 1):
-            scale = i * eps
-            omega = (d_beta * scale * upsilon) ** power
-            if math.floor(omega) < j_star:
-                lam, key = flat, flat_key
-            else:
-                lam = pinsker_weights(beta, scale, upsilon, cap)
-                key = lam.tobytes()
-            row = first.setdefault(key, len(first))
-            if row == len(rows):
-                rows.append(lam)
-            members.append((beta, scale))
-            profile_of.append(row)
-    weights = np.zeros((len(rows), max(lam.size for lam in rows)))
-    for row, lam in enumerate(rows):
-        weights[row, : lam.size] = lam
+    scales = np.arange(1, m + 1) * eps  # the bits of i * eps
+    with np.errstate(over="ignore"):
+        d_beta, power = _bandwidth_law(np.arange(1, k_star + 1)[:, None])
+        omega = (d_beta * scales * upsilon) ** power
+    flat = omega < j_star
+    for b, i in zip(*np.nonzero(abs(omega - j_star) <= 1e-9 * j_star)):
+        d_beta, power = _bandwidth_law(int(b) + 1)
+        flat[b, i] = math.floor((d_beta * scales.item(i) * upsilon) ** power) < j_star
+    tapered = np.flatnonzero(~flat.all(axis=1)).tolist()
+    blocks = [pinsker_weights(b + 1, scales[~flat[b]], upsilon, cap) for b in tapered]
+    # every candidate row, zero-padded to one width: the flat row, which
+    # a taper capped below the cutoff (all ones too) joins, then each
+    # non-flat member's profile in grid order
+    flat_width = min(cap, j_star - 1)
+    rows = np.zeros((1 + sum(len(block) for block in blocks), max([flat_width] + [b.shape[1] for b in blocks])))
+    rows[0, :flat_width] = 1.0
+    start = 1
+    for block in blocks:
+        rows[start : start + len(block), : block.shape[1]] = block
+        start += len(block)
+    flat = flat.ravel()
+    row_of = np.zeros(flat.size, dtype=np.intp)
+    row_of[~flat] = np.arange(1, len(rows))
+    # rows in order of their first member; the flat row's is the first
+    # flat member, and every other row has one member
+    order = list(range(1, len(rows)))
+    if flat.any():
+        order.insert(np.count_nonzero(~flat[: flat.argmax()]), 0)
+    first = {}
+    profile = np.empty(len(rows), dtype=np.intp)  # each row's profile, for the rows in `order`
+    profile[order] = [first.setdefault(rows[r].tobytes(), (len(first), r))[0] for r in order]
+    profile_of = profile[row_of]
+    weights = rows[[r for _, r in first.values()]]
+    used = np.flatnonzero(weights.any(axis=0))
+    weights = np.ascontiguousarray(weights[:, : used[-1] + 1 if used.size else 0])
     # the residual term of the oracle inequality scales with the largest weight sum
     total = float(weights.sum(axis=1).max())
     if total < 1.0:
         raise ValueError("all candidates shrink below total weight 1; grid too small")
     if total > 1.0 + (upsilon / eps) ** (1.0 / 3.0):
         raise ValueError("a candidate's total weight exceeds 1 + (upsilon/eps)^(1/3)")
-    return WeightFamily(tuple(members), weights, np.array(profile_of, dtype=np.intp))
+    return WeightFamily(np.repeat(np.arange(1, k_star + 1), m), np.tile(scales, k_star), weights, profile_of)
 
 
 def selection_cost(weights: np.ndarray, block: np.ndarray, sigma: np.ndarray, n: int, delta: float):
@@ -287,7 +314,7 @@ def select_model(
     every member's cost for auditing.  The selected member is the first
     that holds the cheapest profile, so ties are deterministic.
     """
-    if not family.members:
+    if not family.profile_of.size:
         raise ValueError("weight family is empty")
     if delta is None:
         delta = default_delta(est.n)

@@ -258,6 +258,20 @@ def block_rows(p: int) -> int:
     return min(_CHUNK, max(1, _BLOCK_VALUES // p))
 
 
+def check_scoring_budget(config: RunConfig, n: int, weights: np.ndarray) -> None:
+    """Refuse n when a chunk would score more than _MAX_SCORE_VALUES
+    values at once: min(50, replications) replications x D distinct
+    profiles x W coefficients, (D x W) the shape of its profile matrix
+    `weights`.  Raises ValueError."""
+    rows = min(_CHUNK, config.replications)
+    distinct, width = weights.shape
+    if rows * distinct * width > _MAX_SCORE_VALUES:
+        raise ValueError(
+            f"scoring n={n} needs {rows} replications x D={distinct} profiles x W={width} "
+            f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
+            f"(now {config.eps!r}) or lower estimator.k_star")
+
+
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> list:
     """Coefficient estimates of one replication per stream of `rngs`: n
     periods of the signal whose drift part is `drift_sums`
@@ -370,9 +384,10 @@ def _reap(pid: int) -> None:
 
 def run_risk_experiment(config: RunConfig) -> tuple:
     """One RiskRow per requested n, in order.  Every n's weight family is
-    built and checked against the scoring budget, and its `_truth` and
-    chunk payloads made, here before the first chunk runs: a family that
-    fails a check or a zero signal stops the run before any work.
+    built, and its `_truth` and chunk payloads made, here before the
+    first chunk runs: a family that fails a check or a zero signal stops
+    the run before any work.  The CLI gate applies `check_scoring_budget`
+    first.
 
     P = min(threads, chunks) processes then compute, the parent and P - 1
     forked workers, process w taking chunks w, w + P, ... of every n in
@@ -382,17 +397,11 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     the end of the previous row, or from the fork, until all its n's
     results are in."""
     total = config.replications
-    chunk_rows = min(_CHUNK, total)
     starts = range(0, total, _CHUNK)
     plans = []
     for n in config.n_values:
         p, family, delta = resolve_selection(config, n)
-        distinct, width = family.weights.shape
-        if chunk_rows * distinct * width > _MAX_SCORE_VALUES:
-            raise ValueError(
-                f"scoring n={n} needs {chunk_rows} replications x D={distinct} profiles x W={width} "
-                f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
-                f"(now {config.eps!r}) or lower estimator.k_star")
+        width = family.weights.shape[1]
         truth, tail, drift_sums, norm_sq = _truth(config.signal, n, p, width)
         payloads = [
             (config.noise, n, family.weights, delta, truth, tail, drift_sums, config.seed,

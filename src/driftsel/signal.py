@@ -32,6 +32,14 @@ _GAUSS_WEIGHTS = np.array([0.3478548451374538, 0.6521451548625461,
                            0.6521451548625461, 0.3478548451374538])
 
 
+def _fraction(t: np.ndarray) -> np.ndarray:
+    """t - floor(t) of a float array, in one new array: the exact
+    fractional part in [0, 1), rounded once, which is the bits of
+    np.mod(t, 1.0), +0.0 at every integer."""
+    u = np.floor(t, out=np.empty_like(t))
+    return np.subtract(t, u, out=u)
+
+
 def fold_period(t):
     """Fold real times into the half-open period (0, 1].
 
@@ -39,8 +47,9 @@ def fold_period(t):
     period is represented as (0, 1] rather than [0, 1): a time that lands
     exactly on an integer belongs to the cell ending there.
     """
-    u = np.mod(t, 1.0)
-    return np.where(u == 0.0, 1.0, u)
+    u = _fraction(np.asarray(t, dtype=float))
+    np.copyto(u, 1.0, where=u == 0.0)
+    return u
 
 
 @dataclass(frozen=True)
@@ -93,7 +102,7 @@ class SignalSpec:
         elif self.kind == "tabulated":
             m = len(self.values)
             table = np.asarray(self.values + (self.values[0],))
-            out = np.interp(np.mod(u, 1.0) * m, np.arange(m + 1), table)
+            out = np.interp(_fraction(u) * m, np.arange(m + 1), table)
         else:
             raise ValueError(f"unknown signal kind {self.kind!r}")
         return out if out.shape else float(out)

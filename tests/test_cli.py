@@ -37,6 +37,7 @@ from driftsel.noise import RngStream, renewal_chunk, sample_observations
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import replication_estimates, resolve_delta, resolve_frequency, resolve_selection
 from driftsel.signal import cell_integrals, grid_values
+from reference_family import members
 
 
 def read_csv(path):
@@ -188,11 +189,11 @@ def test_zero_sentinels_are_read_directly():
     default = RunConfig()
     p, family, delta = resolve_selection(default, 100)
     assert p == 100001
-    assert family.members == build_weight_family(100, p).members
+    assert members(family) == members(build_weight_family(100, p))
     assert delta == default_delta(100)
     p, family, delta = resolve_selection(RunConfig(p=0, k_star=5, eps=0.3, delta="0.05"), 100)
     assert p == resolve_frequency(RunConfig(p=0), 100) == 101
-    assert family.members[-1] == (5, 11 * 0.3)
+    assert members(family)[-1] == (5, 11 * 0.3)
     assert delta == 0.05
     assert resolve_delta(RunConfig(delta="efficient"), 100) == efficient_delta(100)
     with pytest.raises(ValueError):
@@ -312,6 +313,26 @@ def test_cli_import_loads_no_scipy():
             "'numpy.random' in sys.modules, 'numpy.fft' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[] True True"
+
+
+def test_risk_table_imports_no_module(tmp_path):
+    # a module that loads on first use costs every fresh process its
+    # import time and memory: np.unique, for one, loads numpy.ma
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(tmp_path, "risk.n_values=10,100\nrisk.p=101\nrisk.replications=60\n")
+    code = f"""
+import sys
+from driftsel.cli import build_parser, main
+
+build_parser()
+before = set(sys.modules)
+assert main(["risk-table", "--threads", "1", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print(sorted(set(sys.modules) - before), 'numpy.ma' in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] False"
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
@@ -511,17 +532,40 @@ def test_gate_admits_a_family_at_the_size_limit():
 
 
 def test_risk_table_refuses_a_family_beyond_the_scoring_budget(tmp_path, capsys):
-    # the gate admits 2500 members, but a risk chunk at n = 10^6 would score
-    # 50 x 2500 x 312 values at once; estimate scores one row and runs
+    # the member count admits 2500 members, but a risk chunk at n = 10^6
+    # would score 50 x 2500 x 312 values at once: risk-table's gate builds
+    # the family and refuses it; estimate scores one row and runs
     settings = {**GATE_BASE, "risk.n_values": "1000000", "risk.p": "1001", "risk.replications": "50",
                 "estimate.n": "1000000", "estimator.k_star": "1", "estimator.eps": "0.02"}
     cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in settings.items()))
     out = tmp_path / "out"
-    assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "n=1000000" in err and "D=2500" in err and "W=312" in err and "estimator.eps" in err
+    assert err.startswith("driftsel: config error: scoring n=1000000")
+    assert "D=2500" in err and "W=312" in err and "estimator.eps" in err
     assert "Traceback" not in err and not out.exists()
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        # upsilon = 2: the one flat row sums to 0 and every taper below 1
+        ({"risk.n_values": "2", "estimator.eps": "0.5"}, "all candidates shrink below total weight 1"),
+        # 99299 distinct profiles of width 15: 50 x 99299 x 15 values
+        ({"estimator.k_star": "1", "estimator.eps": "0.003162277660168379", "risk.replications": "10000"},
+         "scoring n=20 needs 50 replications x D=99299 profiles x W=15"),
+    ],
+)
+def test_risk_table_gate_builds_every_family(tmp_path, capsys, settings, named):
+    # rules that need the built family are config errors of risk-table
+    # too, found before any output; the engine never runs
+    cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in {**GATE_BASE, **settings}.items()))
+    out = tmp_path / "out"
+    assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("driftsel: config error: " + named)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["risk-table", "simulate"])

@@ -30,6 +30,7 @@ from driftsel.noise import NoiseSpec, ObservationPath, RngStream, sample_observa
 from driftsel.renewal import InterarrivalLaw
 from driftsel.signal import SignalSpec, coefficients_to_grid, grid_values
 from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
+from reference_family import member_profile, members
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 EXP_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponential(1.0 / 3.0))
@@ -56,19 +57,21 @@ def family_of(members, profiles):
         profile_of.append(first.setdefault(lam.tobytes(), (len(first), lam))[0])
     rows = [lam for _, lam in first.values()]
     weights = padded(rows, max((lam.size for lam in rows), default=0))
-    return WeightFamily(tuple(members), weights, np.array(profile_of, dtype=np.intp))
+    beta = np.array([beta for beta, _ in members], dtype=int)
+    scale = np.array([scale for _, scale in members], dtype=float)
+    return WeightFamily(beta, scale, weights, np.array(profile_of, dtype=np.intp))
 
 
 def reference_family(n, p, eps=None, k_star=None, varsigma_star=1.0):
     """build_weight_family's knobs (eps, k_star, m, upsilon) from the
-    sample-size rules, and its family from one pinsker_weights call per
+    sample-size rules, and its family from one pinsker_weights row per
     member."""
     eps = 1.0 / math.log(n) if eps is None else eps
     k_star = int(100 + math.sqrt(math.log(n))) if k_star is None else k_star
     upsilon = n / varsigma_star
     m = int(1.0 / eps**2)
     members = [(beta, i * eps) for beta in range(1, k_star + 1) for i in range(1, m + 1)]
-    profiles = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members]
+    profiles = [member_profile(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members]
     return (eps, k_star, m, upsilon), family_of(members, profiles)
 
 
@@ -191,7 +194,7 @@ def test_proxy_variance_error_shape():
 
 
 def test_pinsker_weight_hand_values():
-    w = pinsker_weights(beta=1, scale=1.0, upsilon=1000.0, cap=100)
+    [w] = pinsker_weights(beta=1, scales=[1.0], upsilon=1000.0, cap=100)
     omega = (6.0 / math.pi**2 * 1000.0) ** (1.0 / 3.0)
     assert omega == pytest.approx(8.471308576374193)
     assert w.size == 8
@@ -202,47 +205,51 @@ def test_pinsker_weight_hand_values():
 
 def test_pinsker_weight_flat_when_bandwidth_is_small():
     # bandwidth below 1 leaves only the flat indicator part
-    w = pinsker_weights(beta=3, scale=0.1, upsilon=8.0, cap=50)
-    assert np.array_equal(w, np.ones(2))
+    w = pinsker_weights(beta=3, scales=[0.1, 0.2], upsilon=8.0, cap=50)
+    assert np.array_equal(w, np.ones((2, 2)))
 
 
 def test_pinsker_weight_cap():
-    w = pinsker_weights(beta=1, scale=1.0, upsilon=1000.0, cap=3)
-    assert w.size == 3
+    w = pinsker_weights(beta=1, scales=[1.0, 2.0], upsilon=1000.0, cap=3)
+    assert w.shape == (2, 3)
 
 
 def test_pinsker_weight_validation():
     with pytest.raises(ValueError):
-        pinsker_weights(beta=0, scale=1.0, upsilon=10.0, cap=10)
+        pinsker_weights(beta=0, scales=[1.0], upsilon=10.0, cap=10)
     with pytest.raises(ValueError):
-        pinsker_weights(beta=1, scale=0.0, upsilon=10.0, cap=10)
+        pinsker_weights(beta=1, scales=[1.0, 0.0], upsilon=10.0, cap=10)
     with pytest.raises(ValueError):
-        pinsker_weights(beta=1, scale=1.0, upsilon=1.0, cap=10)
+        pinsker_weights(beta=1, scales=[1.0], upsilon=1.0, cap=10)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     beta=st.integers(min_value=1, max_value=6),
-    scale=st.floats(min_value=0.05, max_value=3.0),
+    scales=st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=6),
     upsilon=st.floats(min_value=2.5, max_value=1e5),
 )
-def test_pinsker_weight_shape_properties(beta, scale, upsilon):
-    w = pinsker_weights(beta, scale, upsilon, cap=500)
+def test_pinsker_weight_shape_properties(beta, scales, upsilon):
+    w = pinsker_weights(beta, scales, upsilon, cap=500)
+    assert w.shape[0] == len(scales) and w.shape[1] <= 500
     assert np.all(w >= 0.0)
     assert np.all(w <= 1.0)
-    assert np.all(np.diff(w) <= 1e-15)
-    assert w.size <= 500
+    assert np.all(np.diff(w, axis=1) <= 1e-15)
+    # a row of a block is the bits of its scale's one-row block
+    for row, scale in zip(w, scales):
+        alone = pinsker_weights(beta, [scale], upsilon, cap=500)[0]
+        assert row[: alone.size].tobytes() == alone.tobytes() and not row[alone.size :].any()
 
 
 def test_family_cardinality():
     fam = build_weight_family(n=50, p=101, eps=0.5, k_star=2, varsigma_star=1.0)
     assert family_knobs(50, 0.5, 2, 100, 1.0) == (0.5, 2, 4, 50.0)
-    assert len(fam.members) == 8
-    assert [beta for beta, _ in fam.members] == [1, 1, 1, 1, 2, 2, 2, 2]
-    assert fam.members[0][1] == pytest.approx(0.5)
-    assert fam.members[3][1] == pytest.approx(2.0)
+    assert fam.beta.size == fam.scale.size == 8
+    assert fam.beta.tolist() == [1, 1, 1, 1, 2, 2, 2, 2]
+    assert fam.scale[0] == pytest.approx(0.5)
+    assert fam.scale[3] == pytest.approx(2.0)
     assert len(fam.profile_of) == 8
-    rows = padded([pinsker_weights(beta, scale, 50.0, 50) for beta, scale in fam.members], fam.weights.shape[1])
+    rows = padded([member_profile(beta, scale, 50.0, 50) for beta, scale in members(fam)], fam.weights.shape[1])
     assert fam.weights[fam.profile_of].tobytes() == rows.tobytes()
 
 
@@ -273,7 +280,8 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
     fam = build_weight_family(n, p, **kwargs)
     knobs, expected = reference_family(n, p, **kwargs)
     assert family_knobs(n, kwargs.get("eps"), kwargs.get("k_star"), 100, kwargs.get("varsigma_star", 1.0)) == knobs
-    assert fam.members == expected.members
+    assert members(fam) == members(expected)
+    assert fam.beta.dtype == np.int64 and fam.scale.tobytes() == expected.scale.tobytes()
     assert fam.profile_of.dtype == np.intp
     assert np.array_equal(fam.profile_of, expected.profile_of)
     assert fam.weights.shape == expected.weights.shape
@@ -285,6 +293,93 @@ def test_family_matches_the_taper_formula(n, p, kwargs):
         assert fam.weights.shape == (1, 2)
 
 
+def family_or_error(build, n, p, eps, k_star, varsigma_star):
+    """What `build` makes of the knobs: its family, or the message of
+    the ValueError it raises."""
+    try:
+        return build(n, p, eps=eps, k_star=k_star, varsigma_star=varsigma_star)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_checked(n, p, eps, k_star, varsigma_star):
+    """`reference_family` behind the knob rules and the weight-sum checks
+    that build_weight_family applies."""
+    family_knobs(n, eps, k_star, 100, varsigma_star)
+    (eps, _, _, upsilon), family = reference_family(n, p, eps, k_star, varsigma_star)
+    total = float(family.weights.sum(axis=1).max())
+    if total < 1.0:
+        raise ValueError("all candidates shrink below total weight 1; grid too small")
+    if total > 1.0 + (upsilon / eps) ** (1.0 / 3.0):
+        raise ValueError("a candidate's total weight exceeds 1 + (upsilon/eps)^(1/3)")
+    return family
+
+
+def assert_same_family(n, p, eps=None, k_star=None, varsigma_star=1.0):
+    built = family_or_error(build_weight_family, n, p, eps, k_star, varsigma_star)
+    expected = family_or_error(reference_checked, n, p, eps, k_star, varsigma_star)
+    if isinstance(expected, str):
+        assert built == expected
+        return
+    assert members(built) == members(expected)
+    assert built.beta.tobytes() == expected.beta.tobytes() and built.scale.tobytes() == expected.scale.tobytes()
+    assert built.weights.shape == expected.weights.shape
+    assert built.weights.tobytes() == expected.weights.tobytes()
+    assert built.profile_of.tobytes() == expected.profile_of.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=3000) | st.sampled_from([10**4, 10**6]),
+    p=st.integers(min_value=3, max_value=2000),
+    eps=st.none() | st.floats(min_value=0.1, max_value=0.999),
+    k_star=st.none() | st.integers(min_value=1, max_value=8),
+    varsigma_star=st.floats(min_value=0.01, max_value=100.0),
+)
+def test_family_build_matches_the_member_reference(n, p, eps, k_star, varsigma_star):
+    # the array build, bit for bit and error for error, against one
+    # pinsker_weights row per member; the default k_star (about 100)
+    # only with few scales, to keep the reference quick
+    if k_star is None and (eps or 1.0 / math.log(n)) < 0.2:
+        eps = 0.2
+    assert_same_family(n, p, eps, k_star, varsigma_star)
+
+
+def test_family_build_decides_a_member_at_the_cutoff():
+    # member (1, 5 eps) at n = 100 has omega = (d_1 * 5 eps * 100)^(1/3),
+    # the cutoff is 1 + floor(ln 100) = 5: step eps an ulp at a time
+    # across the eps at which that omega reaches 5
+    d_1 = 6.0 / math.pi**2
+    omega = lambda eps: (d_1 * (5 * eps) * 100.0) ** (1.0 / 3.0)
+    eps = 1.25 / d_1 / 5
+    while omega(eps) >= 5.0:
+        eps = math.nextafter(eps, 0.0)
+    while omega(eps) < 5.0:
+        eps = math.nextafter(eps, 1.0)
+    steps = [eps]
+    for _ in range(4):
+        steps = [math.nextafter(steps[0], 0.0), *steps, math.nextafter(steps[-1], 1.0)]
+    assert {math.floor(omega(e)) < 5 for e in steps} == {True, False}
+    assert all(abs(omega(e) - 5.0) <= 1e-9 * 5.0 for e in steps)
+    for e in steps:
+        assert_same_family(100, 1001, e, 2)
+        # at omega = 5 the taper's fifth weight is 1 - 5/omega = 0, so
+        # only above 5 does the member leave the flat row
+        profile_of = build_weight_family(100, 1001, eps=e, k_star=2).profile_of
+        assert (profile_of[4] == profile_of[0]) == (omega(e) <= 5.0)
+
+
+def test_family_takes_taper_orders_whose_constant_underflows():
+    # pi^(2 beta) overflows a float from beta = 311 on, so d_beta reads 0
+    # in the flat test; the exact omega of such an order is about 1/pi,
+    # below every cutoff, so its members are flat
+    fam = build_weight_family(1000, 1001, eps=0.5, k_star=400)
+    lower = build_weight_family(1000, 1001, eps=0.5, k_star=310)
+    assert fam.weights.tobytes() == lower.weights.tobytes()
+    assert np.array_equal(fam.profile_of[: 310 * 4], lower.profile_of)
+    assert (fam.profile_of[310 * 4 :] == fam.profile_of[0]).all() and not fam.weights[fam.profile_of[0]][6:].any()
+
+
 def test_family_defaults_track_sample_size():
     eps, k_star, m, upsilon = family_knobs(100, None, None, 100, 1.0)
     assert eps == pytest.approx(1.0 / math.log(100.0))
@@ -292,8 +387,8 @@ def test_family_defaults_track_sample_size():
     assert k_star == 102
     assert upsilon == 100.0
     fam = build_weight_family(n=100, p=1001)
-    assert len(fam.members) == 102 * 21
-    assert fam.members[-1] == (102, 21 * eps)
+    assert fam.beta.size == 102 * 21
+    assert members(fam)[-1] == (102, 21 * eps)
 
 
 def test_family_weight_sum_bound():
@@ -410,7 +505,7 @@ def test_select_empty_family():
 
 def test_select_scores_each_distinct_profile_once(monkeypatch):
     fam = build_weight_family(n=1000, p=10001)
-    assert (len(fam.members), *fam.weights.shape) == (4794, 45, 16)
+    assert (fam.profile_of.size, *fam.weights.shape) == (4794, 45, 16)
     calls = []
 
     def counted(lam, *args):
@@ -422,7 +517,7 @@ def test_select_scores_each_distinct_profile_once(monkeypatch):
     est = CoefficientEstimates(n=1000, p=10001, theta=rng.normal(0.0, 0.05, 10000))
     res = select_model(est, fam)
     assert calls == [(45, 16)]
-    assert res.costs.shape == (len(fam.members),)
+    assert res.costs.shape == (fam.profile_of.size,)
 
 
 def test_select_attains_exhaustive_minimum():
@@ -432,7 +527,7 @@ def test_select_attains_exhaustive_minimum():
     res = select_model(est, fam, delta=0.05)
     sigma = estimate_proxy_variance(est)
     # one cost per member, from a profile rebuilt from the member's label
-    rows = padded([pinsker_weights(beta, scale, 40.0, 40) for beta, scale in fam.members], fam.weights.shape[1])
+    rows = padded([member_profile(beta, scale, 40.0, 40) for beta, scale in members(fam)], fam.weights.shape[1])
     brute = one_row(rows, est.theta, sigma, est.n, 0.05)
     assert np.array_equal(res.costs, brute)
     assert res.costs[res.index] == res.costs.min()
@@ -451,7 +546,7 @@ def test_select_invariant_under_candidate_permutation():
     rng = np.random.default_rng(78)
     est = CoefficientEstimates(n=40, p=101, theta=rng.normal(0.0, 0.3, 100))
     fam = build_weight_family(n=40, p=101, eps=0.3, k_star=3, varsigma_star=1.0)
-    flipped = family_of(fam.members[::-1], [fam.weights[i] for i in fam.profile_of[::-1]])
+    flipped = family_of(members(fam)[::-1], [fam.weights[i] for i in fam.profile_of[::-1]])
     a = select_model(est, fam, delta=0.05)
     b = select_model(est, flipped, delta=0.05)
     assert a.costs[a.index] == b.costs[b.index]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from driftsel.estimator import (
     efficient_delta,
     estimate_coefficients,
     estimate_proxy_variance,
-    pinsker_weights,
     select_model,
     selection_cost,
 )
@@ -23,12 +23,14 @@ from numpy.random import SeedSequence
 
 import driftsel.risk
 from driftsel import noise
+from driftsel.cli import emit_config, main
 from driftsel.noise import NoiseSpec, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     RunConfig,
     _run_chunk,
     _truth,
+    check_scoring_budget,
     pinsker_constant,
     replication_estimates,
     resolve_delta,
@@ -46,6 +48,7 @@ from driftsel.signal import (
 )
 from folded import folded_path_sums
 from reference_coeffs import discrete_fourier_coeffs
+from reference_family import member_profile, members
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -138,7 +141,7 @@ def test_grid_and_coefficient_routes_agree():
         sq = theta**2
         last = sq[p - 1] if p % 2 else 0.5 * sq[p - 1]
         upsilon = n / cfg.varsigma_star
-        prefixes = [pinsker_weights(beta, scale, upsilon, min(n, p - 1)) for beta, scale in family.members]
+        prefixes = [member_profile(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members(family)]
         errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
             [est] = replication_estimates(drift, cfg.noise, n, [RngStream(seed, r)])
@@ -162,8 +165,8 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
     cfg = RunConfig(n_values=(n,), p=p, replications=reps, seed=12, k_star=k_star or 0)  # None: the rule
     _, family, delta = resolve_selection(cfg, n)
     first, upsilon = {}, n / cfg.varsigma_star
-    for k, (beta, scale) in enumerate(family.members):
-        first.setdefault(family.profile_of[k], pinsker_weights(beta, scale, upsilon, min(n, p - 1)))
+    for k, (beta, scale) in enumerate(members(family)):
+        first.setdefault(family.profile_of[k], member_profile(beta, scale, upsilon, min(n, p - 1)))
     prefixes = [first[i] for i in range(len(first))]
     drift = n * cell_integrals(cfg.signal, p)
     rows, sigmas, picks = [], [], []
@@ -388,8 +391,8 @@ def test_noiseless_oracle_is_the_truncation_error():
     sq = theta_grid**2
     family = build_weight_family(n, p, eps=0.5, k_star=2)
     errors = []
-    for beta, scale in family.members:
-        w = pinsker_weights(beta, scale, float(n), min(n, p - 1))
+    for beta, scale in members(family):
+        w = member_profile(beta, scale, float(n), min(n, p - 1))
         m = w.size
         d = w * est.theta[:m] - theta_grid[:m]
         errors.append(np.dot(d, d) + sq[m : p - 1].sum() + sq[p - 1])
@@ -565,28 +568,50 @@ def test_risk_engine_memory_does_not_grow_with_the_block():
     assert peaks[1] - peaks[0] < 2**20
 
 
-def test_late_family_failure_runs_no_chunk(monkeypatch):
-    # n = 2 passes the config gate but its family fails the weight-sum
-    # check; every family is built before the first chunk of n = 100
+def risk_table(config, tmp_path):
+    """Exit code of `driftsel risk-table` on `config`, and its --out."""
+    path, out = tmp_path / "run.cfg", tmp_path / "out"
+    path.write_text(emit_config(config))
+    return main(["risk-table", "--config", str(path), "--out", str(out)]), out
+
+
+def test_late_family_failure_runs_no_chunk(monkeypatch, tmp_path, capsys):
+    # n = 2 passes the knob rules but its family fails the weight-sum
+    # check: risk-table's gate builds every family and refuses the config
+    # (exit 2) before any output, and the engine, called without the
+    # gate, builds every family before the first chunk of n = 100
     chunks = []
     monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
     cfg = RunConfig(n_values=(100, 2), p=11, replications=200, k_star=5, eps=0.3)
+    code, out = risk_table(cfg, tmp_path)
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err == ("driftsel: config error: all candidates shrink below total weight 1; "
+                                       "grid too small\n")
     with pytest.raises(ValueError, match="below total weight 1"):
         run_risk_experiment(cfg)
     assert chunks == []
 
 
-def test_scoring_budget_runs_no_chunk(monkeypatch):
+def test_scoring_budget_runs_no_chunk(monkeypatch, tmp_path, capsys):
     # a chunk scores 50 replications x 2500 distinct profiles x 312
-    # coefficients at once at n = 10^6, 2.3 times the budget: the run
-    # stops after the family build, before the first chunk of n = 20
+    # coefficients at once at n = 10^6, 2.3 times the budget: risk-table's
+    # gate refuses the config (exit 2) after building the families, before
+    # the first chunk of n = 20 and before any output
     chunks = []
     monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
     cfg = RunConfig(n_values=(20, 10**6), p=1001, replications=200, k_star=1, eps=0.02)
-    with pytest.raises(ValueError, match=r"n=1000000 needs 50 replications x D=2500 profiles x W=312 "
-                                         r"coefficients .* raise estimator.eps \(now 0.02\)"):
-        run_risk_experiment(cfg)
+    code, out = risk_table(cfg, tmp_path)
+    assert code == 2 and not out.exists()
+    [line] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"driftsel: config error: scoring n=1000000 needs 50 replications x D=2500 profiles "
+                        r"x W=312 coefficients .* raise estimator.eps \(now 0.02\) or lower estimator.k_star",
+                        line)
     assert chunks == []
+    # the budget counts min(50, replications) rows: 21 replications fit
+    weights = resolve_selection(cfg, 10**6)[1].weights
+    check_scoring_budget(replace(cfg, replications=21), 10**6, weights)
+    with pytest.raises(ValueError, match="needs 22 replications"):
+        check_scoring_budget(replace(cfg, replications=22), 10**6, weights)
 
 
 def test_scoring_budget_admits_default_families():

@@ -104,6 +104,34 @@ def test_fold_period_half_open():
     assert sg.fold_period(-0.25) == pytest.approx(0.75)
 
 
+def test_fold_period_is_mod_bit_for_bit():
+    # t - floor(t) is the exact fractional part rounded once, as np.mod's
+    # remainder is: both give +0.0 at zeros, integers and huge values
+    def by_mod(t):
+        u = np.mod(t, 1.0)
+        return np.where(u == 0.0, 1.0, u)
+
+    integers = np.concatenate([np.arange(-64.0, 65.0), [2.0**52, 2.0**53, 2.0**60, 1e300]])
+    integers = np.concatenate([integers, -integers])
+    tiny = np.array([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-17])
+    rng = np.random.default_rng(5)
+    t = np.concatenate([
+        [0.0, -0.0], integers, np.nextafter(integers, np.inf), np.nextafter(integers, -np.inf),
+        tiny, -tiny, rng.uniform(-3.0, 3.0, 10000), rng.uniform(-1e9, 1e9, 10000),
+        np.ldexp(rng.uniform(-1.0, 1.0, 10000), rng.integers(-1074, 1024, 10000)),
+    ])
+    assert sg.fold_period(t).tobytes() == by_mod(t).tobytes()
+    # scalars, ints and lists are accepted as before, a scalar as a 0-d array
+    for value in (0.0, -0.0, 3, -7, 2.5, [0.25, 1.0, -1.5], (2,)):
+        folded = sg.fold_period(value)
+        assert isinstance(folded, np.ndarray) and folded.tobytes() == by_mod(value).astype(float).tobytes()
+    # the tabulated signal folds its node positions the same way
+    table = sg.SignalSpec.tabulated([0.0, 1.0, 0.5])
+    u = sg.fold_period(t[np.abs(t) < 1e6])
+    assert table(t[np.abs(t) < 1e6]).tobytes() == np.interp(np.mod(u, 1.0) * 3, np.arange(4.0),
+                                                          [0.0, 1.0, 0.5, 0.0]).tobytes()
+
+
 @given(st.floats(-5, 5).filter(lambda t: abs(t) > 1e-9), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_trig_basis_periodic(t, j):
