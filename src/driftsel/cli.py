@@ -10,12 +10,16 @@ with the same parameters are traceable to the same digest.
 
 The config itself, `risk.RunConfig`, and its defaults live with the
 risk engine; this module owns its text form, the gate that `main` runs
-before any output, and the subcommands.  A subcommand's handler only
-computes: it returns its tables, file name to (header, columns), in
-output order, with one array-like of numbers per column (ints, never
-bools).  `main` alone turns values into text, each the `repr` of its
-Python int or float, and writes the run: the CSVs, streamed a block of
-rows at a time, and then the manifest naming them, after every table is
+before any handler, which builds no weight family, and the subcommands.
+A config that breaks a rule raises `risk.ConfigError` where the rule is
+checked, in the gate or where a handler builds its families, before any
+draw or output; `main` exits 2 on it, and 1 on any other ValueError,
+OSError or MemoryError.  A subcommand's handler only computes: it
+returns its tables, file name to (header, columns), in output order,
+with one array-like of numbers per column (ints, never bools).  `main`
+alone turns values into text, each the `repr` of its Python int or
+float, and writes the run: the CSVs, streamed a block of rows at a
+time, and then the manifest naming them, after every table is
 computed, so a run that fails creates no output directory.  `estimate`
 and `figures` fit through the risk engine's sampler,
 `risk.replication_estimates`, so only `simulate` builds an n*p path.
@@ -36,9 +40,9 @@ from .estimator import family_knobs, select_model
 from .noise import RngStream, renewal_chunk, sample_observations
 from .renewal import solve_renewal_density
 from .risk import (
+    ConfigError,
     RunConfig,
     block_rows,
-    check_scoring_budget,
     replication_estimates,
     resolve_frequency,
     resolve_selection,
@@ -51,10 +55,6 @@ from .signal import SignalSpec, cell_integrals, grid_values
 _BLOCK = 1 << 16
 # renewal gaps one block of replications may draw at once, 128 MiB of float64
 _MAX_GAP_VALUES = 1 << 24
-
-
-class ConfigError(Exception):
-    """Raised for malformed, unknown, or inconsistent configuration."""
 
 
 PRESETS = {
@@ -148,27 +148,22 @@ def _check_gap_draw(config: RunConfig, n: int, rows: int) -> None:
             f"{_MAX_GAP_VALUES} values; lower n or raise the mean of noise.interarrival (now {config.interarrival})")
 
 
-def _check_family(config: RunConfig, n: int) -> None:
-    """The weight-family rules at n, its member count included; no family
-    is built.  Raises ValueError."""
-    family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
-
-
 def validate_config(config: RunConfig) -> None:
     """Reject an inconsistent config before anything is computed or
-    written.  RunConfig itself checks the rules of one field; this checks
-    the rules that join fields: the signal and noise settings, the
-    weight-family rules, frequency rules and renewal gap budget for every
-    n in risk.n_values, whose replications draw a block at a time, and
-    the frequency rules and gap budget of one replication for estimate.n.
-    The family rules at estimate.n bind `estimate` alone (`simulate` fits
-    no family), so `main` checks them for that subcommand.  For
-    `risk-table` it also builds each n's family, which checks its weight
-    sums, and applies the scoring budget."""
+    written, without building a weight family.  RunConfig itself checks
+    the rules of one field; this checks the rules that join fields: the
+    signal and noise settings, the weight-family knobs (member count
+    included), frequency rules and renewal gap budget for every n in
+    risk.n_values, whose replications draw a block at a time, and the
+    frequency rules and gap budget of one replication for estimate.n.
+    The rules that need a built family, its weight sums and the scoring
+    budget, and the family knobs at estimate.n, where `estimate` alone
+    fits one, are checked where a handler builds the family, which raises
+    ConfigError too.  Raises ConfigError."""
     try:
         config.signal, config.noise  # built here once, and cached for the handler
         for n in config.n_values:
-            _check_family(config, n)
+            family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
             _check_gap_draw(config, n, min(block_rows(resolve_frequency(config, n)), config.replications))
         resolve_frequency(config, config.estimate_n)
         _check_gap_draw(config, config.estimate_n, 1)
@@ -176,12 +171,13 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _fit_one_path(config: RunConfig, n: int, stream: int):
-    """Weight family and selection result of one replication at sample size n."""
-    p, family, delta = resolve_selection(config, n)
+def _fit_one_path(config: RunConfig, n: int, selection, stream: int):
+    """Selection result of one replication at sample size n, over
+    `selection`, the (p, family, delta) of resolve_selection at n."""
+    p, family, delta = selection
     drift_sums = n * cell_integrals(config.signal, p)
     [est] = replication_estimates(drift_sums, config.noise, n, [RngStream(config.seed, stream)])
-    return family, select_model(est, family, delta)
+    return select_model(est, family, delta)
 
 
 def _fit_table(signal: SignalSpec, result):
@@ -199,7 +195,9 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_estimate(config: RunConfig):
-    family, result = _fit_one_path(config, config.estimate_n, stream=0)
+    selection = resolve_selection(config, config.estimate_n)
+    result = _fit_one_path(config, config.estimate_n, selection, stream=0)
+    family = selection[1]
     index = np.arange(family.profile_of.size)
     columns = (index, family.beta, family.scale, result.costs, (index == result.index).astype(int))
     return {
@@ -226,9 +224,11 @@ def _run_renewal_density(config: RunConfig):
 
 
 def _run_figures(config: RunConfig):
+    # every n's family is built, and so checked, before the first fit
+    selections = {n: resolve_selection(config, n) for n in config.n_values}
     return {
-        f"figure_n{n}.csv": _fit_table(config.signal, _fit_one_path(config, n, stream=stream)[1])
-        for stream, n in enumerate(config.n_values)
+        f"figure_n{n}.csv": _fit_table(config.signal, _fit_one_path(config, n, selection, stream))
+        for stream, (n, selection) in enumerate(selections.items())
     }
 
 
@@ -279,18 +279,9 @@ def main(argv=None) -> int:
     try:
         config = resolve_run_config(args)
         validate_config(config)
-        if args.subcommand == "estimate":
-            _check_family(config, config.estimate_n)
-        elif args.subcommand == "risk-table":
-            for n in config.n_values:  # the engine builds its own families later
-                check_scoring_budget(config, n, resolve_selection(config, n)[1].weights)
-    except (ConfigError, ValueError) as exc:
-        print(f"driftsel: config error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(args.out)
-    digest = config_digest(config)
-    try:
         tables = _HANDLERS[args.subcommand](config)
+        out = Path(args.out)
+        digest = config_digest(config)
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, columns) in tables.items():
             columns = [np.asarray(column) for column in columns]
@@ -309,6 +300,9 @@ def main(argv=None) -> int:
             emit_config(config).rstrip("\n"),
         ]
         (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    except ConfigError as exc:
+        print(f"driftsel: config error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, MemoryError) as exc:
         print(f"driftsel: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

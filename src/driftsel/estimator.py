@@ -176,7 +176,8 @@ def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
     upsilon = n / varsigma_star of the weight family for n periods, eps
     and k_star left at None taking their sample-size driven choices
     eps = 1/ln n and k_star = floor(k_star0 + sqrt(ln n)).  Raises
-    ValueError when n < 2, a knob leaves its range, or the family would
+    ValueError when n < 2, a knob leaves its range, the widest bandwidth's
+    argument d_1 * (m * eps) * upsilon overflows, or the family would
     have more than _MAX_MEMBERS members."""
     if n < 2:
         raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
@@ -189,12 +190,16 @@ def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
         raise ValueError(f"eps must lie in (0, 1), got {eps!r} for n={n}; increase n or set eps explicitly")
     if k_star < 1:
         raise ValueError(f"k_star must be at least 1, got {k_star} for n={n}")
-    if upsilon <= 1.0:
-        raise ValueError(f"upsilon must exceed 1, got {upsilon!r} for n={n}")
+    if not 1.0 < upsilon < math.inf:
+        raise ValueError(f"upsilon must exceed 1 and be finite, got {upsilon!r} for n={n}")
     try:
         m = int(1.0 / eps**2)
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"eps={eps!r} leaves no finite scale count 1/eps^2 for n={n}") from None
+    # taper order 1 has the largest constant d_beta, so the widest bandwidth
+    if not math.isfinite(_bandwidth_law(1)[0] * (m * eps) * upsilon):
+        raise ValueError(f"the widest bandwidth overflows at upsilon={upsilon!r} for n={n}; "
+                         "raise varsigma_star")
     if k_star * m > _MAX_MEMBERS:
         raise ValueError(f"weight family for n={n} has {k_star * m} members ({k_star} tapers x {m} scales), "
                          f"above the limit {_MAX_MEMBERS}; raise eps or lower k_star")

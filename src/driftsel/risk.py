@@ -5,7 +5,10 @@ model-selection estimator.
 paper's full-scale defaults, whose signal and noise are built from those
 fields.  The `resolve_*` functions turn it into each n's sampling
 frequency, weight family and penalty threshold; the CLI reads and writes
-it as key=value text.
+it as key=value text.  A config that breaks a rule raises `ConfigError`
+where the rule is checked, before any draw: `resolve_selection` for an
+n's frequency and family, and `run_risk_experiment` for the scoring
+budget of each n's chunks.
 
 One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
@@ -83,6 +86,10 @@ _LAW_ARITY = {"exponential": 1, "gamma": 2, "chi_squared": 1}
 def _setting(key: str, default):
     """A RunConfig field that the text form writes and reads as `key`."""
     return field(default=default, metadata={"key": key})
+
+
+class ConfigError(ValueError):
+    """Raised for malformed, unknown, or inconsistent configuration."""
 
 
 @dataclass(frozen=True)
@@ -229,16 +236,15 @@ def resolve_delta(config: RunConfig, n: int) -> float:
 
 
 def resolve_selection(config: RunConfig, n: int):
-    """Sampling frequency, weight family and penalty threshold for one n."""
-    p = resolve_frequency(config, n)
-    family = build_weight_family(
-        n,
-        p,
-        eps=config.eps or None,
-        k_star=config.k_star or None,
-        k_star0=config.k_star0,
-        varsigma_star=config.varsigma_star,
-    )
+    """Sampling frequency, weight family and penalty threshold for one n.
+    Raises ConfigError when n breaks a frequency rule, or its family a
+    knob or weight-sum rule."""
+    try:
+        p = resolve_frequency(config, n)
+        family = build_weight_family(n, p, eps=config.eps or None, k_star=config.k_star or None,
+                                     k_star0=config.k_star0, varsigma_star=config.varsigma_star)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return p, family, resolve_delta(config, n)
 
 
@@ -256,20 +262,6 @@ def pinsker_constant(k: int, r: float) -> float:
 def block_rows(p: int) -> int:
     """Replications a chunk draws and transforms at once at frequency p."""
     return min(_CHUNK, max(1, _BLOCK_VALUES // p))
-
-
-def check_scoring_budget(config: RunConfig, n: int, weights: np.ndarray) -> None:
-    """Refuse n when a chunk would score more than _MAX_SCORE_VALUES
-    values at once: min(50, replications) replications x D distinct
-    profiles x W coefficients, (D x W) the shape of its profile matrix
-    `weights`.  Raises ValueError."""
-    rows = min(_CHUNK, config.replications)
-    distinct, width = weights.shape
-    if rows * distinct * width > _MAX_SCORE_VALUES:
-        raise ValueError(
-            f"scoring n={n} needs {rows} replications x D={distinct} profiles x W={width} "
-            f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
-            f"(now {config.eps!r}) or lower estimator.k_star")
 
 
 def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> list:
@@ -385,9 +377,12 @@ def _reap(pid: int) -> None:
 def run_risk_experiment(config: RunConfig) -> tuple:
     """One RiskRow per requested n, in order.  Every n's weight family is
     built, and its `_truth` and chunk payloads made, here before the
-    first chunk runs: a family that fails a check or a zero signal stops
-    the run before any work.  The CLI gate applies `check_scoring_budget`
-    first.
+    first chunk runs, so a config error or a zero signal stops the run
+    before any draw.  A family that fails a check is a ConfigError, and
+    so is one too wide to score: a chunk scores min(50, replications)
+    replications x D distinct profiles x W coefficients at once, (D x W)
+    the shape of its profile matrix, and that may not exceed
+    _MAX_SCORE_VALUES.
 
     P = min(threads, chunks) processes then compute, the parent and P - 1
     forked workers, process w taking chunks w, w + P, ... of every n in
@@ -398,10 +393,16 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     results are in."""
     total = config.replications
     starts = range(0, total, _CHUNK)
+    scored = min(_CHUNK, total)  # replications a chunk scores at once
     plans = []
     for n in config.n_values:
         p, family, delta = resolve_selection(config, n)
-        width = family.weights.shape[1]
+        distinct, width = family.weights.shape
+        if scored * distinct * width > _MAX_SCORE_VALUES:
+            raise ConfigError(
+                f"scoring n={n} needs {scored} replications x D={distinct} profiles x W={width} "
+                f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
+                f"(now {config.eps!r}) or lower estimator.k_star")
         truth, tail, drift_sums, norm_sq = _truth(config.signal, n, p, width)
         payloads = [
             (config.noise, n, family.weights, delta, truth, tail, drift_sums, config.seed,

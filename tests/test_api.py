@@ -69,6 +69,17 @@ def test_only_main_formats():
             assert not called & {"repr", "str", "format", "join", "_fmt"}, top.name
 
 
+def test_main_has_no_per_subcommand_branch():
+    # each rule is checked where its subcommand meets it, and main runs
+    # every command down one path with one error path
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [main] = [top for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "main"]
+    for node in ast.walk(main):
+        if isinstance(node, ast.Compare):
+            operands = {ast.unparse(operand) for operand in (node.left, *node.comparators)}
+            assert "args.subcommand" not in operands, ast.unparse(node)
+
+
 def test_readme_library_example_runs():
     # nothing else runs the README's python block, so it is run as written
     root = Path(__file__).resolve().parents[1]

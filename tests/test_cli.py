@@ -478,6 +478,8 @@ GATE_BASE = {"risk.n_values": "20", "risk.p": "101", "risk.replications": "2", "
         ("estimate.n", "0", "n=0"),
         ("estimator.eps", "1e-200", "scale count"),
         ("estimator.eps", "1e-160", "scale count"),
+        ("estimator.varsigma_star", "1e-307", "be finite, got inf"),
+        ("estimator.varsigma_star", "1.5e-307", "widest bandwidth overflows"),
     ],
 )
 def test_gate_rejects_family_and_frequency_rules(tmp_path, capsys, subcommand, key, value, named):
@@ -511,7 +513,7 @@ def test_gate_bounds_the_family_size(tmp_path, capsys, subcommand, k_star, eps, 
 
 def test_estimate_gates_the_family_at_estimate_n(tmp_path, capsys):
     # 1/ln 2 > 1 leaves no eps for a family at n = 2; only estimate fits
-    # one there, so simulate still runs
+    # one there, and refuses it as it builds it, so simulate still runs
     cfg = write_cfg(tmp_path, "estimate.n=2\nrisk.p=101\n")
     out = tmp_path / "out"
     assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 2
@@ -533,7 +535,7 @@ def test_gate_admits_a_family_at_the_size_limit():
 
 def test_risk_table_refuses_a_family_beyond_the_scoring_budget(tmp_path, capsys):
     # the member count admits 2500 members, but a risk chunk at n = 10^6
-    # would score 50 x 2500 x 312 values at once: risk-table's gate builds
+    # would score 50 x 2500 x 312 values at once: the risk engine builds
     # the family and refuses it; estimate scores one row and runs
     settings = {**GATE_BASE, "risk.n_values": "1000000", "risk.p": "1001", "risk.replications": "50",
                 "estimate.n": "1000000", "estimator.k_star": "1", "estimator.eps": "0.02"}
@@ -559,7 +561,7 @@ def test_risk_table_refuses_a_family_beyond_the_scoring_budget(tmp_path, capsys)
 )
 def test_risk_table_gate_builds_every_family(tmp_path, capsys, settings, named):
     # rules that need the built family are config errors of risk-table
-    # too, found before any output; the engine never runs
+    # too, found as the engine plans its run, before any chunk or output
     cfg = write_cfg(tmp_path, "".join(f"{k}={v}\n" for k, v in {**GATE_BASE, **settings}.items()))
     out = tmp_path / "out"
     assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 2
@@ -617,6 +619,22 @@ def test_gate_builds_no_family(monkeypatch):
     validate_config(RunConfig())
     validate_config(RunConfig(**PRESETS["desk-scale"]))
     validate_config(RunConfig(n_values=(20, 100), p=0, strict_h5=True))
+
+
+def test_risk_table_builds_each_family_once(tmp_path, monkeypatch):
+    # the engine checks each family where it builds it, so no other build
+    # precedes the run only to read the family's shape
+    built, build = [], driftsel.risk.build_weight_family
+
+    def count(*args, **kwargs):
+        built.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr("driftsel.risk.build_weight_family", count)
+    cfg = write_cfg(tmp_path, "risk.n_values=20,40\nrisk.p=101\nrisk.replications=2\n"
+                              "estimator.k_star=2\nestimator.eps=0.5\n")
+    assert main(["risk-table", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert built == [20, 40]
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -715,7 +733,7 @@ def test_fit_matches_full_path_fit_in_law(n, p):
     truth = grid_values(config.signal, p)
     folded, full = np.empty(400), np.empty(400)
     for r in range(400):
-        _, result = _fit_one_path(config, n, stream=r)
+        result = _fit_one_path(config, n, (p, family, delta), stream=r)
         folded[r] = np.sum((result.grid_values() - truth) ** 2) / p
         obs = sample_observations(config.signal, config.noise, n, p, RngStream(71, r))
         result = select_model(estimate_coefficients(obs), family, delta)
@@ -805,10 +823,11 @@ def test_figures_output(tmp_path):
 
 def test_figures_late_family_failure_writes_nothing(tmp_path, capsys):
     # n = 2 passes the config gate but its family fails the weight-sum
-    # check, after n = 100 is fitted: no figure of n = 100 is left behind
+    # check, a config error found before n = 100 is fitted: no figure of
+    # n = 100 is left behind
     cfg = write_cfg(tmp_path, "risk.n_values=100,2\nrisk.p=11\nestimator.k_star=5\nestimator.eps=0.3\n")
     out = tmp_path / "figs"
-    assert main(["figures", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["figures", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "below total weight 1" in err and "Traceback" not in err
-    assert not out.exists()
+    assert err.startswith("driftsel: config error: ") and "below total weight 1" in err
+    assert "Traceback" not in err and not out.exists()

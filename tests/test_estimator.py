@@ -417,6 +417,8 @@ def test_family_rejects_tiny_samples():
         (2, None, 100, 1.0, "eps must lie in"),            # 1/ln 2 > 1
         (20, None, -200, 1.0, "k_star must be at least 1"),
         (20, None, 100, 1000.0, "upsilon must exceed 1"),
+        (20, None, 100, 1e-307, "be finite, got inf"),              # n / varsigma_star overflows
+        (20, None, 100, 1.5e-307, "widest bandwidth overflows"),   # 1.33e308, but d_1 * m * eps * upsilon not
         (1, 0.5, 100, 1.0, "n >= 2"),
     ],
 )

@@ -27,10 +27,10 @@ from driftsel.cli import emit_config, main
 from driftsel.noise import NoiseSpec, RngStream, sample_observations
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
+    ConfigError,
     RunConfig,
     _run_chunk,
     _truth,
-    check_scoring_budget,
     pinsker_constant,
     replication_estimates,
     resolve_delta,
@@ -577,9 +577,9 @@ def risk_table(config, tmp_path):
 
 def test_late_family_failure_runs_no_chunk(monkeypatch, tmp_path, capsys):
     # n = 2 passes the knob rules but its family fails the weight-sum
-    # check: risk-table's gate builds every family and refuses the config
-    # (exit 2) before any output, and the engine, called without the
-    # gate, builds every family before the first chunk of n = 100
+    # check: the engine builds every family before the first chunk of
+    # n = 100 and refuses the config, so risk-table exits 2 before any
+    # output
     chunks = []
     monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
     cfg = RunConfig(n_values=(100, 2), p=11, replications=200, k_star=5, eps=0.3)
@@ -587,19 +587,23 @@ def test_late_family_failure_runs_no_chunk(monkeypatch, tmp_path, capsys):
     assert code == 2 and not out.exists()
     assert capsys.readouterr().err == ("driftsel: config error: all candidates shrink below total weight 1; "
                                        "grid too small\n")
-    with pytest.raises(ValueError, match="below total weight 1"):
+    with pytest.raises(ConfigError, match="below total weight 1"):
         run_risk_experiment(cfg)
     assert chunks == []
 
 
 def test_scoring_budget_runs_no_chunk(monkeypatch, tmp_path, capsys):
     # a chunk scores 50 replications x 2500 distinct profiles x 312
-    # coefficients at once at n = 10^6, 2.3 times the budget: risk-table's
-    # gate refuses the config (exit 2) after building the families, before
-    # the first chunk of n = 20 and before any output
+    # coefficients at once at n = 10^6, 2.3 times the budget: the engine
+    # refuses the config as it plans the run, after building the families
+    # and before the first chunk of n = 20, so risk-table exits 2 before
+    # any output
     chunks = []
     monkeypatch.setattr(driftsel.risk, "_run_chunk", chunks.append)
     cfg = RunConfig(n_values=(20, 10**6), p=1001, replications=200, k_star=1, eps=0.02)
+    with pytest.raises(ConfigError, match="scoring n=1000000"):
+        run_risk_experiment(cfg)
+    assert chunks == []
     code, out = risk_table(cfg, tmp_path)
     assert code == 2 and not out.exists()
     [line] = capsys.readouterr().err.splitlines()
@@ -607,11 +611,19 @@ def test_scoring_budget_runs_no_chunk(monkeypatch, tmp_path, capsys):
                         r"x W=312 coefficients .* raise estimator.eps \(now 0.02\) or lower estimator.k_star",
                         line)
     assert chunks == []
-    # the budget counts min(50, replications) rows: 21 replications fit
-    weights = resolve_selection(cfg, 10**6)[1].weights
-    check_scoring_budget(replace(cfg, replications=21), 10**6, weights)
-    with pytest.raises(ValueError, match="needs 22 replications"):
-        check_scoring_budget(replace(cfg, replications=22), 10**6, weights)
+    # the budget counts min(50, replications) rows: 21 replications fit,
+    # so that run reaches its first chunk
+    class Planned(Exception):
+        pass
+
+    def first_chunk(payload):
+        raise Planned
+
+    monkeypatch.setattr(driftsel.risk, "_run_chunk", first_chunk)
+    with pytest.raises(Planned):
+        run_risk_experiment(replace(cfg, n_values=(10**6,), replications=21))
+    with pytest.raises(ConfigError, match="needs 22 replications"):
+        run_risk_experiment(replace(cfg, n_values=(10**6,), replications=22))
 
 
 def test_scoring_budget_admits_default_families():
