@@ -12,9 +12,10 @@ The config itself, `risk.RunConfig`, and its defaults live with the
 risk engine; this module owns its text form, the gate that `main` runs
 before any handler, which builds no weight family, and the subcommands.
 A config that breaks a rule raises `risk.ConfigError` where the rule is
-checked, in the gate or where a handler builds its families, before any
-draw or output; `main` exits 2 on it, and 1 on any other ValueError,
-OSError or MemoryError.  A subcommand's handler only computes: it
+checked, in the gate, where a handler builds its families or, for
+`renewal-density`, before its solve, and so before any draw or output;
+`main` exits 2 on it, and 1 on any other ValueError, OSError or
+MemoryError.  A subcommand's handler only computes: it
 returns its tables, file name to (header, columns), in output order,
 with one array-like of numbers per column (ints, never bools).  `main`
 alone turns values into text, each the `repr` of its Python int or
@@ -38,7 +39,7 @@ import numpy as np
 from . import __version__
 from .estimator import family_knobs, select_model
 from .noise import RngStream, renewal_chunk, sample_observations
-from .renewal import solve_renewal_density
+from .renewal import grid_size, solve_renewal_density
 from .risk import (
     ConfigError,
     RunConfig,
@@ -211,7 +212,20 @@ def _run_risk_table(config: RunConfig):
     return {"risk.csv": (("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), columns)}
 
 
+def _check_renewal_grid(config: RunConfig) -> None:
+    """Refuse a renewal step or horizon that the solve's grid rules
+    (`renewal.grid_size`) reject, as a ConfigError.  They read the config
+    alone, but only `renewal-density` solves, so only it checks them: a
+    law too fine for the default step still draws risk-table
+    replications."""
+    try:
+        grid_size(config.noise.interarrival, config.renewal_h, config.renewal_horizon or None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _run_renewal_density(config: RunConfig):
+    _check_renewal_grid(config)
     horizon = config.renewal_horizon or None
     solution = solve_renewal_density(config.noise.interarrival, h=config.renewal_h, horizon=horizon)
     if not solution.converged:

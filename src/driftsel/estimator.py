@@ -3,11 +3,10 @@
 The pipeline turns one observation path into a curve estimate in three
 steps.  First the raw trigonometric coefficients are read off the
 increments: averaging phi_j against dy over the whole path reduces,
-after folding onto one period, to a single length-p transform.  The
-risk engine transforms period sums that leave the Brownian part out and
-adds that part to the min(n, p - 1) coefficients it keeps, which are
-all that the later steps read (`CoefficientEstimates` holds at least
-those).  Second
+after folding onto one period, to a single length-p transform
+(`estimate_coefficients`).  The later steps read only the min(n, p - 1)
+first coefficients (`CoefficientEstimates` holds at least those), which
+is all the risk engine computes (`risk.replication_estimates`).  Second
 a high-frequency slice of those coefficients estimates the proxy
 variance, the noise level entering the penalty.  Third a finite family
 of shrinkage profiles is scanned with the penalized empirical cost and
@@ -86,34 +85,16 @@ class SelectionResult:
         return coefficients_to_grid(padded)
 
 
-def coefficients_from_period_sums(sums: np.ndarray, n: int, brownian: np.ndarray = None) -> list:
-    """Average each basis function against the increments of n periods,
-    given their per-cell sums over the periods: one CoefficientEstimates
-    per row of the (R x p) block `sums`, each theta a row view of one
-    transformed block.
-
-    Periodicity makes these sums all the estimates read of a path, so
-    the cost is one length-p FFT per row regardless of n.  Each theta
-    holds all p - 1 estimable coefficients, or, given the (R x M) block
-    `brownian` of a Brownian part drawn in coefficient space (the risk
-    engine's route, whose sums leave that part out), the first M plus
-    its row of `brownian`.
-    """
-    p = sums.shape[-1]
-    if p < 3:
-        raise ValueError("need at least 3 observations per period")
-    thetas = grid_coefficients(sums, p - 1 if brownian is None else brownian.shape[-1])
-    thetas *= p / n
-    if brownian is not None:
-        thetas += brownian
-    return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
-
-
 def estimate_coefficients(obs: ObservationPath) -> CoefficientEstimates:
-    """Coefficient estimates of one path: its n*p increments folded onto
-    one period, then `coefficients_from_period_sums`."""
-    sums = obs.increments.reshape(obs.n, obs.p).sum(axis=0, keepdims=True)
-    return coefficients_from_period_sums(sums, obs.n)[0]
+    """Coefficient estimates of one path: all p - 1 estimable
+    coefficients, each the average of its basis function against the
+    n*p increments.  Periodicity reduces that to the increments' per-cell
+    sums over the periods, one length-p transform whatever n."""
+    if obs.p < 3:
+        raise ValueError("need at least 3 observations per period")
+    theta = grid_coefficients(obs.increments.reshape(obs.n, obs.p).sum(axis=0), obs.p - 1)
+    theta *= obs.p / obs.n
+    return CoefficientEstimates(n=obs.n, p=obs.p, theta=theta)
 
 
 def estimate_proxy_variance(est: CoefficientEstimates) -> float:

@@ -34,11 +34,11 @@ The keys themselves are derived here with numpy's documented SeedSequence
 hash (pool size 4): the part that depends on the seed alone once per seed,
 its pool read from SeedSequence(base_seed), then every (stream, tag) pair
 of a run of streams in one vectorized pass, which is much cheaper than one
-SeedSequence per substream.  Nor does the block sampler build a
-generator per substream: it keeps one per component, built once per
-process, and re-keys it for each stream.  Philox is counter-based, so a
-Philox set to a key at counter 0 with an empty buffer draws the bits of
-one freshly built with that key.
+SeedSequence per substream.  Nor is a generator built per substream:
+every draw is made on one generator per component, built once per
+process and re-keyed for each stream (`_rekeyed`).  Philox is
+counter-based, so a Philox set to a key at counter 0 with an empty
+buffer draws the bits of one freshly built with that key.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ class RngStream:
     """Replication-addressed randomness: (base_seed, stream_index) -> substreams.
 
     Substream `tag` (0..3) is Philox keyed by
-    SeedSequence(base_seed, spawn_key=(stream_index, tag)); every generator
-    is fresh, so substreams never share state.
+    SeedSequence(base_seed, spawn_key=(stream_index, tag)), drawn from
+    counter 0 (`_rekeyed`), so substreams never share state.
     """
 
     base_seed: int
@@ -174,11 +174,6 @@ class RngStream:
         reads faster than array items."""
         return _substream_keys(self.base_seed, self.stream_index, self.stream_index + 1)[0].tolist()
 
-    def generator(self, tag: int) -> Generator:
-        if not 0 <= tag < _TAGS:
-            raise ValueError(f"substream tag must be one of 0..{_TAGS - 1}, got {tag}")
-        return Generator(Philox(_PhiloxKey(np.array(self._keys[tag], dtype=np.uint64))))
-
 
 @lru_cache(maxsize=None)
 def _component(tag: int):
@@ -195,9 +190,10 @@ def _component(tag: int):
 
 def _rekeyed(tag: int, rng: RngStream) -> Generator:
     """Substream `tag` of `rng` on the component's one generator, with
-    the bits of rng.generator(tag) whatever the last stream left in it.
-    The generator is shared, so a process runs one sampler at a time
-    (the risk engine's workers are processes)."""
+    the bits of a Philox freshly built with the substream's key whatever
+    the last stream left in it.  Every draw goes through here.  The
+    generator is shared, so a process runs one sampler at a time (the
+    risk engine's workers are processes)."""
     gen, fresh = _component(tag)
     fresh["state"]["key"] = rng._keys[tag]
     gen.bit_generator.state = fresh
@@ -273,8 +269,8 @@ def _sample_marks(law: str, gen: Generator, size: int) -> np.ndarray:
 
 
 def renewal_chunk(law: InterarrivalLaw, horizon: float) -> float:
-    """How many gaps sample_renewal_times draws at a time for the epochs
-    up to horizon > 0: the expected epoch count, a 6-sd margin and 16,
+    """How many gaps `_renewal_epochs` draws at a time for the epochs up
+    to horizon > 0: the expected epoch count, a 6-sd margin and 16,
     rounded down, as a float that is inf when the count overflows."""
     mean = law.mean()
     expected = horizon / mean if mean > 0.0 else math.inf
@@ -282,46 +278,33 @@ def renewal_chunk(law: InterarrivalLaw, horizon: float) -> float:
     return float(math.floor(chunk)) if chunk < math.inf else chunk
 
 
-def sample_renewal_times(law: InterarrivalLaw, horizon: float, rng: RngStream) -> np.ndarray:
-    """Renewal epochs T_1 < T_2 < ... <= horizon (possibly empty)."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if horizon == 0:
-        return np.empty(0)
-    gen = rng.generator(TAG_RENEWAL)
-    chunk = int(renewal_chunk(law, horizon))
-    gaps = law.sample(gen, chunk)
-    total = float(gaps.sum())
-    parts = [gaps]
-    while total <= horizon:
-        more = law.sample(gen, chunk)
-        parts.append(more)
-        total += float(more.sum())
-    times = np.cumsum(np.concatenate(parts))
-    return times[times <= horizon]
-
-
 def _renewal_epochs(law: InterarrivalLaw, horizon: float, rngs):
-    """The epochs sample_renewal_times draws up to horizon > 0 for each
-    stream of `rngs`, concatenated in stream order, and each stream's
-    count.
+    """Renewal epochs T_1 < T_2 < ... <= horizon, for horizon > 0, of
+    each stream of `rngs`, concatenated in stream order, and each
+    stream's count.
 
-    Every stream draws its first chunk of gaps into its row of one
-    block, whose cumulative sums and selection run once.  A row whose
-    last sum passes the horizon already holds every epoch that
-    sample_renewal_times keeps, whether or not the (pairwise) sum it
-    tests agrees, since later gaps are nonnegative and a cumulative sum
-    never falls; every other row, rare with the chunk's 6-sd margin, is
-    redrawn from its start by sample_renewal_times."""
+    A stream's epochs are the running sums of its gaps, drawn
+    renewal_chunk(law, horizon) at a time from its substream TAG_RENEWAL
+    until the last sum passes the horizon.  Every stream draws its first
+    chunk into its row of one block, whose cumulative sums and selection
+    run once.  A row whose last sum does not pass the horizon, rare with
+    the chunk's 6-sd margin, is drawn again from its start, a chunk at a
+    time; a cumulative sum runs in order, so its first chunk's sums are
+    the block row's."""
     chunk = int(renewal_chunk(law, horizon))
     times = np.array([law.sample(_rekeyed(TAG_RENEWAL, rng), chunk) for rng in rngs])
     times.cumsum(axis=1, out=times)
     inside = times <= horizon
-    short = inside[:, -1]
-    if not short.any():
+    short = np.flatnonzero(inside[:, -1])
+    if not short.size:
         return times[inside], inside.sum(axis=1)
-    rows = [sample_renewal_times(law, horizon, rng) if redraw else row[keep]
-            for rng, redraw, row, keep in zip(rngs, short, times, inside)]
+    rows = [row[keep] for row, keep in zip(times, inside)]
+    for i in short.tolist():
+        gen = _rekeyed(TAG_RENEWAL, rngs[i])
+        parts = [law.sample(gen, chunk)]
+        while (row := np.cumsum(np.concatenate(parts)))[-1] <= horizon:
+            parts.append(law.sample(gen, chunk))
+        rows[i] = row[row <= horizon]
     return np.concatenate(rows), [row.size for row in rows]
 
 

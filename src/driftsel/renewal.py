@@ -160,16 +160,12 @@ def _l1_with_tail(ups: np.ndarray, h: float):
     return body + tail, tail_ok
 
 
-def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None = None) -> RenewalSolution:
-    """Solve for the renewal density of the given inter-arrival law.
-
-    h is the grid step (must resolve the mean spacing: h <= tau_bar / 50);
-    horizon defaults to 40 mean spacings, which is far into the mixed
-    regime for all shipped laws. Raises ValueError when the march diverges
-    (a gamma shape below 1 makes the density unbounded at 0). The result
-    is flagged non-converged when the deviation at the horizon still
-    exceeds TAIL_TOL.
-    """
+def grid_size(law: InterarrivalLaw, h: float, horizon: float | None = None) -> int:
+    """Number of steps m of the solve's grid 0, h, ..., m*h, after its
+    rules on the step and the horizon: h must be positive and resolve
+    the mean spacing tau_bar (h <= tau_bar / 50), and the horizon, by
+    default 40 mean spacings, must cover at least 20 of them.  Raises
+    ValueError for a rule that fails."""
     if h <= 0:
         raise ValueError("step must be positive")
     tau_bar = law.mean()
@@ -179,8 +175,21 @@ def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None 
         horizon = 40.0 * tau_bar
     if horizon < 20.0 * tau_bar:
         raise ValueError("horizon must cover at least 20 mean spacings")
+    return int(round(horizon / h))
 
-    m = int(round(horizon / h))
+
+def solve_renewal_density(law: InterarrivalLaw, h: float, horizon: float | None = None) -> RenewalSolution:
+    """Solve for the renewal density of the given inter-arrival law.
+
+    h is the grid step and horizon the grid's end, which `grid_size`
+    checks; horizon defaults to 40 mean spacings, which is far into the
+    mixed regime for all shipped laws. Raises ValueError when the march
+    diverges (a gamma shape below 1 makes the density unbounded at 0).
+    The result is flagged non-converged when the deviation at the
+    horizon still exceeds TAIL_TOL.
+    """
+    m = grid_size(law, h, horizon)
+    tau_bar = law.mean()
     ups = _march_deviation(law, h, m)
     l1, tail_ok = _l1_with_tail(ups, h)
 

@@ -60,7 +60,6 @@ import numpy as np
 from .estimator import (
     CoefficientEstimates,
     build_weight_family,
-    coefficients_from_period_sums,
     default_delta,
     efficient_delta,
     estimate_proxy_variance,
@@ -152,6 +151,9 @@ class RunConfig:
             raise ValueError(f"delta must be auto, efficient, or a finite number, got {self.delta!r}")
         if self.replications < 2:
             raise ValueError("need at least 2 replications for a standard error")
+        if self.replications > 1 << 32:
+            # replication r draws from stream r, and a seed's stream indices stop below 2**32
+            raise ValueError(f"replications must be at most 2**32, got {self.replications}")
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.seed < 0:
@@ -270,15 +272,19 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs
     (n * cell_integrals(S, p)), observed under `noise`.
 
     Each theta holds the M = min(n, p - 1) coefficients the estimator
-    reads: the transform of the stream's period sums without their
-    Brownian part, plus rho1 * rho_check / sqrt(n) times M standard
-    normals of its Brownian substream, that part's exact law.  The
-    streams are drawn and transformed as one block, each estimate a row
-    view of it."""
+    reads: p / n times the discrete coefficients of the stream's period
+    sums without their Brownian part, plus rho1 * rho_check / sqrt(n)
+    times M standard normals of its Brownian substream, that part's
+    exact law.  The streams are drawn and transformed as one block, each
+    estimate a row view of it."""
+    p = drift_sums.size
     sums = sample_period_sums(drift_sums, noise, n, rngs)
-    brownian = brownian_normals(rngs, min(n, drift_sums.size - 1))
+    brownian = brownian_normals(rngs, min(n, p - 1))
     brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
-    return coefficients_from_period_sums(sums, n, brownian)
+    thetas = grid_coefficients(sums, brownian.shape[1])
+    thetas *= p / n
+    thetas += brownian
+    return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
 
 
 def _truth(signal: SignalSpec, n: int, p: int, width: int):

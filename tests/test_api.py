@@ -36,6 +36,35 @@ def test_public_api_has_a_production_caller():
     assert defined - used == NO_CALLER_YET
 
 
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(driftsel.__file__).parent.glob("*.py")}
+
+
+def test_only_the_component_generators_are_built():
+    # every draw is made on one re-keyed generator per noise component;
+    # a generator built anywhere else is a second way to get a stream
+    sites = set()
+    for stem, tree in _modules().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "Generator" in (getattr(node.func, "id", None),
+                                                                  getattr(node.func, "attr", None)):
+                    sites.add((stem, getattr(top, "name", "<module>")))
+    assert sites == {("noise", "_component")}
+
+
+def test_every_imported_name_is_used():
+    # a module loads every name it imports (annotations count)
+    for stem, tree in _modules().items():
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+                    for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= loaded, (stem, imported - loaded)
+
+
 WRITES = {"write_text", "write_bytes", "mkdir", "open"}
 
 

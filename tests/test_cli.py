@@ -99,6 +99,16 @@ def test_parse_rejects_malformed_input():
         parse_config("strict_h5=yes\n")
 
 
+def test_replications_stop_at_the_stream_count():
+    # replication r draws from stream r, and a seed's stream indices stop
+    # below 2**32: a larger count is refused before any run is planned
+    assert RunConfig(replications=2**32).replications == 2**32
+    with pytest.raises(ValueError, match="replications"):
+        RunConfig(replications=2**32 + 1)
+    with pytest.raises(ConfigError, match="replications"):
+        parse_config(f"risk.replications={2**32 + 1}\n")
+
+
 def test_parse_layers_on_base():
     base = RunConfig(seed=5, threads=2)
     merged = parse_config("# comment\n\nrisk.replications=50\n", base=base)
@@ -794,6 +804,30 @@ def test_renewal_density_rejects_divergent_solve(tmp_path, capsys):
     assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 1
     assert "diverged" in capsys.readouterr().err
     assert not out.exists()                 # nothing is written until every table is computed
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("renewal.h=1.0", "step 1.0 too coarse for mean spacing 3.0"),
+     ("renewal.horizon=10.0", "horizon must cover at least 20 mean spacings")],
+)
+def test_renewal_density_grid_rules_are_config_errors(tmp_path, capsys, setting, message):
+    # the step and horizon rules read the config alone
+    cfg = write_cfg(tmp_path, setting + "\n")
+    out = tmp_path / "ren"
+    assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"driftsel: config error: {message}\n"
+    assert not out.exists()
+
+
+def test_risk_table_ignores_the_renewal_grid_rules(tmp_path):
+    # only renewal-density solves on the grid: a law too fine for the
+    # default step still draws its replications
+    cfg = write_cfg(tmp_path, "noise.interarrival=exponential(100)\nrisk.n_values=20\nrisk.p=101\n"
+                              "risk.replications=4\nestimator.k_star=2\nestimator.eps=0.5\n")
+    out = tmp_path / "risk"
+    assert main(["risk-table", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_csv(out / "risk.csv")[2]) == 1
 
 
 def test_renewal_density_warns_when_not_converged(tmp_path, capsys):

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-import driftsel.noise
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SeedSequence
 
 from driftsel.noise import (
     NoiseSpec,
@@ -21,11 +20,11 @@ from driftsel.noise import (
     renewal_chunk,
     sample_observations,
     sample_period_sums,
-    sample_renewal_times,
 )
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
 from folded import folded_path_sums
+from reference_renewal import reference_generator, reference_renewal_times
 
 CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
@@ -85,10 +84,6 @@ def reference_key(seed, stream, tag):
     return SeedSequence(seed, spawn_key=(stream, tag)).generate_state(2, np.uint64)
 
 
-def reference_generator(seed, stream, tag):
-    return Generator(Philox(SeedSequence(seed, spawn_key=(stream, tag))))
-
-
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_substream_keys_match_seed_sequence(seed):
     for stream in KEY_STREAMS:
@@ -113,11 +108,11 @@ def test_substream_keys_match_or_refuse(seed, stream, tag):
     # never give another stream's key
     if 0 <= stream < 2**32:
         assert np.array_equal(_substream_keys(seed, stream, stream + 1)[0, tag], reference_key(seed, stream, tag))
-        ours = RngStream(seed, stream).generator(tag).integers(0, 2**63, 8)
+        ours = _rekeyed(tag, RngStream(seed, stream)).integers(0, 2**63, 8)
         assert np.array_equal(ours, reference_generator(seed, stream, tag).integers(0, 2**63, 8))
     else:
         with pytest.raises(ValueError):
-            RngStream(seed, stream).generator(tag)
+            _rekeyed(tag, RngStream(seed, stream))
 
 
 @pytest.mark.parametrize(
@@ -137,17 +132,14 @@ def test_substreams_draw_as_plain_numpy(draw):
             assert rng == RngStream(seed, start + offset)
             for tag in range(4):
                 expected = draw(reference_generator(seed, start + offset, tag))
-                assert np.array_equal(draw(rng.generator(tag)), expected)
-                assert np.array_equal(draw(RngStream(seed, start + offset).generator(tag)), expected)
+                assert np.array_equal(draw(_rekeyed(tag, rng)), expected)
+                assert np.array_equal(draw(_rekeyed(tag, RngStream(seed, start + offset))), expected)
 
 
 def test_substream_keys_refuse_what_they_cannot_match():
     for seed in (-1, -(2**40)):
         with pytest.raises(ValueError):
-            RngStream(seed, 0).generator(0)
-    for tag in (-1, 4):
-        with pytest.raises(ValueError):
-            RngStream(3, 0).generator(tag)
+            _rekeyed(0, RngStream(seed, 0))
     with pytest.raises(ValueError):
         RngStream.span(3, 2**32 - 1, 2**32 + 1)
     key = _PhiloxKey(reference_key(3, 0, 0))
@@ -196,21 +188,20 @@ def test_observation_path_composes_the_components():
 
 
 def test_renewal_times_shape():
-    rng = RngStream(1, 0)
-    assert sample_renewal_times(InterarrivalLaw.exponential(1.0), 0.0, rng).size == 0
-    ts = sample_renewal_times(InterarrivalLaw.chi_squared(3.0), 50.0, RngStream(1, 1))
+    ts, [count] = _renewal_epochs(InterarrivalLaw.chi_squared(3.0), 50.0, [RngStream(1, 1)])
+    assert count == ts.size > 0
     assert np.all(np.diff(ts) > 0)
     assert ts[0] > 0
     assert ts[-1] <= 50.0
 
 
 def test_renewal_rate_exponential():
-    ts = sample_renewal_times(InterarrivalLaw.exponential(1.0), 10000.0, RngStream(101, 0))
+    ts, _ = _renewal_epochs(InterarrivalLaw.exponential(1.0), 10000.0, [RngStream(101, 0)])
     assert abs(ts.size / 10000.0 - 1.0) < 0.03
 
 
 def test_renewal_rate_chi_squared():
-    ts = sample_renewal_times(InterarrivalLaw.chi_squared(3.0), 10000.0, RngStream(102, 0))
+    ts, _ = _renewal_epochs(InterarrivalLaw.chi_squared(3.0), 10000.0, [RngStream(102, 0)])
     assert abs(ts.size / 10000.0 - 1.0 / 3.0) < 0.01
 
 
@@ -394,27 +385,21 @@ def _rows(epochs, counts):
     return np.split(epochs, np.cumsum(counts)[:-1])
 
 
-def _counting_fallback(monkeypatch):
-    calls = []
-    real = driftsel.noise.sample_renewal_times
-
-    def counted(law, horizon, rng):
-        calls.append(rng.stream_index)
-        return real(law, horizon, rng)
-
-    monkeypatch.setattr(driftsel.noise, "sample_renewal_times", counted)
-    return calls
+def _assert_reference_rows(law, horizon, streams):
+    epochs, counts = _renewal_epochs(law, horizon, streams)
+    rows = _rows(epochs, counts)
+    assert len(rows) == len(streams)
+    for row, rng in zip(rows, streams):
+        assert np.array_equal(row, reference_renewal_times(law, horizon, rng.base_seed, rng.stream_index))
+    return counts
 
 
-def test_block_redraws_a_short_row_as_sample_renewal_times(monkeypatch):
+def test_block_continues_a_short_row_as_plain_numpy():
     # one row of this block falls short of the horizon on its first
-    # chunk; it is redrawn from its start and keeps today's bits
+    # chunk; it is drawn on, a chunk at a time, with the reference's bits
     law, streams = ShortFirstChunk(), RngStream.span(2, 0, 8)
-    calls = _counting_fallback(monkeypatch)
-    epochs, counts = _renewal_epochs(law, 10.0, streams)
-    assert calls == [5] and counts[5] > renewal_chunk(law, 10.0)
-    for row, rng in zip(_rows(epochs, counts), streams):
-        assert np.array_equal(row, sample_renewal_times(law, 10.0, rng))
+    counts = _assert_reference_rows(law, 10.0, streams)
+    assert [i for i, count in enumerate(counts) if count > renewal_chunk(law, 10.0)] == [5]
     # and the noise over the block is its rows drawn one at a time
     spec = NoiseSpec(rho1=0.3, rho2=0.8, interarrival=law, marks="uniform")
     block = sample_period_sums(np.zeros(11), spec, 10, streams)
@@ -433,29 +418,31 @@ class Far:
         return rng.random(size) * 5.0
 
 
-def test_block_coverage_agrees_with_the_sum_or_falls_back(monkeypatch):
-    # sample_renewal_times stops when the pairwise sum of its first chunk
-    # passes the horizon, the block when the chunk's last cumulative sum
-    # does; at horizons on and beside either sum of some row, every row
-    # still has the epochs of sample_renewal_times, and a row falls back
-    # exactly when its cumulative sum does not pass the horizon
+def test_block_stops_where_the_running_sum_passes_the_horizon():
+    # a chunk's pairwise sum and its last running sum can differ in the
+    # last bits; at horizons on and one ulp beside either sum of each
+    # row's first chunk, every row has the reference's epochs, which
+    # stop where the running sum passes the horizon
     law, streams = Far(), RngStream.span(6, 0, 8)
     sums = []
     for rng in streams:
-        gaps = law.sample(rng.generator(0), 22)
+        gaps = law.sample(reference_generator(6, rng.stream_index, 0), 22)
         sums.append((float(gaps.sum()), float(gaps.cumsum()[-1])))
     assert any(s != c for s, c in sums)
-    horizons = sorted({h for pair in sums for x in pair for h in (np.nextafter(x, 0.0), x, np.nextafter(x, 99.0))})
-    doubt = 0
-    for horizon in horizons:
-        assert renewal_chunk(law, horizon) == 22
-        calls = _counting_fallback(monkeypatch)
-        epochs, counts = _renewal_epochs(law, horizon, streams)
-        assert calls == [rng.stream_index for rng, (_, c) in zip(streams, sums) if c <= horizon]
-        doubt += sum(min(s, c) <= horizon < max(s, c) for s, c in sums)
-        for row, rng in zip(_rows(epochs, counts), streams):
-            assert np.array_equal(row, sample_renewal_times(law, horizon, rng))
-    assert doubt > 0
+    for pair in sums:
+        for x in pair:
+            for horizon in (np.nextafter(x, 0.0), x, np.nextafter(x, 99.0)):
+                assert renewal_chunk(law, horizon) == 22
+                _assert_reference_rows(law, horizon, streams)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64), start=st.integers(0, 2**32 - 9),
+       law=st.sampled_from([InterarrivalLaw.exponential(1.0 / 3.0), InterarrivalLaw.gamma(2.0, 1.5),
+                            InterarrivalLaw.chi_squared(3.0)]),
+       horizon=st.floats(1e-3, 300.0))
+def test_block_epochs_are_plain_numpy_renewal_epochs(seed, start, law, horizon):
+    _assert_reference_rows(law, horizon, RngStream.span(seed, start, start + 8))
 
 
 LAWS = (

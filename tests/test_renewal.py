@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from driftsel.noise import RngStream, sample_renewal_times
-from driftsel.renewal import InterarrivalLaw, proxy_variance, solve_renewal_density
+from driftsel.noise import RngStream, _renewal_epochs
+from driftsel.renewal import InterarrivalLaw, grid_size, proxy_variance, solve_renewal_density
+from reference_renewal import reference_generator
 
 
 def test_interarrival_means():
@@ -35,8 +36,8 @@ def test_gamma_law_matches_its_named_family(law, reference, draw):
     np.testing.assert_allclose(law.pdf(x), reference.pdf(x), rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(law.cdf(x), reference.cdf(x), rtol=1e-13, atol=0.0)
     assert law.mean() == reference.mean()
-    ours = law.sample(RngStream(9, 0).generator(0), 1000)
-    theirs = draw(RngStream(9, 0).generator(0), 1000)
+    ours = law.sample(reference_generator(9, 0, 0), 1000)
+    theirs = draw(reference_generator(9, 0, 0), 1000)
     assert np.array_equal(ours, theirs)
 
 
@@ -49,12 +50,16 @@ def test_law_parameters_must_be_finite_and_positive():
 
 def test_solver_preconditions():
     law = InterarrivalLaw.exponential(1.0)
-    with pytest.raises(ValueError):
-        solve_renewal_density(law, h=0.1)          # coarser than tau_bar / 50
-    with pytest.raises(ValueError):
-        solve_renewal_density(law, h=-1e-3)
-    with pytest.raises(ValueError):
-        solve_renewal_density(law, h=1e-3, horizon=5.0)   # under 20 mean spacings
+    for rule in (grid_size, solve_renewal_density):
+        with pytest.raises(ValueError):
+            rule(law, h=0.1)  # coarser than tau_bar / 50
+        with pytest.raises(ValueError):
+            rule(law, h=-1e-3)
+        with pytest.raises(ValueError):
+            rule(law, h=1e-3, horizon=5.0)  # under 20 mean spacings
+    assert grid_size(law, h=0.02, horizon=20.0) == 1000
+    assert grid_size(law, h=1e-3) == 40000
+    assert solve_renewal_density(law, h=0.02, horizon=20.0).rho.size == 1001
 
 
 def test_poisson_renewal_density_is_flat():
@@ -102,12 +107,8 @@ def test_solver_matches_epoch_histogram():
     law = InterarrivalLaw.gamma(2.0, 1.0)
     n_paths, horizon, width = 100000, 5.0, 0.1
     n_bins = int(horizon / width)
-    counts = np.zeros(n_bins)
-    for r in range(n_paths):
-        ts = sample_renewal_times(law, horizon, RngStream(403, r))
-        if ts.size:
-            idx = np.minimum((ts / width).astype(int), n_bins - 1)
-            counts += np.bincount(idx, minlength=n_bins)
+    ts, _ = _renewal_epochs(law, horizon, RngStream.span(403, 0, n_paths))
+    counts = np.bincount(np.minimum((ts / width).astype(int), n_bins - 1), minlength=n_bins)
     sol = solve_renewal_density(law, h=1e-3, horizon=40.0)
     per = int(round(width / sol.h))
     rho_bins = np.array([sol.rho[k * per:(k + 1) * per].mean() for k in range(n_bins)])

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from driftsel.estimator import (
+    CoefficientEstimates,
     build_weight_family,
-    coefficients_from_period_sums,
     default_delta,
     efficient_delta,
     estimate_coefficients,
@@ -100,6 +100,7 @@ def test_config_validation():
         ("varsigma_star", 0.0), ("varsigma_star", -1.0), ("varsigma_star", math.inf), ("varsigma_star", math.nan),
         ("k_star", -1), ("eps", -0.5), ("p", -5), ("renewal_horizon", -1.0), ("jump_intensity", -1.0),
         ("renewal_h", 0.0), ("renewal_h", -1.0), ("n_values", (100, 20, 100)),
+        ("replications", 2**32 + 1),
     ]:
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
@@ -420,6 +421,13 @@ def _within(a, b, k=5.0):
     return abs(a.mean() - b.mean()) <= k * se
 
 
+def _estimates(sums, n):
+    """All p - 1 coefficient estimates of each row of a block of period
+    sums over n periods, as `estimate_coefficients` makes them of a path."""
+    p = sums.shape[-1]
+    return [CoefficientEstimates(n, p, theta * (p / n)) for theta in grid_coefficients(sums, p - 1)]
+
+
 def _folded_and_path_sums(S, spec, n, p, reps):
     """Period sums from the folded sampler, with the Brownian part it
     leaves out added back (`folded_path_sums`), and from full paths
@@ -451,7 +459,7 @@ def test_period_sums_levy_part_matches_full_paths_in_law(levy):
         assert abs(sq.mean() - 1.0) <= 5.0 * sq.std(ddof=1) / math.sqrt(sq.size)
     assert _within(cell_var["folded"], cell_var["full"])
     # first coefficients: mean 0 and n * E theta_j^2 = rho1^2 = 1
-    thetas = {k: np.array([est.theta[:5] for est in coefficients_from_period_sums(v, n)])
+    thetas = {k: np.array([est.theta[:5] for est in _estimates(v, n)])
               for k, v in (("folded", folded), ("full", full))}
     for j in range(5):
         a, b = thetas["folded"][:, j], thetas["full"][:, j]
@@ -464,7 +472,7 @@ def test_period_sums_proxy_variance_matches_full_paths():
     n, p, reps = 100, 1001, 300
     spec = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
     folded, full = _folded_and_path_sums(SignalSpec.benchmark(), spec, n, p, reps)
-    a, b = (np.array([estimate_proxy_variance(est) for est in coefficients_from_period_sums(v, n)])
+    a, b = (np.array([estimate_proxy_variance(est) for est in _estimates(v, n)])
             for v in (folded, full))
     assert _within(a, b)
     # sd of a sample sd is about sd / sqrt(2 (reps - 1)) for near-normal draws
