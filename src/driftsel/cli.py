@@ -31,6 +31,7 @@ import hashlib
 import math
 import sys
 from dataclasses import astuple, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -64,10 +65,12 @@ PRESETS = {
 }
 
 
+@cache
 def _keyed_fields():
-    """(key, field name, type) of each keyed RunConfig field, in field order."""
+    """(key, field name, type) of each keyed RunConfig field, in field
+    order, read once: get_type_hints costs more than a config's text."""
     types = get_type_hints(RunConfig)
-    return [(f.metadata["key"], f.name, types[f.name]) for f in fields(RunConfig) if "key" in f.metadata]
+    return tuple((f.metadata["key"], f.name, types[f.name]) for f in fields(RunConfig) if "key" in f.metadata)
 
 
 def _text(value, kind):
@@ -165,7 +168,8 @@ def validate_config(config: RunConfig) -> None:
         config.signal, config.noise  # built here once, and cached for the handler
         for n in config.n_values:
             family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
-            _check_gap_draw(config, n, min(block_rows(resolve_frequency(config, n)), config.replications))
+            rows = block_rows(n, resolve_frequency(config, n), config.noise)
+            _check_gap_draw(config, n, min(rows, config.replications))
         resolve_frequency(config, config.estimate_n)
         _check_gap_draw(config, config.estimate_n, 1)
     except ValueError as exc:

@@ -32,8 +32,6 @@ from .signal import coefficients_to_grid, grid_coefficients
 # 50-replication risk run with them; 71 MiB to build the 100000 members of
 # n = 20, p = 101, k_star = 1, of which 99299 are distinct profiles
 _MAX_MEMBERS = 100_000
-# longest dot product OpenBLAS computes on one thread, whatever its thread count
-_DOT_SLICE = 10_000
 
 
 @dataclass(frozen=True)
@@ -105,20 +103,12 @@ def estimate_proxy_variance(est: CoefficientEstimates) -> float:
     almost unbiased read of the proxy variance.  Returned is (n / d) times
     the sum of theta_j^2 over that window, d = min(p, n), so the sum is
     divided by d rather than by the window's length; 0.0 when the window
-    is empty.  The sum adds up dot products over consecutive slices of
-    at most _DOT_SLICE coefficients in window order: OpenBLAS splits a
-    longer one over its threads, and the split changes its rounding.
+    is empty.  The sum of squares is numpy's own fixed-order sum, not a
+    BLAS dot product, whose rounding would follow OpenBLAS's thread count.
     """
-    low = math.isqrt(est.n)
     p_check = min(est.p, est.n)
-    high = min(p_check, est.p - 1)
-    if low > high:
-        return 0.0
-    total = 0.0
-    for start in range(low - 1, high, _DOT_SLICE):
-        block = est.theta[start : min(start + _DOT_SLICE, high)]
-        total += np.dot(block, block)
-    return float(est.n / p_check * total)
+    window = est.theta[math.isqrt(est.n) - 1 : min(p_check, est.p - 1)]
+    return float(est.n / p_check * np.square(window).sum())
 
 
 def _bandwidth_law(beta):

@@ -161,11 +161,16 @@ class RngStream:
     stream_index: int = 0
 
     @classmethod
-    def span(cls, base_seed: int, start: int, stop: int) -> list:
-        """Streams start..stop-1 of base_seed, their keys derived in one pass."""
+    def span(cls, base_seed: int, start: int, stop: int, keys: np.ndarray = None) -> list:
+        """Streams start..stop-1 of base_seed, with their keys: `keys`,
+        _substream_keys(base_seed, start, stop), when a caller has derived
+        them (a run derives every stream's once), or derived here in one
+        pass."""
+        if keys is None:
+            keys = _substream_keys(base_seed, start, stop)
         streams = [cls(base_seed, r) for r in range(start, stop)]
-        for stream, keys in zip(streams, _substream_keys(base_seed, start, stop).tolist()):
-            vars(stream)["_keys"] = keys  # fills the cached_property below
+        for stream, key in zip(streams, keys.tolist()):
+            vars(stream)["_keys"] = key  # fills the cached_property below
         return streams
 
     @cached_property
@@ -338,6 +343,31 @@ def brownian_normals(rngs, count: int) -> np.ndarray:
     return normals
 
 
+def _epoch_marks(spec: NoiseSpec, n: int, rngs):
+    """The renewal epochs in (0, n] of each stream of `rngs` and their
+    marks (substream TAG_MARKS), both concatenated in stream order, and
+    each stream's epoch count."""
+    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), rngs)
+    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, rng), count) for rng, count in zip(rngs, per_row)]
+    return epochs, np.concatenate(marks), per_row
+
+
+def _jump_sums(spec: NoiseSpec, widths: np.ndarray, rng: RngStream):
+    """Substream TAG_JUMPS of `rng` on cells of the given widths: each
+    cell's Poisson(jump_intensity * width) jump count, and the sum of its
+    jumps, symmetric and uncompensated, scaled by 1/sqrt(jump_intensity)."""
+    gen = _rekeyed(TAG_JUMPS, rng)
+    counts = gen.poisson(spec.jump_intensity * widths)
+    total = int(counts.sum())
+    scale = 1.0 / math.sqrt(spec.jump_intensity)
+    if spec.jump_law == "gaussian":
+        jumps = gen.standard_normal(total) * scale
+    else:
+        jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
+    cells = widths.size
+    return counts, np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
+
+
 def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, n: int, p: int,
                     rngs) -> np.ndarray:
     """drift + rho1 dL + rho2 dz over cells of the given widths covering n
@@ -357,21 +387,12 @@ def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, 
     over the block, elementwise or within a row, so a row has the same
     bits as a block of one."""
     rows, cells = len(rngs), widths.size
-    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), rngs)
-    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, rng), count) for rng, count in zip(rngs, per_row)]
+    epochs, marks, per_row = _epoch_marks(spec, n, rngs)
     dL = dW
     if spec.rho_check < 1.0:
         dJ = np.empty((rows, cells))
-        scale = 1.0 / math.sqrt(spec.jump_intensity)
         for row, rng in enumerate(rngs):
-            gen = _rekeyed(TAG_JUMPS, rng)
-            counts = gen.poisson(spec.jump_intensity * widths)
-            total = int(counts.sum())
-            if spec.jump_law == "gaussian":
-                jumps = gen.standard_normal(total) * scale
-            else:
-                jumps = (gen.integers(0, 2, total) * 2.0 - 1.0) * scale
-            dJ[row] = np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
+            _, dJ[row] = _jump_sums(spec, widths, rng)
         dJ *= math.sqrt(1.0 - spec.rho_check**2)
         if dL is None:
             dL = dJ
@@ -381,7 +402,7 @@ def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, 
     # each epoch's cell, offset by its row's cells: one count fills the block
     offsets = np.repeat(np.arange(rows) * cells, per_row)
     dz = spec.rho2 * np.bincount(offsets + _epoch_cells(epochs, p) % cells,
-                                 weights=np.concatenate(marks), minlength=rows * cells).reshape(rows, cells)
+                                 weights=marks, minlength=rows * cells).reshape(rows, cells)
     # (drift + rho1 dL) + rho2 dz, in place
     if dL is None:
         dz += drift
@@ -445,3 +466,34 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, rngs) ->
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
     return _noise_on_cells(drift_sums, _period_widths(n, p), None, spec, n, p, rngs)
+
+
+def sample_period_terms(spec: NoiseSpec, n: int, p: int, rngs):
+    """What `sample_period_sums` adds to the drift part, without the
+    Brownian part, as a few terms per stream instead of p cells: the
+    cells (0..p-1) and values of all terms, grouped by stream in stream
+    order, and each stream's term count.
+
+    The same draws as `sample_period_sums`, substream for substream: a
+    stream's terms are rho2 * mark at the cell of each renewal epoch,
+    then rho1 * sqrt(1 - rho_check^2) * the jump sum of each cell whose
+    jump count is nonzero.  A cell's terms add up to its period sum less
+    the drift, up to rounding."""
+    if n < 1 or p < 3:
+        raise ValueError("need n >= 1 periods and p >= 3 samples per period")
+    epochs, marks, per_row = _epoch_marks(spec, n, rngs)
+    cells, values, counts = _epoch_cells(epochs, p) % p, spec.rho2 * marks, np.asarray(per_row)
+    if spec.rho_check == 1.0:
+        return cells, values, counts
+    hits, widths = [], _period_widths(n, p)
+    for rng in rngs:
+        jumps, sums = _jump_sums(spec, widths, rng)
+        hit = np.flatnonzero(jumps)
+        hits.append((hit, sums[hit] * math.sqrt(1.0 - spec.rho_check**2) * spec.rho1))
+    # each stream's epoch terms, then its jump terms
+    hit_counts = np.array([hit.size for hit, _ in hits])
+    order = np.argsort(np.concatenate((np.repeat(np.arange(len(rngs)), counts),
+                                       np.repeat(np.arange(len(rngs)), hit_counts))), kind="stable")
+    cells = np.concatenate((cells, *(hit for hit, _ in hits)))[order]
+    values = np.concatenate((values, *(value for _, value in hits)))[order]
+    return cells, values, counts + hit_counts

@@ -14,25 +14,45 @@ One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
 period sums of a fresh path per stream (its n*p increments folded onto
 one period) without building the path and without its Brownian part,
-transforms them as one block and keeps the M = min(n, p - 1)
-coefficients the estimator reads; it adds the Brownian part to those in
-coefficient space, M normals per stream, which is exact in law.  The
-CLI's single-path fits are its one-stream case.  A chunk
-walks its replications in blocks of max(1, _BLOCK_VALUES // p) rows, 8
-at p = 1001 and one from p = 4097 up, which keep every bit of one
-replication at a time.  It keeps each replication's proxy variance and
-the coefficients the profiles reach, then selects and scores all its
-replications as one block: every distinct shrinkage profile is scored
-through the coefficient-space identity for the discrete norm, and each
-replication's selected estimate, the profile select_model would choose,
-takes that profile's error.  The adaptive risk and the oracle benchmark
-thus share replications and one scoring identity, so they are directly
-comparable.
+and keeps the M = min(n, p - 1) coefficients the estimator reads; it
+adds the Brownian part to those in coefficient space, M normals per
+stream, which is exact in law.  The CLI's single-path fits are its
+one-stream case.  It takes one of two routes, which make the same draws
+and agree to rounding (about 1e-15): one length-p rfft of each stream's
+period sums, or, for a few renewal epochs against many cells, a
+projection of each stream's few noise terms (one per epoch, one per
+cell holding a jump) onto the K = M // 2 + 1 bins, added to the drift
+part's M coefficients.  `projects` picks the projection when the
+expected terms (n / tau_bar + jump_intensity * n) times K come to less
+than p * log2(p) / 8 (_PROJECTION_SHARE): it reads the plan alone,
+never a timing.  The constant 8 is where the two routes' costs cross on
+a 2-vCPU VM (the projection took 0.42 against 0.91 ms per 50
+replications at n = 20, p = 1001, 1.20 against 1.16 ms at n = 100, 35.6
+against 15.3 ms at n = 1000, p = 10001, and 40 against 851 ms at
+n = 1000, p = 100001), and it keeps an n whose routes cost about the
+same on the rfft route.  A chunk walks its
+replications in blocks (`block_rows`): max(1, _BLOCK_VALUES // p) rows
+on the rfft route, 8 at p = 1001 and one from p = 4097 up, and about
+_BLOCK_TERMS (term x bin) products on the projection route, all 50 at
+n = 20, p = 1001 and one at n = 1000, p = 100001; either keeps every
+bit of one replication at a time.  It keeps each replication's proxy
+variance and the coefficients the profiles reach, then selects and
+scores all its replications as one block: every distinct shrinkage
+profile is scored through the coefficient-space identity for the
+discrete norm, and each replication's selected estimate, the profile
+select_model would choose, takes that profile's error.  The adaptive
+risk and the oracle benchmark thus share replications and one scoring
+identity, so they are directly comparable.  A chunk calls no BLAS:
+its sums are numpy's own fixed-order ones, so no digit follows
+OpenBLAS's thread count.
 
-A chunk derives the Philox keys of all its replications' noise
-substreams in one pass (`RngStream.span`), and carries the truth
+The plan derives the Philox keys of every replication's noise
+substreams once per run (replication r of every n reads stream r), and
+a chunk takes its slice (`RngStream.span`).  It carries the truth
 coefficients, their tail norm and the drift part of the period sums,
-which the parent computes once per n: it depends on its arguments alone.
+and on the projection route the drift part's M coefficients and the
+p-th roots of unity, which the parent computes once per n: they depend
+on their arguments alone.
 
 `--threads N` means N processes compute chunks, the parent one of
 them: once every n is planned, `run_risk_experiment` forks the others
@@ -51,7 +71,7 @@ import pickle
 import re
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from signal import SIGKILL
 from time import perf_counter
 
@@ -65,15 +85,35 @@ from .estimator import (
     estimate_proxy_variance,
     selection_cost,
 )
-from .noise import NoiseSpec, RngStream, brownian_normals, sample_period_sums
+from .noise import (
+    NoiseSpec,
+    RngStream,
+    _substream_keys,
+    brownian_normals,
+    sample_period_sums,
+    sample_period_terms,
+)
 from .renewal import InterarrivalLaw
-from .signal import SignalSpec, cell_integrals, discrete_norm_sq, grid_coefficients, grid_values
+from .signal import (
+    SignalSpec,
+    bin_coefficients,
+    cell_integrals,
+    discrete_norm_sq,
+    grid_coefficients,
+    grid_values,
+)
 
 _CHUNK = 50
 # period-sum values a chunk draws and transforms at once: 8 replications
 # at p = 1001, one from p = 4097 up, where a row's own cost dominates;
 # 32 rows at p = 1001 added 1.1 MiB to a 50-replication run's traced peak
 _BLOCK_VALUES = 1 << 13
+# (term x bin) products the projection route forms at once: a whole chunk
+# at n = 20, p = 1001, and one row at n = 1000, p = 100001
+_BLOCK_TERMS = 1 << 16
+# the projection route runs while its expected (term x bin) products stay
+# below p * log2(p) / _PROJECTION_SHARE, a share of one rfft's work
+_PROJECTION_SHARE = 8
 # values in one (chunk replications x distinct profiles x profile width)
 # scoring temporary, 128 MiB of float64; a chunk holds a few at once
 _MAX_SCORE_VALUES = 1 << 24
@@ -261,12 +301,100 @@ def pinsker_constant(k: int, r: float) -> float:
     )
 
 
-def block_rows(p: int) -> int:
-    """Replications a chunk draws and transforms at once at frequency p."""
+def _expected_terms(n: int, noise: NoiseSpec) -> float:
+    """Expected projection terms of one replication of n periods: n /
+    tau_bar renewal epochs plus jump_intensity * n jumps, which bounds
+    the cells holding one; inf when the mean spacing underflows to 0."""
+    mean = noise.interarrival.mean()
+    return (n / mean if mean > 0.0 else math.inf) + noise.jump_intensity * n
+
+
+def projects(n: int, p: int, noise: NoiseSpec) -> bool:
+    """Whether replications of n periods at frequency p take the
+    projection route: when their expected terms times the K = M // 2 + 1
+    bins the estimator reads, M = min(n, p - 1), come to less than
+    p * log2(p) / 8.  The rule reads the plan alone, never a timing."""
+    bins = min(n, p - 1) // 2 + 1
+    return _expected_terms(n, noise) * bins < p * math.log2(p) / _PROJECTION_SHARE
+
+
+def block_rows(n: int, p: int, noise: NoiseSpec) -> int:
+    """Replications a chunk draws and transforms at once: on the rfft
+    route max(1, _BLOCK_VALUES // p), and on the projection route enough
+    for about _BLOCK_TERMS (term x bin) products, (n / tau_bar + lambda n
+    + 1) * K of them a row; at most a chunk."""
+    if projects(n, p, noise):
+        bins = min(n, p - 1) // 2 + 1
+        return min(_CHUNK, max(1, int(_BLOCK_TERMS // ((_expected_terms(n, noise) + 1.0) * bins))))
     return min(_CHUNK, max(1, _BLOCK_VALUES // p))
 
 
-def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> list:
+@lru_cache(maxsize=1)
+def _unit_roots(p: int) -> np.ndarray:
+    """exp(-2 pi i j / p), j = 0..p-1, each entry above p / 2 the
+    conjugate of its mirror (read-only: shared)."""
+    half = np.exp(np.arange(p // 2 + 1) * (-2j * math.pi / p))
+    roots = np.concatenate((half, half[(p + 1) // 2 - 1 : 0 : -1].conj()))
+    roots.flags.writeable = False
+    return roots
+
+
+def _projection(drift_sums: np.ndarray, n: int):
+    """What the projection route reads besides the draws: the drift
+    part's M coefficients, grid_coefficients(drift_sums, M), and the unit
+    roots of p."""
+    p = drift_sums.size
+    return grid_coefficients(drift_sums, min(n, p - 1)), _unit_roots(p)
+
+
+def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> np.ndarray:
+    """The rfft route: each stream's period sums, drift part included, as
+    one block through one length-p rfft."""
+    p = drift_sums.size
+    sums = sample_period_sums(drift_sums, noise, n, rngs)
+    brownian = brownian_normals(rngs, min(n, p - 1))
+    brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
+    thetas = grid_coefficients(sums, brownian.shape[1])
+    thetas *= p / n
+    thetas += brownian
+    return thetas
+
+
+def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: int, rngs) -> np.ndarray:
+    """The projection route: `_transformed`'s thetas up to rounding, from
+    the drift part's M coefficients `drift_theta`, the unit roots of p
+    and each stream's few period-sum terms (`sample_period_terms`).
+
+    A term of value w in cell l sits at index q = (l + 1) mod p of the
+    rolled grid, so it adds w * roots[(q k) mod p] to real-DFT bin k, an
+    exact integer index.  With k = a B + b, B = isqrt(K), the term is the
+    product of a giant step roots[(q a B) mod p] * w and a baby step
+    roots[(q b) mod p]; every row sums its terms with one reduceat, and a
+    row with none keeps 0.  Elementwise products, gathers and reduceat
+    only: no BLAS, and a block's rows have the bits of one at a time."""
+    p, m = roots.size, drift_theta.size
+    bins = m // 2 + 1
+    cells, values, counts = sample_period_terms(noise, n, p, rngs)
+    brownian = brownian_normals(rngs, m)
+    brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
+    q = (cells + 1) % p
+    step = math.isqrt(bins)
+    baby = roots[np.multiply.outer(q, np.arange(step)) % p]
+    giant = roots[np.multiply.outer(q, np.arange(0, bins, step)) % p]
+    giant *= values[:, None]
+    terms = (giant[:, :, None] * baby[:, None, :]).reshape(q.size, giant.shape[1] * step)
+    X = np.zeros((len(rngs), bins), dtype=complex)
+    rows = np.flatnonzero(counts)
+    if rows.size:
+        X[rows] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[rows], axis=0)[:, :bins]
+    thetas = bin_coefficients(X, p, m)
+    thetas += drift_theta
+    thetas *= p / n
+    thetas += brownian
+    return thetas
+
+
+def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs, projection=None) -> list:
     """Coefficient estimates of one replication per stream of `rngs`: n
     periods of the signal whose drift part is `drift_sums`
     (n * cell_integrals(S, p)), observed under `noise`.
@@ -275,15 +403,16 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs
     reads: p / n times the discrete coefficients of the stream's period
     sums without their Brownian part, plus rho1 * rho_check / sqrt(n)
     times M standard normals of its Brownian substream, that part's
-    exact law.  The streams are drawn and transformed as one block, each
-    estimate a row view of it."""
+    exact law.  The streams are drawn as one block, on the route
+    `projects` picks: one rfft of the period sums, or a projection of
+    their few noise terms onto the bins the estimator reads, with
+    `projection`, `_projection(drift_sums, n)`, made here when the caller
+    has not.  Each estimate is a row view of the block."""
     p = drift_sums.size
-    sums = sample_period_sums(drift_sums, noise, n, rngs)
-    brownian = brownian_normals(rngs, min(n, p - 1))
-    brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
-    thetas = grid_coefficients(sums, brownian.shape[1])
-    thetas *= p / n
-    thetas += brownian
+    if projects(n, p, noise):
+        thetas = _projected(*(projection or _projection(drift_sums, n)), noise, n, rngs)
+    else:
+        thetas = _transformed(drift_sums, noise, n, rngs)
     return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
 
 
@@ -312,7 +441,7 @@ def _run_chunk(payload):
     distinct profile's error summed over them.
 
     Replications are drawn and transformed a block of
-    max(1, _BLOCK_VALUES // p) at a time.  Each contributes its proxy
+    block_rows(n, p, noise) at a time.  Each contributes its proxy
     variance and the first W coefficient estimates, W the width of the
     profile matrix `weights`, which is all that selection and scoring
     read; the chunk is then selected and scored as one block.  A replication's selected estimate
@@ -322,14 +451,15 @@ def _run_chunk(payload):
     the squared distance over the first W coefficients plus the squared
     norm of theta above W, whose last coefficient the grid norm weights
     by 1/2 on even grids."""
-    (noise, n, weights, delta, truth, tail, drift_sums, base_seed, start, stop) = payload
+    (noise, n, weights, delta, truth, tail, drift_sums, base_seed, start, stop, *planned) = payload
+    keys, projection = planned or (None, None)
+    streams = RngStream.span(base_seed, start, stop, keys)
     width = weights.shape[1]
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
-    streams = RngStream.span(base_seed, start, stop)
-    rows = block_rows(drift_sums.size)
+    rows = block_rows(n, drift_sums.size, noise)
     for first in range(0, stop - start, rows):
-        ests = replication_estimates(drift_sums, noise, n, streams[first : first + rows])
+        ests = replication_estimates(drift_sums, noise, n, streams[first : first + rows], projection)
         for i, est in enumerate(ests, start=first):
             sigma[i] = estimate_proxy_variance(est)
             block[i] = est.theta[:width]
@@ -400,6 +530,7 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     total = config.replications
     starts = range(0, total, _CHUNK)
     scored = min(_CHUNK, total)  # replications a chunk scores at once
+    keys = _substream_keys(config.seed, 0, total)  # replication r of every n reads stream r
     plans = []
     for n in config.n_values:
         p, family, delta = resolve_selection(config, n)
@@ -410,9 +541,10 @@ def run_risk_experiment(config: RunConfig) -> tuple:
                 f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
                 f"(now {config.eps!r}) or lower estimator.k_star")
         truth, tail, drift_sums, norm_sq = _truth(config.signal, n, p, width)
+        projection = _projection(drift_sums, n) if projects(n, p, config.noise) else None
         payloads = [
             (config.noise, n, family.weights, delta, truth, tail, drift_sums, config.seed,
-             start, min(start + _CHUNK, total))
+             start, min(start + _CHUNK, total), keys[start : start + _CHUNK], projection)
             for start in starts
         ]
         plans.append((n, p, norm_sq, payloads))

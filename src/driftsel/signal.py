@@ -173,8 +173,9 @@ def grid_coefficients(v: np.ndarray, count: int = None) -> np.ndarray:
         (v, phi_{2k})_p   = sqrt(2) Re X_k / p,
         (v, phi_{2k+1})_p = -sqrt(2) Im X_k / p,
 
-    where X = rfft(x).  A block's rows take the same bits as one at a time,
-    and a shorter count the same bits as the first entries of a longer one.
+    where X = rfft(x) (`bin_coefficients`).  A block's rows take the same
+    bits as one at a time, and a shorter count the same bits as the first
+    entries of a longer one.
     """
     v = np.asarray(v, dtype=float)
     p = v.shape[-1]
@@ -182,8 +183,15 @@ def grid_coefficients(v: np.ndarray, count: int = None) -> np.ndarray:
     if not 1 <= count <= p:
         raise ValueError(f"count must lie in 1..{p}, got {count}")
     x = np.concatenate((v[..., -1:], v[..., :-1]), axis=-1)
-    X = rfft(x)
-    theta = np.empty(v.shape[:-1] + (count,))
+    return bin_coefficients(rfft(x), p, count)
+
+
+def bin_coefficients(X: np.ndarray, p: int, count: int) -> np.ndarray:
+    """The first `count` discrete coefficients of a p-point grid function
+    read off the bins X_0, X_1, ... (last axis, at least count // 2 + 1
+    of them) of the real DFT of its rolled values, as `grid_coefficients`
+    reads them."""
+    theta = np.empty(X.shape[:-1] + (count,))
     theta[..., 0] = X[..., 0].real / p
     # even j = 2k at slots 1, 3, 5, ...; odd j = 2k+1 at slots 2, 4, 6, ...
     theta[..., 1::2] = SQRT2 * X[..., 1:1 + count // 2].real / p

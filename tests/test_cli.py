@@ -35,7 +35,7 @@ from driftsel.estimator import (
 )
 from driftsel.noise import RngStream, renewal_chunk, sample_observations
 from driftsel.renewal import InterarrivalLaw
-from driftsel.risk import replication_estimates, resolve_delta, resolve_frequency, resolve_selection
+from driftsel.risk import projects, replication_estimates, resolve_delta, resolve_frequency, resolve_selection
 from driftsel.signal import cell_integrals, grid_values
 from reference_family import members
 
@@ -299,17 +299,21 @@ def test_main_rejects_negative_seed(tmp_path, capsys, subcommand, source):
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 745. GiB for an array"), MemoryError()])
 def test_main_reports_a_failed_allocation(tmp_path, capsys, monkeypatch, exc):
     # a huge request (a short mean interarrival time at a large n*p) fails
-    # inside the sampler; it is one line on stderr, not a traceback
+    # inside the sampler of either route (n = 10 projects at p = 101, n =
+    # 40 does not); it is one line on stderr, not a traceback
     def refuse(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr("driftsel.risk.sample_period_sums", refuse)
-    cfg = write_cfg(tmp_path, "risk.p=101\nestimate.n=10\n")
-    out = tmp_path / "out"
-    assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == f"driftsel: {exc if str(exc) else 'MemoryError'}\n"
-    assert not out.exists()
+    for n, sampler, projected in ((10, "sample_period_terms", True), (40, "sample_period_sums", False)):
+        assert projects(n, 101, RunConfig().noise) == projected
+        with monkeypatch.context() as patch:
+            patch.setattr(f"driftsel.risk.{sampler}", refuse)
+            cfg = write_cfg(tmp_path, f"risk.p=101\nestimate.n={n}\n")
+            out = tmp_path / f"out{n}"
+            assert main(["estimate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"driftsel: {exc if str(exc) else 'MemoryError'}\n"
+        assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():
@@ -817,6 +821,21 @@ def test_renewal_density_grid_rules_are_config_errors(tmp_path, capsys, setting,
     out = tmp_path / "ren"
     assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"driftsel: config error: {message}\n"
+    assert not out.exists()
+
+
+def test_renewal_density_refuses_a_grid_beyond_the_step_limit(tmp_path, capsys, monkeypatch):
+    # renewal.h = 1e-5 makes 1.2e7 steps of an O(m^2) march, hours of
+    # work: refused before the solve starts, with no output
+    def solve(*args, **kwargs):
+        raise AssertionError("the solve started")
+
+    monkeypatch.setattr("driftsel.cli.solve_renewal_density", solve)
+    cfg = write_cfg(tmp_path, "renewal.h=1e-5\n")
+    out = tmp_path / "ren"
+    assert main(["renewal-density", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("driftsel: config error: step 1e-05 and horizon 120.0 make 1.2e+07 "
+                                       "grid steps, above the limit of 262144\n")
     assert not out.exists()
 
 

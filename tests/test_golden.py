@@ -16,6 +16,10 @@ is numbered as in `driftsel.noise` (0 renewal gaps, 1 marks, 2 Brownian,
 - a risk table with a jump part (two-point jumps, Brownian weight 1/2)
   adds substream 3, drawn per folded cell.
 
+n = 20 takes the engine's projection route at p = 101, and every other
+n here, the jump table's n = 20 included, its rfft route
+(`test_risk.test_route_of_every_golden_and_benchmark_config`).
+
 `renewal-density` is pinned on its own config, a gamma(3, 1/3) law on a
 0.004 step (10 001 grid points).  The manifests hold the config and its
 digest alone, so no stream moves them.
@@ -47,7 +51,7 @@ JUMPS = "noise.rho_check=0.5\nnoise.jump_intensity=2\nnoise.jump_law=two_point\n
 
 GOLDEN = {
     "risk-table": {
-        "risk.csv": "974674919642cdf1d13483826177f3b7c7204e1a8a98c0fec4c208a364c118b5",
+        "risk.csv": "3ecf6556c995531a0c43afd9baa930b61df6be6bd067c4719a9b0eeb8d1b05cb",
         "manifest.txt": "eb07a873588d3490f09d834142eb6876001f6ec28d9f40254ecbd3df2dba898a",
     },
     "estimate": {
@@ -56,7 +60,7 @@ GOLDEN = {
         "manifest.txt": "9a4f17a7d31d8ebcdc81d18fbf0d6a2ac822b3f9aee9cc482934a72774d79f97",
     },
     "figures": {
-        "figure_n20.csv": "6cbe9534633fa970e27f54806a6f1f2150f249a27f8aec9c79970f73c38dc05e",
+        "figure_n20.csv": "e2a5dbf8a2f80fdba63390d2c13f08a53cd3623aab337d6db5857883e64af3df",
         "figure_n40.csv": "9084c33db5a974d3a36198c6a5e83737d356ab4e826fdf3b70c2c926ae43aeb0",
         "manifest.txt": "c7f014fcb76726c12f0fe936d55ddf86d7eb25ae6b064fac068d10f382f5d69f",
     },
@@ -159,6 +163,26 @@ def test_outputs_do_not_depend_on_the_thread_counts(tmp_path):
     assert outputs["1"] == outputs["2"]
     assert outputs["1"][0] == outputs["1"][1]
     assert set(outputs["1"][3]) == {"estimate.csv", "selection.csv", "manifest.txt"}
+
+
+def test_projected_full_scale_table_does_not_depend_on_the_thread_counts(tmp_path):
+    # n = 1000 at the full scale's p = 100001 takes the projection route,
+    # which calls no BLAS: its table has the same bytes under one
+    # OpenBLAS thread and two
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("risk.n_values=1000\nrisk.replications=2\n", encoding="utf-8")
+    tables = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-m", "driftsel.cli", "risk-table", "--config", str(cfg),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        tables.append(_mask_seconds((out / "risk.csv").read_text(encoding="utf-8")))
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[2].startswith("1000,100001,2,")
 
 
 def test_renewal_density_matches_golden_digests(tmp_path):

@@ -59,6 +59,12 @@ def test_solver_preconditions():
             rule(law, h=1e-3, horizon=5.0)  # under 20 mean spacings
     assert grid_size(law, h=0.02, horizon=20.0) == 1000
     assert grid_size(law, h=1e-3) == 40000
+    # the O(m^2) march takes at most 2^18 steps; the defaults' grid has 120000
+    assert grid_size(InterarrivalLaw.chi_squared(3.0), h=1e-3) == 120000
+    assert grid_size(law, h=2.0**-10, horizon=256.0) == 1 << 18
+    for h, horizon in ((2.0**-10, 256.0 + 2.0**-10), (1e-4, None), (5e-324, None)):
+        with pytest.raises(ValueError, match="above the limit of 262144"):
+            grid_size(law, h=h, horizon=horizon)
     assert solve_renewal_density(law, h=0.02, horizon=20.0).rho.size == 1001
 
 

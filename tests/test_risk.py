@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftsel.estimator import (
     CoefficientEstimates,
@@ -29,9 +31,14 @@ from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     ConfigError,
     RunConfig,
+    _projected,
+    _projection,
     _run_chunk,
+    _transformed,
     _truth,
+    block_rows,
     pinsker_constant,
+    projects,
     replication_estimates,
     resolve_delta,
     resolve_frequency,
@@ -192,15 +199,19 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
 
 @pytest.mark.parametrize("p", [501, 500])
 @pytest.mark.parametrize(
-    "n, knobs",
-    [(20, {}), (20, {"k_star": 3, "eps": 0.3}), (9, {"k_star": 2, "eps": 0.5})],
-    ids=["default", "k3_eps03", "one_profile"],
+    "n, knobs, projected",
+    [(20, {}, True), (20, {"k_star": 3, "eps": 0.3}, True), (9, {"k_star": 2, "eps": 0.5}, True),
+     (60, {"k_star": 3, "eps": 0.3}, False)],
+    ids=["default", "k3_eps03", "one_profile", "rfft_k3_eps03"],
 )
-def test_chunk_block_matches_a_replication_loop(n, knobs, p):
+def test_chunk_block_matches_a_replication_loop(n, knobs, projected, p):
     # the chunk selects and scores its replications as one block; one
     # replication at a time through select_model must give the same bits
-    # (at n = 9 with k_star = 2 every member is flat: one profile)
+    # (at n = 9 with k_star = 2 every member is flat: one profile), on
+    # either route, and whether the plan made the chunk's streams and
+    # projection or the chunk makes them itself
     cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=5, **knobs)
+    assert projects(n, p, cfg.noise) == projected
     _, family, delta = resolve_selection(cfg, n)
     start, stop = 50, 100
     width = family.weights.shape[1]
@@ -211,8 +222,11 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
     # the parent's truth of this n is the one written out here
     carried = _truth(cfg.signal, n, p, width)
     assert np.array_equal(carried[0], theta[:width]) and carried[1] == tail and np.array_equal(carried[2], drift)
-    selected, profile_sum = _run_chunk(
-        (cfg.noise, n, family.weights, delta, *carried[:3], cfg.seed, start, stop))
+    payload = (cfg.noise, n, family.weights, delta, *carried[:3], cfg.seed, start, stop)
+    selected, profile_sum = _run_chunk(payload)
+    planned = _run_chunk((*payload, noise._substream_keys(cfg.seed, start, stop),
+                          _projection(drift, n) if projected else None))
+    assert np.array_equal(planned[0], selected) and np.array_equal(planned[1], profile_sum)
     expected, total = [], np.zeros(family.weights.shape[0])
     for r in range(start, stop):
         [est] = replication_estimates(drift, cfg.noise, n, [RngStream(cfg.seed, r)])
@@ -229,28 +243,114 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, p):
     ids=["default", "rademacher_jumps"],
 )
 def test_chunk_keeps_its_bits_whatever_the_block_size(monkeypatch, knobs):
-    # a chunk draws and transforms max(1, _BLOCK_VALUES // p) replications
-    # at a time, 8 at p = 1001; any other block size gives the same bits
-    n, p = 20, 1001
-    cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=7, k_star=3, **knobs)
+    # a chunk draws and transforms block_rows(n, p, noise) replications at
+    # a time: on the rfft route (n = 100) max(1, _BLOCK_VALUES // p), 8 at
+    # p = 1001, and on the projection route (n = 20) about _BLOCK_TERMS
+    # (term x bin) products, the whole chunk; any other block size gives
+    # the same bits
+    p = 1001
+    for n, projected, default_sizes in ((20, True, [50]), (100, False, [8] * 6 + [2])):
+        cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=7, k_star=3, **knobs)
+        assert projects(n, p, cfg.noise) == projected
+        _, family, delta = resolve_selection(cfg, n)
+        truth = _truth(cfg.signal, n, p, family.weights.shape[1])[:3]
+        payload = (cfg.noise, n, family.weights, delta, *truth, cfg.seed, 50, 100)
+        sizes = []
+
+        def estimates(drift_sums, noise, n, rngs, *projection):
+            sizes.append(len(rngs))
+            return replication_estimates(drift_sums, noise, n, rngs, *projection)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(driftsel.risk, "replication_estimates", estimates)
+            default = _run_chunk(payload)
+            assert sizes == default_sizes
+            for rows in (1, 3, 8, 50):
+                sizes.clear()
+                patch.setattr(driftsel.risk, "block_rows", lambda n, p, noise: rows)
+                selected, profile_sum = _run_chunk(payload)
+                assert sizes == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
+                assert np.array_equal(selected, default[0]) and np.array_equal(profile_sum, default[1])
+
+
+# (config, n values, the ones that project): the golden configs of
+# test_golden, the benchmark's workloads and the full-scale preset
+ROUTES = [
+    (RunConfig(p=101), (20, 40), {20}),
+    (RunConfig(p=101, rho_check=0.5, jump_intensity=2.0, jump_law="two_point"), (20, 40), set()),
+    (RunConfig(p=1001, k_star=5), (20, 100), {20}),
+    (RunConfig(p=1001), (100, 200), set()),
+    (RunConfig(p=10001, k_star=5), (1000,), set()),
+    (RunConfig(), (20, 100, 200, 1000), {20, 100, 200, 1000}),
+]
+
+
+@pytest.mark.parametrize("cfg, n_values, projected", ROUTES,
+                         ids=["golden", "golden_jumps", "desk", "wide_family", "highfreq", "full_scale"])
+def test_route_of_every_golden_and_benchmark_config(cfg, n_values, projected):
+    # (n / tau_bar + lambda n) * K below p log2(p) / 8 projects: golden
+    # n = 20 at p = 101 reads 6.7 x 11 = 73 against 84, and n = 40 reads
+    # 13.3 x 21 = 280; desk n = 100 reads 1700 against 1247
+    assert {n for n in n_values if projects(n, cfg.p, cfg.noise)} == projected
+    # a projected chunk sizes its blocks by terms: all 50 rows at n = 20,
+    # one row at n = 1000, p = 100001
+    assert {n: block_rows(n, cfg.p, cfg.noise) for n in projected} == {
+        n: {20: 50, 100: 37, 200: 9, 1000: 1}[n] for n in projected}
+
+
+def _on_cell_edges(real):
+    """`_renewal_epochs` with every epoch moved up to the right edge of
+    its cell, the grid point that closes it."""
+    def epochs(law, horizon, rngs):
+        times, counts = real(law, horizon, rngs)
+        p = epochs.p
+        return np.ceil(times * p) / p, counts
+    return epochs
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 400), p=st.integers(3, 1500), rows=st.integers(1, 6), seed=st.integers(0, 2**32),
+       law=st.sampled_from(["exponential(0.5)", "gamma(2, 0.25)", "chi_squared(3)", "chi_squared(0.5)"]),
+       marks=st.sampled_from(["normal", "rademacher", "uniform"]),
+       jumps=st.sampled_from([(1.0, 0.0, "gaussian"), (0.6, 0.5, "gaussian"), (0.0, 3.0, "two_point")]),
+       edges=st.booleans())
+def test_projection_matches_the_rfft_route(n, p, rows, seed, law, marks, jumps, edges):
+    # the projection route computes the rfft route's thetas from the same
+    # draws, up to rounding: within 1e-13 (400 examples saw 1.3e-15),
+    # odd and even p, n above p - 1, and every epoch on a cell edge
+    rho_check, intensity, jump_law = jumps
+    cfg = RunConfig(seed=seed, interarrival=law, marks=marks, rho_check=rho_check, jump_intensity=intensity,
+                    jump_law=jump_law)
+    drift = n * cell_integrals(cfg.signal, p)
+    streams = RngStream.span(seed, 0, rows)
+    with pytest.MonkeyPatch.context() as patch:
+        if edges:
+            moved = _on_cell_edges(noise._renewal_epochs)
+            moved.p = p
+            patch.setattr(noise, "_renewal_epochs", moved)
+        expected = _transformed(drift, cfg.noise, n, streams)
+        projected = _projected(*_projection(drift, n), cfg.noise, n, streams)
+    assert projected.shape == expected.shape == (rows, min(n, p - 1))
+    assert np.abs(projected - expected).max() <= 1e-13
+
+
+def test_projected_chunk_memory_stays_within_the_term_budget():
+    # n = 1000 at p = 100001 projects one row a block: its (terms x bins)
+    # products, about 333 x 501 complex values, are 2.7 MB, and the
+    # chunk's traced peak 3.3 MiB; blocks of 4 rows peaked at 11.7 MiB
+    n, p = 1000, 100001
+    cfg = RunConfig(n_values=(n,), p=p, replications=50, seed=9, k_star=5)
     _, family, delta = resolve_selection(cfg, n)
-    truth = _truth(cfg.signal, n, p, family.weights.shape[1])[:3]
-    payload = (cfg.noise, n, family.weights, delta, *truth, cfg.seed, 50, 100)
-    sizes = []
-
-    def estimates(drift_sums, noise, n, rngs):
-        sizes.append(len(rngs))
-        return replication_estimates(drift_sums, noise, n, rngs)
-
-    monkeypatch.setattr(driftsel.risk, "replication_estimates", estimates)
-    default = _run_chunk(payload)
-    assert sizes == [8] * 6 + [2]
-    for rows in (1, 3, 50):
-        sizes.clear()
-        monkeypatch.setattr(driftsel.risk, "_BLOCK_VALUES", rows * p)
-        selected, profile_sum = _run_chunk(payload)
-        assert sizes == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
-        assert np.array_equal(selected, default[0]) and np.array_equal(profile_sum, default[1])
+    truth, tail, drift, _ = _truth(cfg.signal, n, p, family.weights.shape[1])
+    payload = (cfg.noise, n, family.weights, delta, truth, tail, drift, cfg.seed, 0, 50,
+               noise._substream_keys(cfg.seed, 0, 50), _projection(drift, n))
+    tracemalloc.start()
+    try:
+        _run_chunk(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_chunk_builds_no_seed_sequence(monkeypatch):
@@ -305,12 +405,26 @@ def test_truth_is_built_once_per_n_in_the_parent(monkeypatch):
     run_risk_experiment(cfg)
     assert [n for _, n, *_ in payloads] == [20] * 3 + [30] * 3
     assert [p for _, p in calls] == [101, 101]
+    # n = 20 projects at p = 101 and n = 30 does not
+    assert [projects(n, 101, cfg.noise) for n in (20, 30)] == [True, False]
     for n in (20, 30):
-        (_, _, weights, _, truth, tail, drift, *_), *rest = [pl for pl in payloads if pl[1] == n]
-        assert all(pl[4] is truth and pl[6] is drift for pl in rest)
+        (_, _, weights, _, truth, tail, drift, *_, projection), *rest = [pl for pl in payloads if pl[1] == n]
+        assert all(pl[4] is truth and pl[6] is drift and pl[11] is projection for pl in rest)
         assert not truth.flags.writeable and not drift.flags.writeable
         assert np.array_equal(drift, n * real_integrals(cfg.signal, 101))
         assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: weights.shape[1]])
+        if n == 20:
+            drift_theta, roots = projection
+            assert np.array_equal(drift_theta, grid_coefficients(drift, 20))
+            assert np.allclose(roots, np.exp(-2j * np.pi * np.arange(101) / 101), rtol=0, atol=1e-15)
+        else:
+            assert projection is None
+    # the run's stream keys are derived once, and every n's chunk takes its slice
+    keys = [pl[10] for pl in payloads]
+    run_keys = keys[0].base
+    assert np.array_equal(run_keys, noise._substream_keys(3, 0, 120))
+    assert all(k.base is run_keys for k in keys)
+    assert [len(k) for k in keys] == [50, 50, 20] * 2
 
 
 def test_report_is_deterministic():
@@ -519,6 +633,20 @@ def test_engine_block_is_its_streams_drawn_one_at_a_time(spec, p):
     for est, stream in zip(block, streams):
         [one] = replication_estimates(drift, spec, n, [RngStream(5, stream.stream_index)])
         assert np.array_equal(est.theta, one.theta)
+
+
+@pytest.mark.parametrize("n, p", [(20, 101), (30, 100), (200, 101), (5, 1001)])
+@pytest.mark.parametrize("spec", ENGINE_NOISE, ids=["no_jumps", "jumps"])
+def test_both_routes_keep_the_bits_of_one_row(spec, n, p):
+    # each route, called directly whatever projects() says, gives a
+    # block's rows the bits of one stream at a time
+    drift = n * cell_integrals(SignalSpec.benchmark(), p)
+    streams = RngStream.span(5, 10, 17)
+    for route in (lambda rngs: _transformed(drift, spec, n, rngs),
+                  lambda rngs: _projected(*_projection(drift, n), spec, n, rngs)):
+        block = route(streams)
+        for row, stream in zip(block, streams):
+            assert np.array_equal(row, route([RngStream(5, stream.stream_index)])[0])
 
 
 @pytest.mark.parametrize("n, p", [(30, 101), (30, 100), (200, 101)])
