@@ -21,7 +21,9 @@ with one array-like of numbers per column (ints, never bools).  `main`
 alone turns values into text, each the `repr` of its Python int or
 float, and writes the run: the CSVs, streamed a block of rows at a
 time, and then the manifest naming them, after every table is
-computed, so a run that fails creates no output directory.  `estimate`
+computed and every value found finite (a non-finite one is a
+ValueError naming its file and column), so a run that fails creates no
+output directory.  `estimate`
 and `figures` fit through the risk engine's sampler,
 `risk.replication_estimates`, so only `simulate` builds an n*p path.
 """
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .estimator import family_knobs, select_model
-from .noise import RngStream, renewal_chunk, sample_observations
+from .noise import renewal_chunk, sample_observations, stream_keys
 from .renewal import grid_size, solve_renewal_density
 from .risk import (
     ConfigError,
@@ -181,7 +183,7 @@ def _fit_one_path(config: RunConfig, n: int, selection, stream: int):
     `selection`, the (p, family, delta) of resolve_selection at n."""
     p, family, delta = selection
     drift_sums = n * cell_integrals(config.signal, p)
-    [est] = replication_estimates(drift_sums, config.noise, n, [RngStream(config.seed, stream)])
+    [est] = replication_estimates(drift_sums, config.noise, n, stream_keys(config.seed, stream, stream + 1))
     return select_model(est, family, delta)
 
 
@@ -194,7 +196,8 @@ def _fit_table(signal: SignalSpec, result):
 def _run_simulate(config: RunConfig):
     n = config.estimate_n
     p = resolve_frequency(config, n)
-    obs = sample_observations(config.signal, config.noise, n=n, p=p, rng=RngStream(config.seed, 0))
+    [keys] = stream_keys(config.seed, 0, 1)
+    obs = sample_observations(config.signal, config.noise, n=n, p=p, keys=keys)
     j = np.arange(obs.y.size)
     return {"path.csv": (("j", "t", "y"), (j, j / p, obs.y))}
 
@@ -297,12 +300,17 @@ def main(argv=None) -> int:
     try:
         config = resolve_run_config(args)
         validate_config(config)
-        tables = _HANDLERS[args.subcommand](config)
+        tables = {name: (header, [np.asarray(column) for column in columns])
+                  for name, (header, columns) in _HANDLERS[args.subcommand](config).items()}
+        for name, (header, columns) in tables.items():
+            for label, column in zip(header, columns):
+                # a block at a time, as they are written: no column-sized temporary
+                if not all(np.isfinite(column[a : a + _BLOCK]).all() for a in range(0, len(column), _BLOCK)):
+                    raise ValueError(f"{name}: column {label} holds a non-finite number")
         out = Path(args.out)
         digest = config_digest(config)
         out.mkdir(parents=True, exist_ok=True)
         for name, (header, columns) in tables.items():
-            columns = [np.asarray(column) for column in columns]
             with (out / name).open("w", encoding="utf-8") as f:
                 f.write(f"# manifest_digest={digest}\n{','.join(header)}\n")
                 for a in range(0, len(columns[0]), _BLOCK):

@@ -21,7 +21,7 @@ leave the part out: the risk engine reads the first min(n, p - 1)
 normals as that part of its coefficient estimates directly, so it draws
 only those.
 
-Randomness is fully deterministic given (base_seed, stream_index): each
+Randomness is fully deterministic given (base_seed, stream): each
 component draws from its own counter-based substream, so the z-path and the
 L-path of one replication never share random state, and any component can be
 re-generated bitwise in isolation.  Component t of replication r is Philox
@@ -30,15 +30,18 @@ np.uint64), so plain numpy reproduces any stream:
 
     Generator(Philox(SeedSequence(base_seed, spawn_key=(r, t))))
 
-The keys themselves are derived here with numpy's documented SeedSequence
-hash (pool size 4): the part that depends on the seed alone once per seed,
-its pool read from SeedSequence(base_seed), then every (stream, tag) pair
-of a run of streams in one vectorized pass, which is much cheaper than one
-SeedSequence per substream.  Nor is a generator built per substream:
-every draw is made on one generator per component, built once per
-process and re-keyed for each stream (`_rekeyed`).  Philox is
-counter-based, so a Philox set to a key at counter 0 with an empty
-buffer draws the bits of one freshly built with that key.
+A stream is named by its four keys alone, and every sampler takes them
+as rows, one per stream, as `stream_keys(base_seed, start, stop)`
+returns them for streams start..stop-1.  It derives them with numpy's
+documented SeedSequence hash (pool size 4): the part that depends on the
+seed alone once per seed, its pool read from SeedSequence(base_seed),
+then every (stream, tag) pair of a run of streams in one vectorized
+pass, which is much cheaper than one SeedSequence per substream.  Nor is
+a generator built per substream: every draw is made on one generator per
+component, built once per process and re-keyed for each stream
+(`_rekeyed`).  Philox is counter-based, so a Philox set to a key at
+counter 0 with an empty buffer draws the bits of one freshly built with
+that key.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -118,10 +121,13 @@ def _seed_part(base_seed: int):
     return SeedSequence(seed).pool, stream_xor, stream_mul, tags, state_xor, state_mul
 
 
-def _substream_keys(base_seed: int, start: int, stop: int) -> np.ndarray:
-    """Philox keys of every substream of streams start..stop-1, shape
-    (stop - start, 4 tags, 2), entry [i, t] equal to
-    SeedSequence(base_seed, spawn_key=(start + i, t)).generate_state(2, np.uint64).
+def stream_keys(base_seed: int, start: int, stop: int) -> list:
+    """Philox keys of every substream of streams start..stop-1 of
+    base_seed: one row per stream, whose entry t is the key of substream
+    t, SeedSequence(base_seed, spawn_key=(stream, t)).generate_state(2,
+    np.uint64), as a [k0, k1] pair of Python ints, which Philox's state
+    setter reads faster than array items.  A row names its stream: every
+    sampler takes rows of these.
 
     A stream index of 2**32 or more is a two-word spawn key entry, which
     this one-word derivation does not cover, so it is an error."""
@@ -131,7 +137,7 @@ def _substream_keys(base_seed: int, start: int, stop: int) -> np.ndarray:
     r = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)[:, None]
     pools = _mix(pool, _hash(r, stream_xor, stream_mul))
     words = _hash(_mix(pools[:, None, :], tags), state_xor, state_mul).astype(np.uint64)
-    return words[..., 0::2] | words[..., 1::2] << 32
+    return (words[..., 0::2] | words[..., 1::2] << 32).tolist()
 
 
 class _PhiloxKey(ISeedSequence):
@@ -148,38 +154,6 @@ class _PhiloxKey(ISeedSequence):
         return self.key
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Replication-addressed randomness: (base_seed, stream_index) -> substreams.
-
-    Substream `tag` (0..3) is Philox keyed by
-    SeedSequence(base_seed, spawn_key=(stream_index, tag)), drawn from
-    counter 0 (`_rekeyed`), so substreams never share state.
-    """
-
-    base_seed: int
-    stream_index: int = 0
-
-    @classmethod
-    def span(cls, base_seed: int, start: int, stop: int, keys: np.ndarray = None) -> list:
-        """Streams start..stop-1 of base_seed, with their keys: `keys`,
-        _substream_keys(base_seed, start, stop), when a caller has derived
-        them (a run derives every stream's once), or derived here in one
-        pass."""
-        if keys is None:
-            keys = _substream_keys(base_seed, start, stop)
-        streams = [cls(base_seed, r) for r in range(start, stop)]
-        for stream, key in zip(streams, keys.tolist()):
-            vars(stream)["_keys"] = key  # fills the cached_property below
-        return streams
-
-    @cached_property
-    def _keys(self) -> list:
-        """Each tag's key as two Python ints, which Philox's state setter
-        reads faster than array items."""
-        return _substream_keys(self.base_seed, self.stream_index, self.stream_index + 1)[0].tolist()
-
-
 @lru_cache(maxsize=None)
 def _component(tag: int):
     """The one generator of substream `tag` that the block sampler
@@ -193,14 +167,14 @@ def _component(tag: int):
     return gen, {**state, "state": {"counter": counter, "key": None}, "buffer": buffer}
 
 
-def _rekeyed(tag: int, rng: RngStream) -> Generator:
-    """Substream `tag` of `rng` on the component's one generator, with
-    the bits of a Philox freshly built with the substream's key whatever
-    the last stream left in it.  Every draw goes through here.  The
-    generator is shared, so a process runs one sampler at a time (the
-    risk engine's workers are processes)."""
+def _rekeyed(tag: int, row: list) -> Generator:
+    """Substream `tag` of the stream whose keys are `row` on the
+    component's one generator, with the bits of a Philox freshly built
+    with the substream's key whatever the last stream left in it.  Every
+    draw goes through here.  The generator is shared, so a process runs
+    one sampler at a time (the risk engine's workers are processes)."""
     gen, fresh = _component(tag)
-    fresh["state"]["key"] = rng._keys[tag]
+    fresh["state"]["key"] = row[tag]
     gen.bit_generator.state = fresh
     return gen
 
@@ -283,9 +257,9 @@ def renewal_chunk(law: InterarrivalLaw, horizon: float) -> float:
     return float(math.floor(chunk)) if chunk < math.inf else chunk
 
 
-def _renewal_epochs(law: InterarrivalLaw, horizon: float, rngs):
+def _renewal_epochs(law: InterarrivalLaw, horizon: float, keys):
     """Renewal epochs T_1 < T_2 < ... <= horizon, for horizon > 0, of
-    each stream of `rngs`, concatenated in stream order, and each
+    each stream of `keys`, concatenated in stream order, and each
     stream's count.
 
     A stream's epochs are the running sums of its gaps, drawn
@@ -297,7 +271,7 @@ def _renewal_epochs(law: InterarrivalLaw, horizon: float, rngs):
     time; a cumulative sum runs in order, so its first chunk's sums are
     the block row's."""
     chunk = int(renewal_chunk(law, horizon))
-    times = np.array([law.sample(_rekeyed(TAG_RENEWAL, rng), chunk) for rng in rngs])
+    times = np.array([law.sample(_rekeyed(TAG_RENEWAL, row), chunk) for row in keys])
     times.cumsum(axis=1, out=times)
     inside = times <= horizon
     short = np.flatnonzero(inside[:, -1])
@@ -305,7 +279,7 @@ def _renewal_epochs(law: InterarrivalLaw, horizon: float, rngs):
         return times[inside], inside.sum(axis=1)
     rows = [row[keep] for row, keep in zip(times, inside)]
     for i in short.tolist():
-        gen = _rekeyed(TAG_RENEWAL, rngs[i])
+        gen = _rekeyed(TAG_RENEWAL, keys[i])
         parts = [law.sample(gen, chunk)]
         while (row := np.cumsum(np.concatenate(parts)))[-1] <= horizon:
             parts.append(law.sample(gen, chunk))
@@ -326,9 +300,9 @@ def _epoch_cells(epochs: np.ndarray, p: int) -> np.ndarray:
     return right - 1
 
 
-def brownian_normals(rngs, count: int) -> np.ndarray:
+def brownian_normals(keys, count: int) -> np.ndarray:
     """The first `count` standard normals of substream TAG_BROWNIAN of
-    each stream of `rngs`, one row per stream; a shorter count draws the
+    each stream of `keys`, one row per stream; a shorter count draws the
     first entries of a longer one.
 
     A full path scales one by each cell's root width.  The risk engine
@@ -337,26 +311,27 @@ def brownian_normals(rngs, count: int) -> np.ndarray:
     theta_1..theta_{p-1} of n periods is i.i.d. N(0, rho1^2 rho_check^2
     / n), rho1 * rho_check / sqrt(n) times these normals, whatever the
     path's other parts."""
-    normals = np.empty((len(rngs), count))
-    for row, rng in zip(normals, rngs):
-        _rekeyed(TAG_BROWNIAN, rng).standard_normal(out=row)
+    normals = np.empty((len(keys), count))
+    for out, row in zip(normals, keys):
+        _rekeyed(TAG_BROWNIAN, row).standard_normal(out=out)
     return normals
 
 
-def _epoch_marks(spec: NoiseSpec, n: int, rngs):
-    """The renewal epochs in (0, n] of each stream of `rngs` and their
+def _epoch_marks(spec: NoiseSpec, n: int, keys):
+    """The renewal epochs in (0, n] of each stream of `keys` and their
     marks (substream TAG_MARKS), both concatenated in stream order, and
     each stream's epoch count."""
-    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), rngs)
-    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, rng), count) for rng, count in zip(rngs, per_row)]
+    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), keys)
+    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, row), count) for row, count in zip(keys, per_row)]
     return epochs, np.concatenate(marks), per_row
 
 
-def _jump_sums(spec: NoiseSpec, widths: np.ndarray, rng: RngStream):
-    """Substream TAG_JUMPS of `rng` on cells of the given widths: each
-    cell's Poisson(jump_intensity * width) jump count, and the sum of its
-    jumps, symmetric and uncompensated, scaled by 1/sqrt(jump_intensity)."""
-    gen = _rekeyed(TAG_JUMPS, rng)
+def _jump_sums(spec: NoiseSpec, widths: np.ndarray, row: list):
+    """Substream TAG_JUMPS of the stream whose keys are `row`, on cells
+    of the given widths: each cell's Poisson(jump_intensity * width) jump
+    count, and the sum of its jumps, symmetric and uncompensated, scaled
+    by 1/sqrt(jump_intensity)."""
+    gen = _rekeyed(TAG_JUMPS, row)
     counts = gen.poisson(spec.jump_intensity * widths)
     total = int(counts.sum())
     scale = 1.0 / math.sqrt(spec.jump_intensity)
@@ -369,9 +344,9 @@ def _jump_sums(spec: NoiseSpec, widths: np.ndarray, rng: RngStream):
 
 
 def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, n: int, p: int,
-                    rngs) -> np.ndarray:
+                    keys) -> np.ndarray:
     """drift + rho1 dL + rho2 dz over cells of the given widths covering n
-    periods observed at p points per period, one row per stream of `rngs`.
+    periods observed at p points per period, one row per stream of `keys`.
 
     z jumps by an i.i.d. standardized mark at every renewal epoch in
     [0, n]; each epoch's cell on the n*p-cell grid is taken modulo the
@@ -386,13 +361,13 @@ def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, 
     rule, the sums of marks per cell and the arithmetic each run once
     over the block, elementwise or within a row, so a row has the same
     bits as a block of one."""
-    rows, cells = len(rngs), widths.size
-    epochs, marks, per_row = _epoch_marks(spec, n, rngs)
+    rows, cells = len(keys), widths.size
+    epochs, marks, per_row = _epoch_marks(spec, n, keys)
     dL = dW
     if spec.rho_check < 1.0:
         dJ = np.empty((rows, cells))
-        for row, rng in enumerate(rngs):
-            _, dJ[row] = _jump_sums(spec, widths, rng)
+        for i, row in enumerate(keys):
+            _, dJ[i] = _jump_sums(spec, widths, row)
         dJ *= math.sqrt(1.0 - spec.rho_check**2)
         if dL is None:
             dL = dJ
@@ -422,8 +397,9 @@ def _period_widths(n: int, p: int) -> np.ndarray:
     return widths
 
 
-def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> ObservationPath:
-    """One observation path over n periods at p samples per period.
+def sample_observations(S, spec: NoiseSpec, n: int, p: int, keys: list) -> ObservationPath:
+    """One observation path over n periods at p samples per period, of
+    the stream whose row of `stream_keys` is `keys`.
 
     Each increment is the exact-quadrature drift integral over its cell
     plus rho1 dL + rho2 dz, the Brownian part one normal per cell (n*p
@@ -432,14 +408,14 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, rng: RngStream) -> O
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
     widths = np.diff(np.arange(n * p + 1) / p)
-    dW = brownian_normals([rng], n * p)
+    dW = brownian_normals([keys], n * p)
     dW *= np.sqrt(widths)
-    [dy] = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, dW, spec, n, p, [rng])
+    [dy] = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, dW, spec, n, p, [keys])
     return ObservationPath(n=n, p=p, y=np.concatenate(([0.0], np.cumsum(dy))))
 
 
-def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, rngs) -> np.ndarray:
-    """The n*p increments of one observation path per stream of `rngs`,
+def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, keys) -> np.ndarray:
+    """The n*p increments of one observation path per stream of `keys`,
     without their Brownian part, folded onto one period: an (R x p) block
     for R streams, whose rows have the same bits as R blocks of one.
 
@@ -447,8 +423,8 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, rngs) ->
     the l-th in-period cell, which is all the coefficient estimates read
     of a path.  drift_sums is the drift part, n * cell_integrals(S, p),
     which a caller sampling many replications of one signal computes
-    once; its length is p. The row of stream rng has the law of
-    sample_observations(S, spec, n, p, rng).increments.reshape(n, p).sum(0)
+    once; its length is p. The row of the stream whose keys are `row` has
+    the law of sample_observations(S, spec, n, p, row).increments.reshape(n, p).sum(0)
     less rho1 * rho_check times the path's Brownian sums, in O(p) memory
     instead of O(n p):
 
@@ -465,10 +441,10 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, rngs) ->
     p = drift_sums.size
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    return _noise_on_cells(drift_sums, _period_widths(n, p), None, spec, n, p, rngs)
+    return _noise_on_cells(drift_sums, _period_widths(n, p), None, spec, n, p, keys)
 
 
-def sample_period_terms(spec: NoiseSpec, n: int, p: int, rngs):
+def sample_period_terms(spec: NoiseSpec, n: int, p: int, keys):
     """What `sample_period_sums` adds to the drift part, without the
     Brownian part, as a few terms per stream instead of p cells: the
     cells (0..p-1) and values of all terms, grouped by stream in stream
@@ -481,19 +457,19 @@ def sample_period_terms(spec: NoiseSpec, n: int, p: int, rngs):
     the drift, up to rounding."""
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    epochs, marks, per_row = _epoch_marks(spec, n, rngs)
+    epochs, marks, per_row = _epoch_marks(spec, n, keys)
     cells, values, counts = _epoch_cells(epochs, p) % p, spec.rho2 * marks, np.asarray(per_row)
     if spec.rho_check == 1.0:
         return cells, values, counts
     hits, widths = [], _period_widths(n, p)
-    for rng in rngs:
-        jumps, sums = _jump_sums(spec, widths, rng)
+    for row in keys:
+        jumps, sums = _jump_sums(spec, widths, row)
         hit = np.flatnonzero(jumps)
         hits.append((hit, sums[hit] * math.sqrt(1.0 - spec.rho_check**2) * spec.rho1))
     # each stream's epoch terms, then its jump terms
     hit_counts = np.array([hit.size for hit, _ in hits])
-    order = np.argsort(np.concatenate((np.repeat(np.arange(len(rngs)), counts),
-                                       np.repeat(np.arange(len(rngs)), hit_counts))), kind="stable")
+    order = np.argsort(np.concatenate((np.repeat(np.arange(len(keys)), counts),
+                                       np.repeat(np.arange(len(keys)), hit_counts))), kind="stable")
     cells = np.concatenate((cells, *(hit for hit, _ in hits)))[order]
     values = np.concatenate((values, *(value for _, value in hits)))[order]
     return cells, values, counts + hit_counts

@@ -46,13 +46,13 @@ identity, so they are directly comparable.  A chunk calls no BLAS:
 its sums are numpy's own fixed-order ones, so no digit follows
 OpenBLAS's thread count.
 
-The plan derives the Philox keys of every replication's noise
-substreams once per run (replication r of every n reads stream r), and
-a chunk takes its slice (`RngStream.span`).  It carries the truth
-coefficients, their tail norm and the drift part of the period sums,
-and on the projection route the drift part's M coefficients and the
-p-th roots of unity, which the parent computes once per n: they depend
-on their arguments alone.
+A chunk derives the Philox keys of its own replications' noise
+substreams in one pass (`stream_keys`; replication r of every n reads
+stream r), so the run holds no key per replication.  Its payload
+carries the truth coefficients, their tail norm and the drift part of
+the period sums, and on the projection route the drift part's M
+coefficients and the p-th roots of unity, which the parent computes
+once per n: they depend on their arguments alone.
 
 `--threads N` means N processes compute chunks, the parent one of
 them: once every n is planned, `run_risk_experiment` forks the others
@@ -87,11 +87,10 @@ from .estimator import (
 )
 from .noise import (
     NoiseSpec,
-    RngStream,
-    _substream_keys,
     brownian_normals,
     sample_period_sums,
     sample_period_terms,
+    stream_keys,
 )
 from .renewal import InterarrivalLaw
 from .signal import (
@@ -114,6 +113,9 @@ _BLOCK_TERMS = 1 << 16
 # the projection route runs while its expected (term x bin) products stay
 # below p * log2(p) / _PROJECTION_SHARE, a share of one rfft's work
 _PROJECTION_SHARE = 8
+# the largest sampling frequency: a run holds about 164 bytes per unit
+# of p whatever n (15.7 MiB at p = 100001), so 2^22 stays under 700 MiB
+_MAX_P = 1 << 22
 # values in one (chunk replications x distinct profiles x profile width)
 # scoring temporary, 128 MiB of float64; a chunk holds a few at once
 _MAX_SCORE_VALUES = 1 << 24
@@ -258,12 +260,15 @@ def satisfies_h5(n: int, p: int) -> bool:
 def resolve_frequency(config: RunConfig, n: int) -> int:
     """Sampling frequency for n >= 1 periods: config.p, or the rule
     max(p_min, ceil(n^(5/6))) when that is 0.  Raises ValueError for n < 1,
-    or p below 3 or, under the strict frequency check, below n^(5/6)."""
+    or p below 3, above _MAX_P or, under the strict frequency check,
+    below n^(5/6)."""
     if n < 1:
         raise ValueError(f"need n >= 1 periods, got n={n}")
     p = config.p or max(config.p_min, math.ceil(n ** (5.0 / 6.0)))
     if p < 3:
         raise ValueError(f"need p >= 3 samples per period, got p={p} for n={n}")
+    if p > _MAX_P:
+        raise ValueError(f"p={p} for n={n} exceeds the limit of {_MAX_P} samples per period")
     if config.strict_h5 and not satisfies_h5(n, p):
         raise ValueError(f"p={p} violates the frequency condition for n={n}")
     return p
@@ -347,12 +352,12 @@ def _projection(drift_sums: np.ndarray, n: int):
     return grid_coefficients(drift_sums, min(n, p - 1)), _unit_roots(p)
 
 
-def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> np.ndarray:
+def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
     """The rfft route: each stream's period sums, drift part included, as
     one block through one length-p rfft."""
     p = drift_sums.size
-    sums = sample_period_sums(drift_sums, noise, n, rngs)
-    brownian = brownian_normals(rngs, min(n, p - 1))
+    sums = sample_period_sums(drift_sums, noise, n, keys)
+    brownian = brownian_normals(keys, min(n, p - 1))
     brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
     thetas = grid_coefficients(sums, brownian.shape[1])
     thetas *= p / n
@@ -360,7 +365,7 @@ def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs) -> np.n
     return thetas
 
 
-def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: int, rngs) -> np.ndarray:
+def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
     """The projection route: `_transformed`'s thetas up to rounding, from
     the drift part's M coefficients `drift_theta`, the unit roots of p
     and each stream's few period-sum terms (`sample_period_terms`).
@@ -374,8 +379,8 @@ def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: 
     only: no BLAS, and a block's rows have the bits of one at a time."""
     p, m = roots.size, drift_theta.size
     bins = m // 2 + 1
-    cells, values, counts = sample_period_terms(noise, n, p, rngs)
-    brownian = brownian_normals(rngs, m)
+    cells, values, counts = sample_period_terms(noise, n, p, keys)
+    brownian = brownian_normals(keys, m)
     brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
     q = (cells + 1) % p
     step = math.isqrt(bins)
@@ -383,7 +388,7 @@ def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: 
     giant = roots[np.multiply.outer(q, np.arange(0, bins, step)) % p]
     giant *= values[:, None]
     terms = (giant[:, :, None] * baby[:, None, :]).reshape(q.size, giant.shape[1] * step)
-    X = np.zeros((len(rngs), bins), dtype=complex)
+    X = np.zeros((len(keys), bins), dtype=complex)
     rows = np.flatnonzero(counts)
     if rows.size:
         X[rows] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[rows], axis=0)[:, :bins]
@@ -394,10 +399,10 @@ def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: 
     return thetas
 
 
-def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs, projection=None) -> list:
-    """Coefficient estimates of one replication per stream of `rngs`: n
-    periods of the signal whose drift part is `drift_sums`
-    (n * cell_integrals(S, p)), observed under `noise`.
+def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys, projection=None) -> list:
+    """Coefficient estimates of one replication per stream of `keys`
+    (rows of `stream_keys`): n periods of the signal whose drift part is
+    `drift_sums` (n * cell_integrals(S, p)), observed under `noise`.
 
     Each theta holds the M = min(n, p - 1) coefficients the estimator
     reads: p / n times the discrete coefficients of the stream's period
@@ -410,9 +415,9 @@ def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, rngs
     has not.  Each estimate is a row view of the block."""
     p = drift_sums.size
     if projects(n, p, noise):
-        thetas = _projected(*(projection or _projection(drift_sums, n)), noise, n, rngs)
+        thetas = _projected(*(projection or _projection(drift_sums, n)), noise, n, keys)
     else:
-        thetas = _transformed(drift_sums, noise, n, rngs)
+        thetas = _transformed(drift_sums, noise, n, keys)
     return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
 
 
@@ -440,26 +445,27 @@ def _run_chunk(payload):
     """Selected-estimate errors of replications start..stop-1 and each
     distinct profile's error summed over them.
 
-    Replications are drawn and transformed a block of
-    block_rows(n, p, noise) at a time.  Each contributes its proxy
-    variance and the first W coefficient estimates, W the width of the
-    profile matrix `weights`, which is all that selection and scoring
-    read; the chunk is then selected and scored as one block.  A replication's selected estimate
-    is its cheapest profile applied to theta_hat (the earliest on ties,
-    which holds the member select_model picks), so it takes that
-    profile's error.  A profile row is zero-padded to W, so its error is
-    the squared distance over the first W coefficients plus the squared
-    norm of theta above W, whose last coefficient the grid norm weights
-    by 1/2 on even grids."""
-    (noise, n, weights, delta, truth, tail, drift_sums, base_seed, start, stop, *planned) = payload
-    keys, projection = planned or (None, None)
-    streams = RngStream.span(base_seed, start, stop, keys)
+    The chunk derives its streams' keys itself, and passes `projection`
+    (made once per n by the plan, None off the projection route) on to
+    `replication_estimates`.  Replications are drawn and transformed a
+    block of block_rows(n, p, noise) at a time.  Each contributes its
+    proxy variance and the first W coefficient estimates, W the width of
+    the profile matrix `weights`, which is all that selection and
+    scoring read; the chunk is then selected and scored as one block.  A
+    replication's selected estimate is its cheapest profile applied to
+    theta_hat (the earliest on ties, which holds the member select_model
+    picks), so it takes that profile's error.  A profile row is
+    zero-padded to W, so its error is the squared distance over the first
+    W coefficients plus the squared norm of theta above W, whose last
+    coefficient the grid norm weights by 1/2 on even grids."""
+    (noise, n, weights, delta, truth, tail, drift_sums, base_seed, start, stop, projection) = payload
+    keys = stream_keys(base_seed, start, stop)
     width = weights.shape[1]
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
     rows = block_rows(n, drift_sums.size, noise)
     for first in range(0, stop - start, rows):
-        ests = replication_estimates(drift_sums, noise, n, streams[first : first + rows], projection)
+        ests = replication_estimates(drift_sums, noise, n, keys[first : first + rows], projection)
         for i, est in enumerate(ests, start=first):
             sigma[i] = estimate_proxy_variance(est)
             block[i] = est.theta[:width]
@@ -530,7 +536,6 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     total = config.replications
     starts = range(0, total, _CHUNK)
     scored = min(_CHUNK, total)  # replications a chunk scores at once
-    keys = _substream_keys(config.seed, 0, total)  # replication r of every n reads stream r
     plans = []
     for n in config.n_values:
         p, family, delta = resolve_selection(config, n)
@@ -544,7 +549,7 @@ def run_risk_experiment(config: RunConfig) -> tuple:
         projection = _projection(drift_sums, n) if projects(n, p, config.noise) else None
         payloads = [
             (config.noise, n, family.weights, delta, truth, tail, drift_sums, config.seed,
-             start, min(start + _CHUNK, total), keys[start : start + _CHUNK], projection)
+             start, min(start + _CHUNK, total), projection)
             for start in starts
         ]
         plans.append((n, p, norm_sq, payloads))

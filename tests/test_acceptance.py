@@ -19,7 +19,7 @@ import numpy as np
 from driftsel import cli
 from driftsel import signal as sg
 from driftsel.estimator import estimate_coefficients, estimate_proxy_variance
-from driftsel.noise import NoiseSpec, RngStream, sample_observations
+from driftsel.noise import NoiseSpec, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.risk import RunConfig, pinsker_constant, run_risk_experiment
 from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
@@ -111,7 +111,7 @@ def test_criterion_3_covariance_identity():
     phi2 = sg.trig_basis_eval(2, np.arange(1, n * p + 1) / p)
     vals = np.empty(reps)
     for r in range(reps):
-        path = sample_observations(flat, spec, n, p, RngStream(seed, r))
+        path = sample_observations(flat, spec, n, p, stream_keys(seed, r, r + 1)[0])
         integral = float(phi2 @ path.increments)
         vals[r] = integral * integral / n
     dev = abs(float(vals.mean()) - SIGMA_TARGET)
@@ -136,7 +136,7 @@ def test_criterion_4_proxy_variance():
     flat = zero_signal()
     devs = np.empty(reps)
     for r in range(reps):
-        path = sample_observations(flat, spec, n, p, RngStream(seed, r))
+        path = sample_observations(flat, spec, n, p, stream_keys(seed, r, r + 1)[0])
         devs[r] = abs(estimate_proxy_variance(estimate_coefficients(path)) - SIGMA_TARGET)
     mean_dev = float(devs.mean())
     elapsed = time.perf_counter() - t0

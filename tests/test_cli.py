@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import driftsel
+import driftsel.risk
 
 from driftsel.cli import (
     ConfigError,
@@ -33,7 +34,7 @@ from driftsel.estimator import (
     family_knobs,
     select_model,
 )
-from driftsel.noise import RngStream, renewal_chunk, sample_observations
+from driftsel.noise import renewal_chunk, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import projects, replication_estimates, resolve_delta, resolve_frequency, resolve_selection
 from driftsel.signal import cell_integrals, grid_values
@@ -314,6 +315,51 @@ def test_main_reports_a_failed_allocation(tmp_path, capsys, monkeypatch, exc):
         err = capsys.readouterr().err
         assert err == f"driftsel: {exc if str(exc) else 'MemoryError'}\n"
         assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "subcommand, settings, named",
+    [
+        ("risk-table", "noise.rho1=1e300\nnoise.rho2=1e300\n", "risk.csv: column R_bar"),
+        ("estimate", "noise.rho1=1e300\nnoise.rho2=1e300\n", "selection.csv: column cost"),
+        ("risk-table", "signal.kind=tabulated\nsignal.values=1,1e308\n", "risk.csv: column R_bar"),
+    ],
+    ids=["risk_table_noise", "estimate_noise", "risk_table_signal"],
+)
+def test_main_writes_no_non_finite_number(tmp_path, capsys, subcommand, settings, named):
+    # finite settings whose arithmetic overflows gave inf and nan rows, and
+    # nan costs that selected member 0; main checks every value before it
+    # creates the output directory
+    cfg = write_cfg(tmp_path, f"{settings}risk.n_values=20\nrisk.p=101\nrisk.replications=3\nestimate.n=20\n")
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"driftsel: {named} holds a non-finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["risk-table", "estimate", "simulate"])
+def test_main_refuses_a_frequency_above_the_limit(tmp_path, capsys, subcommand):
+    # a run holds about 164 bytes per unit of p: p = 10^9 was killed for
+    # want of memory instead of exiting; one above the limit is refused
+    # before anything of its size is allocated
+    p = driftsel.risk._MAX_P + 1
+    cfg = write_cfg(tmp_path, f"risk.n_values=20\nrisk.p={p}\nrisk.replications=3\nestimate.n=20\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert f"config error: p={p} for n=20 exceeds the limit of {p - 1} samples per period" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        resolve_frequency(RunConfig(p=p), 20)
+    assert resolve_frequency(RunConfig(p=p - 1), 20) == p - 1
 
 
 def test_cli_import_loads_no_scipy():
@@ -687,7 +733,7 @@ def test_simulate_streams_its_table(tmp_path):
         tracemalloc.reset_peak()
         config = RunConfig(estimate_n=20, p=5001)
         start = tracemalloc.get_traced_memory()[0]
-        sample_observations(config.signal, config.noise, n=20, p=5001, rng=RngStream(0, 0))
+        sample_observations(config.signal, config.noise, n=20, p=5001, keys=stream_keys(0, 0, 1)[0])
         sampler = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -717,7 +763,7 @@ def test_estimate_is_the_engine_replication(tmp_path):
     assert main(["estimate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
     config = RunConfig(seed=3, p=101, k_star=3, eps=0.3)
     p, family, delta = resolve_selection(config, 10)
-    [est] = replication_estimates(10 * cell_integrals(config.signal, p), config.noise, 10, [RngStream(3, 0)])
+    [est] = replication_estimates(10 * cell_integrals(config.signal, p), config.noise, 10, stream_keys(3, 0, 1))
     result = select_model(est, family, delta)
     _, _, rows = read_csv(out / "estimate.csv")
     columns = np.array(rows, dtype=float).T
@@ -749,7 +795,7 @@ def test_fit_matches_full_path_fit_in_law(n, p):
     for r in range(400):
         result = _fit_one_path(config, n, (p, family, delta), stream=r)
         folded[r] = np.sum((result.grid_values() - truth) ** 2) / p
-        obs = sample_observations(config.signal, config.noise, n, p, RngStream(71, r))
+        obs = sample_observations(config.signal, config.noise, n, p, stream_keys(71, r, r + 1)[0])
         result = select_model(estimate_coefficients(obs), family, delta)
         full[r] = np.sum((result.grid_values() - truth) ** 2) / p
     se = math.hypot(folded.std(ddof=1), full.std(ddof=1)) / math.sqrt(400)

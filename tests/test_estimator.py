@@ -26,7 +26,7 @@ from driftsel.estimator import (
     select_model,
     selection_cost,
 )
-from driftsel.noise import NoiseSpec, ObservationPath, RngStream, sample_observations
+from driftsel.noise import NoiseSpec, ObservationPath, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw
 from driftsel.signal import SignalSpec, coefficients_to_grid, grid_values
 from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
@@ -37,7 +37,7 @@ EXP_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.exponentia
 
 
 def noiseless_path(S, n, p):
-    return sample_observations(S, QUIET, n=n, p=p, rng=RngStream(0, 0))
+    return sample_observations(S, QUIET, n=n, p=p, keys=stream_keys(0, 0, 1)[0])
 
 
 def padded(profiles, width):
@@ -97,7 +97,7 @@ def test_pure_basis_coefficient():
 
 
 def test_coefficients_linear_in_increments():
-    obs = sample_observations(SignalSpec.benchmark(), EXP_SPEC, n=2, p=17, rng=RngStream(8, 0))
+    obs = sample_observations(SignalSpec.benchmark(), EXP_SPEC, n=2, p=17, keys=stream_keys(8, 0, 1)[0])
     doubled = ObservationPath(n=obs.n, p=obs.p, y=2.0 * obs.y)
     assert np.array_equal(estimate_coefficients(doubled).theta, 2.0 * estimate_coefficients(obs).theta)
 
@@ -114,7 +114,7 @@ def test_coefficient_moments_under_noise():
     zero = SignalSpec.trig_polynomial([0.0])
     vals = np.empty(reps)
     for r in range(reps):
-        obs = sample_observations(zero, EXP_SPEC, n=n, p=p, rng=RngStream(501, r))
+        obs = sample_observations(zero, EXP_SPEC, n=n, p=p, keys=stream_keys(501, r, r + 1)[0])
         vals[r] = estimate_coefficients(obs).theta[1]
     se_mean = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean()) <= 3.0 * se_mean
@@ -185,8 +185,8 @@ def test_proxy_variance_error_shape():
     for k, n in enumerate((50, 100)):
         reps = 300
         devs = np.empty(reps)
-        for r in range(reps):
-            obs = sample_observations(bench, EXP_SPEC, n=n, p=1001, rng=RngStream(502, 1000 * k + r))
+        for r, keys in enumerate(stream_keys(502, 1000 * k, 1000 * k + reps)):
+            obs = sample_observations(bench, EXP_SPEC, n=n, p=1001, keys=keys)
             devs[r] = abs(estimate_proxy_variance(estimate_coefficients(obs)) - 1.0 / 3.0)
         p_check = min(1001, n)
         fitted[n] = devs.mean() / (np.sqrt(n) / p_check + 1.0 / np.sqrt(p_check))

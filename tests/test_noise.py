@@ -10,16 +10,15 @@ from numpy.random import SeedSequence
 from driftsel.noise import (
     NoiseSpec,
     ObservationPath,
-    RngStream,
     _epoch_cells,
     _PhiloxKey,
     _rekeyed,
     _renewal_epochs,
     _sample_marks,
-    _substream_keys,
     renewal_chunk,
     sample_observations,
     sample_period_sums,
+    stream_keys,
 )
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
@@ -43,12 +42,12 @@ class FixedSpacing:
         return np.full(size, self.gap)
 
 
-def path_increments(spec, n, p, rng, S=ZERO):
-    return sample_observations(S, spec, n=n, p=p, rng=rng).increments
+def path_increments(spec, n, p, keys, S=ZERO):
+    return sample_observations(S, spec, n=n, p=p, keys=keys).increments
 
 
-def period_sums(spec, n, p, rng, S=ZERO):
-    [sums] = sample_period_sums(n * cell_integrals(S, p), spec, n, [rng])
+def period_sums(spec, n, p, keys, S=ZERO):
+    [sums] = sample_period_sums(n * cell_integrals(S, p), spec, n, [keys])
     return sums
 
 
@@ -56,22 +55,22 @@ SAMPLERS = (path_increments, period_sums)
 
 
 def test_same_seed_gives_identical_paths():
-    a = sample_observations(SignalSpec.benchmark(), CHI2_SPEC, n=3, p=17, rng=RngStream(7, 3))
-    b = sample_observations(SignalSpec.benchmark(), CHI2_SPEC, n=3, p=17, rng=RngStream(7, 3))
+    a = sample_observations(SignalSpec.benchmark(), CHI2_SPEC, n=3, p=17, keys=stream_keys(7, 3, 4)[0])
+    b = sample_observations(SignalSpec.benchmark(), CHI2_SPEC, n=3, p=17, keys=stream_keys(7, 3, 4)[0])
     assert np.array_equal(a.y, b.y)
 
 
 def test_stream_index_changes_path():
-    a = sample_observations(ZERO, CHI2_SPEC, n=3, p=17, rng=RngStream(7, 0))
-    b = sample_observations(ZERO, CHI2_SPEC, n=3, p=17, rng=RngStream(7, 1))
+    a = sample_observations(ZERO, CHI2_SPEC, n=3, p=17, keys=stream_keys(7, 0, 1)[0])
+    b = sample_observations(ZERO, CHI2_SPEC, n=3, p=17, keys=stream_keys(7, 1, 2)[0])
     assert not np.array_equal(a.y, b.y)
 
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1), rep=st.integers(0, 2**31))
 def test_reproducibility_for_arbitrary_seeds(seed, rep):
-    a = sample_observations(ZERO, CHI2_SPEC, n=2, p=7, rng=RngStream(seed, rep))
-    b = sample_observations(ZERO, CHI2_SPEC, n=2, p=7, rng=RngStream(seed, rep))
+    a = sample_observations(ZERO, CHI2_SPEC, n=2, p=7, keys=stream_keys(seed, rep, rep + 1)[0])
+    b = sample_observations(ZERO, CHI2_SPEC, n=2, p=7, keys=stream_keys(seed, rep, rep + 1)[0])
     assert np.array_equal(a.y, b.y)
 
 
@@ -86,17 +85,18 @@ def reference_key(seed, stream, tag):
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_substream_keys_match_seed_sequence(seed):
+    # a row of four [k0, k1] pairs of Python ints per stream
     for stream in KEY_STREAMS:
-        keys = _substream_keys(seed, stream, stream + 1)
-        assert keys.shape == (1, 4, 2) and keys.dtype == np.uint64
+        [row] = stream_keys(seed, stream, stream + 1)
+        assert len(row) == 4 and all(type(k) is int for pair in row for k in pair)
         for tag in range(4):
-            assert np.array_equal(keys[0, tag], reference_key(seed, stream, tag))
+            assert row[tag] == reference_key(seed, stream, tag).tolist()
     # one pass over a chunk gives every stream its own keys
-    block = _substream_keys(seed, 40, 60)
-    assert block.shape == (20, 4, 2)
+    block = stream_keys(seed, 40, 60)
+    assert len(block) == 20
     for i in range(20):
         for tag in range(4):
-            assert np.array_equal(block[i, tag], reference_key(seed, 40 + i, tag))
+            assert block[i][tag] == reference_key(seed, 40 + i, tag).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,12 +107,12 @@ def test_substream_keys_match_or_refuse(seed, stream, tag):
     # a stream index the one-word derivation cannot match must raise,
     # never give another stream's key
     if 0 <= stream < 2**32:
-        assert np.array_equal(_substream_keys(seed, stream, stream + 1)[0, tag], reference_key(seed, stream, tag))
-        ours = _rekeyed(tag, RngStream(seed, stream)).integers(0, 2**63, 8)
+        assert stream_keys(seed, stream, stream + 1)[0][tag] == reference_key(seed, stream, tag).tolist()
+        ours = _rekeyed(tag, stream_keys(seed, stream, stream + 1)[0]).integers(0, 2**63, 8)
         assert np.array_equal(ours, reference_generator(seed, stream, tag).integers(0, 2**63, 8))
     else:
         with pytest.raises(ValueError):
-            _rekeyed(tag, RngStream(seed, stream))
+            stream_keys(seed, stream, stream + 1)
 
 
 @pytest.mark.parametrize(
@@ -128,20 +128,20 @@ def test_substream_keys_match_or_refuse(seed, stream, tag):
 )
 def test_substreams_draw_as_plain_numpy(draw):
     for seed, start in [(0, 0), (2, 48), (2**64 + 5, 9998), (2**160 + 99, 7)]:
-        for offset, rng in enumerate(RngStream.span(seed, start, start + 3)):
-            assert rng == RngStream(seed, start + offset)
+        for offset, row in enumerate(stream_keys(seed, start, start + 3)):
+            # a run's row is the row of its stream derived alone
+            assert row == stream_keys(seed, start + offset, start + offset + 1)[0]
             for tag in range(4):
                 expected = draw(reference_generator(seed, start + offset, tag))
-                assert np.array_equal(draw(_rekeyed(tag, rng)), expected)
-                assert np.array_equal(draw(_rekeyed(tag, RngStream(seed, start + offset))), expected)
+                assert np.array_equal(draw(_rekeyed(tag, row)), expected)
 
 
 def test_substream_keys_refuse_what_they_cannot_match():
     for seed in (-1, -(2**40)):
         with pytest.raises(ValueError):
-            _rekeyed(0, RngStream(seed, 0))
+            stream_keys(seed, 0, 1)
     with pytest.raises(ValueError):
-        RngStream.span(3, 2**32 - 1, 2**32 + 1)
+        stream_keys(3, 2**32 - 1, 2**32 + 1)
     key = _PhiloxKey(reference_key(3, 0, 0))
     for request in ((4,), (2,), (2, np.uint32), (4, np.uint64)):
         with pytest.raises(ValueError):
@@ -154,8 +154,8 @@ def test_semimarkov_component_ignores_levy_settings():
     plain = NoiseSpec(rho1=0.0, rho2=0.5)
     jumpy = NoiseSpec(rho1=0.0, rho2=0.5, rho_check=0.7, jump_intensity=5.0, jump_law="two_point")
     for sample in SAMPLERS:
-        z = sample(plain, 5, 8, RngStream(11, 0))
-        assert z.any() and np.array_equal(z, sample(jumpy, 5, 8, RngStream(11, 0)))
+        z = sample(plain, 5, 8, stream_keys(11, 0, 1)[0])
+        assert z.any() and np.array_equal(z, sample(jumpy, 5, 8, stream_keys(11, 0, 1)[0]))
 
 
 def test_levy_component_ignores_renewal_settings():
@@ -165,8 +165,8 @@ def test_levy_component_ignores_renewal_settings():
     other = NoiseSpec(rho1=0.5, rho2=0.0, interarrival=InterarrivalLaw.gamma(2.0, 1.0), marks="rademacher",
                       **jumps)
     for sample in SAMPLERS:
-        levy = sample(NoiseSpec(rho1=0.5, rho2=0.0, **jumps), 5, 8, RngStream(12, 0))
-        assert levy.any() and np.array_equal(levy, sample(other, 5, 8, RngStream(12, 0)))
+        levy = sample(NoiseSpec(rho1=0.5, rho2=0.0, **jumps), 5, 8, stream_keys(12, 0, 1)[0])
+        assert levy.any() and np.array_equal(levy, sample(other, 5, 8, stream_keys(12, 0, 1)[0]))
 
 
 def test_observation_path_composes_the_components():
@@ -179,16 +179,16 @@ def test_observation_path_composes_the_components():
         return NoiseSpec(rho1=rho1, rho2=rho2, rho_check=0.6, jump_intensity=3.0)
 
     for sample, tol in ((period_sums, 0.0), (path_increments, 1e-12)):
-        drift = sample(spec(0.0, 0.0), n, p, RngStream(13, 2), S)
-        dL = sample(spec(1.0, 0.0), n, p, RngStream(13, 2))
-        dz = sample(spec(0.0, 1.0), n, p, RngStream(13, 2))
-        both = sample(spec(0.3, 0.8), n, p, RngStream(13, 2), S)
+        drift = sample(spec(0.0, 0.0), n, p, stream_keys(13, 2, 3)[0], S)
+        dL = sample(spec(1.0, 0.0), n, p, stream_keys(13, 2, 3)[0])
+        dz = sample(spec(0.0, 1.0), n, p, stream_keys(13, 2, 3)[0])
+        both = sample(spec(0.3, 0.8), n, p, stream_keys(13, 2, 3)[0], S)
         assert dL.any() and dz.any()
         assert np.abs(both - (drift + 0.3 * dL + 0.8 * dz)).max() <= tol
 
 
 def test_renewal_times_shape():
-    ts, [count] = _renewal_epochs(InterarrivalLaw.chi_squared(3.0), 50.0, [RngStream(1, 1)])
+    ts, [count] = _renewal_epochs(InterarrivalLaw.chi_squared(3.0), 50.0, stream_keys(1, 1, 2))
     assert count == ts.size > 0
     assert np.all(np.diff(ts) > 0)
     assert ts[0] > 0
@@ -196,12 +196,12 @@ def test_renewal_times_shape():
 
 
 def test_renewal_rate_exponential():
-    ts, _ = _renewal_epochs(InterarrivalLaw.exponential(1.0), 10000.0, [RngStream(101, 0)])
+    ts, _ = _renewal_epochs(InterarrivalLaw.exponential(1.0), 10000.0, stream_keys(101, 0, 1))
     assert abs(ts.size / 10000.0 - 1.0) < 0.03
 
 
 def test_renewal_rate_chi_squared():
-    ts, _ = _renewal_epochs(InterarrivalLaw.chi_squared(3.0), 10000.0, [RngStream(102, 0)])
+    ts, _ = _renewal_epochs(InterarrivalLaw.chi_squared(3.0), 10000.0, stream_keys(102, 0, 1))
     assert abs(ts.size / 10000.0 - 1.0 / 3.0) < 0.01
 
 
@@ -211,18 +211,18 @@ def test_semimarkov_fixed_law_lands_in_the_right_cells():
     # the path's cells onto one period
     for gap, n, p, cells in ((1.0, 5, 3, [2]), (0.5, 2, 4, [1, 3])):
         spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=FixedSpacing(gap), marks="rademacher")
-        dz = path_increments(spec, n, p, RngStream(2, 0)).reshape(n, p)
+        dz = path_increments(spec, n, p, stream_keys(2, 0, 1)[0]).reshape(n, p)
         hit = np.zeros(p)
         hit[cells] = 1.0
         assert np.array_equal(np.abs(dz), np.tile(hit, (n, 1)))
-        assert np.array_equal(period_sums(spec, n, p, RngStream(2, 0)), dz.sum(axis=0))
+        assert np.array_equal(period_sums(spec, n, p, stream_keys(2, 0, 1)[0]), dz.sum(axis=0))
 
 
 def test_semimarkov_without_epochs_is_zero():
     # a first gap beyond the horizon leaves no epoch, and no increment
     spec = NoiseSpec(rho1=0.0, rho2=1.0, interarrival=FixedSpacing(2.5))
     for sample, cells in ((path_increments, 6), (period_sums, 3)):
-        assert np.array_equal(sample(spec, 2, 3, RngStream(2, 1)), np.zeros(cells))
+        assert np.array_equal(sample(spec, 2, 3, stream_keys(2, 1, 2)[0]), np.zeros(cells))
 
 
 @pytest.mark.parametrize("n, p", [(1, 3), (7, 11), (7, 12), (100, 1001), (1000, 10001), (1000, 100001),
@@ -251,8 +251,8 @@ def test_levy_brownian_variance():
     # cells of 1000 periods, to which `folded_path_sums` adds the
     # Brownian part that the period sums leave out
     spec = NoiseSpec(rho1=1.0, rho2=0.0)
-    for d in (path_increments(spec, 1000, 100, RngStream(201, 0)),
-              folded_path_sums(np.zeros(100000), spec, 1000, [RngStream(201, 0)])[0]):
+    for d in (path_increments(spec, 1000, 100, stream_keys(201, 0, 1)[0]),
+              folded_path_sums(np.zeros(100000), spec, 1000, stream_keys(201, 0, 1))[0]):
         assert abs(d.var() / 0.01 - 1.0) < 0.0134     # 3 * sqrt(2 / 1e5)
         assert abs(d.mean()) < 1e-3
 
@@ -261,22 +261,22 @@ def test_levy_two_point_jump_variance():
     # pure-jump path: compensated two-point jumps are normalised so each
     # cell still carries variance equal to its width
     spec = NoiseSpec(rho1=1.0, rho2=0.0, rho_check=0.0, jump_intensity=4.0, jump_law="two_point")
-    for d in (path_increments(spec, 1000, 100, RngStream(202, 0)),
-              period_sums(spec, 1000, 100000, RngStream(202, 0))):
+    for d in (path_increments(spec, 1000, 100, stream_keys(202, 0, 1)[0]),
+              period_sums(spec, 1000, 100000, stream_keys(202, 0, 1)[0])):
         assert abs(d.var() / 0.01 - 1.0) < 0.05
         assert abs(d.mean()) < 1e-3
 
 
 def test_noiseless_observations():
     quiet = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
-    flat = sample_observations(ZERO, quiet, n=2, p=9, rng=RngStream(4, 0))
+    flat = sample_observations(ZERO, quiet, n=2, p=9, keys=stream_keys(4, 0, 1)[0])
     assert np.array_equal(flat.y, np.zeros(19))
-    unit = sample_observations(SignalSpec.trig_polynomial([1.0]), quiet, n=2, p=9, rng=RngStream(4, 0))
+    unit = sample_observations(SignalSpec.trig_polynomial([1.0]), quiet, n=2, p=9, keys=stream_keys(4, 0, 1)[0])
     assert np.allclose(unit.y, np.arange(19) / 9.0, atol=1e-12)
 
 
 def test_observation_path_accessors():
-    obs = sample_observations(ZERO, CHI2_SPEC, n=2, p=5, rng=RngStream(5, 0))
+    obs = sample_observations(ZERO, CHI2_SPEC, n=2, p=5, keys=stream_keys(5, 0, 1)[0])
     assert obs.increments.shape == (10,)
     with pytest.raises(ValueError):
         ObservationPath(n=2, p=5, y=np.zeros(10))
@@ -290,7 +290,7 @@ def test_terminal_value_is_centred_on_the_drift():
     bench = SignalSpec.benchmark()
     ends = np.empty(reps)
     for r in range(reps):
-        ends[r] = sample_observations(bench, CHI2_SPEC, n=n, p=p, rng=RngStream(401, r)).y[-1]
+        ends[r] = sample_observations(bench, CHI2_SPEC, n=n, p=p, keys=stream_keys(401, r, r + 1)[0]).y[-1]
     se = ends.std(ddof=1) / np.sqrt(reps)
     assert abs(ends.mean() - n * 0.1875) <= 3.0 * se
 
@@ -304,7 +304,7 @@ def test_noise_integral_variance_identity():
     basis = np.stack([trig_basis_eval(2, grid), trig_basis_eval(3, grid)])
     stats = np.empty((reps, 2))
     for r in range(reps):
-        dy = sample_observations(ZERO, spec, n=n, p=p, rng=RngStream(301, r)).increments
+        dy = sample_observations(ZERO, spec, n=n, p=p, keys=stream_keys(301, r, r + 1)[0]).increments
         stats[r] = (basis @ dy) ** 2 / n
     for k in range(2):
         se = stats[:, k].std(ddof=1) / np.sqrt(reps)
@@ -316,7 +316,7 @@ def test_terminal_variance_matches_renewal_integral():
     n, p, reps = 5, 200, 3000
     ends = np.empty(reps)
     for r in range(reps):
-        ends[r] = sample_observations(ZERO, CHI2_SPEC, n=n, p=p, rng=RngStream(402, r)).y[-1]
+        ends[r] = sample_observations(ZERO, CHI2_SPEC, n=n, p=p, keys=stream_keys(402, r, r + 1)[0]).y[-1]
     sol = solve_renewal_density(InterarrivalLaw.chi_squared(3.0), h=1e-3, horizon=60.0)
     m = int(round(n / sol.h))
     expected = 0.25 * n + 0.25 * np.trapezoid(sol.rho[: m + 1], dx=sol.h)
@@ -332,7 +332,7 @@ def test_mark_count_variance_tracks_the_renewal_function():
     marks_only = NoiseSpec(rho1=0.0, rho2=1.0)
     ends = np.empty(reps)
     for r in range(reps):
-        ends[r] = period_sums(marks_only, n, 3, RngStream(55, r)).sum()
+        ends[r] = period_sums(marks_only, n, 3, stream_keys(55, r, r + 1)[0]).sum()
     sol = solve_renewal_density(InterarrivalLaw.chi_squared(3.0), h=5e-3, horizon=120.0)
     m = int(round(n / sol.h))
     expected = np.trapezoid(sol.rho[: m + 1], dx=sol.h)
@@ -357,15 +357,15 @@ def test_rekeyed_components_draw_as_fresh_generators(draw):
     # stream; whatever the last stream left in it, mid-buffer and with a
     # saved 32-bit half, the next stream draws a fresh generator's bits
     for seed, start in [(0, 0), (2**64 + 5, 9998)]:
-        for rng in RngStream.span(seed, start, start + 3):
+        for stream, row in enumerate(stream_keys(seed, start, start + 3), start=start):
             for tag in range(4):
-                dirty = _rekeyed(tag, RngStream(99, 7))
+                dirty = _rekeyed(tag, stream_keys(99, 7, 8)[0])
                 dirty.random(5)
                 dirty.integers(0, 2**32, 1, dtype=np.uint32)
                 state = dirty.bit_generator.state
                 assert state["buffer_pos"] == 2 and state["has_uint32"] == 1
-                expected = draw(reference_generator(seed, rng.stream_index, tag))
-                assert np.array_equal(draw(_rekeyed(tag, rng)), expected)
+                expected = draw(reference_generator(seed, stream, tag))
+                assert np.array_equal(draw(_rekeyed(tag, row)), expected)
 
 
 class ShortFirstChunk:
@@ -385,26 +385,26 @@ def _rows(epochs, counts):
     return np.split(epochs, np.cumsum(counts)[:-1])
 
 
-def _assert_reference_rows(law, horizon, streams):
-    epochs, counts = _renewal_epochs(law, horizon, streams)
+def _assert_reference_rows(law, horizon, seed, start, stop):
+    epochs, counts = _renewal_epochs(law, horizon, stream_keys(seed, start, stop))
     rows = _rows(epochs, counts)
-    assert len(rows) == len(streams)
-    for row, rng in zip(rows, streams):
-        assert np.array_equal(row, reference_renewal_times(law, horizon, rng.base_seed, rng.stream_index))
+    assert len(rows) == stop - start
+    for stream, row in enumerate(rows, start=start):
+        assert np.array_equal(row, reference_renewal_times(law, horizon, seed, stream))
     return counts
 
 
 def test_block_continues_a_short_row_as_plain_numpy():
     # one row of this block falls short of the horizon on its first
     # chunk; it is drawn on, a chunk at a time, with the reference's bits
-    law, streams = ShortFirstChunk(), RngStream.span(2, 0, 8)
-    counts = _assert_reference_rows(law, 10.0, streams)
+    law, streams = ShortFirstChunk(), stream_keys(2, 0, 8)
+    counts = _assert_reference_rows(law, 10.0, 2, 0, 8)
     assert [i for i, count in enumerate(counts) if count > renewal_chunk(law, 10.0)] == [5]
     # and the noise over the block is its rows drawn one at a time
     spec = NoiseSpec(rho1=0.3, rho2=0.8, interarrival=law, marks="uniform")
     block = sample_period_sums(np.zeros(11), spec, 10, streams)
-    for row, rng in zip(block, streams):
-        assert np.array_equal(row, sample_period_sums(np.zeros(11), spec, 10, [rng])[0])
+    for row, keys in zip(block, streams):
+        assert np.array_equal(row, sample_period_sums(np.zeros(11), spec, 10, [keys])[0])
 
 
 class Far:
@@ -423,17 +423,17 @@ def test_block_stops_where_the_running_sum_passes_the_horizon():
     # last bits; at horizons on and one ulp beside either sum of each
     # row's first chunk, every row has the reference's epochs, which
     # stop where the running sum passes the horizon
-    law, streams = Far(), RngStream.span(6, 0, 8)
+    law = Far()
     sums = []
-    for rng in streams:
-        gaps = law.sample(reference_generator(6, rng.stream_index, 0), 22)
+    for stream in range(8):
+        gaps = law.sample(reference_generator(6, stream, 0), 22)
         sums.append((float(gaps.sum()), float(gaps.cumsum()[-1])))
     assert any(s != c for s, c in sums)
     for pair in sums:
         for x in pair:
             for horizon in (np.nextafter(x, 0.0), x, np.nextafter(x, 99.0)):
                 assert renewal_chunk(law, horizon) == 22
-                _assert_reference_rows(law, horizon, streams)
+                _assert_reference_rows(law, horizon, 6, 0, 8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -442,7 +442,7 @@ def test_block_stops_where_the_running_sum_passes_the_horizon():
                             InterarrivalLaw.chi_squared(3.0)]),
        horizon=st.floats(1e-3, 300.0))
 def test_block_epochs_are_plain_numpy_renewal_epochs(seed, start, law, horizon):
-    _assert_reference_rows(law, horizon, RngStream.span(seed, start, start + 8))
+    _assert_reference_rows(law, horizon, seed, start, start + 8)
 
 
 LAWS = (
@@ -462,9 +462,9 @@ def test_period_sums_match_the_folded_path(law, marks, p):
     spec = NoiseSpec(rho1=0.0, rho2=0.8, interarrival=law, marks=marks)
     n = 7
     block = sample_period_sums(n * cell_integrals(SignalSpec.benchmark(), p), spec, n,
-                               [RngStream(61, r) for r in range(4)])
+                               stream_keys(61, 0, 4))
     for r, sums in enumerate(block):
-        path = sample_observations(SignalSpec.benchmark(), spec, n=n, p=p, rng=RngStream(61, r))
+        path = sample_observations(SignalSpec.benchmark(), spec, n=n, p=p, keys=stream_keys(61, r, r + 1)[0])
         assert np.abs(sums - path.increments.reshape(n, p).sum(axis=0)).max() <= 1e-12
 
 
@@ -481,11 +481,11 @@ def test_period_sums_block_is_its_streams_drawn_one_at_a_time(marks, levy):
     spec = NoiseSpec(rho1=0.7, rho2=0.4, marks=marks, **levy)
     n, p = 30, 101
     drift = n * cell_integrals(SignalSpec.benchmark(), p)
-    streams = RngStream.span(5, 10, 17)
+    streams = stream_keys(5, 10, 17)
     block = sample_period_sums(drift, spec, n, streams)
     assert block.shape == (7, p)
-    for row, stream in zip(block, streams):
-        [one] = sample_period_sums(drift, spec, n, [RngStream(5, stream.stream_index)])
+    for row, keys in zip(block, streams):
+        [one] = sample_period_sums(drift, spec, n, [keys])
         assert np.array_equal(row, one)
 
 
@@ -493,15 +493,15 @@ def test_noiseless_period_sums_are_the_drift():
     quiet = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
     S = SignalSpec.benchmark()
     drift = 13 * cell_integrals(S, 101)
-    [sums] = sample_period_sums(drift, quiet, 13, [RngStream(4, 0)])
+    [sums] = sample_period_sums(drift, quiet, 13, stream_keys(4, 0, 1))
     assert np.array_equal(sums, drift)
 
 
 def test_period_sums_validation():
     with pytest.raises(ValueError):
-        sample_period_sums(np.zeros(11), CHI2_SPEC, 0, [RngStream(1, 0)])
+        sample_period_sums(np.zeros(11), CHI2_SPEC, 0, stream_keys(1, 0, 1))
     with pytest.raises(ValueError):
-        sample_period_sums(np.zeros(2), CHI2_SPEC, 3, [RngStream(1, 0)])
+        sample_period_sums(np.zeros(2), CHI2_SPEC, 3, stream_keys(1, 0, 1))
 
 
 def test_spec_validation():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from driftsel.noise import RngStream, _renewal_epochs
+from driftsel.noise import _renewal_epochs, stream_keys
 from driftsel.renewal import InterarrivalLaw, grid_size, proxy_variance, solve_renewal_density
 from reference_renewal import reference_generator
 
@@ -113,7 +113,7 @@ def test_solver_matches_epoch_histogram():
     law = InterarrivalLaw.gamma(2.0, 1.0)
     n_paths, horizon, width = 100000, 5.0, 0.1
     n_bins = int(horizon / width)
-    ts, _ = _renewal_epochs(law, horizon, RngStream.span(403, 0, n_paths))
+    ts, _ = _renewal_epochs(law, horizon, stream_keys(403, 0, n_paths))
     counts = np.bincount(np.minimum((ts / width).astype(int), n_bins - 1), minlength=n_bins)
     sol = solve_renewal_density(law, h=1e-3, horizon=40.0)
     per = int(round(width / sol.h))

@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo risk engine and benchmark constants."""
 
+import ast
+import inspect
 import math
 import os
 import re
+import textwrap
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from numpy.random import SeedSequence
 import driftsel.risk
 from driftsel import noise
 from driftsel.cli import emit_config, main
-from driftsel.noise import NoiseSpec, RngStream, sample_observations
+from driftsel.noise import NoiseSpec, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     ConfigError,
@@ -152,7 +156,7 @@ def test_grid_and_coefficient_routes_agree():
         prefixes = [member_profile(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members(family)]
         errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
-            [est] = replication_estimates(drift, cfg.noise, n, [RngStream(seed, r)])
+            [est] = replication_estimates(drift, cfg.noise, n, stream_keys(seed, r, r + 1))
             result = select_model(est, family, delta)
             diff = result.grid_values() - truth
             errors.append(np.dot(diff, diff) / p)
@@ -179,7 +183,7 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
     drift = n * cell_integrals(cfg.signal, p)
     rows, sigmas, picks = [], [], []
     for r in range(reps):
-        [est] = replication_estimates(drift, cfg.noise, n, [RngStream(12, r)])
+        [est] = replication_estimates(drift, cfg.noise, n, stream_keys(12, r, r + 1))
         sigma = estimate_proxy_variance(est)
         costs = []
         for lam in prefixes:
@@ -208,8 +212,8 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, projected, p):
     # the chunk selects and scores its replications as one block; one
     # replication at a time through select_model must give the same bits
     # (at n = 9 with k_star = 2 every member is flat: one profile), on
-    # either route, and whether the plan made the chunk's streams and
-    # projection or the chunk makes them itself
+    # either route, and whether the plan made the chunk's projection or
+    # the chunk makes it itself
     cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=5, **knobs)
     assert projects(n, p, cfg.noise) == projected
     _, family, delta = resolve_selection(cfg, n)
@@ -223,13 +227,12 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, projected, p):
     carried = _truth(cfg.signal, n, p, width)
     assert np.array_equal(carried[0], theta[:width]) and carried[1] == tail and np.array_equal(carried[2], drift)
     payload = (cfg.noise, n, family.weights, delta, *carried[:3], cfg.seed, start, stop)
-    selected, profile_sum = _run_chunk(payload)
-    planned = _run_chunk((*payload, noise._substream_keys(cfg.seed, start, stop),
-                          _projection(drift, n) if projected else None))
+    selected, profile_sum = _run_chunk((*payload, None))
+    planned = _run_chunk((*payload, _projection(drift, n) if projected else None))
     assert np.array_equal(planned[0], selected) and np.array_equal(planned[1], profile_sum)
     expected, total = [], np.zeros(family.weights.shape[0])
     for r in range(start, stop):
-        [est] = replication_estimates(drift, cfg.noise, n, [RngStream(cfg.seed, r)])
+        [est] = replication_estimates(drift, cfg.noise, n, stream_keys(cfg.seed, r, r + 1))
         errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
         expected.append(errors[family.profile_of[select_model(est, family, delta).index]])
         total += errors
@@ -254,12 +257,12 @@ def test_chunk_keeps_its_bits_whatever_the_block_size(monkeypatch, knobs):
         assert projects(n, p, cfg.noise) == projected
         _, family, delta = resolve_selection(cfg, n)
         truth = _truth(cfg.signal, n, p, family.weights.shape[1])[:3]
-        payload = (cfg.noise, n, family.weights, delta, *truth, cfg.seed, 50, 100)
+        payload = (cfg.noise, n, family.weights, delta, *truth, cfg.seed, 50, 100, None)
         sizes = []
 
-        def estimates(drift_sums, noise, n, rngs, *projection):
-            sizes.append(len(rngs))
-            return replication_estimates(drift_sums, noise, n, rngs, *projection)
+        def estimates(drift_sums, noise, n, keys, *projection):
+            sizes.append(len(keys))
+            return replication_estimates(drift_sums, noise, n, keys, *projection)
 
         with monkeypatch.context() as patch:
             patch.setattr(driftsel.risk, "replication_estimates", estimates)
@@ -301,8 +304,8 @@ def test_route_of_every_golden_and_benchmark_config(cfg, n_values, projected):
 def _on_cell_edges(real):
     """`_renewal_epochs` with every epoch moved up to the right edge of
     its cell, the grid point that closes it."""
-    def epochs(law, horizon, rngs):
-        times, counts = real(law, horizon, rngs)
+    def epochs(law, horizon, keys):
+        times, counts = real(law, horizon, keys)
         p = epochs.p
         return np.ceil(times * p) / p, counts
     return epochs
@@ -322,7 +325,7 @@ def test_projection_matches_the_rfft_route(n, p, rows, seed, law, marks, jumps, 
     cfg = RunConfig(seed=seed, interarrival=law, marks=marks, rho_check=rho_check, jump_intensity=intensity,
                     jump_law=jump_law)
     drift = n * cell_integrals(cfg.signal, p)
-    streams = RngStream.span(seed, 0, rows)
+    streams = stream_keys(seed, 0, rows)
     with pytest.MonkeyPatch.context() as patch:
         if edges:
             moved = _on_cell_edges(noise._renewal_epochs)
@@ -342,8 +345,7 @@ def test_projected_chunk_memory_stays_within_the_term_budget():
     cfg = RunConfig(n_values=(n,), p=p, replications=50, seed=9, k_star=5)
     _, family, delta = resolve_selection(cfg, n)
     truth, tail, drift, _ = _truth(cfg.signal, n, p, family.weights.shape[1])
-    payload = (cfg.noise, n, family.weights, delta, truth, tail, drift, cfg.seed, 0, 50,
-               noise._substream_keys(cfg.seed, 0, 50), _projection(drift, n))
+    payload = (cfg.noise, n, family.weights, delta, truth, tail, drift, cfg.seed, 0, 50, _projection(drift, n))
     tracemalloc.start()
     try:
         _run_chunk(payload)
@@ -378,7 +380,7 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     _, family, delta = resolve_selection(cfg, 20)
     truth, tail, drift, _ = _truth(cfg.signal, 20, 101, family.weights.shape[1])
     for start in (0, 50):
-        _run_chunk((cfg.noise, 20, family.weights, delta, truth, tail, drift, cfg.seed, start, start + 50))
+        _run_chunk((cfg.noise, 20, family.weights, delta, truth, tail, drift, cfg.seed, start, start + 50, None))
     assert built == []
     # renewal epochs, marks, Brownian sums and jumps: one Philox each
     assert len(seeds) == 4
@@ -409,7 +411,7 @@ def test_truth_is_built_once_per_n_in_the_parent(monkeypatch):
     assert [projects(n, 101, cfg.noise) for n in (20, 30)] == [True, False]
     for n in (20, 30):
         (_, _, weights, _, truth, tail, drift, *_, projection), *rest = [pl for pl in payloads if pl[1] == n]
-        assert all(pl[4] is truth and pl[6] is drift and pl[11] is projection for pl in rest)
+        assert all(pl[4] is truth and pl[6] is drift and pl[10] is projection for pl in rest)
         assert not truth.flags.writeable and not drift.flags.writeable
         assert np.array_equal(drift, n * real_integrals(cfg.signal, 101))
         assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: weights.shape[1]])
@@ -419,12 +421,9 @@ def test_truth_is_built_once_per_n_in_the_parent(monkeypatch):
             assert np.allclose(roots, np.exp(-2j * np.pi * np.arange(101) / 101), rtol=0, atol=1e-15)
         else:
             assert projection is None
-    # the run's stream keys are derived once, and every n's chunk takes its slice
-    keys = [pl[10] for pl in payloads]
-    run_keys = keys[0].base
-    assert np.array_equal(run_keys, noise._substream_keys(3, 0, 120))
-    assert all(k.base is run_keys for k in keys)
-    assert [len(k) for k in keys] == [50, 50, 20] * 2
+    # a payload names its replications by index alone: each chunk
+    # derives its own stream keys
+    assert [(pl[7], pl[8], pl[9]) for pl in payloads] == [(3, 0, 50), (3, 50, 100), (3, 100, 120)] * 2
 
 
 def test_report_is_deterministic():
@@ -501,7 +500,7 @@ def test_noiseless_oracle_is_the_truncation_error():
     cfg = RunConfig(rho1=0.0, rho2=0.0, n_values=(n,), p=p, replications=2, seed=3, k_star=2, eps=0.5)
     assert (cfg.signal, cfg.noise) == (S, QUIET)
     row = run_risk_experiment(cfg)[0]
-    est = estimate_coefficients(sample_observations(S, QUIET, n=n, p=p, rng=RngStream(3, 0)))
+    est = estimate_coefficients(sample_observations(S, QUIET, n=n, p=p, keys=stream_keys(3, 0, 1)[0]))
     theta_grid = grid_coefficients(grid_values(S, p))
     sq = theta_grid**2
     family = build_weight_family(n, p, eps=0.5, k_star=2)
@@ -547,9 +546,9 @@ def _folded_and_path_sums(S, spec, n, p, reps):
     leaves out added back (`folded_path_sums`), and from full paths
     (other seeds)."""
     drift = n * cell_integrals(S, p)
-    folded = folded_path_sums(drift, spec, n, [RngStream(81, r) for r in range(reps)])
+    folded = folded_path_sums(drift, spec, n, stream_keys(81, 0, reps))
     full = np.array([
-        sample_observations(S, spec, n=n, p=p, rng=RngStream(82, r)).increments.reshape(n, p).sum(0)
+        sample_observations(S, spec, n=n, p=p, keys=stream_keys(82, r, r + 1)[0]).increments.reshape(n, p).sum(0)
         for r in range(reps)
     ])
     return folded, full
@@ -609,8 +608,8 @@ def test_engine_estimates_match_full_path_estimates_in_law(spec, n, p, reps):
     # n = 100, p = 1001 is the desk scale, where the proxy-variance
     # window reads j = 10..100
     S = SignalSpec.benchmark()
-    engine = replication_estimates(n * cell_integrals(S, p), spec, n, RngStream.span(81, 0, reps))
-    full = [estimate_coefficients(sample_observations(S, spec, n=n, p=p, rng=RngStream(82, r)))
+    engine = replication_estimates(n * cell_integrals(S, p), spec, n, stream_keys(81, 0, reps))
+    full = [estimate_coefficients(sample_observations(S, spec, n=n, p=p, keys=stream_keys(82, r, r + 1)[0]))
             for r in range(reps)]
     assert all(est.theta.size == n for est in engine) and all(est.theta.size == p - 1 for est in full)
     for j in (1, 2, 3, 8, 15, n):
@@ -628,10 +627,10 @@ def test_engine_estimates_match_full_path_estimates_in_law(spec, n, p, reps):
 def test_engine_block_is_its_streams_drawn_one_at_a_time(spec, p):
     n = 30
     drift = n * cell_integrals(SignalSpec.benchmark(), p)
-    streams = RngStream.span(5, 10, 17)
+    streams = stream_keys(5, 10, 17)
     block = replication_estimates(drift, spec, n, streams)
-    for est, stream in zip(block, streams):
-        [one] = replication_estimates(drift, spec, n, [RngStream(5, stream.stream_index)])
+    for est, keys in zip(block, streams):
+        [one] = replication_estimates(drift, spec, n, [keys])
         assert np.array_equal(est.theta, one.theta)
 
 
@@ -641,12 +640,12 @@ def test_both_routes_keep_the_bits_of_one_row(spec, n, p):
     # each route, called directly whatever projects() says, gives a
     # block's rows the bits of one stream at a time
     drift = n * cell_integrals(SignalSpec.benchmark(), p)
-    streams = RngStream.span(5, 10, 17)
-    for route in (lambda rngs: _transformed(drift, spec, n, rngs),
-                  lambda rngs: _projected(*_projection(drift, n), spec, n, rngs)):
+    streams = stream_keys(5, 10, 17)
+    for route in (lambda keys: _transformed(drift, spec, n, keys),
+                  lambda keys: _projected(*_projection(drift, n), spec, n, keys)):
         block = route(streams)
-        for row, stream in zip(block, streams):
-            assert np.array_equal(row, route([RngStream(5, stream.stream_index)])[0])
+        for row, keys in zip(block, streams):
+            assert np.array_equal(row, route([keys])[0])
 
 
 @pytest.mark.parametrize("n, p", [(30, 101), (30, 100), (200, 101)])
@@ -656,7 +655,7 @@ def test_engine_brownian_part_is_plain_numpy_normals(n, p):
     # normals that plain numpy draws from substream 2 of stream r
     seed, rho1 = 19, 0.7
     ests = replication_estimates(n * cell_integrals(ZERO, p), NoiseSpec(rho1=rho1, rho2=0.0), n,
-                                 RngStream.span(seed, 0, 4))
+                                 stream_keys(seed, 0, 4))
     for r, est in enumerate(ests):
         gen = np.random.Generator(np.random.Philox(SeedSequence(seed, spawn_key=(r, 2))))
         assert np.array_equal(est.theta, rho1 / math.sqrt(n) * gen.standard_normal(min(n, p - 1)))
@@ -702,6 +701,109 @@ def test_risk_engine_memory_does_not_grow_with_the_block():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2**20
+
+
+def test_risk_engine_holds_nothing_per_replication_but_its_results(monkeypatch):
+    # with every chunk stubbed to one shared result pair, a run of 10^6
+    # replications holds each replication's selected error, 8 bytes, a
+    # temporary of that size for its standard error, and 20000 payloads
+    # that name their replications by index: 20 bytes a replication here.
+    # Every replication's stream keys alone take 64, and deriving them
+    # for the whole run peaked at 212
+    reps = 10**6
+    cfg = RunConfig(n_values=(20,), p=101, replications=reps, seed=3)
+    result = (np.zeros(50), np.zeros(resolve_selection(cfg, 20)[1].weights.shape[0]))
+    monkeypatch.setattr(driftsel.risk, "_run_chunk", lambda payload: result)
+    tracemalloc.start()
+    try:
+        [row] = run_risk_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.replications == reps and row.risk == 0.0
+    assert peak < 32 * reps
+
+
+# the names of numpy's BLAS-backed products: a chunk may call none of them
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def _is_ours(obj) -> bool:
+    code = getattr(inspect.unwrap(obj), "__code__", None)
+    return code is not None and Path(code.co_filename).parent == Path(driftsel.__file__).parent
+
+
+def _methods(cls) -> list:
+    """The functions a class of ours defines, properties' getters included."""
+    found = []
+    for attr in vars(cls).values():
+        attr = getattr(attr, "__func__", getattr(attr, "fget", getattr(attr, "func", attr)))
+        if _is_ours(attr):
+            found.append(inspect.unwrap(attr))
+    return found
+
+
+def _reached(start) -> dict:
+    """Every function of ours that `start` can reach, by qualified name,
+    with the syntax tree of each: each global it names that is a function
+    of ours, each method of a class of ours it names, and each method of
+    ours whose name it reads as an attribute (`law.sample` reaches every
+    method called `sample`), a superset of what it calls."""
+    modules = (driftsel.estimator, noise, driftsel.renewal, driftsel.risk, driftsel.signal)
+    by_attr = {}
+    for module in modules:
+        for obj in vars(module).values():
+            if inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for fn in _methods(obj):
+                    by_attr.setdefault(fn.__name__, []).append(fn)
+    reached, todo = {}, [start]
+    while todo:
+        fn = inspect.unwrap(todo.pop())
+        name = f"{fn.__module__}.{fn.__qualname__}"
+        if name in reached:
+            continue
+        reached[name] = tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                target = fn.__globals__.get(node.id)
+                if inspect.isclass(target) and target.__module__.startswith("driftsel."):
+                    todo += _methods(target)
+                elif callable(target) and _is_ours(target):
+                    todo.append(target)
+            elif isinstance(node, ast.Attribute):
+                todo += by_attr.get(node.attr, [])
+    return reached
+
+
+def _blas_calls(tree) -> list:
+    """Each `@` operator and each name of BLAS_NAMES in a syntax tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(node.id)
+    return found
+
+
+def test_a_chunk_calls_no_blas():
+    # forked workers inherit OpenBLAS's thread pool, and a BLAS sum's
+    # rounding follows its thread count: nothing a chunk reaches may
+    # multiply through BLAS
+    reached = _reached(_run_chunk)
+    assert {"driftsel.noise.stream_keys", "driftsel.noise._rekeyed", "driftsel.noise._jump_sums",
+            "driftsel.noise._renewal_epochs", "driftsel.renewal.InterarrivalLaw.sample",
+            "driftsel.risk._projected", "driftsel.risk._transformed", "driftsel.signal.bin_coefficients",
+            "driftsel.estimator.estimate_proxy_variance", "driftsel.estimator.selection_cost"} <= set(reached)
+    assert {name: calls for name, calls in ((name, _blas_calls(tree)) for name, tree in reached.items())
+            if calls} == {}
+    # the drift's cell integrals, whose `@` runs in the parent's plan, lie
+    # outside; the check sees both that `@` and the renewal march's np.dot
+    assert "driftsel.signal.cell_integrals" not in reached
+    assert _blas_calls(ast.parse(inspect.getsource(driftsel.signal.cell_integrals))) == ["@"]
+    assert _blas_calls(ast.parse(inspect.getsource(driftsel.renewal._march_deviation))) == ["dot"]
 
 
 def risk_table(config, tmp_path):
