@@ -13,7 +13,8 @@ risk engine; this module owns its text form, the gate that `main` runs
 before any handler, which builds no weight family, and the subcommands.
 A config that breaks a rule raises `risk.ConfigError` where the rule is
 checked, in the gate, where a handler builds its families or, for
-`renewal-density`, before its solve, and so before any draw or output;
+`renewal-density` and `simulate`, before its solve or its path, and so
+before any draw or output;
 `main` exits 2 on it, and 1 on any other ValueError, OSError or
 MemoryError.  A subcommand's handler only computes: it
 returns its tables, file name to (header, columns), in output order,
@@ -55,8 +56,12 @@ from .risk import (
 from .signal import SignalSpec, cell_integrals, grid_values
 
 
-# rows formatted and written at a time: a table's text never exists whole
-_BLOCK = 1 << 16
+# rows formatted and written at a time: a table's text never exists whole,
+# and a block's lines stay below the path sampler's own peak
+_BLOCK = 1 << 14
+# cells of the one path `simulate` draws: the defaults' 10^7 cells peaked
+# at 390 MiB, so 2^26 cells take about 2.6 GiB
+_MAX_PATH_CELLS = 1 << 26
 # renewal gaps one block of replications may draw at once, 128 MiB of float64
 _MAX_GAP_VALUES = 1 << 24
 
@@ -196,6 +201,9 @@ def _fit_table(signal: SignalSpec, result):
 def _run_simulate(config: RunConfig):
     n = config.estimate_n
     p = resolve_frequency(config, n)
+    if n * p > _MAX_PATH_CELLS:
+        raise ConfigError(f"simulate draws n*p = {n * p} cells at estimate.n={n}, risk.p={p}, above the limit of "
+                          f"{_MAX_PATH_CELLS}; lower estimate.n or risk.p")
     [keys] = stream_keys(config.seed, 0, 1)
     obs = sample_observations(config.signal, config.noise, n=n, p=p, keys=keys)
     j = np.arange(obs.y.size)

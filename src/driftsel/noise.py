@@ -6,13 +6,14 @@ jump measure is normalized so that the second-moment charge intensity *
 E[J^2] equals 1. z is a semi-Markov component: a renewal process with a
 general inter-arrival law, carrying i.i.d. standardized marks at its epochs.
 
-One core, `_noise_on_cells`, draws a block of replications, one row per
-stream: each stream makes only its own draws into its row, and the
-cumulative sums of the renewal gaps, the rule that places an epoch in
-its cell, the per-cell sums of the marks and the drift + rho1 dL + rho2
-dz arithmetic each run once over the whole block.  `sample_period_sums`
-returns such a block; a whole path (`sample_observations`) is the
-one-row case.
+z jumps only at renewal epochs and the jump part only in the cells whose
+Poisson count is nonzero, so one sampler, `_terms`, draws a block of
+streams' noise without its Brownian part as a few (cell, value) terms:
+one per epoch, one per cell holding a jump.  Every noise quantity is
+built from them.  The risk engine's projection route reads them as they
+are (`sample_period_terms`); the period sums (`sample_period_sums`) and
+a whole path (`sample_observations`) are their per-cell sums, one
+bincount, plus the drift part and, for a path, the Brownian part.
 
 The Brownian part comes from one stream of standard normals per
 replication, `brownian_normals`, read in one of two ways.  A whole path
@@ -317,15 +318,6 @@ def brownian_normals(keys, count: int) -> np.ndarray:
     return normals
 
 
-def _epoch_marks(spec: NoiseSpec, n: int, keys):
-    """The renewal epochs in (0, n] of each stream of `keys` and their
-    marks (substream TAG_MARKS), both concatenated in stream order, and
-    each stream's epoch count."""
-    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), keys)
-    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, row), count) for row, count in zip(keys, per_row)]
-    return epochs, np.concatenate(marks), per_row
-
-
 def _jump_sums(spec: NoiseSpec, widths: np.ndarray, row: list):
     """Substream TAG_JUMPS of the stream whose keys are `row`, on cells
     of the given widths: each cell's Poisson(jump_intensity * width) jump
@@ -343,49 +335,38 @@ def _jump_sums(spec: NoiseSpec, widths: np.ndarray, row: list):
     return counts, np.bincount(np.repeat(np.arange(cells), counts), weights=jumps, minlength=cells)
 
 
-def _noise_on_cells(drift: np.ndarray, widths: np.ndarray, dW, spec: NoiseSpec, n: int, p: int,
-                    keys) -> np.ndarray:
-    """drift + rho1 dL + rho2 dz over cells of the given widths covering n
-    periods observed at p points per period, one row per stream of `keys`.
+def _terms(spec: NoiseSpec, n: int, p: int, widths: np.ndarray, keys):
+    """rho1 dL + rho2 dz of each stream of `keys` over n periods observed
+    at p points per period, without the Brownian part, as a few terms on
+    cells of the given widths: the cells and values of all terms, grouped
+    by stream in stream order, and each stream's term count.
 
-    z jumps by an i.i.d. standardized mark at every renewal epoch in
-    [0, n]; each epoch's cell on the n*p-cell grid is taken modulo the
-    cell count, so n*p cells give the path's increments and p cells its
-    period sums.  L = rho_check * W + sqrt(1 - rho_check^2) * (symmetric,
-    uncompensated jumps), the jumps drawn per cell.  The caller passes
-    the Brownian increments W over the cells as the block dW, which is
-    overwritten, or None to leave the Brownian part out.
-
-    A stream makes only its own draws, row by row, each component on its
-    one re-keyed generator; the renewal gaps' cumulative sums, the cell
-    rule, the sums of marks per cell and the arithmetic each run once
-    over the block, elementwise or within a row, so a row has the same
-    bits as a block of one."""
-    rows, cells = len(keys), widths.size
-    epochs, marks, per_row = _epoch_marks(spec, n, keys)
-    dL = dW
-    if spec.rho_check < 1.0:
-        dJ = np.empty((rows, cells))
-        for i, row in enumerate(keys):
-            _, dJ[i] = _jump_sums(spec, widths, row)
-        dJ *= math.sqrt(1.0 - spec.rho_check**2)
-        if dL is None:
-            dL = dJ
-        else:
-            dL *= spec.rho_check
-            dL += dJ
-    # each epoch's cell, offset by its row's cells: one count fills the block
-    offsets = np.repeat(np.arange(rows) * cells, per_row)
-    dz = spec.rho2 * np.bincount(offsets + _epoch_cells(epochs, p) % cells,
-                                 weights=marks, minlength=rows * cells).reshape(rows, cells)
-    # (drift + rho1 dL) + rho2 dz, in place
-    if dL is None:
-        dz += drift
-        return dz
-    dL *= spec.rho1
-    dL += drift
-    dL += dz
-    return dL
+    A stream's terms are rho2 * mark at the cell of each renewal epoch in
+    (0, n] (marks from substream TAG_MARKS), that cell on the n*p-cell
+    grid taken modulo the cell count, then rho1 * sqrt(1 - rho_check^2)
+    * the jump sum of each cell whose jump count is nonzero.  So n*p
+    cells give a path's terms and p cells its period sums'.  A stream
+    makes only its own draws, each component on its one re-keyed
+    generator; the renewal gaps' cumulative sums and the cell rule run
+    once over the block, so a row has the terms of a block of one."""
+    epochs, per_row = _renewal_epochs(spec.interarrival, float(n), keys)
+    marks = [_sample_marks(spec.marks, _rekeyed(TAG_MARKS, row), count) for row, count in zip(keys, per_row)]
+    cells = _epoch_cells(epochs, p) % widths.size
+    values, counts = spec.rho2 * np.concatenate(marks), np.asarray(per_row)
+    if spec.rho_check == 1.0:
+        return cells, values, counts
+    hits = []
+    for row in keys:
+        jumps, sums = _jump_sums(spec, widths, row)
+        hit = np.flatnonzero(jumps > 0)
+        hits.append((hit, sums[hit] * math.sqrt(1.0 - spec.rho_check**2) * spec.rho1))
+    # each stream's epoch terms, then its jump terms
+    hit_counts = np.array([hit.size for hit, _ in hits])
+    order = np.argsort(np.concatenate((np.repeat(np.arange(len(keys)), counts),
+                                       np.repeat(np.arange(len(keys)), hit_counts))), kind="stable")
+    cells = np.concatenate((cells, *(hit for hit, _ in hits)))[order]
+    values = np.concatenate((values, *(value for _, value in hits)))[order]
+    return cells, values, counts + hit_counts
 
 
 @lru_cache(maxsize=1)
@@ -401,17 +382,37 @@ def sample_observations(S, spec: NoiseSpec, n: int, p: int, keys: list) -> Obser
     """One observation path over n periods at p samples per period, of
     the stream whose row of `stream_keys` is `keys`.
 
-    Each increment is the exact-quadrature drift integral over its cell
-    plus rho1 dL + rho2 dz, the Brownian part one normal per cell (n*p
-    of them) scaled by the cell's root width.
+    Each increment is rho1 * rho_check times the cell's Brownian
+    increment, one normal per cell (n*p of them) scaled by its root
+    width, plus the exact-quadrature drift integral over the cell, plus
+    the sum of the stream's terms (`_terms`) on the n*p cells.
     """
     if n < 1 or p < 3:
         raise ValueError("need n >= 1 periods and p >= 3 samples per period")
     widths = np.diff(np.arange(n * p + 1) / p)
-    dW = brownian_normals([keys], n * p)
-    dW *= np.sqrt(widths)
-    [dy] = _noise_on_cells(np.tile(cell_integrals(S, p), n), widths, dW, spec, n, p, [keys])
+    [dy] = brownian_normals([keys], n * p)
+    dy *= np.sqrt(widths)
+    dy *= spec.rho1 * spec.rho_check
+    dy += np.tile(cell_integrals(S, p), n)
+    cells, values, _ = _terms(spec, n, p, widths, [keys])
+    dy += np.bincount(cells, weights=values, minlength=n * p)
     return ObservationPath(n=n, p=p, y=np.concatenate(([0.0], np.cumsum(dy))))
+
+
+def sample_period_terms(spec: NoiseSpec, n: int, p: int, keys):
+    """The noise of one observation path per stream of `keys`, without
+    its Brownian part, folded onto one period, as a few terms per stream
+    instead of p cells: `_terms` on p cells of width n/p.
+
+    Its semi-Markov part is the path's draw for draw: the same epochs and
+    marks (same substreams and cell rule), each epoch's cell taken modulo
+    p.  Its jump counts are drawn directly on the p cells, Poisson(
+    intensity * n/p), and the Brownian sums left out are i.i.d. N(0,
+    n/p) and independent of the rest; the risk engine draws that part in
+    coefficient space instead (`brownian_normals`)."""
+    if n < 1 or p < 3:
+        raise ValueError("need n >= 1 periods and p >= 3 samples per period")
+    return _terms(spec, n, p, _period_widths(n, p), keys)
 
 
 def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, keys) -> np.ndarray:
@@ -421,55 +422,15 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, keys) ->
 
     Entry l of a row is the sum over the n periods of the increment over
     the l-th in-period cell, which is all the coefficient estimates read
-    of a path.  drift_sums is the drift part, n * cell_integrals(S, p),
-    which a caller sampling many replications of one signal computes
-    once; its length is p. The row of the stream whose keys are `row` has
-    the law of sample_observations(S, spec, n, p, row).increments.reshape(n, p).sum(0)
-    less rho1 * rho_check times the path's Brownian sums, in O(p) memory
-    instead of O(n p):
-
-    - the semi-Markov part uses the same epochs and marks as the full path
-      (same substreams and cell rule), each epoch's cell taken modulo p,
-      so this part matches the full path draw for draw;
-    - the jump counts are drawn directly on p cells of width n/p,
-      Poisson(intensity * n/p).
-
-    The Brownian sums left out are i.i.d. N(0, n/p) and independent of
-    the rest; the risk engine draws that part in coefficient space
-    instead (`brownian_normals`).
+    of a path: the sum of the stream's terms in that cell
+    (`sample_period_terms`) plus drift_sums[l].  drift_sums is the drift
+    part, n * cell_integrals(S, p), which a caller sampling many
+    replications of one signal computes once; its length is p.  A row
+    has the law of the folded path's increments less rho1 * rho_check
+    times the path's Brownian sums, in O(p) memory instead of O(n p).
     """
-    p = drift_sums.size
-    if n < 1 or p < 3:
-        raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    return _noise_on_cells(drift_sums, _period_widths(n, p), None, spec, n, p, keys)
-
-
-def sample_period_terms(spec: NoiseSpec, n: int, p: int, keys):
-    """What `sample_period_sums` adds to the drift part, without the
-    Brownian part, as a few terms per stream instead of p cells: the
-    cells (0..p-1) and values of all terms, grouped by stream in stream
-    order, and each stream's term count.
-
-    The same draws as `sample_period_sums`, substream for substream: a
-    stream's terms are rho2 * mark at the cell of each renewal epoch,
-    then rho1 * sqrt(1 - rho_check^2) * the jump sum of each cell whose
-    jump count is nonzero.  A cell's terms add up to its period sum less
-    the drift, up to rounding."""
-    if n < 1 or p < 3:
-        raise ValueError("need n >= 1 periods and p >= 3 samples per period")
-    epochs, marks, per_row = _epoch_marks(spec, n, keys)
-    cells, values, counts = _epoch_cells(epochs, p) % p, spec.rho2 * marks, np.asarray(per_row)
-    if spec.rho_check == 1.0:
-        return cells, values, counts
-    hits, widths = [], _period_widths(n, p)
-    for row in keys:
-        jumps, sums = _jump_sums(spec, widths, row)
-        hit = np.flatnonzero(jumps)
-        hits.append((hit, sums[hit] * math.sqrt(1.0 - spec.rho_check**2) * spec.rho1))
-    # each stream's epoch terms, then its jump terms
-    hit_counts = np.array([hit.size for hit, _ in hits])
-    order = np.argsort(np.concatenate((np.repeat(np.arange(len(keys)), counts),
-                                       np.repeat(np.arange(len(keys)), hit_counts))), kind="stable")
-    cells = np.concatenate((cells, *(hit for hit, _ in hits)))[order]
-    values = np.concatenate((values, *(value for _, value in hits)))[order]
-    return cells, values, counts + hit_counts
+    p, rows = drift_sums.size, len(keys)
+    cells, values, counts = sample_period_terms(spec, n, p, keys)
+    # each term's cell, offset by its row's cells: one count fills the block
+    offsets = np.repeat(np.arange(rows) * p, counts)
+    return np.bincount(offsets + cells, weights=values, minlength=rows * p).reshape(rows, p) + drift_sums

@@ -17,15 +17,15 @@ one period) without building the path and without its Brownian part,
 and keeps the M = min(n, p - 1) coefficients the estimator reads; it
 adds the Brownian part to those in coefficient space, M normals per
 stream, which is exact in law.  The CLI's single-path fits are its
-one-stream case.  It takes one of two routes, which make the same draws
-and agree to rounding (about 1e-15): one length-p rfft of each stream's
-period sums, or, for a few renewal epochs against many cells, a
-projection of each stream's few noise terms (one per epoch, one per
-cell holding a jump) onto the K = M // 2 + 1 bins, added to the drift
-part's M coefficients.  `projects` picks the projection when the
-expected terms (n / tau_bar + jump_intensity * n) times K come to less
-than p * log2(p) / 8 (_PROJECTION_SHARE): it reads the plan alone,
-never a timing.  The constant 8 is where the two routes' costs cross on
+one-stream case.  Its two routes read one sampler, each stream's few
+noise terms (one per renewal epoch, one per cell holding a jump), and
+agree to rounding (about 1e-15): one length-p rfft of the terms' sums
+per cell, or, for a few renewal epochs against many cells, a projection
+of the terms onto the K = M // 2 + 1 bins, added to the drift part's M
+coefficients.  `projects` picks the projection when the expected terms
+(n / tau_bar + jump_intensity * n) times K come to less than
+p * log2(p) / 8 (_PROJECTION_SHARE): it reads the plan alone, never a
+timing.  The constant 8 is where the two routes' costs cross on
 a 2-vCPU VM (the projection took 0.42 against 0.91 ms per 50
 replications at n = 20, p = 1001, 1.20 against 1.16 ms at n = 100, 35.6
 against 15.3 ms at n = 1000, p = 10001, and 40 against 851 ms at
@@ -353,8 +353,8 @@ def _projection(drift_sums: np.ndarray, n: int):
 
 
 def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
-    """The rfft route: each stream's period sums, drift part included, as
-    one block through one length-p rfft."""
+    """The rfft route: each stream's period sums (`sample_period_sums`),
+    drift part included, as one block through one length-p rfft."""
     p = drift_sums.size
     sums = sample_period_sums(drift_sums, noise, n, keys)
     brownian = brownian_normals(keys, min(n, p - 1))
@@ -368,7 +368,8 @@ def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.n
 def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
     """The projection route: `_transformed`'s thetas up to rounding, from
     the drift part's M coefficients `drift_theta`, the unit roots of p
-    and each stream's few period-sum terms (`sample_period_terms`).
+    and each stream's few terms (`sample_period_terms`), whose per-cell
+    sums `_transformed` transforms.
 
     A term of value w in cell l sits at index q = (l + 1) mod p of the
     rolled grid, so it adds w * roots[(q k) mod p] to real-DFT bin k, an

@@ -362,6 +362,30 @@ def test_main_refuses_a_frequency_above_the_limit(tmp_path, capsys, subcommand):
     assert resolve_frequency(RunConfig(p=p - 1), 20) == p - 1
 
 
+def test_simulate_refuses_a_path_above_the_cell_limit(tmp_path, capsys, monkeypatch):
+    # estimate.n=100 at the largest p passes every frequency rule, and its
+    # path would hold 4.2e8 cells, tens of GiB: refused before any draw
+    cfg = write_cfg(tmp_path, f"estimate.n=100\nrisk.p={driftsel.risk._MAX_P}\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert f"config error: simulate draws n*p = {100 * driftsel.risk._MAX_P} cells" in err
+    assert f"above the limit of {driftsel.cli._MAX_PATH_CELLS}" in err
+    assert not out.exists()
+    # the limit itself is allowed
+    cfg = write_cfg(tmp_path, "estimate.n=20\nrisk.p=101\n")
+    for limit, code in ((20 * 101, 0), (20 * 101 - 1, 2)):
+        monkeypatch.setattr(driftsel.cli, "_MAX_PATH_CELLS", limit)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / f"sim{limit}")]) == code
+        assert (tmp_path / f"sim{limit}").exists() == (code == 0)
+
+
 def test_cli_import_loads_no_scipy():
     # scipy.special alone costs about half of start-up and only the renewal
     # solve needs it; numpy.random and numpy.fft load lazily in numpy 2, so

@@ -9,12 +9,13 @@ is numbered as in `driftsel.noise` (0 renewal gaps, 1 marks, 2 Brownian,
 
 - `risk-table`, `estimate` (estimate.csv, selection.csv) and `figures`
   fit through the risk engine's route: they pin substreams 0 and 1
-  through the folded period sums, and substream 2 as the first
-  min(n, p - 1) normals, read as coefficients;
+  through each stream's terms folded onto one period, and substream 2
+  as the first min(n, p - 1) normals, read as coefficients;
 - `simulate` pins the full-path sampler: substreams 0 and 1, and
   substream 2 as one normal per cell of all n*p;
 - a risk table with a jump part (two-point jumps, Brownian weight 1/2)
-  adds substream 3, drawn per folded cell.
+  adds substream 3, its jump counts drawn on the p cells of one folded
+  period.
 
 n = 20 takes the engine's projection route at p = 101, and every other
 n here, the jump table's n = 20 included, its rfft route

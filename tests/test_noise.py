@@ -23,6 +23,7 @@ from driftsel.noise import (
 from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
 from folded import folded_path_sums
+import reference_noise
 from reference_renewal import reference_generator, reference_renewal_times
 
 CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
@@ -171,14 +172,15 @@ def test_levy_component_ignores_renewal_settings():
 
 def test_observation_path_composes_the_components():
     # both samplers return drift + rho1 dL + rho2 dz, each part drawn from
-    # the same streams whatever the amplitudes: the period sums exactly,
-    # the path's increments up to the rounding of its running sum
+    # the same streams whatever the amplitudes, up to rounding: a cell
+    # adds its terms before the drift, and the path's increments come
+    # through its running sum
     S, n, p = SignalSpec.benchmark(), 12, 25
 
     def spec(rho1, rho2):
         return NoiseSpec(rho1=rho1, rho2=rho2, rho_check=0.6, jump_intensity=3.0)
 
-    for sample, tol in ((period_sums, 0.0), (path_increments, 1e-12)):
+    for sample, tol in ((period_sums, 1e-12), (path_increments, 1e-12)):
         drift = sample(spec(0.0, 0.0), n, p, stream_keys(13, 2, 3)[0], S)
         dL = sample(spec(1.0, 0.0), n, p, stream_keys(13, 2, 3)[0])
         dz = sample(spec(0.0, 1.0), n, p, stream_keys(13, 2, 3)[0])
@@ -487,6 +489,29 @@ def test_period_sums_block_is_its_streams_drawn_one_at_a_time(marks, levy):
     for row, keys in zip(block, streams):
         [one] = sample_period_sums(drift, spec, n, [keys])
         assert np.array_equal(row, one)
+
+
+@pytest.mark.parametrize(
+    "rho2, levy, tol",
+    [(0.5, {}, 0.0), (0.3, {}, 1e-12), (0.3, {"rho_check": 0.6, "jump_intensity": 2.0}, 1e-12),
+     (0.3, {"rho_check": 0.0, "jump_intensity": 0.7, "jump_law": "two_point"}, 1e-12)],
+    ids=["exact", "rounded", "gaussian_jumps", "two_point_jumps"],
+)
+def test_term_sums_match_the_dense_reference(rho2, levy, tol):
+    # the period sums and the path are per-cell sums of the streams'
+    # terms; the dense sampler they replaced scaled each cell's sum of
+    # marks by rho2 once and added the jumps before the drift, so the two
+    # agree bit for bit where rho2 scales exactly and no cell holds a jump
+    spec = NoiseSpec(rho1=0.7, rho2=rho2, interarrival=InterarrivalLaw.exponential(3.0), **levy)
+    S, n, p, streams = SignalSpec.benchmark(), 20, 11, stream_keys(8, 0, 5)
+    _, epochs = _renewal_epochs(spec.interarrival, float(n), streams)
+    assert min(epochs) > 2 * p    # cells hold several epochs each
+    drift = n * cell_integrals(S, p)
+    sums = sample_period_sums(drift, spec, n, streams)
+    assert np.abs(sums - reference_noise.sample_period_sums(drift, spec, n, streams)).max() <= tol
+    for keys in streams:
+        path = sample_observations(S, spec, n, p, keys).increments
+        assert np.abs(path - reference_noise.sample_observations(S, spec, n, p, keys).increments).max() <= tol
 
 
 def test_noiseless_period_sums_are_the_drift():

@@ -794,7 +794,7 @@ def test_a_chunk_calls_no_blas():
     # multiply through BLAS
     reached = _reached(_run_chunk)
     assert {"driftsel.noise.stream_keys", "driftsel.noise._rekeyed", "driftsel.noise._jump_sums",
-            "driftsel.noise._renewal_epochs", "driftsel.renewal.InterarrivalLaw.sample",
+            "driftsel.noise._renewal_epochs", "driftsel.noise._terms", "driftsel.noise.sample_period_sums", "driftsel.renewal.InterarrivalLaw.sample",
             "driftsel.risk._projected", "driftsel.risk._transformed", "driftsel.signal.bin_coefficients",
             "driftsel.estimator.estimate_proxy_variance", "driftsel.estimator.selection_cost"} <= set(reached)
     assert {name: calls for name, calls in ((name, _blas_calls(tree)) for name, tree in reached.items())
