@@ -23,10 +23,11 @@ alone turns values into text, each the `repr` of its Python int or
 float, and writes the run: the CSVs, streamed a block of rows at a
 time, and then the manifest naming them, after every table is
 computed and every value found finite (a non-finite one is a
-ValueError naming its file and column), so a run that fails creates no
+ValueError naming its file and column, the one line the user sees: the
+handler runs with numpy's warnings off), so a run that fails creates no
 output directory.  `estimate`
-and `figures` fit through the risk engine's sampler,
-`risk.replication_estimates`, so only `simulate` builds an n*p path.
+and `figures` fit through the risk engine's plan of each n,
+`risk.resolve_plan`, so only `simulate` builds an n*p path.
 """
 
 import argparse
@@ -50,10 +51,10 @@ from .risk import (
     block_rows,
     replication_estimates,
     resolve_frequency,
-    resolve_selection,
+    resolve_plan,
     run_risk_experiment,
 )
-from .signal import SignalSpec, cell_integrals, grid_values
+from .signal import SignalSpec, grid_values
 
 
 # rows formatted and written at a time: a table's text never exists whole,
@@ -183,13 +184,10 @@ def validate_config(config: RunConfig) -> None:
         raise ConfigError(str(exc)) from None
 
 
-def _fit_one_path(config: RunConfig, n: int, selection, stream: int):
-    """Selection result of one replication at sample size n, over
-    `selection`, the (p, family, delta) of resolve_selection at n."""
-    p, family, delta = selection
-    drift_sums = n * cell_integrals(config.signal, p)
-    [est] = replication_estimates(drift_sums, config.noise, n, stream_keys(config.seed, stream, stream + 1))
-    return select_model(est, family, delta)
+def _fit_one_path(plan, stream: int):
+    """Selection result of replication `stream` of the plan's n."""
+    [est] = replication_estimates(plan, stream_keys(plan.seed, stream, stream + 1))
+    return select_model(est, plan.family, plan.delta)
 
 
 def _fit_table(signal: SignalSpec, result):
@@ -211,11 +209,10 @@ def _run_simulate(config: RunConfig):
 
 
 def _run_estimate(config: RunConfig):
-    selection = resolve_selection(config, config.estimate_n)
-    result = _fit_one_path(config, config.estimate_n, selection, stream=0)
-    family = selection[1]
-    index = np.arange(family.profile_of.size)
-    columns = (index, family.beta, family.scale, result.costs, (index == result.index).astype(int))
+    plan = resolve_plan(config, config.estimate_n)
+    result = _fit_one_path(plan, stream=0)
+    index = np.arange(plan.family.profile_of.size)
+    columns = (index, plan.family.beta, plan.family.scale, result.costs, (index == result.index).astype(int))
     return {
         "estimate.csv": _fit_table(config.signal, result),
         "selection.csv": (("index", "beta", "scale", "cost", "selected"), columns),
@@ -253,11 +250,11 @@ def _run_renewal_density(config: RunConfig):
 
 
 def _run_figures(config: RunConfig):
-    # every n's family is built, and so checked, before the first fit
-    selections = {n: resolve_selection(config, n) for n in config.n_values}
+    # every n's plan is built, and so checked, before the first fit
+    plans = [resolve_plan(config, n) for n in config.n_values]
     return {
-        f"figure_n{n}.csv": _fit_table(config.signal, _fit_one_path(config, n, selection, stream))
-        for stream, (n, selection) in enumerate(selections.items())
+        f"figure_n{plan.n}.csv": _fit_table(config.signal, _fit_one_path(plan, stream))
+        for stream, plan in enumerate(plans)
     }
 
 
@@ -289,10 +286,10 @@ def resolve_run_config(args) -> RunConfig:
     config = RunConfig(**PRESETS[args.preset]) if args.preset else RunConfig()
     if args.config:
         path = Path(args.config)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
         try:
             text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         config = parse_config(text, base=config)
@@ -308,8 +305,9 @@ def main(argv=None) -> int:
     try:
         config = resolve_run_config(args)
         validate_config(config)
-        tables = {name: (header, [np.asarray(column) for column in columns])
-                  for name, (header, columns) in _HANDLERS[args.subcommand](config).items()}
+        with np.errstate(all="ignore"):  # an overflow is refused below, as a non-finite value
+            tables = {name: (header, [np.asarray(column) for column in columns])
+                      for name, (header, columns) in _HANDLERS[args.subcommand](config).items()}
         for name, (header, columns) in tables.items():
             for label, column in zip(header, columns):
                 # a block at a time, as they are written: no column-sized temporary

@@ -3,11 +3,11 @@
 The pipeline turns one observation path into a curve estimate in three
 steps.  First the raw trigonometric coefficients are read off the
 increments: averaging phi_j against dy over the whole path reduces,
-after folding onto one period, to a single length-p transform
-(`estimate_coefficients`).  The later steps read only the min(n, p - 1)
-first coefficients (`CoefficientEstimates` holds at least those), which
-is all the risk engine computes (`risk.replication_estimates`).  Second
-a high-frequency slice of those coefficients estimates the proxy
+after folding onto one period, to a single length-p transform.  The
+later steps read only the min(n, p - 1) first coefficients
+(`CoefficientEstimates` holds at least those), which is all the risk
+engine computes (`risk.replication_estimates`).  Second a
+high-frequency slice of those coefficients estimates the proxy
 variance, the noise level entering the penalty.  Third a finite family
 of shrinkage profiles is scanned with the penalized empirical cost and
 the minimizer is kept, ties going to the earliest candidate.
@@ -23,14 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import ObservationPath
-from .signal import coefficients_to_grid, grid_coefficients
+from .signal import coefficients_to_grid
 
-# most members k_star * m a weight family may have: the default knobs stay
-# at 80115 or fewer up to n = 10^12.  Traced peaks at the limit: 4.9 MiB to
-# build 99900 members (983 profiles) at n = 1000, p = 10001 and 22 MiB for a
-# 50-replication risk run with them; 71 MiB to build the 100000 members of
-# n = 20, p = 101, k_star = 1, of which 99299 are distinct profiles
+# most members k_star * m a weight family may have, which bounds a
+# family's build time and memory (README): the default knobs stay at
+# 80115 or fewer up to n = 10^12
 _MAX_MEMBERS = 100_000
 
 
@@ -81,18 +78,6 @@ class SelectionResult:
         padded = np.zeros(self.p)
         padded[: self.p - 1] = self.coefficients
         return coefficients_to_grid(padded)
-
-
-def estimate_coefficients(obs: ObservationPath) -> CoefficientEstimates:
-    """Coefficient estimates of one path: all p - 1 estimable
-    coefficients, each the average of its basis function against the
-    n*p increments.  Periodicity reduces that to the increments' per-cell
-    sums over the periods, one length-p transform whatever n."""
-    if obs.p < 3:
-        raise ValueError("need at least 3 observations per period")
-    theta = grid_coefficients(obs.increments.reshape(obs.n, obs.p).sum(axis=0), obs.p - 1)
-    theta *= obs.p / obs.n
-    return CoefficientEstimates(n=obs.n, p=obs.p, theta=theta)
 
 
 def estimate_proxy_variance(est: CoefficientEstimates) -> float:

@@ -232,10 +232,6 @@ class ObservationPath:
         if self.y[0] != 0.0:
             raise ValueError("paths start at 0")
 
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.y)
-
 
 def _sample_marks(law: str, gen: Generator, size: int) -> np.ndarray:
     # standardized: mean 0, variance 1, finite fourth moment

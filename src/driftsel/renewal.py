@@ -25,8 +25,8 @@ import numpy as np
 
 # largest deviation |rho - 1/tau_bar| at the horizon of a converged solve
 TAIL_TOL = 1e-6
-# most grid steps a solve may take: the march is O(m^2), 1.3 s at the
-# default m = 120000 on a 2-vCPU VM, so about 6 s at this limit
+# most grid steps a solve may take: the march is O(m^2), so the limit
+# bounds the solve's time (README)
 _MAX_GRID_STEPS = 1 << 18
 
 

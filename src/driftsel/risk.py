@@ -3,12 +3,12 @@ model-selection estimator.
 
 `RunConfig` is the one description of a run: flat fields holding the
 paper's full-scale defaults, whose signal and noise are built from those
-fields.  The `resolve_*` functions turn it into each n's sampling
-frequency, weight family and penalty threshold; the CLI reads and writes
-it as key=value text.  A config that breaks a rule raises `ConfigError`
-where the rule is checked, before any draw: `resolve_selection` for an
-n's frequency and family, and `run_risk_experiment` for the scoring
-budget of each n's chunks.
+fields.  `resolve_plan` turns it into one `Plan` per n, everything a fit
+of n periods reads; the CLI reads and writes the config as key=value
+text.  A config that breaks a rule raises `ConfigError` where the rule
+is checked, before any draw: `resolve_plan` for an n's frequency and
+family, and `run_risk_experiment` for the scoring budget of each n's
+chunks.
 
 One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
@@ -17,27 +17,22 @@ one period) without building the path and without its Brownian part,
 and keeps the M = min(n, p - 1) coefficients the estimator reads; it
 adds the Brownian part to those in coefficient space, M normals per
 stream, which is exact in law.  The CLI's single-path fits are its
-one-stream case.  Its two routes read one sampler, each stream's few
-noise terms (one per renewal epoch, one per cell holding a jump), and
-agree to rounding (about 1e-15): one length-p rfft of the terms' sums
-per cell, or, for a few renewal epochs against many cells, a projection
-of the terms onto the K = M // 2 + 1 bins, added to the drift part's M
-coefficients.  `projects` picks the projection when the expected terms
-(n / tau_bar + jump_intensity * n) times K come to less than
-p * log2(p) / 8 (_PROJECTION_SHARE): it reads the plan alone, never a
-timing.  The constant 8 is where the two routes' costs cross on
-a 2-vCPU VM (the projection took 0.42 against 0.91 ms per 50
-replications at n = 20, p = 1001, 1.20 against 1.16 ms at n = 100, 35.6
-against 15.3 ms at n = 1000, p = 10001, and 40 against 851 ms at
-n = 1000, p = 100001), and it keeps an n whose routes cost about the
-same on the rfft route.  A chunk walks its
-replications in blocks (`block_rows`): max(1, _BLOCK_VALUES // p) rows
-on the rfft route, 8 at p = 1001 and one from p = 4097 up, and about
-_BLOCK_TERMS (term x bin) products on the projection route, all 50 at
-n = 20, p = 1001 and one at n = 1000, p = 100001; either keeps every
-bit of one replication at a time.  It keeps each replication's proxy
-variance and the coefficients the profiles reach, then selects and
-scores all its replications as one block: every distinct shrinkage
+one-stream case, through the same plan.  Its two routes read one
+sampler, each stream's few noise terms (one per renewal epoch, one per
+cell holding a jump), and agree to rounding (about 1e-15): one length-p
+rfft of the terms' sums per cell, or, for a few renewal epochs against
+many cells, a projection of the terms onto the K = M // 2 + 1 bins,
+added to the drift part's M coefficients.  `projects` picks the
+projection when the expected terms (n / tau_bar + jump_intensity * n)
+times K come to less than p * log2(p) / 8 (_PROJECTION_SHARE): it reads
+n, p and the noise alone, never a timing.  The constant 8 is near where
+the two routes' measured costs cross (README), and it keeps an n whose
+routes cost about the same on the rfft route.  A chunk walks its
+replications in blocks of the plan's rows (`block_rows`), sized by the
+values or the (term x bin) products a block holds; either route keeps
+every bit of one replication at a time.  It keeps each replication's
+proxy variance and the coefficients the profiles reach, then selects
+and scores all its replications as one block: every distinct shrinkage
 profile is scored through the coefficient-space identity for the
 discrete norm, and each replication's selected estimate, the profile
 select_model would choose, takes that profile's error.  The adaptive
@@ -48,11 +43,9 @@ OpenBLAS's thread count.
 
 A chunk derives the Philox keys of its own replications' noise
 substreams in one pass (`stream_keys`; replication r of every n reads
-stream r), so the run holds no key per replication.  Its payload
-carries the truth coefficients, their tail norm and the drift part of
-the period sums, and on the projection route the drift part's M
-coefficients and the p-th roots of unity, which the parent computes
-once per n: they depend on their arguments alone.
+stream r), so the run holds no key per replication.  Its payload is its
+n's plan, the truth coefficients and their tail norm, and the range of
+its replications; the parent builds each n's plan and truth once.
 
 `--threads N` means N processes compute chunks, the parent one of
 them: once every n is planned, `run_risk_experiment` forks the others
@@ -69,16 +62,19 @@ import math
 import os
 import pickle
 import re
+import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from signal import SIGKILL
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimator import (
     CoefficientEstimates,
+    WeightFamily,
     build_weight_family,
     default_delta,
     efficient_delta,
@@ -103,18 +99,18 @@ from .signal import (
 )
 
 _CHUNK = 50
-# period-sum values a chunk draws and transforms at once: 8 replications
-# at p = 1001, one from p = 4097 up, where a row's own cost dominates;
-# 32 rows at p = 1001 added 1.1 MiB to a 50-replication run's traced peak
+# period-sum values the rfft route draws and transforms at once, so a
+# block's temporaries stay small whatever p: a block shares the fixed
+# cost of a transform call among its rows, and from p = 4097 up it is
+# one row, which leaves that whole cost on every row
 _BLOCK_VALUES = 1 << 13
-# (term x bin) products the projection route forms at once: a whole chunk
-# at n = 20, p = 1001, and one row at n = 1000, p = 100001
+# (term x bin) products the projection route forms at once
 _BLOCK_TERMS = 1 << 16
 # the projection route runs while its expected (term x bin) products stay
 # below p * log2(p) / _PROJECTION_SHARE, a share of one rfft's work
 _PROJECTION_SHARE = 8
-# the largest sampling frequency: a run holds about 164 bytes per unit
-# of p whatever n (15.7 MiB at p = 100001), so 2^22 stays under 700 MiB
+# the largest sampling frequency: what a run holds grows with p whatever
+# n, so the limit bounds its memory (README)
 _MAX_P = 1 << 22
 # values in one (chunk replications x distinct profiles x profile width)
 # scoring temporary, 128 MiB of float64; a chunk holds a few at once
@@ -282,17 +278,41 @@ def resolve_delta(config: RunConfig, n: int) -> float:
     return float(config.delta)
 
 
-def resolve_selection(config: RunConfig, n: int):
-    """Sampling frequency, weight family and penalty threshold for one n.
-    Raises ConfigError when n breaks a frequency rule, or its family a
-    knob or weight-sum rule."""
+class Plan(NamedTuple):
+    """Everything a fit of n periods reads: p, the seed, the noise, the
+    weight family and delta, the drift part of the period sums (read-only,
+    n * cell_integrals(S, p)), the route's data and the block size.  On the
+    projection route `projection` is the drift part's M coefficients and
+    the unit roots of p, and on the rfft route None."""
+
+    n: int
+    p: int
+    seed: int
+    noise: NoiseSpec
+    family: WeightFamily
+    delta: float
+    drift_sums: np.ndarray
+    projection: tuple | None
+    rows: int
+
+
+def resolve_plan(config: RunConfig, n: int) -> Plan:
+    """The plan of n periods under `config`, which alone picks the route
+    of a fit.  Raises ConfigError when n breaks a frequency rule, or its
+    family a knob or weight-sum rule."""
     try:
         p = resolve_frequency(config, n)
         family = build_weight_family(n, p, eps=config.eps or None, k_star=config.k_star or None,
                                      k_star0=config.k_star0, varsigma_star=config.varsigma_star)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return p, family, resolve_delta(config, n)
+    noise, drift_sums = config.noise, n * cell_integrals(config.signal, p)
+    drift_sums.flags.writeable = False  # shared by every chunk of n
+    projection = None
+    if projects(n, p, noise):
+        projection = grid_coefficients(drift_sums, min(n, p - 1)), _unit_roots(p)
+    return Plan(n, p, config.seed, noise, family, resolve_delta(config, n), drift_sums, projection,
+                block_rows(n, p, noise))
 
 
 def pinsker_constant(k: int, r: float) -> float:
@@ -344,14 +364,6 @@ def _unit_roots(p: int) -> np.ndarray:
     return roots
 
 
-def _projection(drift_sums: np.ndarray, n: int):
-    """What the projection route reads besides the draws: the drift
-    part's M coefficients, grid_coefficients(drift_sums, M), and the unit
-    roots of p."""
-    p = drift_sums.size
-    return grid_coefficients(drift_sums, min(n, p - 1)), _unit_roots(p)
-
-
 def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
     """The rfft route: each stream's period sums (`sample_period_sums`),
     drift part included, as one block through one length-p rfft."""
@@ -400,35 +412,32 @@ def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: 
     return thetas
 
 
-def replication_estimates(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys, projection=None) -> list:
+def replication_estimates(plan: Plan, keys) -> list:
     """Coefficient estimates of one replication per stream of `keys`
     (rows of `stream_keys`): n periods of the signal whose drift part is
-    `drift_sums` (n * cell_integrals(S, p)), observed under `noise`.
+    `plan.drift_sums`, observed under `plan.noise`.
 
     Each theta holds the M = min(n, p - 1) coefficients the estimator
     reads: p / n times the discrete coefficients of the stream's period
     sums without their Brownian part, plus rho1 * rho_check / sqrt(n)
     times M standard normals of its Brownian substream, that part's
-    exact law.  The streams are drawn as one block, on the route
-    `projects` picks: one rfft of the period sums, or a projection of
-    their few noise terms onto the bins the estimator reads, with
-    `projection`, `_projection(drift_sums, n)`, made here when the caller
-    has not.  Each estimate is a row view of the block."""
-    p = drift_sums.size
-    if projects(n, p, noise):
-        thetas = _projected(*(projection or _projection(drift_sums, n)), noise, n, keys)
+    exact law.  The streams are drawn as one block, on the plan's route:
+    one rfft of the period sums, or a projection of their few noise terms
+    onto the bins the estimator reads.  Each estimate is a row view of
+    the block."""
+    if plan.projection is None:
+        thetas = _transformed(plan.drift_sums, plan.noise, plan.n, keys)
     else:
-        thetas = _transformed(drift_sums, noise, n, keys)
-    return [CoefficientEstimates(n=n, p=p, theta=theta) for theta in thetas]
+        thetas = _projected(*plan.projection, plan.noise, plan.n, keys)
+    return [CoefficientEstimates(n=plan.n, p=plan.p, theta=theta) for theta in thetas]
 
 
-def _truth(signal: SignalSpec, n: int, p: int, width: int):
+def _truth(signal: SignalSpec, p: int, width: int):
     """What every chunk of one n reads of the signal: the first `width`
-    truth coefficients, the grid norm of theta above them (the last
-    coefficient weighted by 1/2 on even grids) and the drift part of the
-    period sums, n * cell_integrals(signal, p) (read-only: shared), and
-    the discrete squared norm a risk is divided by, which raises
-    ValueError when it is 0."""
+    truth coefficients (read-only: shared), the grid norm of theta above
+    them (the last coefficient weighted by 1/2 on even grids), and the
+    discrete squared norm a risk is divided by, which raises ValueError
+    when it is 0."""
     values = grid_values(signal, p)
     norm_sq = discrete_norm_sq(values)
     if norm_sq <= 0.0:
@@ -437,60 +446,58 @@ def _truth(signal: SignalSpec, n: int, p: int, width: int):
     sq = theta * theta
     tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
     truth = theta[:width].copy()
-    drift_sums = n * cell_integrals(signal, p)
-    truth.flags.writeable = drift_sums.flags.writeable = False
-    return truth, tail, drift_sums, norm_sq
+    truth.flags.writeable = False
+    return truth, tail, norm_sq
 
 
 def _run_chunk(payload):
-    """Selected-estimate errors of replications start..stop-1 and each
-    distinct profile's error summed over them.
+    """Selected-estimate errors of replications start..stop-1 of the
+    plan's n and each distinct profile's error summed over them.
 
-    The chunk derives its streams' keys itself, and passes `projection`
-    (made once per n by the plan, None off the projection route) on to
-    `replication_estimates`.  Replications are drawn and transformed a
-    block of block_rows(n, p, noise) at a time.  Each contributes its
-    proxy variance and the first W coefficient estimates, W the width of
-    the profile matrix `weights`, which is all that selection and
-    scoring read; the chunk is then selected and scored as one block.  A
+    The chunk derives its streams' keys itself.  Replications are drawn
+    and transformed a block of the plan's rows at a time.  Each
+    contributes its proxy variance and the first W coefficient
+    estimates, W the width of the family's profile matrix `weights`,
+    which is all that selection and scoring read; the chunk is then
+    selected and scored as one block.  A
     replication's selected estimate is its cheapest profile applied to
     theta_hat (the earliest on ties, which holds the member select_model
     picks), so it takes that profile's error.  A profile row is
     zero-padded to W, so its error is the squared distance over the first
     W coefficients plus the squared norm of theta above W, whose last
     coefficient the grid norm weights by 1/2 on even grids."""
-    (noise, n, weights, delta, truth, tail, drift_sums, base_seed, start, stop, projection) = payload
-    keys = stream_keys(base_seed, start, stop)
+    plan, truth, tail, start, stop = payload
+    keys = stream_keys(plan.seed, start, stop)
+    weights = plan.family.weights
     width = weights.shape[1]
     block = np.empty((stop - start, width))
     sigma = np.empty(stop - start)
-    rows = block_rows(n, drift_sums.size, noise)
-    for first in range(0, stop - start, rows):
-        ests = replication_estimates(drift_sums, noise, n, keys[first : first + rows], projection)
+    for first in range(0, stop - start, plan.rows):
+        ests = replication_estimates(plan, keys[first : first + plan.rows])
         for i, est in enumerate(ests, start=first):
             sigma[i] = estimate_proxy_variance(est)
             block[i] = est.theta[:width]
-    chosen = selection_cost(weights, block, sigma, n, delta).argmin(axis=1)
+    chosen = selection_cost(weights, block, sigma, plan.n, plan.delta).argmin(axis=1)
     errors = ((weights * block[:, None, :] - truth) ** 2).sum(axis=-1) + tail
     # a running sum down the rows, as one replication at a time would add
     # them: errors.sum(axis=0) pairs the rows up when there is one profile
     return errors[np.arange(stop - start), chosen], errors.cumsum(axis=0)[-1]
 
 
-def _share(plans, w: int, workers: int):
+def _share(runs, w: int, workers: int):
     """Process w's share of the run: for each n in order, the results of
     its chunks w, w + workers, w + 2 * workers, ..."""
-    for *_, payloads in plans:
+    for *_, payloads in runs:
         yield [_run_chunk(payload) for payload in payloads[w::workers]]
 
 
-def _worker(plans, w: int, workers: int, sink) -> None:
+def _worker(runs, w: int, workers: int, sink) -> None:
     """The forked side of process w.  It sends each n's share down the
     pipe `sink` as one pickle, or the exception that stopped it, and then
     leaves through os._exit, so it never returns into the caller's code,
     its exit hooks or its stdio buffers."""
     try:
-        for results in _share(plans, w, workers):
+        for results in _share(runs, w, workers):
             sink.write(pickle.dumps(results))
             sink.flush()
     except Exception as exc:
@@ -518,10 +525,10 @@ def _reap(pid: int) -> None:
 
 
 def run_risk_experiment(config: RunConfig) -> tuple:
-    """One RiskRow per requested n, in order.  Every n's weight family is
-    built, and its `_truth` and chunk payloads made, here before the
-    first chunk runs, so a config error or a zero signal stops the run
-    before any draw.  A family that fails a check is a ConfigError, and
+    """One RiskRow per requested n, in order.  Every n's plan is built,
+    and its `_truth` and chunk payloads made, here before the first chunk
+    runs, so a config error or a zero signal stops the run before any
+    draw.  A family that fails a check is a ConfigError, and
     so is one too wide to score: a chunk scores min(50, replications)
     replications x D distinct profiles x W coefficients at once, (D x W)
     the shape of its profile matrix, and that may not exceed
@@ -537,23 +544,18 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     total = config.replications
     starts = range(0, total, _CHUNK)
     scored = min(_CHUNK, total)  # replications a chunk scores at once
-    plans = []
+    runs = []
     for n in config.n_values:
-        p, family, delta = resolve_selection(config, n)
-        distinct, width = family.weights.shape
+        plan = resolve_plan(config, n)
+        distinct, width = plan.family.weights.shape
         if scored * distinct * width > _MAX_SCORE_VALUES:
             raise ConfigError(
                 f"scoring n={n} needs {scored} replications x D={distinct} profiles x W={width} "
                 f"coefficients at once, above the limit of {_MAX_SCORE_VALUES} values; raise estimator.eps "
                 f"(now {config.eps!r}) or lower estimator.k_star")
-        truth, tail, drift_sums, norm_sq = _truth(config.signal, n, p, width)
-        projection = _projection(drift_sums, n) if projects(n, p, config.noise) else None
-        payloads = [
-            (config.noise, n, family.weights, delta, truth, tail, drift_sums, config.seed,
-             start, min(start + _CHUNK, total), projection)
-            for start in starts
-        ]
-        plans.append((n, p, norm_sq, payloads))
+        truth, tail, norm_sq = _truth(config.signal, plan.p, width)
+        payloads = [(plan, truth, tail, start, min(start + _CHUNK, total)) for start in starts]
+        runs.append((plan, norm_sq, payloads))
     workers = min(config.threads, len(starts))
     rows = []
     t0 = perf_counter()
@@ -562,13 +564,17 @@ def run_risk_experiment(config: RunConfig) -> tuple:
         for w in range(1, workers):
             read, write = os.pipe()
             pipe = cleanup.enter_context(os.fdopen(read, "rb"))
-            with os.fdopen(write, "wb") as sink:
+            with os.fdopen(write, "wb") as sink, warnings.catch_warnings():
+                # Python 3.12 warns that forking beside a second thread (OpenBLAS's) may
+                # deadlock the child; a forked chunk calls no BLAS (test_a_chunk_calls_no_blas)
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                        DeprecationWarning)
                 pid = os.fork()
                 if pid == 0:
-                    _worker(plans, w, workers, sink)
+                    _worker(runs, w, workers, sink)
             cleanup.callback(_reap, pid)
             pipes.append((pid, pipe))
-        for (n, p, norm_sq, payloads), own in zip(plans, _share(plans, 0, workers)):
+        for (plan, norm_sq, payloads), own in zip(runs, _share(runs, 0, workers)):
             results = [None] * len(payloads)
             results[::workers] = own
             for w, (pid, pipe) in enumerate(pipes, start=1):
@@ -580,8 +586,8 @@ def run_risk_experiment(config: RunConfig) -> tuple:
             t1 = perf_counter()
             rows.append(
                 RiskRow(
-                    n=n,
-                    p=p,
+                    n=plan.n,
+                    p=plan.p,
                     replications=total,
                     risk=risk,
                     risk_se=risk_se,

@@ -4,10 +4,32 @@ The discrete Fourier coefficients theta_{j,p} of a signal are the truth
 the estimates are compared against.  The correction coefficients
 h_{j,p} measure how far the cell-integral drift increments the sampler
 draws sit from the grid values of the signal; noiseless coefficient
-estimates equal theta + h exactly.
+estimates equal theta + h exactly.  `estimate_coefficients` reads all
+p - 1 estimates off a whole path, the full-path reference the risk
+engine's folded sampler is tested against.
 """
 
+import numpy as np
+
+from driftsel.estimator import CoefficientEstimates
 from driftsel.signal import cell_integrals, grid_coefficients, grid_values
+
+
+def increments(obs):
+    """The n*p increments of an observation path."""
+    return np.diff(obs.y)
+
+
+def estimate_coefficients(obs) -> CoefficientEstimates:
+    """Coefficient estimates of one path: all p - 1 estimable
+    coefficients, each the average of its basis function against the
+    n*p increments.  Periodicity reduces that to the increments' per-cell
+    sums over the periods, one length-p transform whatever n."""
+    if obs.p < 3:
+        raise ValueError("need at least 3 observations per period")
+    theta = grid_coefficients(increments(obs).reshape(obs.n, obs.p).sum(axis=0), obs.p - 1)
+    theta *= obs.p / obs.n
+    return CoefficientEstimates(n=obs.n, p=obs.p, theta=theta)
 
 
 def discrete_fourier_coeffs(S, p: int):

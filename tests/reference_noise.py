@@ -109,7 +109,7 @@ def sample_period_sums(drift_sums: np.ndarray, spec: NoiseSpec, n: int, keys) ->
     of a path.  drift_sums is the drift part, n * cell_integrals(S, p),
     which a caller sampling many replications of one signal computes
     once; its length is p. The row of the stream whose keys are `row` has
-    the law of sample_observations(S, spec, n, p, row).increments.reshape(n, p).sum(0)
+    the law of np.diff(sample_observations(S, spec, n, p, row).y).reshape(n, p).sum(0)
     less rho1 * rho_check times the path's Brownian sums, in O(p) memory
     instead of O(n p):
 

@@ -18,10 +18,8 @@ import driftsel.estimator
 import driftsel.noise
 import driftsel.risk
 
-# estimate_coefficients is the README's library example and the full-path
-# reference the folded sampler is tested against; proxy_variance and
-# pinsker_constant wait for run telemetry that reports them
-NO_CALLER_YET = {"estimate_coefficients", "proxy_variance", "pinsker_constant"}
+# proxy_variance and pinsker_constant wait for run telemetry that reports them
+NO_CALLER_YET = {"proxy_variance", "pinsker_constant"}
 
 
 def test_public_api_has_a_production_caller():

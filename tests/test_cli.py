@@ -30,14 +30,14 @@ from driftsel.estimator import (
     build_weight_family,
     default_delta,
     efficient_delta,
-    estimate_coefficients,
     family_knobs,
     select_model,
 )
 from driftsel.noise import renewal_chunk, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw
-from driftsel.risk import projects, replication_estimates, resolve_delta, resolve_frequency, resolve_selection
-from driftsel.signal import cell_integrals, grid_values
+from driftsel.risk import projects, replication_estimates, resolve_delta, resolve_frequency, resolve_plan
+from driftsel.signal import grid_values
+from reference_coeffs import estimate_coefficients
 from reference_family import members
 
 
@@ -198,14 +198,14 @@ def test_zero_sentinels_are_read_directly():
     # p, k_star and eps at 0 take their sample-size rules, and the delta
     # text is read as it stands
     default = RunConfig()
-    p, family, delta = resolve_selection(default, 100)
-    assert p == 100001
-    assert members(family) == members(build_weight_family(100, p))
-    assert delta == default_delta(100)
-    p, family, delta = resolve_selection(RunConfig(p=0, k_star=5, eps=0.3, delta="0.05"), 100)
-    assert p == resolve_frequency(RunConfig(p=0), 100) == 101
-    assert members(family)[-1] == (5, 11 * 0.3)
-    assert delta == 0.05
+    plan = resolve_plan(default, 100)
+    assert plan.p == 100001
+    assert members(plan.family) == members(build_weight_family(100, plan.p))
+    assert plan.delta == default_delta(100)
+    plan = resolve_plan(RunConfig(p=0, k_star=5, eps=0.3, delta="0.05"), 100)
+    assert plan.p == resolve_frequency(RunConfig(p=0), 100) == 101
+    assert members(plan.family)[-1] == (5, 11 * 0.3)
+    assert plan.delta == 0.05
     assert resolve_delta(RunConfig(delta="efficient"), 100) == efficient_delta(100)
     with pytest.raises(ValueError):
         RunConfig(delta="fast")
@@ -244,6 +244,24 @@ def test_main_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and str(cfg) in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_main_reads_a_config_from_a_pipe(tmp_path, capsys):
+    # a config need not be a regular file (a shell's <(...) is a pipe);
+    # a missing one is "not found", and one that cannot be read is named
+    read, write = os.pipe()
+    os.write(write, b"estimate.n=10\nrisk.p=101\nestimator.k_star=2\n")
+    os.close(write)
+    try:
+        assert main(["estimate", "--config", f"/dev/fd/{read}", "--out", str(tmp_path / "est")]) == 0
+    finally:
+        os.close(read)
+    assert "risk.p=101" in (tmp_path / "est" / "manifest.txt").read_text()
+    for path, message in ((tmp_path / "nope.cfg", "config file not found: "),
+                          (tmp_path, "cannot read config file ")):
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"driftsel: config error: {message}{path}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -317,8 +335,6 @@ def test_main_reports_a_failed_allocation(tmp_path, capsys, monkeypatch, exc):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "subcommand, settings, named",
     [
@@ -337,6 +353,24 @@ def test_main_writes_no_non_finite_number(tmp_path, capsys, subcommand, settings
     assert main([subcommand, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"driftsel: {named} holds a non-finite number\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [(["risk-table", "--threads", "1"], "risk.csv: column R_bar"),
+                                         (["risk-table", "--threads", "2"], "risk.csv: column R_bar"),
+                                         (["estimate"], "selection.csv: column cost")],
+                         ids=["risk_table_threads_1", "risk_table_threads_2", "estimate"])
+def test_an_overflow_prints_one_line(tmp_path, argv, named):
+    # numpy's floating-point warnings, with their source lines, once came
+    # before the line meant for the user; a fresh interpreter shows what
+    # a user sees, outside the suite's warning filters
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_cfg(tmp_path, "noise.rho1=1e300\nnoise.rho2=1e300\nrisk.n_values=20\nrisk.p=101\n"
+                              "risk.replications=3\nestimate.n=20\n")
+    done = subprocess.run([sys.executable, "-m", "driftsel.cli", *argv, "--config", str(cfg),
+                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (1, f"driftsel: {named} holds a non-finite number\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["risk-table", "estimate", "simulate"])
@@ -786,12 +820,12 @@ def test_estimate_is_the_engine_replication(tmp_path):
     out = tmp_path / "est"
     assert main(["estimate", "--config", str(cfg), "--seed", "3", "--out", str(out)]) == 0
     config = RunConfig(seed=3, p=101, k_star=3, eps=0.3)
-    p, family, delta = resolve_selection(config, 10)
-    [est] = replication_estimates(10 * cell_integrals(config.signal, p), config.noise, 10, stream_keys(3, 0, 1))
-    result = select_model(est, family, delta)
+    plan = resolve_plan(config, 10)
+    [est] = replication_estimates(plan, stream_keys(3, 0, 1))
+    result = select_model(est, plan.family, plan.delta)
     _, _, rows = read_csv(out / "estimate.csv")
     columns = np.array(rows, dtype=float).T
-    assert np.array_equal(columns[1], grid_values(config.signal, p))
+    assert np.array_equal(columns[1], grid_values(config.signal, plan.p))
     assert np.array_equal(columns[2], result.grid_values())
     _, _, sel = read_csv(out / "selection.csv")
     assert np.array_equal(np.array([float(row[3]) for row in sel]), result.costs)
@@ -813,14 +847,14 @@ def test_estimate_memory_does_not_grow_with_n(tmp_path):
 def test_fit_matches_full_path_fit_in_law(n, p):
     # the folded sampler's fits have the discrete error of full-path fits
     config = RunConfig(seed=71, p=p)
-    _, family, delta = resolve_selection(config, n)
+    plan = resolve_plan(config, n)
     truth = grid_values(config.signal, p)
     folded, full = np.empty(400), np.empty(400)
     for r in range(400):
-        result = _fit_one_path(config, n, (p, family, delta), stream=r)
+        result = _fit_one_path(plan, stream=r)
         folded[r] = np.sum((result.grid_values() - truth) ** 2) / p
         obs = sample_observations(config.signal, config.noise, n, p, stream_keys(71, r, r + 1)[0])
-        result = select_model(estimate_coefficients(obs), family, delta)
+        result = select_model(estimate_coefficients(obs), plan.family, plan.delta)
         full[r] = np.sum((result.grid_values() - truth) ** 2) / p
     se = math.hypot(folded.std(ddof=1), full.std(ddof=1)) / math.sqrt(400)
     assert abs(folded.mean() - full.mean()) <= 5.0 * se

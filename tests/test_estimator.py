@@ -19,7 +19,6 @@ from driftsel.estimator import (
     build_weight_family,
     default_delta,
     efficient_delta,
-    estimate_coefficients,
     estimate_proxy_variance,
     family_knobs,
     pinsker_weights,
@@ -29,7 +28,7 @@ from driftsel.estimator import (
 from driftsel.noise import NoiseSpec, ObservationPath, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw
 from driftsel.signal import SignalSpec, coefficients_to_grid, grid_values
-from reference_coeffs import correction_coeffs, discrete_fourier_coeffs
+from reference_coeffs import correction_coeffs, discrete_fourier_coeffs, estimate_coefficients
 from reference_family import member_profile, members
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))

@@ -24,6 +24,7 @@ from driftsel.renewal import InterarrivalLaw, solve_renewal_density
 from driftsel.signal import SignalSpec, cell_integrals, trig_basis_eval
 from folded import folded_path_sums
 import reference_noise
+from reference_coeffs import increments
 from reference_renewal import reference_generator, reference_renewal_times
 
 CHI2_SPEC = NoiseSpec(rho1=0.5, rho2=0.5, interarrival=InterarrivalLaw.chi_squared(3.0))
@@ -44,7 +45,7 @@ class FixedSpacing:
 
 
 def path_increments(spec, n, p, keys, S=ZERO):
-    return sample_observations(S, spec, n=n, p=p, keys=keys).increments
+    return increments(sample_observations(S, spec, n=n, p=p, keys=keys))
 
 
 def period_sums(spec, n, p, keys, S=ZERO):
@@ -279,7 +280,7 @@ def test_noiseless_observations():
 
 def test_observation_path_accessors():
     obs = sample_observations(ZERO, CHI2_SPEC, n=2, p=5, keys=stream_keys(5, 0, 1)[0])
-    assert obs.increments.shape == (10,)
+    assert increments(obs).shape == (10,)
     with pytest.raises(ValueError):
         ObservationPath(n=2, p=5, y=np.zeros(10))
     with pytest.raises(ValueError):
@@ -306,7 +307,7 @@ def test_noise_integral_variance_identity():
     basis = np.stack([trig_basis_eval(2, grid), trig_basis_eval(3, grid)])
     stats = np.empty((reps, 2))
     for r in range(reps):
-        dy = sample_observations(ZERO, spec, n=n, p=p, keys=stream_keys(301, r, r + 1)[0]).increments
+        dy = increments(sample_observations(ZERO, spec, n=n, p=p, keys=stream_keys(301, r, r + 1)[0]))
         stats[r] = (basis @ dy) ** 2 / n
     for k in range(2):
         se = stats[:, k].std(ddof=1) / np.sqrt(reps)
@@ -467,7 +468,7 @@ def test_period_sums_match_the_folded_path(law, marks, p):
                                stream_keys(61, 0, 4))
     for r, sums in enumerate(block):
         path = sample_observations(SignalSpec.benchmark(), spec, n=n, p=p, keys=stream_keys(61, r, r + 1)[0])
-        assert np.abs(sums - path.increments.reshape(n, p).sum(axis=0)).max() <= 1e-12
+        assert np.abs(sums - increments(path).reshape(n, p).sum(axis=0)).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -510,8 +511,8 @@ def test_term_sums_match_the_dense_reference(rho2, levy, tol):
     sums = sample_period_sums(drift, spec, n, streams)
     assert np.abs(sums - reference_noise.sample_period_sums(drift, spec, n, streams)).max() <= tol
     for keys in streams:
-        path = sample_observations(S, spec, n, p, keys).increments
-        assert np.abs(path - reference_noise.sample_observations(S, spec, n, p, keys).increments).max() <= tol
+        path = increments(sample_observations(S, spec, n, p, keys))
+        assert np.abs(path - increments(reference_noise.sample_observations(S, spec, n, p, keys))).max() <= tol
 
 
 def test_noiseless_period_sums_are_the_drift():

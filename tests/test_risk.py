@@ -4,9 +4,11 @@ import ast
 import inspect
 import math
 import os
+import pickle
 import re
 import textwrap
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +22,6 @@ from driftsel.estimator import (
     build_weight_family,
     default_delta,
     efficient_delta,
-    estimate_coefficients,
     estimate_proxy_variance,
     select_model,
     selection_cost,
@@ -36,17 +37,17 @@ from driftsel.risk import (
     ConfigError,
     RunConfig,
     _projected,
-    _projection,
     _run_chunk,
     _transformed,
     _truth,
+    _unit_roots,
     block_rows,
     pinsker_constant,
     projects,
     replication_estimates,
     resolve_delta,
     resolve_frequency,
-    resolve_selection,
+    resolve_plan,
     run_risk_experiment,
     satisfies_h5,
 )
@@ -58,11 +59,19 @@ from driftsel.signal import (
     grid_values,
 )
 from folded import folded_path_sums
-from reference_coeffs import discrete_fourier_coeffs
+from reference_coeffs import discrete_fourier_coeffs, estimate_coefficients, increments
 from reference_family import member_profile, members
 
 QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3.0))
 ZERO = SignalSpec.trig_polynomial([0.0])
+
+
+def projection(drift, n):
+    """The projection route's data for n periods whose drift part is
+    `drift`, as resolve_plan makes it on that route: the drift part's M
+    coefficients and the unit roots of p."""
+    p = drift.size
+    return grid_coefficients(drift, min(n, p - 1)), _unit_roots(p)
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +99,7 @@ def test_pinsker_constant_limits_and_validation():
 
 def test_relative_risk_division():
     def norm_sq(signal, p):
-        return _truth(signal, 1, p, 1)[3]
+        return _truth(signal, p, 1)[2]
 
     assert norm_sq(SignalSpec.trig_polynomial([1.0]), 101) == pytest.approx(1.0)
     # published risk over published norm reproduces the published ratio
@@ -146,8 +155,8 @@ def test_grid_and_coefficient_routes_agree():
     for p in (501, 500):
         cfg = RunConfig(n_values=(n,), p=p, replications=reps, seed=seed, k_star=3, eps=0.3)
         row = run_risk_experiment(cfg)[0]
-        _, family, delta = resolve_selection(cfg, n)
-        drift = n * cell_integrals(cfg.signal, p)
+        plan = resolve_plan(cfg, n)
+        family, delta = plan.family, plan.delta
         truth = grid_values(cfg.signal, p)
         theta = discrete_fourier_coeffs(cfg.signal, p)
         sq = theta**2
@@ -156,7 +165,7 @@ def test_grid_and_coefficient_routes_agree():
         prefixes = [member_profile(beta, scale, upsilon, min(n, p - 1)) for beta, scale in members(family)]
         errors, chosen, profile_errors = [], set(), np.zeros(len(prefixes))
         for r in range(reps):
-            [est] = replication_estimates(drift, cfg.noise, n, stream_keys(seed, r, r + 1))
+            [est] = replication_estimates(plan, stream_keys(seed, r, r + 1))
             result = select_model(est, family, delta)
             diff = result.grid_values() - truth
             errors.append(np.dot(diff, diff) / p)
@@ -175,15 +184,15 @@ def test_selection_matches_a_per_profile_loop(n, p, k_star, reps):
     # the one-pass matrix scoring picks the member a loop scoring one
     # unpadded prefix at a time picks, on the engine's own replications
     cfg = RunConfig(n_values=(n,), p=p, replications=reps, seed=12, k_star=k_star or 0)  # None: the rule
-    _, family, delta = resolve_selection(cfg, n)
+    plan = resolve_plan(cfg, n)
+    family, delta = plan.family, plan.delta
     first, upsilon = {}, n / cfg.varsigma_star
     for k, (beta, scale) in enumerate(members(family)):
         first.setdefault(family.profile_of[k], member_profile(beta, scale, upsilon, min(n, p - 1)))
     prefixes = [first[i] for i in range(len(first))]
-    drift = n * cell_integrals(cfg.signal, p)
     rows, sigmas, picks = [], [], []
     for r in range(reps):
-        [est] = replication_estimates(drift, cfg.noise, n, stream_keys(12, r, r + 1))
+        [est] = replication_estimates(plan, stream_keys(12, r, r + 1))
         sigma = estimate_proxy_variance(est)
         costs = []
         for lam in prefixes:
@@ -212,27 +221,24 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, projected, p):
     # the chunk selects and scores its replications as one block; one
     # replication at a time through select_model must give the same bits
     # (at n = 9 with k_star = 2 every member is flat: one profile), on
-    # either route, and whether the plan made the chunk's projection or
-    # the chunk makes it itself
+    # either route
     cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=5, **knobs)
-    assert projects(n, p, cfg.noise) == projected
-    _, family, delta = resolve_selection(cfg, n)
+    plan = resolve_plan(cfg, n)
+    assert (plan.projection is not None) == projects(n, p, cfg.noise) == projected
+    family, delta = plan.family, plan.delta
     start, stop = 50, 100
     width = family.weights.shape[1]
     theta = discrete_fourier_coeffs(cfg.signal, p)
     sq = theta * theta
     tail = sq[width : p - 1].sum() + (sq[p - 1] if p % 2 else 0.5 * sq[p - 1])
-    drift = n * cell_integrals(cfg.signal, p)
-    # the parent's truth of this n is the one written out here
-    carried = _truth(cfg.signal, n, p, width)
-    assert np.array_equal(carried[0], theta[:width]) and carried[1] == tail and np.array_equal(carried[2], drift)
-    payload = (cfg.noise, n, family.weights, delta, *carried[:3], cfg.seed, start, stop)
-    selected, profile_sum = _run_chunk((*payload, None))
-    planned = _run_chunk((*payload, _projection(drift, n) if projected else None))
-    assert np.array_equal(planned[0], selected) and np.array_equal(planned[1], profile_sum)
+    # the parent's truth and drift part of this n are the ones written out here
+    truth, carried_tail, _ = _truth(cfg.signal, p, width)
+    assert np.array_equal(truth, theta[:width]) and carried_tail == tail
+    assert np.array_equal(plan.drift_sums, n * cell_integrals(cfg.signal, p))
+    selected, profile_sum = _run_chunk((plan, truth, tail, start, stop))
     expected, total = [], np.zeros(family.weights.shape[0])
     for r in range(start, stop):
-        [est] = replication_estimates(drift, cfg.noise, n, stream_keys(cfg.seed, r, r + 1))
+        [est] = replication_estimates(plan, stream_keys(cfg.seed, r, r + 1))
         errors = ((family.weights * est.theta[:width] - theta[:width]) ** 2).sum(axis=1) + tail
         expected.append(errors[family.profile_of[select_model(est, family, delta).index]])
         total += errors
@@ -246,32 +252,30 @@ def test_chunk_block_matches_a_replication_loop(n, knobs, projected, p):
     ids=["default", "rademacher_jumps"],
 )
 def test_chunk_keeps_its_bits_whatever_the_block_size(monkeypatch, knobs):
-    # a chunk draws and transforms block_rows(n, p, noise) replications at
-    # a time: on the rfft route (n = 100) max(1, _BLOCK_VALUES // p), 8 at
-    # p = 1001, and on the projection route (n = 20) about _BLOCK_TERMS
-    # (term x bin) products, the whole chunk; any other block size gives
-    # the same bits
+    # a chunk draws and transforms the plan's block_rows(n, p, noise)
+    # replications at a time: on the rfft route (n = 100) max(1,
+    # _BLOCK_VALUES // p), 8 at p = 1001, and on the projection route
+    # (n = 20) about _BLOCK_TERMS (term x bin) products, the whole chunk;
+    # any other block size gives the same bits
     p = 1001
     for n, projected, default_sizes in ((20, True, [50]), (100, False, [8] * 6 + [2])):
         cfg = RunConfig(n_values=(n,), p=p, replications=100, seed=7, k_star=3, **knobs)
-        assert projects(n, p, cfg.noise) == projected
-        _, family, delta = resolve_selection(cfg, n)
-        truth = _truth(cfg.signal, n, p, family.weights.shape[1])[:3]
-        payload = (cfg.noise, n, family.weights, delta, *truth, cfg.seed, 50, 100, None)
+        plan = resolve_plan(cfg, n)
+        assert (plan.projection is not None) == projected
+        truth, tail, _ = _truth(cfg.signal, p, plan.family.weights.shape[1])
         sizes = []
 
-        def estimates(drift_sums, noise, n, keys, *projection):
+        def estimates(plan, keys):
             sizes.append(len(keys))
-            return replication_estimates(drift_sums, noise, n, keys, *projection)
+            return replication_estimates(plan, keys)
 
         with monkeypatch.context() as patch:
             patch.setattr(driftsel.risk, "replication_estimates", estimates)
-            default = _run_chunk(payload)
+            default = _run_chunk((plan, truth, tail, 50, 100))
             assert sizes == default_sizes
             for rows in (1, 3, 8, 50):
                 sizes.clear()
-                patch.setattr(driftsel.risk, "block_rows", lambda n, p, noise: rows)
-                selected, profile_sum = _run_chunk(payload)
+                selected, profile_sum = _run_chunk((plan._replace(rows=rows), truth, tail, 50, 100))
                 assert sizes == [rows] * (50 // rows) + [50 % rows] * (50 % rows > 0)
                 assert np.array_equal(selected, default[0]) and np.array_equal(profile_sum, default[1])
 
@@ -299,6 +303,10 @@ def test_route_of_every_golden_and_benchmark_config(cfg, n_values, projected):
     # one row at n = 1000, p = 100001
     assert {n: block_rows(n, cfg.p, cfg.noise) for n in projected} == {
         n: {20: 50, 100: 37, 200: 9, 1000: 1}[n] for n in projected}
+    # each n's plan takes the route and block size of these rules
+    plans = [resolve_plan(cfg, n) for n in n_values]
+    assert {plan.n for plan in plans if plan.projection is not None} == projected
+    assert all(plan.rows == block_rows(plan.n, cfg.p, cfg.noise) for plan in plans)
 
 
 def _on_cell_edges(real):
@@ -332,7 +340,7 @@ def test_projection_matches_the_rfft_route(n, p, rows, seed, law, marks, jumps, 
             moved.p = p
             patch.setattr(noise, "_renewal_epochs", moved)
         expected = _transformed(drift, cfg.noise, n, streams)
-        projected = _projected(*_projection(drift, n), cfg.noise, n, streams)
+        projected = _projected(*projection(drift, n), cfg.noise, n, streams)
     assert projected.shape == expected.shape == (rows, min(n, p - 1))
     assert np.abs(projected - expected).max() <= 1e-13
 
@@ -343,9 +351,9 @@ def test_projected_chunk_memory_stays_within_the_term_budget():
     # chunk's traced peak 3.3 MiB; blocks of 4 rows peaked at 11.7 MiB
     n, p = 1000, 100001
     cfg = RunConfig(n_values=(n,), p=p, replications=50, seed=9, k_star=5)
-    _, family, delta = resolve_selection(cfg, n)
-    truth, tail, drift, _ = _truth(cfg.signal, n, p, family.weights.shape[1])
-    payload = (cfg.noise, n, family.weights, delta, truth, tail, drift, cfg.seed, 0, 50, _projection(drift, n))
+    plan = resolve_plan(cfg, n)
+    truth, tail, _ = _truth(cfg.signal, p, plan.family.weights.shape[1])
+    payload = (plan, truth, tail, 0, 50)
     tracemalloc.start()
     try:
         _run_chunk(payload)
@@ -377,10 +385,10 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     noise._component.cache_clear()  # as in a fresh worker process
     cfg = RunConfig(n_values=(20,), p=101, replications=100, seed=3, k_star=3,
                     rho_check=0.5, jump_intensity=2.0)
-    _, family, delta = resolve_selection(cfg, 20)
-    truth, tail, drift, _ = _truth(cfg.signal, 20, 101, family.weights.shape[1])
+    plan = resolve_plan(cfg, 20)
+    truth, tail, _ = _truth(cfg.signal, 101, plan.family.weights.shape[1])
     for start in (0, 50):
-        _run_chunk((cfg.noise, 20, family.weights, delta, truth, tail, drift, cfg.seed, start, start + 50, None))
+        _run_chunk((plan, truth, tail, start, start + 50))
     assert built == []
     # renewal epochs, marks, Brownian sums and jumps: one Philox each
     assert len(seeds) == 4
@@ -388,10 +396,16 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
 
 
 def test_truth_is_built_once_per_n_in_the_parent(monkeypatch):
-    # every chunk of one n carries the truth the parent built for that n,
-    # so a chunk computes nothing per n and the engine keeps no cache
-    calls, payloads = [], []
-    real_integrals, real_chunk = driftsel.risk.cell_integrals, driftsel.risk._run_chunk
+    # the parent builds one plan and one truth per n, and every chunk of
+    # that n reads those very objects, so a chunk computes nothing per n
+    # and the engine keeps no cache
+    plans, calls, payloads = [], [], []
+    real_plan, real_integrals, real_chunk = (driftsel.risk.resolve_plan, driftsel.risk.cell_integrals,
+                                             driftsel.risk._run_chunk)
+
+    def planned(config, n):
+        plans.append(real_plan(config, n))
+        return plans[-1]
 
     def counted(*args):
         calls.append(args)
@@ -401,29 +415,34 @@ def test_truth_is_built_once_per_n_in_the_parent(monkeypatch):
         payloads.append(payload)
         return real_chunk(payload)
 
+    monkeypatch.setattr(driftsel.risk, "resolve_plan", planned)
     monkeypatch.setattr(driftsel.risk, "cell_integrals", counted)
     monkeypatch.setattr(driftsel.risk, "_run_chunk", chunk)
     cfg = RunConfig(n_values=(20, 30), p=101, replications=120, seed=3, k_star=3)
     run_risk_experiment(cfg)
-    assert [n for _, n, *_ in payloads] == [20] * 3 + [30] * 3
+    assert [plan.n for plan in plans] == [20, 30]
     assert [p for _, p in calls] == [101, 101]
+    assert [plans.index(pl[0]) for pl in payloads] == [0] * 3 + [1] * 3
     # n = 20 projects at p = 101 and n = 30 does not
     assert [projects(n, 101, cfg.noise) for n in (20, 30)] == [True, False]
-    for n in (20, 30):
-        (_, _, weights, _, truth, tail, drift, *_, projection), *rest = [pl for pl in payloads if pl[1] == n]
-        assert all(pl[4] is truth and pl[6] is drift and pl[10] is projection for pl in rest)
-        assert not truth.flags.writeable and not drift.flags.writeable
-        assert np.array_equal(drift, n * real_integrals(cfg.signal, 101))
-        assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: weights.shape[1]])
-        if n == 20:
-            drift_theta, roots = projection
-            assert np.array_equal(drift_theta, grid_coefficients(drift, 20))
+    for plan in plans:
+        (_, truth, *_), *rest = [pl for pl in payloads if pl[0] is plan]
+        assert all(pl[0] is plan and pl[1] is truth for pl in rest)
+        assert not truth.flags.writeable and not plan.drift_sums.flags.writeable
+        assert np.array_equal(plan.drift_sums, plan.n * real_integrals(cfg.signal, 101))
+        assert np.array_equal(truth, discrete_fourier_coeffs(cfg.signal, 101)[: plan.family.weights.shape[1]])
+        if plan.n == 20:
+            drift_theta, roots = plan.projection
+            assert not roots.flags.writeable
+            assert np.array_equal(drift_theta, grid_coefficients(plan.drift_sums, 20))
             assert np.allclose(roots, np.exp(-2j * np.pi * np.arange(101) / 101), rtol=0, atol=1e-15)
         else:
-            assert projection is None
+            assert plan.projection is None
     # a payload names its replications by index alone: each chunk
-    # derives its own stream keys
-    assert [(pl[7], pl[8], pl[9]) for pl in payloads] == [(3, 0, 50), (3, 50, 100), (3, 100, 120)] * 2
+    # derives its own stream keys; it pickles to the same chunk
+    assert [(pl[0].seed, pl[3], pl[4]) for pl in payloads] == [(3, 0, 50), (3, 50, 100), (3, 100, 120)] * 2
+    for got, want in zip(real_chunk(pickle.loads(pickle.dumps(payloads[0]))), real_chunk(payloads[0])):
+        assert np.array_equal(got, want)
 
 
 def test_report_is_deterministic():
@@ -462,6 +481,28 @@ def test_one_fork_per_worker_per_run(monkeypatch):
     assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in forked]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_fork_warning_of_python_3_12_is_ignored(monkeypatch):
+    # Python 3.12 warns in the parent, after the fork, that forking a
+    # process with a second thread may deadlock the child; under the error
+    # filter that warning would fail the run, so the engine ignores it
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    cfg = RunConfig(n_values=(10, 20), p=101, replications=120, k_star=2, threads=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forked = run_risk_experiment(cfg)
+    serial = run_risk_experiment(replace(cfg, threads=1))
+    assert [replace(row, seconds=0.0) for row in serial] == [replace(row, seconds=0.0) for row in forked]
 
 
 @pytest.mark.parametrize(
@@ -548,7 +589,7 @@ def _folded_and_path_sums(S, spec, n, p, reps):
     drift = n * cell_integrals(S, p)
     folded = folded_path_sums(drift, spec, n, stream_keys(81, 0, reps))
     full = np.array([
-        sample_observations(S, spec, n=n, p=p, keys=stream_keys(82, r, r + 1)[0]).increments.reshape(n, p).sum(0)
+        increments(sample_observations(S, spec, n=n, p=p, keys=stream_keys(82, r, r + 1)[0])).reshape(n, p).sum(0)
         for r in range(reps)
     ])
     return folded, full
@@ -593,22 +634,21 @@ def test_period_sums_proxy_variance_matches_full_paths():
     assert abs(a.std(ddof=1) - b.std(ddof=1)) <= 5.0 * sd_se
 
 
-ENGINE_NOISE = (
-    NoiseSpec(rho1=0.5, rho2=0.5),
-    NoiseSpec(rho1=0.8, rho2=0.4, rho_check=0.6, jump_intensity=2.0, jump_law="two_point"),
-)
+# the noise settings of NoiseSpec(rho1=0.5, rho2=0.5) and of one with a jump part
+ENGINE_NOISE = ({}, {"rho1": 0.8, "rho2": 0.4, "rho_check": 0.6, "jump_intensity": 2.0, "jump_law": "two_point"})
 
 
 @pytest.mark.parametrize("n, p, reps", [(20, 101, 400), (20, 100, 400), (100, 1001, 300)])
-@pytest.mark.parametrize("spec", ENGINE_NOISE, ids=["no_jumps", "jumps"])
-def test_engine_estimates_match_full_path_estimates_in_law(spec, n, p, reps):
+@pytest.mark.parametrize("knobs", ENGINE_NOISE, ids=["no_jumps", "jumps"])
+def test_engine_estimates_match_full_path_estimates_in_law(knobs, n, p, reps):
     # the engine draws the Brownian part of its M = min(n, p - 1)
     # coefficients in coefficient space and the rest through the period
     # sums; full paths draw one normal per cell of all n*p (other seeds).
     # n = 100, p = 1001 is the desk scale, where the proxy-variance
     # window reads j = 10..100
-    S = SignalSpec.benchmark()
-    engine = replication_estimates(n * cell_integrals(S, p), spec, n, stream_keys(81, 0, reps))
+    cfg = RunConfig(p=p, **knobs)
+    S, spec = cfg.signal, cfg.noise
+    engine = replication_estimates(resolve_plan(cfg, n), stream_keys(81, 0, reps))
     full = [estimate_coefficients(sample_observations(S, spec, n=n, p=p, keys=stream_keys(82, r, r + 1)[0]))
             for r in range(reps)]
     assert all(est.theta.size == n for est in engine) and all(est.theta.size == p - 1 for est in full)
@@ -623,26 +663,26 @@ def test_engine_estimates_match_full_path_estimates_in_law(spec, n, p, reps):
 
 
 @pytest.mark.parametrize("p", [101, 100])
-@pytest.mark.parametrize("spec", ENGINE_NOISE, ids=["no_jumps", "jumps"])
-def test_engine_block_is_its_streams_drawn_one_at_a_time(spec, p):
-    n = 30
-    drift = n * cell_integrals(SignalSpec.benchmark(), p)
+@pytest.mark.parametrize("knobs", ENGINE_NOISE, ids=["no_jumps", "jumps"])
+def test_engine_block_is_its_streams_drawn_one_at_a_time(knobs, p):
+    plan = resolve_plan(RunConfig(p=p, **knobs), 30)
     streams = stream_keys(5, 10, 17)
-    block = replication_estimates(drift, spec, n, streams)
+    block = replication_estimates(plan, streams)
     for est, keys in zip(block, streams):
-        [one] = replication_estimates(drift, spec, n, [keys])
+        [one] = replication_estimates(plan, [keys])
         assert np.array_equal(est.theta, one.theta)
 
 
 @pytest.mark.parametrize("n, p", [(20, 101), (30, 100), (200, 101), (5, 1001)])
-@pytest.mark.parametrize("spec", ENGINE_NOISE, ids=["no_jumps", "jumps"])
-def test_both_routes_keep_the_bits_of_one_row(spec, n, p):
+@pytest.mark.parametrize("knobs", ENGINE_NOISE, ids=["no_jumps", "jumps"])
+def test_both_routes_keep_the_bits_of_one_row(knobs, n, p):
     # each route, called directly whatever projects() says, gives a
     # block's rows the bits of one stream at a time
+    spec = RunConfig(**knobs).noise
     drift = n * cell_integrals(SignalSpec.benchmark(), p)
     streams = stream_keys(5, 10, 17)
     for route in (lambda keys: _transformed(drift, spec, n, keys),
-                  lambda keys: _projected(*_projection(drift, n), spec, n, keys)):
+                  lambda keys: _projected(*projection(drift, n), spec, n, keys)):
         block = route(streams)
         for row, keys in zip(block, streams):
             assert np.array_equal(row, route([keys])[0])
@@ -654,8 +694,9 @@ def test_engine_brownian_part_is_plain_numpy_normals(n, p):
     # estimates are rho1 / sqrt(n) times the first M = min(n, p - 1)
     # normals that plain numpy draws from substream 2 of stream r
     seed, rho1 = 19, 0.7
-    ests = replication_estimates(n * cell_integrals(ZERO, p), NoiseSpec(rho1=rho1, rho2=0.0), n,
-                                 stream_keys(seed, 0, 4))
+    cfg = RunConfig(p=p, signal_kind="trig", signal_coefficients=(0.0,), rho1=rho1, rho2=0.0)
+    assert (cfg.signal, cfg.noise) == (ZERO, NoiseSpec(rho1=rho1, rho2=0.0))
+    ests = replication_estimates(resolve_plan(cfg, n), stream_keys(seed, 0, 4))
     for r, est in enumerate(ests):
         gen = np.random.Generator(np.random.Philox(SeedSequence(seed, spawn_key=(r, 2))))
         assert np.array_equal(est.theta, rho1 / math.sqrt(n) * gen.standard_normal(min(n, p - 1)))
@@ -712,7 +753,7 @@ def test_risk_engine_holds_nothing_per_replication_but_its_results(monkeypatch):
     # for the whole run peaked at 212
     reps = 10**6
     cfg = RunConfig(n_values=(20,), p=101, replications=reps, seed=3)
-    result = (np.zeros(50), np.zeros(resolve_selection(cfg, 20)[1].weights.shape[0]))
+    result = (np.zeros(50), np.zeros(resolve_plan(cfg, 20).family.weights.shape[0]))
     monkeypatch.setattr(driftsel.risk, "_run_chunk", lambda payload: result)
     tracemalloc.start()
     try:
@@ -867,7 +908,7 @@ def test_scoring_budget_runs_no_chunk(monkeypatch, tmp_path, capsys):
 def test_scoring_budget_admits_default_families():
     # the default knobs at n = 10^7 and a wide explicit family at n = 10^5
     for cfg, n in [(RunConfig(), 10**7), (RunConfig(k_star=99, eps=0.0317), 10**5)]:
-        distinct, width = resolve_selection(cfg, n)[1].weights.shape
+        distinct, width = resolve_plan(cfg, n).family.weights.shape
         assert 50 * distinct * width <= driftsel.risk._MAX_SCORE_VALUES
 
 
