@@ -16,17 +16,17 @@ checked, in the gate, where a handler builds its families or, for
 `renewal-density` and `simulate`, before its solve or its path, and so
 before any draw or output;
 `main` exits 2 on it, and 1 on any other ValueError, OSError or
-MemoryError.  A subcommand's handler only computes: it
-returns its tables, file name to (header, columns), in output order,
-with one array-like of numbers per column (ints, never bools).  `main`
-alone turns values into text, each the `repr` of its Python int or
-float, and writes the run: the CSVs, streamed a block of rows at a
-time, and then the manifest naming them, after every table is
-computed and every value found finite (a non-finite one is a
-ValueError naming its file and column, the one line the user sees: the
-handler runs with numpy's warnings off), so a run that fails creates no
-output directory.  `estimate`
-and `figures` fit through the risk engine's plan of each n,
+MemoryError.  A subcommand's handler only computes: it returns its
+tables, file name to (header, columns), in output order, with one
+array-like of numbers per column (ints, never bools), and warns rather
+than prints.  `main` alone prints each distinct warning once, as one
+`driftsel: warning:` line, turns values into text, each the `repr` of
+its Python int or float, and writes the run: the CSVs, streamed a block
+of rows at a time, and then the manifest naming them, after every table
+is computed and every value found finite (a non-finite one is a
+ValueError naming its file and column: the handler runs with numpy's
+warnings off), so a run that fails creates no output directory.
+`estimate` and `figures` fit through the risk engine's plan of each n,
 `risk.resolve_plan`, so only `simulate` builds an n*p path.
 """
 
@@ -34,6 +34,7 @@ import argparse
 import hashlib
 import math
 import sys
+import warnings
 from dataclasses import astuple, fields, replace
 from functools import cache
 from pathlib import Path
@@ -241,11 +242,8 @@ def _run_renewal_density(config: RunConfig):
     horizon = config.renewal_horizon or None
     solution = solve_renewal_density(config.noise.interarrival, h=config.renewal_h, horizon=horizon)
     if not solution.converged:
-        print(
-            f"driftsel: warning: renewal solve did not converge by horizon {solution.horizon!r}; "
-            "raise renewal.horizon or refine renewal.h",
-            file=sys.stderr,
-        )
+        warnings.warn(f"renewal solve did not converge by horizon {solution.horizon!r}; "
+                      "raise renewal.horizon or refine renewal.h")
     return {"renewal.csv": (("x", "rho", "upsilon"), (solution.x, solution.rho, solution.upsilon))}
 
 
@@ -305,9 +303,13 @@ def main(argv=None) -> int:
     try:
         config = resolve_run_config(args)
         validate_config(config)
-        with np.errstate(all="ignore"):  # an overflow is refused below, as a non-finite value
+        # an overflow is refused below, as a non-finite value, and each warning is printed once
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
             tables = {name: (header, [np.asarray(column) for column in columns])
                       for name, (header, columns) in _HANDLERS[args.subcommand](config).items()}
+        for message in dict.fromkeys(str(warning.message) for warning in raised):
+            print(f"driftsel: warning: {message}", file=sys.stderr)
         for name, (header, columns) in tables.items():
             for label, column in zip(header, columns):
                 # a block at a time, as they are written: no column-sized temporary

@@ -18,7 +18,6 @@ carries the p-1 estimable frequencies.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,11 +237,6 @@ def selection_cost(weights: np.ndarray, block: np.ndarray, sigma: np.ndarray, n:
     give a cost the same bits whatever R and D.  A row's argmin takes the
     lowest index on ties: profiles are numbered in order of first
     appearance, so that profile holds the earliest cheapest member."""
-    if not 0.0 < delta <= 1.0 / 6.0:
-        warnings.warn(
-            "threshold delta outside (0, 1/6]: the oracle inequality is not guaranteed",
-            stacklevel=2,
-        )
     width = weights.shape[1]
     if width > block.shape[1]:
         raise ValueError("weight support exceeds the estimable frequencies")

@@ -141,6 +141,7 @@ def stream_keys(base_seed: int, start: int, stop: int) -> list:
     return (words[..., 0::2] | words[..., 1::2] << 32).tolist()
 
 
+# Philox(key=k) would still build a SeedSequence from 128 bits of OS entropy
 class _PhiloxKey(ISeedSequence):
     """A seed sequence that hands Philox one precomputed key and nothing else."""
 

@@ -8,21 +8,23 @@ of n periods reads; the CLI reads and writes the config as key=value
 text.  A config that breaks a rule raises `ConfigError` where the rule
 is checked, before any draw: `resolve_plan` for an n's frequency and
 family, and `run_risk_experiment` for the scoring budget of each n's
-chunks.
+chunks.  `resolve_plan` also warns at a delta outside (0, 1/6].
 
 One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
 period sums of a fresh path per stream (its n*p increments folded onto
 one period) without building the path and without its Brownian part,
-and keeps the M = min(n, p - 1) coefficients the estimator reads; it
-adds the Brownian part to those in coefficient space, M normals per
-stream, which is exact in law.  The CLI's single-path fits are its
-one-stream case, through the same plan.  Its two routes read one
-sampler, each stream's few noise terms (one per renewal epoch, one per
-cell holding a jump), and agree to rounding (about 1e-15): one length-p
-rfft of the terms' sums per cell, or, for a few renewal epochs against
-many cells, a projection of the terms onto the K = M // 2 + 1 bins,
-added to the drift part's M coefficients.  `projects` picks the
+and keeps the M = min(n, p - 1) coefficients the estimator reads.
+The CLI's single-path fits are its one-stream case, through the same
+plan.  Its two routes read one sampler, each stream's few noise terms
+(one per renewal epoch, one per cell holding a jump), and agree to
+rounding (about 1e-15): one length-p rfft of the terms' sums per cell,
+or, for a few renewal epochs against many cells, a projection of the
+terms onto the K = M // 2 + 1 bins, added to the drift part's M
+coefficients.  Either gives the coefficients of the period sums, and
+one tail follows both: the p / n scale, and the Brownian part added in
+coefficient space, M normals per stream, which is exact in law.
+`projects` picks the
 projection when the expected terms (n / tau_bar + jump_intensity * n)
 times K come to less than p * log2(p) / 8 (_PROJECTION_SHARE): it reads
 n, p and the noise alone, never a timing.  The constant 8 is near where
@@ -198,6 +200,9 @@ class RunConfig:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.n_values:
             raise ValueError("n_values is empty")
+        if max(self.n_values) > 1 << 53 or self.estimate_n > 1 << 53:
+            # the engine reads n as a float (the renewal horizon, n / p widths), exact only up to 2**53
+            raise ValueError("n must be at most 2**53, the largest a float holds exactly")
         if len(set(self.n_values)) < len(self.n_values):
             # one n would otherwise repeat a risk row, and overwrite one figure with another
             raise ValueError(f"n_values repeats an n: {self.n_values!r}")
@@ -299,7 +304,11 @@ class Plan(NamedTuple):
 def resolve_plan(config: RunConfig, n: int) -> Plan:
     """The plan of n periods under `config`, which alone picks the route
     of a fit.  Raises ConfigError when n breaks a frequency rule, or its
-    family a knob or weight-sum rule."""
+    family a knob or weight-sum rule, and warns when delta lies outside
+    (0, 1/6], where the oracle inequality is not guaranteed."""
+    delta = resolve_delta(config, n)
+    if not 0.0 < delta <= 1.0 / 6.0:
+        warnings.warn(f"delta={delta!r} outside (0, 1/6]: the oracle inequality is not guaranteed", stacklevel=2)
     try:
         p = resolve_frequency(config, n)
         family = build_weight_family(n, p, eps=config.eps or None, k_star=config.k_star or None,
@@ -311,8 +320,7 @@ def resolve_plan(config: RunConfig, n: int) -> Plan:
     projection = None
     if projects(n, p, noise):
         projection = grid_coefficients(drift_sums, min(n, p - 1)), _unit_roots(p)
-    return Plan(n, p, config.seed, noise, family, resolve_delta(config, n), drift_sums, projection,
-                block_rows(n, p, noise))
+    return Plan(n, p, config.seed, noise, family, delta, drift_sums, projection, block_rows(n, p, noise))
 
 
 def pinsker_constant(k: int, r: float) -> float:
@@ -364,24 +372,11 @@ def _unit_roots(p: int) -> np.ndarray:
     return roots
 
 
-def _transformed(drift_sums: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
-    """The rfft route: each stream's period sums (`sample_period_sums`),
-    drift part included, as one block through one length-p rfft."""
-    p = drift_sums.size
-    sums = sample_period_sums(drift_sums, noise, n, keys)
-    brownian = brownian_normals(keys, min(n, p - 1))
-    brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
-    thetas = grid_coefficients(sums, brownian.shape[1])
-    thetas *= p / n
-    thetas += brownian
-    return thetas
-
-
 def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: int, keys) -> np.ndarray:
-    """The projection route: `_transformed`'s thetas up to rounding, from
-    the drift part's M coefficients `drift_theta`, the unit roots of p
-    and each stream's few terms (`sample_period_terms`), whose per-cell
-    sums `_transformed` transforms.
+    """The projection route: the rfft route's M coefficients of each
+    stream's period sums, up to rounding, from the drift part's
+    coefficients `drift_theta`, the unit roots of p and the stream's few
+    terms (`sample_period_terms`); the scale and Brownian part come after.
 
     A term of value w in cell l sits at index q = (l + 1) mod p of the
     rolled grid, so it adds w * roots[(q k) mod p] to real-DFT bin k, an
@@ -393,8 +388,6 @@ def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: 
     p, m = roots.size, drift_theta.size
     bins = m // 2 + 1
     cells, values, counts = sample_period_terms(noise, n, p, keys)
-    brownian = brownian_normals(keys, m)
-    brownian *= noise.rho1 * noise.rho_check / math.sqrt(n)
     q = (cells + 1) % p
     step = math.isqrt(bins)
     baby = roots[np.multiply.outer(q, np.arange(step)) % p]
@@ -405,11 +398,7 @@ def _projected(drift_theta: np.ndarray, roots: np.ndarray, noise: NoiseSpec, n: 
     rows = np.flatnonzero(counts)
     if rows.size:
         X[rows] = np.add.reduceat(terms, (np.cumsum(counts) - counts)[rows], axis=0)[:, :bins]
-    thetas = bin_coefficients(X, p, m)
-    thetas += drift_theta
-    thetas *= p / n
-    thetas += brownian
-    return thetas
+    return bin_coefficients(X, p, m) + drift_theta
 
 
 def replication_estimates(plan: Plan, keys) -> list:
@@ -422,14 +411,20 @@ def replication_estimates(plan: Plan, keys) -> list:
     sums without their Brownian part, plus rho1 * rho_check / sqrt(n)
     times M standard normals of its Brownian substream, that part's
     exact law.  The streams are drawn as one block, on the plan's route:
-    one rfft of the period sums, or a projection of their few noise terms
-    onto the bins the estimator reads.  Each estimate is a row view of
-    the block."""
+    one rfft of the period sums (`sample_period_sums`), or a projection of
+    their few noise terms onto the bins the estimator reads (`_projected`).
+    One tail then scales either and adds the Brownian part.  Each estimate
+    is a row view of the block."""
+    n, m = plan.n, min(plan.n, plan.p - 1)
     if plan.projection is None:
-        thetas = _transformed(plan.drift_sums, plan.noise, plan.n, keys)
+        thetas = grid_coefficients(sample_period_sums(plan.drift_sums, plan.noise, n, keys), m)
     else:
-        thetas = _projected(*plan.projection, plan.noise, plan.n, keys)
-    return [CoefficientEstimates(n=plan.n, p=plan.p, theta=theta) for theta in thetas]
+        thetas = _projected(*plan.projection, plan.noise, n, keys)
+    brownian = brownian_normals(keys, m)
+    brownian *= plan.noise.rho1 * plan.noise.rho_check / math.sqrt(n)
+    thetas *= plan.p / n
+    thetas += brownian
+    return [CoefficientEstimates(n=n, p=plan.p, theta=theta) for theta in thetas]
 
 
 def _truth(signal: SignalSpec, p: int, width: int):

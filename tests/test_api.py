@@ -1,7 +1,8 @@
 """Rules on driftsel's own code: every public top-level function and
-class has a production caller, only `cli.main` writes files or turns
-values into text, the README's library example runs, and the names the
-benchmark drives and observes keep their meaning."""
+class has a production caller, only `cli.main` writes files or messages
+or turns values into text, every file parses as the oldest supported
+Python, the README's library example runs, and the names the benchmark
+drives and observes keep their meaning."""
 
 import ast
 import math
@@ -63,13 +64,14 @@ def test_every_imported_name_is_used():
         assert imported <= loaded, (stem, imported - loaded)
 
 
-WRITES = {"write_text", "write_bytes", "mkdir", "open"}
+WRITES = {"write_text", "write_bytes", "mkdir", "open", "print"}
 
 
 def test_only_main_writes():
     # handlers return their tables and main writes the run after they
-    # return, so a run that fails creates nothing; a write may sit in
-    # cli.main or in a private helper that only main calls
+    # return, so a run that fails creates nothing, and a handler warns
+    # where main prints its messages; a write may sit in cli.main or in a
+    # private helper that only main calls
     writers, callers = set(), defaultdict(set)
     for path in Path(driftsel.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -105,6 +107,17 @@ def test_main_has_no_per_subcommand_branch():
         if isinstance(node, ast.Compare):
             operands = {ast.unparse(operand) for operand in (node.left, *node.comparators)}
             assert "args.subcommand" not in operands, ast.unparse(node)
+
+
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml requires Python >= 3.10, and the suite may run on a
+    # later one: syntax that 3.10 lacks, such as except*, is refused here;
+    # parsing compiles nothing, so no __pycache__ is written
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in ("src", "tests", "perfbench") for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_readme_library_example_runs():

@@ -301,6 +301,33 @@ def test_main_rejects_bad_numbers(tmp_path, capsys, setting):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "subcommand, text",
+    [("risk-table", f"risk.n_values=1{'0' * 400}\n"), ("simulate", f"estimate.n=1{'0' * 400}\n"),
+     ("risk-table", "risk.n_values=100000000000000000000\nrisk.p=1001\nnoise.interarrival=exponential(1e-20)\n"
+                    "estimator.eps=0.5\nestimator.k_star=1\nrisk.replications=2\n")],
+    ids=["n_values_overflows_a_float", "estimate_n_overflows_a_float", "n_values_above_2_53"],
+)
+def test_main_refuses_an_n_above_2_53(tmp_path, capsys, subcommand, text):
+    # the engine reads n as a float, exact only up to 2**53: such an n
+    # once ended in an OverflowError's traceback, or in a TypeError after
+    # the whole table was computed
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("driftsel: config error: ") and err.count("\n") == 1 and "2**53" in err
+    assert not out.exists()
+
+
+def test_an_n_of_2_53_is_a_config():
+    n = 2**53
+    config = parse_config(f"risk.n_values={n}\nestimate.n={n}\n")
+    assert (config.n_values, config.estimate_n) == ((n,), n)
+    for bad in ({"n_values": (20, n + 1)}, {"estimate_n": n + 1}):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            RunConfig(**bad)
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("subcommand", ["risk-table", "estimate", "simulate"])
 def test_main_rejects_negative_seed(tmp_path, capsys, subcommand, source):
@@ -363,14 +390,30 @@ def test_an_overflow_prints_one_line(tmp_path, argv, named):
     # numpy's floating-point warnings, with their source lines, once came
     # before the line meant for the user; a fresh interpreter shows what
     # a user sees, outside the suite's warning filters
-    src = str(Path(driftsel.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     cfg = write_cfg(tmp_path, "noise.rho1=1e300\nnoise.rho2=1e300\nrisk.n_values=20\nrisk.p=101\n"
                               "risk.replications=3\nestimate.n=20\n")
-    done = subprocess.run([sys.executable, "-m", "driftsel.cli", *argv, "--config", str(cfg),
-                           "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True)
+    done = fresh_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert (done.returncode, done.stderr) == (1, f"driftsel: {named} holds a non-finite number\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, lines", [(["risk-table", "--threads", "1"], 1), (["risk-table", "--threads", "2"], 1),
+                                         (["estimate"], 1), (["figures"], 1), (["simulate"], 0),
+                                         (["renewal-density"], 0)],
+                         ids=["risk_table_threads_1", "risk_table_threads_2", "estimate", "figures", "simulate",
+                              "renewal_density"])
+def test_a_warning_prints_one_line(tmp_path, argv, lines):
+    # a delta outside (0, 1/6] once printed Python's warning, with its
+    # source line, once per process: the plan warns once per n, in the
+    # parent, and main prints each distinct message once as one line
+    cfg = write_cfg(tmp_path, "estimator.delta=0.5\nrisk.n_values=20,40\nrisk.p=101\nrisk.replications=60\n"
+                              "estimator.k_star=2\nestimate.n=20\nnoise.interarrival=gamma(3, 0.3333333333333333)\n"
+                              "renewal.h=0.004\n")
+    done = fresh_cli(*argv, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert done.returncode == 0
+    assert len(done.stderr.splitlines()) == lines
+    assert all(line.startswith("driftsel: warning: delta=0.5 outside (0, 1/6]")
+               for line in done.stderr.splitlines())
 
 
 @pytest.mark.parametrize("subcommand", ["risk-table", "estimate", "simulate"])
@@ -753,6 +796,14 @@ def test_risk_table_builds_each_family_once(tmp_path, monkeypatch):
                               "estimator.k_star=2\nestimator.eps=0.5\n")
     assert main(["risk-table", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert built == [20, 40]
+
+
+def fresh_cli(*argv):
+    """`driftsel` run with `argv` in a fresh interpreter, outside the
+    suite's warning filters, as a user runs it."""
+    src = str(Path(driftsel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "driftsel.cli", *argv], env=env, capture_output=True, text=True)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):

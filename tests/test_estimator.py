@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -463,16 +462,6 @@ def test_cost_single_coefficient_calculus():
     costs = one_row(grid[:, None], est.theta, sigma=0.0, n=est.n, delta=0.1)
     assert costs == pytest.approx([w * w - 2.0 * w for w in grid])
     assert np.argmin(costs) == 20
-
-
-def test_cost_warns_outside_theory_range():
-    est = CoefficientEstimates(n=10, p=8, theta=np.ones(7))
-    w = np.array([[1.0]])
-    with pytest.warns(UserWarning):
-        one_row(w, est.theta, sigma=0.1, n=est.n, delta=0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        one_row(w, est.theta, sigma=0.1, n=est.n, delta=1.0 / 6.0)
 
 
 def test_cost_rejects_oversized_support():

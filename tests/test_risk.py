@@ -35,10 +35,9 @@ from driftsel.noise import NoiseSpec, sample_observations, stream_keys
 from driftsel.renewal import InterarrivalLaw
 from driftsel.risk import (
     ConfigError,
+    Plan,
     RunConfig,
-    _projected,
     _run_chunk,
-    _transformed,
     _truth,
     _unit_roots,
     block_rows,
@@ -66,12 +65,20 @@ QUIET = NoiseSpec(rho1=0.0, rho2=0.0, interarrival=InterarrivalLaw.chi_squared(3
 ZERO = SignalSpec.trig_polynomial([0.0])
 
 
-def projection(drift, n):
-    """The projection route's data for n periods whose drift part is
-    `drift`, as resolve_plan makes it on that route: the drift part's M
+def on_route(drift, noise, n, projected):
+    """All that replication_estimates reads of a plan of n periods whose
+    drift part is `drift`, on the projection route when `projected` and
+    on the rfft route otherwise, whatever projects() says: the projection
+    route's data is as resolve_plan makes it, the drift part's M
     coefficients and the unit roots of p."""
     p = drift.size
-    return grid_coefficients(drift, min(n, p - 1)), _unit_roots(p)
+    data = (grid_coefficients(drift, min(n, p - 1)), _unit_roots(p)) if projected else None
+    return Plan(n, p, None, noise, None, None, drift, data, None)
+
+
+def thetas(plan, keys):
+    """The estimates of `replication_estimates`, one row per stream."""
+    return np.array([est.theta for est in replication_estimates(plan, keys)])
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +316,19 @@ def test_route_of_every_golden_and_benchmark_config(cfg, n_values, projected):
     assert all(plan.rows == block_rows(plan.n, cfg.p, cfg.noise) for plan in plans)
 
 
+def test_plan_warns_outside_theory_range():
+    # the oracle inequality needs delta in (0, 1/6]: the plan of each n,
+    # built in the parent before any chunk, warns outside it, and
+    # selection itself warns at no delta
+    with pytest.warns(UserWarning, match=r"^delta=0\.5 outside \(0, 1/6\]"):
+        plan = resolve_plan(RunConfig(p=101, k_star=2, delta="0.5"), 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        resolve_plan(RunConfig(p=101, k_star=2, delta=repr(1.0 / 6.0)), 20)
+        [est] = replication_estimates(plan, stream_keys(0, 0, 1))
+        select_model(est, plan.family, plan.delta)
+
+
 def _on_cell_edges(real):
     """`_renewal_epochs` with every epoch moved up to the right edge of
     its cell, the grid point that closes it."""
@@ -339,8 +359,8 @@ def test_projection_matches_the_rfft_route(n, p, rows, seed, law, marks, jumps, 
             moved = _on_cell_edges(noise._renewal_epochs)
             moved.p = p
             patch.setattr(noise, "_renewal_epochs", moved)
-        expected = _transformed(drift, cfg.noise, n, streams)
-        projected = _projected(*projection(drift, n), cfg.noise, n, streams)
+        expected = thetas(on_route(drift, cfg.noise, n, False), streams)
+        projected = thetas(on_route(drift, cfg.noise, n, True), streams)
     assert projected.shape == expected.shape == (rows, min(n, p - 1))
     assert np.abs(projected - expected).max() <= 1e-13
 
@@ -367,9 +387,16 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     # a SeedSequence per substream was the largest fixed cost of a
     # replication, and a Philox per substream the next: a chunk derives
     # every key in one pass, and a process builds one generator per noise
-    # component, which it re-keys for every stream
-    built, seeds = [], []
+    # component, which it re-keys for every stream.  A Philox built with
+    # key= alone draws 128 bits of OS entropy for a SeedSequence inside
+    # compiled code, which only the count of randbits calls sees
+    built, seeds, entropy = [], [], []
     real_sequence, real_philox = np.random.SeedSequence, noise.Philox
+    real_randbits = np.random.bit_generator.randbits
+
+    def randbits(*args):
+        entropy.append(args)
+        return real_randbits(*args)
 
     def sequence(*args, **kwargs):
         built.append(args)
@@ -381,6 +408,7 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", sequence)
     monkeypatch.setattr(np.random.bit_generator, "SeedSequence", sequence)
+    monkeypatch.setattr(np.random.bit_generator, "randbits", randbits)
     monkeypatch.setattr(noise, "Philox", philox)
     noise._component.cache_clear()  # as in a fresh worker process
     cfg = RunConfig(n_values=(20,), p=101, replications=100, seed=3, k_star=3,
@@ -389,7 +417,7 @@ def test_chunk_builds_no_seed_sequence(monkeypatch):
     truth, tail, _ = _truth(cfg.signal, 101, plan.family.weights.shape[1])
     for start in (0, 50):
         _run_chunk((plan, truth, tail, start, start + 50))
-    assert built == []
+    assert built == [] and entropy == []
     # renewal epochs, marks, Brownian sums and jumps: one Philox each
     assert len(seeds) == 4
     assert all(len(args) == 1 and not kwargs and not isinstance(args[0], SeedSequence) for args, kwargs in seeds)
@@ -676,16 +704,16 @@ def test_engine_block_is_its_streams_drawn_one_at_a_time(knobs, p):
 @pytest.mark.parametrize("n, p", [(20, 101), (30, 100), (200, 101), (5, 1001)])
 @pytest.mark.parametrize("knobs", ENGINE_NOISE, ids=["no_jumps", "jumps"])
 def test_both_routes_keep_the_bits_of_one_row(knobs, n, p):
-    # each route, called directly whatever projects() says, gives a
+    # each route, taken whatever projects() says, gives a
     # block's rows the bits of one stream at a time
     spec = RunConfig(**knobs).noise
     drift = n * cell_integrals(SignalSpec.benchmark(), p)
     streams = stream_keys(5, 10, 17)
-    for route in (lambda keys: _transformed(drift, spec, n, keys),
-                  lambda keys: _projected(*projection(drift, n), spec, n, keys)):
-        block = route(streams)
+    for projected in (False, True):
+        plan = on_route(drift, spec, n, projected)
+        block = thetas(plan, streams)
         for row, keys in zip(block, streams):
-            assert np.array_equal(row, route([keys])[0])
+            assert np.array_equal(row, thetas(plan, [keys])[0])
 
 
 @pytest.mark.parametrize("n, p", [(30, 101), (30, 100), (200, 101)])
@@ -836,7 +864,7 @@ def test_a_chunk_calls_no_blas():
     reached = _reached(_run_chunk)
     assert {"driftsel.noise.stream_keys", "driftsel.noise._rekeyed", "driftsel.noise._jump_sums",
             "driftsel.noise._renewal_epochs", "driftsel.noise._terms", "driftsel.noise.sample_period_sums", "driftsel.renewal.InterarrivalLaw.sample",
-            "driftsel.risk._projected", "driftsel.risk._transformed", "driftsel.signal.bin_coefficients",
+            "driftsel.risk._projected", "driftsel.signal.bin_coefficients",
             "driftsel.estimator.estimate_proxy_variance", "driftsel.estimator.selection_cost"} <= set(reached)
     assert {name: calls for name, calls in ((name, _blas_calls(tree)) for name, tree in reached.items())
             if calls} == {}
