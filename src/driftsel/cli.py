@@ -11,20 +11,20 @@ with the same parameters are traceable to the same digest.
 The config itself, `risk.RunConfig`, and its defaults live with the
 risk engine; this module owns its text form, the gate that `main` runs
 before any handler, which builds no weight family, and the subcommands.
-A config that breaks a rule raises `risk.ConfigError` where the rule is
-checked, in the gate, where a handler builds its families or, for
-`renewal-density` and `simulate`, before its solve or its path, and so
-before any draw or output;
-`main` exits 2 on it, and 1 on any other ValueError, OSError or
-MemoryError.  A subcommand's handler only computes: it returns its
-tables, file name to (header, columns), in output order, with one
-array-like of numbers per column (ints, never bools), and warns rather
-than prints.  `main` alone prints each distinct warning once, as one
-`driftsel: warning:` line, turns values into text, each the `repr` of
-its Python int or float, and writes the run: the CSVs, streamed a block
-of rows at a time, and then the manifest naming them, after every table
-is computed and every value found finite (a non-finite one is a
-ValueError naming its file and column: the handler runs with numpy's
+A config that breaks a rule raises `driftsel.ConfigError` at the rule
+itself, before any draw or output: the gate, a handler building its
+families, and the checks before `renewal-density`'s solve and
+`simulate`'s path reach their rules first.  `main` exits 2 on it, and 1
+on any other ValueError, OSError or MemoryError.  A subcommand's handler
+only computes: it returns its tables, file name to (header, columns),
+in output order, with one array-like of numbers per column (ints, never
+bools), and warns rather than prints.  `main` alone prints each
+distinct warning once, as one `driftsel: warning:` line, before the
+error line of a run that fails, turns values into text, each the `repr`
+of its Python int or float, and writes the run: the CSVs, streamed a
+block of rows at a time, and then the manifest naming them, after every
+table is computed and every value found finite (a non-finite one is a
+ValueError naming its file and column: `main` runs with numpy's
 warnings off), so a run that fails creates no output directory.
 `estimate` and `figures` fit through the risk engine's plan of each n,
 `risk.resolve_plan`, so only `simulate` builds an n*p path.
@@ -42,12 +42,11 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import ConfigError, __version__
 from .estimator import family_knobs, select_model
 from .noise import renewal_chunk, sample_observations, stream_keys
 from .renewal import grid_size, solve_renewal_density
 from .risk import (
-    ConfigError,
     RunConfig,
     block_rows,
     replication_estimates,
@@ -156,7 +155,7 @@ def _check_gap_draw(config: RunConfig, n: int, rows: int) -> None:
     renewal gaps at once than _MAX_GAP_VALUES."""
     chunk = renewal_chunk(config.noise.interarrival, float(n))
     if rows * chunk > _MAX_GAP_VALUES:
-        raise ValueError(
+        raise ConfigError(
             f"renewal epochs at n={n}: {rows} replications x {chunk:.0f} gaps at once exceed the limit of "
             f"{_MAX_GAP_VALUES} values; lower n or raise the mean of noise.interarrival (now {config.interarrival})")
 
@@ -171,18 +170,15 @@ def validate_config(config: RunConfig) -> None:
     frequency rules and gap budget of one replication for estimate.n.
     The rules that need a built family, its weight sums and the scoring
     budget, and the family knobs at estimate.n, where `estimate` alone
-    fits one, are checked where a handler builds the family, which raises
-    ConfigError too.  Raises ConfigError."""
-    try:
-        config.signal, config.noise  # built here once, and cached for the handler
-        for n in config.n_values:
-            family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
-            rows = block_rows(n, resolve_frequency(config, n), config.noise)
-            _check_gap_draw(config, n, min(rows, config.replications))
-        resolve_frequency(config, config.estimate_n)
-        _check_gap_draw(config, config.estimate_n, 1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    fits one, are checked where a handler builds the family.  Each rule
+    raises ConfigError where it is written."""
+    config.signal, config.noise  # built here once, and cached for the handler
+    for n in config.n_values:
+        family_knobs(n, config.eps or None, config.k_star or None, config.k_star0, config.varsigma_star)
+        rows = block_rows(n, resolve_frequency(config, n), config.noise)
+        _check_gap_draw(config, n, min(rows, config.replications))
+    resolve_frequency(config, config.estimate_n)
+    _check_gap_draw(config, config.estimate_n, 1)
 
 
 def _fit_one_path(plan, stream: int):
@@ -225,21 +221,11 @@ def _run_risk_table(config: RunConfig):
     return {"risk.csv": (("n", "p", "N", "R_bar", "R_bar_se", "R_rel", "oracle", "seconds"), columns)}
 
 
-def _check_renewal_grid(config: RunConfig) -> None:
-    """Refuse a renewal step or horizon that the solve's grid rules
-    (`renewal.grid_size`) reject, as a ConfigError.  They read the config
-    alone, but only `renewal-density` solves, so only it checks them: a
-    law too fine for the default step still draws risk-table
-    replications."""
-    try:
-        grid_size(config.noise.interarrival, config.renewal_h, config.renewal_horizon or None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _run_renewal_density(config: RunConfig):
-    _check_renewal_grid(config)
+    # the solve's grid rules, before it starts: only this subcommand checks
+    # them, so a law too fine for the default step still draws replications
     horizon = config.renewal_horizon or None
+    grid_size(config.noise.interarrival, config.renewal_h, horizon)
     solution = solve_renewal_density(config.noise.interarrival, h=config.renewal_h, horizon=horizon)
     if not solution.converged:
         warnings.warn(f"renewal solve did not converge by horizon {solution.horizon!r}; "
@@ -292,55 +278,54 @@ def resolve_run_config(args) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         config = parse_config(text, base=config)
     flags = {"seed": args.seed, "threads": args.threads, "strict_h5": args.strict_h5 or None}
-    try:
-        return replace(config, **{name: value for name, value in flags.items() if value is not None})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = resolve_run_config(args)
-        validate_config(config)
-        # an overflow is refused below, as a non-finite value, and each warning is printed once
-        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as raised:
-            warnings.simplefilter("always")
+    # an overflow is refused below, as a non-finite value, and each warning
+    # is printed once, before the error that may stop the run
+    with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        try:
+            config = resolve_run_config(args)
+            validate_config(config)
             tables = {name: (header, [np.asarray(column) for column in columns])
                       for name, (header, columns) in _HANDLERS[args.subcommand](config).items()}
-        for message in dict.fromkeys(str(warning.message) for warning in raised):
-            print(f"driftsel: warning: {message}", file=sys.stderr)
-        for name, (header, columns) in tables.items():
-            for label, column in zip(header, columns):
-                # a block at a time, as they are written: no column-sized temporary
-                if not all(np.isfinite(column[a : a + _BLOCK]).all() for a in range(0, len(column), _BLOCK)):
-                    raise ValueError(f"{name}: column {label} holds a non-finite number")
-        out = Path(args.out)
-        digest = config_digest(config)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, (header, columns) in tables.items():
-            with (out / name).open("w", encoding="utf-8") as f:
-                f.write(f"# manifest_digest={digest}\n{','.join(header)}\n")
-                for a in range(0, len(columns[0]), _BLOCK):
-                    rows = zip(*(column[a : a + _BLOCK].tolist() for column in columns), strict=True)
-                    f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
-        manifest = [
-            "artifact=driftsel",
-            f"version={__version__}",
-            f"subcommand={args.subcommand}",
-            f"manifest_digest={digest}",
-            *(f"output={name}" for name in tables),
-            "--- config ---",
-            emit_config(config).rstrip("\n"),
-        ]
-        (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    except ConfigError as exc:
-        print(f"driftsel: config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"driftsel: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 1
-    return 0
+            for name, (header, columns) in tables.items():
+                for label, column in zip(header, columns):
+                    # a block at a time, as they are written: no column-sized temporary
+                    if not all(np.isfinite(column[a : a + _BLOCK]).all() for a in range(0, len(column), _BLOCK)):
+                        raise ValueError(f"{name}: column {label} holds a non-finite number")
+            out = Path(args.out)
+            digest = config_digest(config)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, (header, columns) in tables.items():
+                with (out / name).open("w", encoding="utf-8") as f:
+                    f.write(f"# manifest_digest={digest}\n{','.join(header)}\n")
+                    for a in range(0, len(columns[0]), _BLOCK):
+                        rows = zip(*(column[a : a + _BLOCK].tolist() for column in columns), strict=True)
+                        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            manifest = [
+                "artifact=driftsel",
+                f"version={__version__}",
+                f"subcommand={args.subcommand}",
+                f"manifest_digest={digest}",
+                *(f"output={name}" for name in tables),
+                "--- config ---",
+                emit_config(config).rstrip("\n"),
+            ]
+            (out / "manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+            status, error = 0, None
+        except ConfigError as exc:
+            status, error = 2, f"config error: {exc}"
+        except (ValueError, OSError, MemoryError) as exc:
+            status, error = 1, str(exc) or type(exc).__name__
+    for message in dict.fromkeys(str(warning.message) for warning in raised):
+        print(f"driftsel: warning: {message}", file=sys.stderr)
+    if error:
+        print(f"driftsel: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

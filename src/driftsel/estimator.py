@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
 from .signal import coefficients_to_grid
 
 # most members k_star * m a weight family may have, which bounds a
@@ -131,33 +132,33 @@ def family_knobs(n: int, eps, k_star, k_star0: int, varsigma_star: float):
     upsilon = n / varsigma_star of the weight family for n periods, eps
     and k_star left at None taking their sample-size driven choices
     eps = 1/ln n and k_star = floor(k_star0 + sqrt(ln n)).  Raises
-    ValueError when n < 2, a knob leaves its range, the widest bandwidth's
+    ConfigError when n < 2, a knob leaves its range, the widest bandwidth's
     argument d_1 * (m * eps) * upsilon overflows, or the family would
     have more than _MAX_MEMBERS members."""
     if n < 2:
-        raise ValueError(f"need n >= 2 periods for a weight family, got n={n}")
+        raise ConfigError(f"need n >= 2 periods for a weight family, got n={n}")
     if eps is None:
         eps = 1.0 / math.log(n)
     if k_star is None:
         k_star = int(k_star0 + math.sqrt(math.log(n)))
     upsilon = n / varsigma_star
     if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r} for n={n}; increase n or set eps explicitly")
+        raise ConfigError(f"eps must lie in (0, 1), got {eps!r} for n={n}; increase n or set eps explicitly")
     if k_star < 1:
-        raise ValueError(f"k_star must be at least 1, got {k_star} for n={n}")
+        raise ConfigError(f"k_star must be at least 1, got {k_star} for n={n}")
     if not 1.0 < upsilon < math.inf:
-        raise ValueError(f"upsilon must exceed 1 and be finite, got {upsilon!r} for n={n}")
+        raise ConfigError(f"upsilon must exceed 1 and be finite, got {upsilon!r} for n={n}")
     try:
         m = int(1.0 / eps**2)
     except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"eps={eps!r} leaves no finite scale count 1/eps^2 for n={n}") from None
+        raise ConfigError(f"eps={eps!r} leaves no finite scale count 1/eps^2 for n={n}") from None
     # taper order 1 has the largest constant d_beta, so the widest bandwidth
     if not math.isfinite(_bandwidth_law(1)[0] * (m * eps) * upsilon):
-        raise ValueError(f"the widest bandwidth overflows at upsilon={upsilon!r} for n={n}; "
-                         "raise varsigma_star")
+        raise ConfigError(f"the widest bandwidth overflows at upsilon={upsilon!r} for n={n}; "
+                          "raise varsigma_star")
     if k_star * m > _MAX_MEMBERS:
-        raise ValueError(f"weight family for n={n} has {k_star * m} members ({k_star} tapers x {m} scales), "
-                         f"above the limit {_MAX_MEMBERS}; raise eps or lower k_star")
+        raise ConfigError(f"weight family for n={n} has {k_star * m} members ({k_star} tapers x {m} scales), "
+                          f"above the limit {_MAX_MEMBERS}; raise eps or lower k_star")
     return eps, k_star, m, upsilon
 
 
@@ -221,9 +222,9 @@ def build_weight_family(
     # the residual term of the oracle inequality scales with the largest weight sum
     total = float(weights.sum(axis=1).max())
     if total < 1.0:
-        raise ValueError("all candidates shrink below total weight 1; grid too small")
+        raise ConfigError("all candidates shrink below total weight 1; grid too small")
     if total > 1.0 + (upsilon / eps) ** (1.0 / 3.0):
-        raise ValueError("a candidate's total weight exceeds 1 + (upsilon/eps)^(1/3)")
+        raise ConfigError("a candidate's total weight exceeds 1 + (upsilon/eps)^(1/3)")
     return WeightFamily(np.repeat(np.arange(1, k_star + 1), m), np.tile(scales, k_star), weights, profile_of)
 
 

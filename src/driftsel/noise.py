@@ -56,6 +56,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
+from . import ConfigError
 from .renewal import InterarrivalLaw
 from .signal import cell_integrals
 
@@ -205,18 +206,18 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not (0.0 <= self.rho1 < math.inf and 0.0 <= self.rho2 < math.inf):
-            raise ValueError("noise amplitudes must be finite and nonnegative")
+            raise ConfigError("noise amplitudes must be finite and nonnegative")
         if not 0.0 <= self.rho_check <= 1.0:
-            raise ValueError("the Brownian weight must lie in [0, 1]")
+            raise ConfigError("the Brownian weight must lie in [0, 1]")
         if not 0.0 <= self.jump_intensity < math.inf:
-            raise ValueError(f"jump_intensity must be finite and nonnegative, got {self.jump_intensity!r}")
+            raise ConfigError(f"jump_intensity must be finite and nonnegative, got {self.jump_intensity!r}")
         if self.rho_check < 1.0 and self.jump_intensity == 0.0:
-            raise ValueError("a Brownian weight below 1 requires a jump part (jump_intensity > 0)")
+            raise ConfigError("a Brownian weight below 1 requires a jump part (jump_intensity > 0)")
         if self.marks not in MARK_LAWS:
-            raise ValueError(f"mark law must be one of {MARK_LAWS}")
+            raise ConfigError(f"mark law must be one of {MARK_LAWS}")
         if self.jump_law not in JUMP_LAWS:
             # checked with or without a jump part, so the manifest never names an unknown law
-            raise ValueError(f"jump_law must be one of {JUMP_LAWS}, got {self.jump_law!r}")
+            raise ConfigError(f"jump_law must be one of {JUMP_LAWS}, got {self.jump_law!r}")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
+
 # largest deviation |rho - 1/tau_bar| at the horizon of a converged solve
 TAIL_TOL = 1e-6
 # most grid steps a solve may take: the march is O(m^2), so the limit
@@ -44,13 +46,13 @@ class InterarrivalLaw:
 
     def __post_init__(self):
         if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
-            raise ValueError(f"gamma shape {self.shape!r} and scale {self.scale!r} "
-                             "must be finite and positive")
+            raise ConfigError(f"gamma shape {self.shape!r} and scale {self.scale!r} "
+                              "must be finite and positive")
 
     @classmethod
     def exponential(cls, rate: float) -> "InterarrivalLaw":
         if rate <= 0:
-            raise ValueError("rate must be positive")
+            raise ConfigError("rate must be positive")
         return cls(1.0, 1.0 / float(rate))
 
     @classmethod
@@ -169,20 +171,20 @@ def grid_size(law: InterarrivalLaw, h: float, horizon: float | None = None) -> i
     the mean spacing tau_bar (h <= tau_bar / 50), the horizon, by
     default 40 mean spacings, must cover at least 20 of them, and
     horizon / h may not exceed _MAX_GRID_STEPS (2^18).  Raises
-    ValueError for a rule that fails."""
+    ConfigError for a rule that fails."""
     if h <= 0:
-        raise ValueError("step must be positive")
+        raise ConfigError("step must be positive")
     tau_bar = law.mean()
     if h > tau_bar / 50.0:
-        raise ValueError(f"step {h} too coarse for mean spacing {tau_bar}")
+        raise ConfigError(f"step {h} too coarse for mean spacing {tau_bar}")
     if horizon is None:
         horizon = 40.0 * tau_bar
     if horizon < 20.0 * tau_bar:
-        raise ValueError("horizon must cover at least 20 mean spacings")
+        raise ConfigError("horizon must cover at least 20 mean spacings")
     steps = horizon / h
     if steps > _MAX_GRID_STEPS:
-        raise ValueError(f"step {h} and horizon {horizon} make {steps:.4g} grid steps, "
-                         f"above the limit of {_MAX_GRID_STEPS}")
+        raise ConfigError(f"step {h} and horizon {horizon} make {steps:.4g} grid steps, "
+                          f"above the limit of {_MAX_GRID_STEPS}")
     return int(round(steps))
 
 

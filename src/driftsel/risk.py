@@ -5,10 +5,10 @@ model-selection estimator.
 paper's full-scale defaults, whose signal and noise are built from those
 fields.  `resolve_plan` turns it into one `Plan` per n, everything a fit
 of n periods reads; the CLI reads and writes the config as key=value
-text.  A config that breaks a rule raises `ConfigError` where the rule
-is checked, before any draw: `resolve_plan` for an n's frequency and
-family, and `run_risk_experiment` for the scoring budget of each n's
-chunks.  `resolve_plan` also warns at a delta outside (0, 1/6].
+text.  A config that breaks a rule raises `driftsel.ConfigError` at the
+rule, before any draw: `resolve_plan` reaches an n's frequency and
+family rules, and `run_risk_experiment` checks the scoring budget of
+each n's chunks.  `resolve_plan` also warns at a delta outside (0, 1/6].
 
 One engine run drives everything.  Replications take their
 coefficient estimates from `replication_estimates`, which draws the
@@ -74,6 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import ConfigError
 from .estimator import (
     CoefficientEstimates,
     WeightFamily,
@@ -117,6 +118,8 @@ _MAX_P = 1 << 22
 # values in one (chunk replications x distinct profiles x profile width)
 # scoring temporary, 128 MiB of float64; a chunk holds a few at once
 _MAX_SCORE_VALUES = 1 << 24
+# the most processes a risk table runs: it forks min(threads, chunks) - 1
+_MAX_THREADS = 256
 
 _LAW_PATTERN = re.compile(r"^([a-z_]+)\(([^)]*)\)$")
 _LAW_ARITY = {"exponential": 1, "gamma": 2, "chi_squared": 1}
@@ -125,10 +128,6 @@ _LAW_ARITY = {"exponential": 1, "gamma": 2, "chi_squared": 1}
 def _setting(key: str, default):
     """A RunConfig field that the text form writes and reads as `key`."""
     return field(default=default, metadata={"key": key})
-
-
-class ConfigError(ValueError):
-    """Raised for malformed, unknown, or inconsistent configuration."""
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,9 @@ class RunConfig:
     jump_intensity at 0 means no jump part.  None of them may be
     negative.  `delta` is the text auto, efficient or a finite number.
     Construction checks every rule that reads one run, estimator or
-    renewal field and raises ValueError; `signal` and `noise` are built
-    from their fields on first use, and SignalSpec and NoiseSpec raise
-    ValueError for those fields.
+    renewal field; `signal` and `noise` are built from their fields on
+    first use, and SignalSpec, InterarrivalLaw and NoiseSpec check those
+    fields.  Each rule raises ConfigError where it is written.
     """
 
     seed: int = _setting("seed", 0)
@@ -182,34 +181,36 @@ class RunConfig:
         for name in ("k_star", "eps", "p", "renewal_horizon", "jump_intensity"):
             # a negative zero-sentinel would otherwise silently mean its default
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be positive, or 0 for its default, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be positive, or 0 for its default, got {getattr(self, name)!r}")
         try:
             known = self.delta in ("auto", "efficient") or math.isfinite(float(self.delta))
         except ValueError:
             known = False
         if not known:
-            raise ValueError(f"delta must be auto, efficient, or a finite number, got {self.delta!r}")
+            raise ConfigError(f"delta must be auto, efficient, or a finite number, got {self.delta!r}")
         if self.replications < 2:
-            raise ValueError("need at least 2 replications for a standard error")
+            raise ConfigError("need at least 2 replications for a standard error")
         if self.replications > 1 << 32:
             # replication r draws from stream r, and a seed's stream indices stop below 2**32
-            raise ValueError(f"replications must be at most 2**32, got {self.replications}")
+            raise ConfigError(f"replications must be at most 2**32, got {self.replications}")
         if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
+        if self.threads > _MAX_THREADS:
+            raise ConfigError(f"threads must be at most {_MAX_THREADS}, got {self.threads}")
         if self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.n_values:
-            raise ValueError("n_values is empty")
+            raise ConfigError("n_values is empty")
         if max(self.n_values) > 1 << 53 or self.estimate_n > 1 << 53:
             # the engine reads n as a float (the renewal horizon, n / p widths), exact only up to 2**53
-            raise ValueError("n must be at most 2**53, the largest a float holds exactly")
+            raise ConfigError("n must be at most 2**53, the largest a float holds exactly")
         if len(set(self.n_values)) < len(self.n_values):
             # one n would otherwise repeat a risk row, and overwrite one figure with another
-            raise ValueError(f"n_values repeats an n: {self.n_values!r}")
+            raise ConfigError(f"n_values repeats an n: {self.n_values!r}")
         if not self.renewal_h > 0.0:
-            raise ValueError(f"renewal_h must be positive, got {self.renewal_h!r}")
+            raise ConfigError(f"renewal_h must be positive, got {self.renewal_h!r}")
         if not 0.0 < self.varsigma_star < math.inf:
-            raise ValueError(f"varsigma_star must be finite and positive, got {self.varsigma_star!r}")
+            raise ConfigError(f"varsigma_star must be finite and positive, got {self.varsigma_star!r}")
 
     @cached_property
     def signal(self) -> SignalSpec:
@@ -219,7 +220,7 @@ class RunConfig:
             return SignalSpec.trig_polynomial(self.signal_coefficients)
         if self.signal_kind == "tabulated":
             return SignalSpec.tabulated(self.signal_values)
-        raise ValueError(f"unknown signal.kind {self.signal_kind!r}")
+        raise ConfigError(f"unknown signal.kind {self.signal_kind!r}")
 
     @cached_property
     def noise(self) -> NoiseSpec:
@@ -228,14 +229,14 @@ class RunConfig:
         text = self.interarrival
         match = _LAW_PATTERN.match(text.replace(" ", ""))
         if not match:
-            raise ValueError(f"bad interarrival law {text!r}; expected name(args)")
+            raise ConfigError(f"bad interarrival law {text!r}; expected name(args)")
         name, arg_text = match.groups()
         try:
             args = [float(a) for a in arg_text.split(",")] if arg_text else []
         except ValueError:
-            raise ValueError(f"bad interarrival arguments in {text!r}") from None
+            raise ConfigError(f"bad interarrival arguments in {text!r}") from None
         if _LAW_ARITY.get(name) != len(args):
-            raise ValueError(f"unsupported interarrival law {text!r}")
+            raise ConfigError(f"unsupported interarrival law {text!r}")
         law = getattr(InterarrivalLaw, name)(*args)
         return NoiseSpec(self.rho1, self.rho2, self.rho_check, law, self.marks,
                          self.jump_intensity, self.jump_law)
@@ -260,18 +261,18 @@ def satisfies_h5(n: int, p: int) -> bool:
 
 def resolve_frequency(config: RunConfig, n: int) -> int:
     """Sampling frequency for n >= 1 periods: config.p, or the rule
-    max(p_min, ceil(n^(5/6))) when that is 0.  Raises ValueError for n < 1,
+    max(p_min, ceil(n^(5/6))) when that is 0.  Raises ConfigError for n < 1,
     or p below 3, above _MAX_P or, under the strict frequency check,
     below n^(5/6)."""
     if n < 1:
-        raise ValueError(f"need n >= 1 periods, got n={n}")
+        raise ConfigError(f"need n >= 1 periods, got n={n}")
     p = config.p or max(config.p_min, math.ceil(n ** (5.0 / 6.0)))
     if p < 3:
-        raise ValueError(f"need p >= 3 samples per period, got p={p} for n={n}")
+        raise ConfigError(f"need p >= 3 samples per period, got p={p} for n={n}")
     if p > _MAX_P:
-        raise ValueError(f"p={p} for n={n} exceeds the limit of {_MAX_P} samples per period")
+        raise ConfigError(f"p={p} for n={n} exceeds the limit of {_MAX_P} samples per period")
     if config.strict_h5 and not satisfies_h5(n, p):
-        raise ValueError(f"p={p} violates the frequency condition for n={n}")
+        raise ConfigError(f"p={p} violates the frequency condition for n={n}")
     return p
 
 
@@ -309,12 +310,9 @@ def resolve_plan(config: RunConfig, n: int) -> Plan:
     delta = resolve_delta(config, n)
     if not 0.0 < delta <= 1.0 / 6.0:
         warnings.warn(f"delta={delta!r} outside (0, 1/6]: the oracle inequality is not guaranteed", stacklevel=2)
-    try:
-        p = resolve_frequency(config, n)
-        family = build_weight_family(n, p, eps=config.eps or None, k_star=config.k_star or None,
-                                     k_star0=config.k_star0, varsigma_star=config.varsigma_star)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    p = resolve_frequency(config, n)
+    family = build_weight_family(n, p, eps=config.eps or None, k_star=config.k_star or None,
+                                 k_star0=config.k_star0, varsigma_star=config.varsigma_star)
     noise, drift_sums = config.noise, n * cell_integrals(config.signal, p)
     drift_sums.flags.writeable = False  # shared by every chunk of n
     projection = None
@@ -523,8 +521,8 @@ def run_risk_experiment(config: RunConfig) -> tuple:
     """One RiskRow per requested n, in order.  Every n's plan is built,
     and its `_truth` and chunk payloads made, here before the first chunk
     runs, so a config error or a zero signal stops the run before any
-    draw.  A family that fails a check is a ConfigError, and
-    so is one too wide to score: a chunk scores min(50, replications)
+    draw.  A family that fails a check raises ConfigError, and
+    so does one too wide to score: a chunk scores min(50, replications)
     replications x D distinct profiles x W coefficients at once, (D x W)
     the shape of its profile matrix, and that may not exceed
     _MAX_SCORE_VALUES.

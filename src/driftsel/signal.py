@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import irfft, rfft
 
+from . import ConfigError
+
 SQRT2 = math.sqrt(2.0)
 
 # 4-point Gauss-Legendre nodes/weights on [-1, 1]; exact through degree 7,
@@ -79,14 +81,14 @@ class SignalSpec:
     def trig_polynomial(cls, coefficients) -> "SignalSpec":
         coefficients = tuple(float(c) for c in coefficients)
         if not coefficients:
-            raise ValueError("trig_polynomial needs at least one coefficient")
+            raise ConfigError("trig_polynomial needs at least one coefficient")
         return cls(kind="trig_polynomial", coefficients=coefficients)
 
     @classmethod
     def tabulated(cls, values) -> "SignalSpec":
         values = tuple(float(v) for v in values)
         if len(values) < 2:
-            raise ValueError("tabulated needs at least two grid values")
+            raise ConfigError("tabulated needs at least two grid values")
         return cls(kind="tabulated", values=values)
 
     def __call__(self, t):

@@ -1,8 +1,9 @@
 """Rules on driftsel's own code: every public top-level function and
-class has a production caller, only `cli.main` writes files or messages
-or turns values into text, every file parses as the oldest supported
-Python, the README's library example runs, and the names the benchmark
-drives and observes keep their meaning."""
+class has a production caller, a config rule raises ConfigError itself,
+only `cli.main` writes files or messages or turns values into text,
+every file parses as the oldest supported Python, the README's library
+example runs, and the names the benchmark drives and observes keep
+their meaning."""
 
 import ast
 import math
@@ -62,6 +63,23 @@ def test_every_imported_name_is_used():
                     for alias in node.names}
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= loaded, (stem, imported - loaded)
+
+
+def test_config_error_is_raised_at_the_rule():
+    # one class, and no handler relabels a caught error as ConfigError(str(exc)):
+    # each rule raises ConfigError itself, so a caller need not know which calls hold rules
+    assert driftsel.risk.ConfigError is cli.ConfigError is driftsel.ConfigError
+    relabels = []
+    for stem, tree in _modules().items():
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+                continue
+            for node in ast.walk(handler):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) == "ConfigError"
+                        and any(ast.unparse(arg) == f"str({handler.name})" for arg in node.exc.args)):
+                    relabels.append((stem, node.lineno))
+    assert relabels == []
 
 
 WRITES = {"write_text", "write_bytes", "mkdir", "open", "print"}

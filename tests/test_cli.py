@@ -19,10 +19,12 @@ from driftsel.cli import (
     ConfigError,
     PRESETS,
     RunConfig,
+    build_parser,
     config_digest,
     emit_config,
     main,
     parse_config,
+    resolve_run_config,
     validate_config,
     _fit_one_path,
 )
@@ -154,6 +156,14 @@ def test_thread_count_never_reaches_the_text_form():
     assert config_digest(RunConfig(threads=4)) == config_digest(RunConfig())
     with pytest.raises(ConfigError, match="unknown config key 'threads'"):
         parse_config("threads=2\n")
+
+
+def test_the_threads_flag_is_bounded():
+    # a risk table forks min(threads, chunks) - 1 workers; the flag is
+    # refused as the config is resolved, so no process starts here
+    assert resolve_run_config(build_parser().parse_args(["risk-table", "--threads", "256"])).threads == 256
+    with pytest.raises(ConfigError, match="threads must be at most 256"):
+        resolve_run_config(build_parser().parse_args(["risk-table", "--threads", "257"]))
 
 
 def test_interarrival_parsing():
@@ -414,6 +424,21 @@ def test_a_warning_prints_one_line(tmp_path, argv, lines):
     assert len(done.stderr.splitlines()) == lines
     assert all(line.startswith("driftsel: warning: delta=0.5 outside (0, 1/6]")
                for line in done.stderr.splitlines())
+
+
+@pytest.mark.parametrize("subcommand", ["risk-table", "figures"])
+def test_a_failed_run_prints_its_warnings_first(tmp_path, subcommand):
+    # the plan of n = 100 warns at delta = 0.5, and then the family of
+    # n = 2 fails its weight-sum check: the warning once showed nowhere
+    cfg = write_cfg(tmp_path, "estimator.delta=0.5\nrisk.n_values=100,2\nrisk.p=11\nestimator.k_star=5\n"
+                              "estimator.eps=0.3\n")
+    done = fresh_cli(subcommand, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "driftsel: warning: delta=0.5 outside (0, 1/6]: the oracle inequality is not guaranteed",
+        "driftsel: config error: all candidates shrink below total weight 1; grid too small",
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["risk-table", "estimate", "simulate"])

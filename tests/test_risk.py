@@ -23,6 +23,7 @@ from driftsel.estimator import (
     default_delta,
     efficient_delta,
     estimate_proxy_variance,
+    family_knobs,
     select_model,
     selection_cost,
 )
@@ -32,7 +33,7 @@ import driftsel.risk
 from driftsel import noise
 from driftsel.cli import emit_config, main
 from driftsel.noise import NoiseSpec, sample_observations, stream_keys
-from driftsel.renewal import InterarrivalLaw
+from driftsel.renewal import InterarrivalLaw, grid_size, solve_renewal_density
 from driftsel.risk import (
     ConfigError,
     Plan,
@@ -123,7 +124,7 @@ def test_config_validation():
     # every rule that reads one field is checked on construction
     for name, value in [
         ("replications", 1), ("delta", "fast"), ("delta", "nan"), ("delta", "inf"), ("n_values", ()),
-        ("threads", 0), ("threads", -3), ("seed", -1),
+        ("threads", 0), ("threads", -3), ("threads", 257), ("seed", -1),
         ("varsigma_star", 0.0), ("varsigma_star", -1.0), ("varsigma_star", math.inf), ("varsigma_star", math.nan),
         ("k_star", -1), ("eps", -0.5), ("p", -5), ("renewal_horizon", -1.0), ("jump_intensity", -1.0),
         ("renewal_h", 0.0), ("renewal_h", -1.0), ("n_values", (100, 20, 100)),
@@ -131,6 +132,30 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize("call, is_config", [
+    (lambda: RunConfig(replications=1), True),
+    (lambda: RunConfig(signal_kind="spline").signal, True),
+    (lambda: RunConfig(interarrival="weibull(1)").noise, True),
+    (lambda: SignalSpec.trig_polynomial(()), True),
+    (lambda: InterarrivalLaw(0.0, 1.0), True),
+    (lambda: NoiseSpec(-1.0, 0.0), True),
+    (lambda: resolve_frequency(RunConfig(p=2), 20), True),
+    (lambda: family_knobs(2, None, None, 100, 1.0), True),
+    (lambda: build_weight_family(2, 101, eps=0.5), True),
+    (lambda: grid_size(InterarrivalLaw.chi_squared(3.0), 1.0), True),
+    # a gamma shape below 1 makes the density unbounded at 0, so the march diverges
+    (lambda: solve_renewal_density(InterarrivalLaw.gamma(0.5, 2.0), h=0.004), False),
+    (lambda: _truth(SignalSpec.trig_polynomial((0.0,)), 101, 1), False),
+], ids=["run_config", "signal", "noise", "trig_polynomial", "interarrival_law", "noise_spec", "frequency",
+        "family_knobs", "weight_sums", "grid_size", "diverging_march", "zero_signal"])
+def test_each_rule_raises_config_error_where_it_is_written(call, is_config):
+    # a rule's own raise is the config error, with no caller relabelling
+    # it; a run that fails on valid settings stays a plain ValueError
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert isinstance(raised.value, ConfigError) == is_config
 
 
 def test_frequency_resolution():
@@ -535,11 +560,12 @@ def test_the_fork_warning_of_python_3_12_is_ignored(monkeypatch):
 
 @pytest.mark.parametrize(
     "threads, replications, workers",
-    [(1000, 60, 2), (4, 60, 2), (3, 500, 3), (2, 1000, 2), (8, 50, None), (8, 2, None)],
+    [(256, 60, 2), (4, 60, 2), (3, 500, 3), (2, 1000, 2), (8, 50, None), (8, 2, None)],
 )
 def test_pool_has_no_more_workers_than_chunks(monkeypatch, threads, replications, workers):
     # min(threads, chunks) processes compute, the parent among them, so a
-    # run forks one fewer and none for a single chunk
+    # run forks one fewer and none for a single chunk; 256 is the most
+    # threads a config may ask for
     forks = _counted_forks(monkeypatch)
     run_risk_experiment(RunConfig(n_values=(10,), p=101, replications=replications, k_star=2, threads=threads))
     assert len(forks) == (0 if workers is None else workers - 1)
